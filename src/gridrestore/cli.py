@@ -1,7 +1,8 @@
 """Command-line front end: single solves, algorithm comparisons, and sweeps.
 
 Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
-failure with no plan.
+failure: no plan, or an evaluation LP that hit its iteration limit or a
+numerical failure.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from .heuristics import (AlgoBudget, RadConfig, brute_force_optimal, rad, rrr,
                          util_order)
 from .milp import ExternalBackendConfig, SolveOptions, solve_external, solve_mip
-from .models import build_rop, evaluate_plan, extract_plan, plan_to_assignment
+from .models import (PlanEvaluationError, build_rop, evaluate_plan, extract_plan,
+                     plan_to_assignment)
 from .network import (CaseParseError, DamageScenario, Network, RestorationPlan,
                       build_schedule, parse_case, random_damage)
 from .postprocess import RestorationReport, build_report
@@ -60,12 +62,16 @@ class RunConfig:
             raise ValueError("exactly one of damage_fraction or damage_lines required")
 
 
-def _load_network(path: str) -> Network:
+def _read_case(path: str) -> str:
     try:
         with open(path) as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         raise CliError(f"cannot read case file: {e}", EXIT_PARSE)
+
+
+def _load_network(path: str) -> Network:
+    text = _read_case(path)
     try:
         return parse_case(text)
     except CaseParseError as e:
@@ -148,11 +154,12 @@ def solve_to_report(config: RunConfig) -> tuple[RestorationReport, float | None,
     network = _load_network(config.case)
     damage = _make_damage(network, config)
     t0 = time.monotonic()
-    plan, schedule, gap = run_algorithm(network, damage, config)
     try:
+        plan, schedule, gap = run_algorithm(network, damage, config)
         series = evaluate_plan(network, damage, plan, schedule)
-    except RuntimeError as e:
-        raise CliError(f"plan evaluation failed: {e}", EXIT_INFEASIBLE)
+    except PlanEvaluationError as e:
+        code = EXIT_INFEASIBLE if e.status == "infeasible" else EXIT_SOLVER
+        raise CliError(f"plan evaluation failed: {e}", code)
     wall = time.monotonic() - t0
     report = build_report(network, damage, plan, series)
     report.algorithm = config.algorithm
@@ -219,8 +226,26 @@ def cmd_compare(base: RunConfig, algorithms: list[str]) -> int:
     return EXIT_OK
 
 
-def _cell_name(fraction: float, seed: int, algorithm: str) -> str:
-    return f"cell_f{fraction:g}_s{seed}_{algorithm}.json"
+# RunConfig fields that vary per cell (in the cell name) or never reach a cell
+_PER_CELL_FIELDS = ("algorithm", "damage_fraction", "damage_lines", "seed", "output_dir")
+
+
+def _config_key(base: RunConfig, case_text: str) -> str:
+    """Short hash of the case text and every run setting shared by all cells.
+
+    Fields are excluded by name, so a RunConfig field added later keys the
+    cache by default.
+    """
+    import hashlib  # loads OpenSSL: ~3.5 MB of RSS that solve never needs
+
+    shared = {k: v for k, v in base.__dict__.items() if k not in _PER_CELL_FIELDS}
+    shared["backend_cmd"] = base.backend_cmd or os.environ.get(BACKEND_ENV)
+    blob = json.dumps([case_text, shared], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _cell_name(fraction: float, seed: int, algorithm: str, key: str) -> str:
+    return f"cell_f{fraction:g}_s{seed}_{algorithm}_{key}.json"
 
 
 def _run_cell(args) -> dict:
@@ -245,12 +270,13 @@ def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
         raise CliError("sweep needs nonempty fractions, seeds and algorithms",
                        EXIT_PARSE)
     _load_network(base.case)  # fail fast on parse errors
+    key = _config_key(base, _read_case(base.case))
     cell_dir = os.path.join(base.output_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
     grid = [(f, s, a) for f in fractions for s in seeds for a in algorithms]
     pending = []
     for f, s, a in grid:
-        if not os.path.exists(os.path.join(cell_dir, _cell_name(f, s, a))):
+        if not os.path.exists(os.path.join(cell_dir, _cell_name(f, s, a, key))):
             pending.append((base.__dict__, f, s, a))
     if pending:
         workers = workers or os.cpu_count() or 1
@@ -261,11 +287,11 @@ def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
             results = [_run_cell(p) for p in pending]
         for cell in results:
             path = os.path.join(cell_dir, _cell_name(cell["fraction"], cell["seed"],
-                                                     cell["algorithm"]))
+                                                     cell["algorithm"], key))
             _atomic_write(path, json.dumps(cell, sort_keys=True) + "\n")
     rows = []
     for f, s, a in grid:
-        with open(os.path.join(cell_dir, _cell_name(f, s, a))) as fh:
+        with open(os.path.join(cell_dir, _cell_name(f, s, a, key))) as fh:
             rows.append(json.load(fh))
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=["case", "fraction", "seed", "algorithm",

@@ -286,6 +286,7 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     best_plan = None
     best_key = None
     seen: set = set()
+    memo: dict = {}  # energized line set -> period result, this network only
     for perm in itertools.permutations(sorted(damage.damaged_lines)):
         periods = []
         prev = 0
@@ -298,7 +299,7 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
             continue  # lumped schedules map many permutations to one plan
         seen.add(key0)
         plan = RestorationPlan.from_lists(periods)
-        series = evaluate_plan(network, damage, plan, schedule)
+        series = evaluate_plan(network, damage, plan, schedule, memo=memo)
         mono_series, mono_plan = monotonize(series, plan)
         energy = total_energy(mono_series)
         key = tuple(tuple(sorted(p)) for p in mono_plan.periods)

@@ -101,7 +101,8 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # 'optimal', 'infeasible', 'unbounded', 'iteration_limit'
+    # 'optimal', 'infeasible', 'unbounded', 'iteration_limit', 'numerical_failure'
+    status: str
     objective_value: float
     primal: np.ndarray
     iterations: int = 0
@@ -331,13 +332,17 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000) -> LpSolution:
 
     Returns a proven status; deterministic for identical input. On
     iteration limit exhaustion the best point found is returned with
-    status 'iteration_limit'.
+    status 'iteration_limit'. A singular basis ends the solve with status
+    'numerical_failure'.
     """
     lp.validate()
     for v in lp.variables:
         if v.lower > v.upper:
             return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
-    return _Simplex(lp, iteration_limit).solve()
+    try:
+        return _Simplex(lp, iteration_limit).solve()
+    except np.linalg.LinAlgError:
+        return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)))
 
 
 # ---------------------------------------------------------------------------

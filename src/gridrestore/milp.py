@@ -92,6 +92,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     The warm start, if feasible, becomes the initial incumbent. The time
     limit is checked between node solves only, so the overshoot is at
     most one LP solve. A time limit with no incumbent yields 'failure'.
+    A child whose LP ends neither optimal nor infeasible (iteration limit,
+    numerical failure) stays open at its parent's bound; the search then
+    proves nothing and ends 'feasible_time_limit', or 'failure' with no
+    incumbent.
     """
     mip.base.validate()
     start = time.monotonic()
@@ -102,6 +106,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     incumbent_obj = None
     incumbent_x = None
     nodes_solved = 0
+    unresolved: list[float] = []  # parent bounds of children left unsolved
 
     if opts.warm_start is not None:
         fixes = {j: (float(v), float(v)) for j, v in opts.warm_start.items() if j in mip.binary_vars}
@@ -132,7 +137,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     counter += 1
 
     def current_bound():
-        vals = [(-h[0] if sense_max else h[0]) for h in heap]
+        vals = [(-h[0] if sense_max else h[0]) for h in heap] + unresolved
         if incumbent_obj is not None:
             vals.append(incumbent_obj)
         if sense_max:
@@ -172,17 +177,24 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             child_fixes[frac_j] = (branch_val, branch_val)
             child = _solve_with_bounds(mip, child_fixes, opts.iteration_limit)
             nodes_solved += 1
+            if child.status == "infeasible":
+                continue
             if child.status != "optimal":
-                continue  # infeasible (or pathological) child is pruned
+                unresolved.append(bound)
+                continue
             heapq.heappush(heap, ((-child.objective_value if sense_max else child.objective_value),
                                   counter, child_fixes, child))
             counter += 1
         if incumbent_obj is not None:
             bnd = current_bound()
             if _relative_gap(incumbent_obj, bnd) <= opts.rel_gap:
+                status = "feasible_time_limit" if unresolved else "optimal_within_gap"
                 return _final_result(mip, incumbent_obj, incumbent_x, bnd, start,
-                                     nodes_solved, "optimal_within_gap")
+                                     nodes_solved, status)
 
+    if unresolved:
+        return _timeout_result(mip, incumbent_obj, incumbent_x, current_bound(),
+                               start, nodes_solved)
     if incumbent_obj is None:
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,
                            nodes=nodes_solved)

@@ -18,6 +18,14 @@ class PlanExtractionError(ValueError):
     """Incumbent line-status variables violate restoration monotonicity."""
 
 
+class PlanEvaluationError(RuntimeError):
+    """A period LP of a plan evaluation did not end optimal."""
+
+    def __init__(self, period: int, status: str):
+        super().__init__(f"plan evaluation LP of period {period} ended with status {status}")
+        self.status = status
+
+
 @dataclass
 class RopArtifacts:
     """Ordering MILP plus the index maps needed to interpret a solution."""
@@ -71,63 +79,73 @@ def _reference_buses(network: Network, line_ids) -> list[int]:
     return [c[0] for c in comps]
 
 
-def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
-              schedule: PeriodSchedule) -> LinearProgram:
-    """Multi-period DC dispatch LP for a fixed restoration plan.
-
-    Per period k: nodal balance, DC flow equalities on energized lines,
-    thermal limits as flow-variable bounds, generator limits as bounds,
-    and one voltage angle pinned to 0 per connected component of the
-    energized topology. Objective: total demand-weighted energy served.
-    """
+def _check_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
+                schedule: PeriodSchedule) -> None:
     damage.validate(network)
     plan.validate_against(damage)
     if plan.n_periods != schedule.n_periods:
         raise ValueError("plan length does not match schedule length")
 
+
+def _period_dcopf(network: Network, live: frozenset[int]) -> tuple[LinearProgram, list[int]]:
+    """Single-period DC dispatch LP over the energized lines ``live``.
+
+    Nodal balance, DC flow equalities on energized lines, thermal limits
+    as flow-variable bounds, generator limits as bounds, and one voltage
+    angle pinned to 0 per connected component of the energized topology.
+    Objective: demand-weighted power served. Returns the LP and the
+    indices of the load-fraction variables, in ``network.loads`` order.
+    """
     lp = LinearProgram()
-    pg: dict = {}
-    pl: dict = {}
-    xd: dict = {}
-    th: dict = {}
+    demand = {d.id: d.p_demand for d in network.loads}
+    pg = {g.id: lp.add_variable(f"PG{g.id}", 0.0, g.p_max) for g in network.generators}
+    pl = {}
+    for lid in sorted(live):
+        ln = network.lines_by_id[lid]
+        pl[lid] = lp.add_variable(f"PL{lid}", -ln.thermal_limit, ln.thermal_limit)
+    xd = {d.id: lp.add_variable(f"XD{d.id}", 0.0, 1.0) for d in network.loads}
+    th = {b.id: lp.add_variable(f"TH{b.id}", -INF, INF) for b in network.buses}
+    for rb in _reference_buses(network, live):
+        lp.variables[th[rb]] = Variable(f"TH{rb}", 0.0, 0.0)
+
+    for lid in sorted(live):
+        ln = network.lines_by_id[lid]
+        b = ln.susceptance_b
+        lp.add_constraint(f"flow{lid}",
+                          [(pl[lid], 1.0), (th[ln.from_bus], b), (th[ln.to_bus], -b)],
+                          "=", 0.0)
+    for bus in network.buses:
+        terms = [(pg[g], 1.0) for g in network.gens_at[bus.id]]
+        for lid in network.lines_at[bus.id]:
+            if lid in live:
+                sign = -1.0 if network.lines_by_id[lid].from_bus == bus.id else 1.0
+                terms.append((pl[lid], sign))
+        terms += [(xd[d], -demand[d]) for d in network.loads_at[bus.id]]
+        lp.add_constraint(f"bal{bus.id}", terms, "=", 0.0)
+    lp.set_objective("maximize", [(xd[d.id], d.p_demand) for d in network.loads])
+    return lp, [xd[d.id] for d in network.loads]
+
+
+def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
+              schedule: PeriodSchedule) -> LinearProgram:
+    """Multi-period DC dispatch LP for a fixed restoration plan.
+
+    The periods are independent: the LP stacks one ``_period_dcopf``
+    block per period, with ``_k`` appended to every variable and
+    constraint name. Objective: total demand-weighted energy served.
+    """
+    _check_plan(network, damage, plan, schedule)
+    lp = LinearProgram()
     obj = []
     for k in range(1, schedule.n_periods + 1):
-        live = energized_lines(network, damage, plan, k)
-        for g in network.generators:
-            pg[(g.id, k)] = lp.add_variable(f"PG{g.id}_{k}", 0.0, g.p_max)
-        for lid in sorted(live):
-            ln = network.lines_by_id[lid]
-            pl[(lid, k)] = lp.add_variable(f"PL{lid}_{k}", -ln.thermal_limit, ln.thermal_limit)
-        for d in network.loads:
-            xd[(d.id, k)] = lp.add_variable(f"XD{d.id}_{k}", 0.0, 1.0)
-        for b in network.buses:
-            th[(b.id, k)] = lp.add_variable(f"TH{b.id}_{k}", -INF, INF)
-        for rb in _reference_buses(network, live):
-            j = th[(rb, k)]
-            lp.variables[j] = Variable(lp.variables[j].name, 0.0, 0.0)
-
-        for lid in sorted(live):
-            ln = network.lines_by_id[lid]
-            b = ln.susceptance_b
-            lp.add_constraint(
-                f"flow{lid}_{k}",
-                [(pl[(lid, k)], 1.0), (th[(ln.from_bus, k)], b), (th[(ln.to_bus, k)], -b)],
-                "=", 0.0)
-        for bus in network.buses:
-            terms = [(pg[(g, k)], 1.0) for g in network.gens_at[bus.id]]
-            for lid in network.lines_at[bus.id]:
-                if lid not in live:
-                    continue
-                ln = network.lines_by_id[lid]
-                sign = -1.0 if ln.from_bus == bus.id else 1.0
-                terms.append((pl[(lid, k)], sign))
-            for d in network.loads:
-                if d.bus == bus.id:
-                    terms.append((xd[(d.id, k)], -d.p_demand))
-            lp.add_constraint(f"bal{bus.id}_{k}", terms, "=", 0.0)
+        block, xd = _period_dcopf(network, energized_lines(network, damage, plan, k))
+        off = len(lp.variables)
+        lp.variables += [Variable(f"{v.name}_{k}", v.lower, v.upper) for v in block.variables]
+        for c in block.constraints:
+            lp.add_constraint(f"{c.name}_{k}", [(j + off, a) for j, a in c.terms],
+                              c.relation, c.rhs)
         dk = schedule.delta[k - 1]
-        for d in network.loads:
-            obj.append((xd[(d.id, k)], d.p_demand * dk))
+        obj += [(j + off, d.p_demand * dk) for j, d in zip(xd, network.loads)]
     lp.set_objective("maximize", obj)
     return lp
 
@@ -152,6 +170,7 @@ def build_rop(network: Network, damage: DamageScenario,
 
     theta_delta = angle_diff_big_m(network)
     damaged = set(damage.damaged_lines)
+    demand = {d.id: d.p_demand for d in network.loads}
     lp = LinearProgram()
     art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule)
     for lid in sorted(damaged):
@@ -206,9 +225,7 @@ def build_rop(network: Network, damage: DamageScenario,
                 ln = network.lines_by_id[lid]
                 sign = -1.0 if ln.from_bus == bus.id else 1.0
                 terms.append((art.pl[(lid, k)], sign))
-            for d in network.loads:
-                if d.bus == bus.id:
-                    terms.append((art.xd[(d.id, k)], -d.p_demand))
+            terms += [(art.xd[(d, k)], -demand[d]) for d in network.loads_at[bus.id]]
             lp.add_constraint(f"bal{bus.id}_{k}", terms, "=", 0.0)
     for lid in sorted(damaged):
         for k in range(1, N):
@@ -293,25 +310,36 @@ def fix_plan_in_rop(artifacts: RopArtifacts, plan: RestorationPlan) -> MixedInte
 
 
 def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
-                  schedule: PeriodSchedule) -> PowerServedSeries:
-    """Maximum power deliverable in each period under a fixed plan."""
+                  schedule: PeriodSchedule, memo: dict | None = None) -> PowerServedSeries:
+    """Maximum power deliverable in each period under a fixed plan.
+
+    Periods are independent, so each one is solved as its own
+    single-period LP. ``memo``, if given, maps the frozenset of energized
+    line ids of a period to its ``(delivered, load fractions)``; it is
+    read before and filled after each solve. A memo is only valid for
+    one network: callers create one per network and pass it to every
+    evaluation on it.
+    """
+    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
+    # double, a tracing wrapper) sees every period LP
     from .lp import solve_lp
 
-    lp = build_rip(network, damage, plan, schedule)
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"plan evaluation LP ended with status {sol.status}")
-    name_to_idx = {v.name: j for j, v in enumerate(lp.variables)}
+    _check_plan(network, damage, plan, schedule)
     delivered = []
     fractions = []
     for k in range(1, schedule.n_periods + 1):
-        tot = 0.0
-        fr = {}
-        for d in network.loads:
-            x = sol.primal[name_to_idx[f"XD{d.id}_{k}"]]
-            x = min(max(float(x), 0.0), 1.0)
-            fr[d.id] = x
-            tot += x * d.p_demand
-        delivered.append(tot)
-        fractions.append(fr)
+        live = energized_lines(network, damage, plan, k)
+        hit = memo.get(live) if memo is not None else None
+        if hit is None:
+            lp, xd = _period_dcopf(network, live)
+            sol = solve_lp(lp)
+            if sol.status != "optimal":
+                raise PlanEvaluationError(k, sol.status)
+            fr = {d.id: min(max(float(sol.primal[j]), 0.0), 1.0)
+                  for j, d in zip(xd, network.loads)}
+            hit = (sum(fr[d.id] * d.p_demand for d in network.loads), fr)
+            if memo is not None:
+                memo[live] = hit
+        delivered.append(hit[0])
+        fractions.append(dict(hit[1]))
     return PowerServedSeries(tuple(delivered), tuple(schedule.delta), tuple(fractions))

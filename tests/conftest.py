@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network)
+                                 Network, random_damage)
 
 CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 
@@ -69,6 +69,48 @@ def random_scenario(seed: int, n_damaged_range=(3, 5)):
     k = min(rng.randint(*n_damaged_range), len(net.lines))
     damaged = tuple(sorted(rng.sample([l.id for l in net.lines], k)))
     return net, DamageScenario(damaged, seed=seed)
+
+
+def meshed_network(seed: int, n_buses: int = 10) -> Network:
+    """Random meshed grid with loops and loose thermal limits.
+
+    Bus i >= 2 links to a random bus in [i-4, i-1] (so the grid is
+    connected), and n_buses // 2 chords join bus pairs not yet linked.
+    Reactance x ~ U[0.05, 0.3], thermal limit ~ U[0.5, 1.5] pu;
+    n_buses // 6 generators with p_max ~ U[1, 3] and n_buses // 2 loads
+    with demand ~ U[0.2, 0.8] sit on distinct buses. Unlike
+    ``random_network``, an added line can lower deliverable power here.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    linked = set()
+    for i in range(2, n_buses + 1):
+        j = rng.randint(max(1, i - 4), i - 1)
+        pairs.append((j, i))
+        linked.add(frozenset((i, j)))
+    while len(pairs) < n_buses - 1 + n_buses // 2:
+        a, b = rng.sample(range(1, n_buses + 1), 2)
+        if frozenset((a, b)) not in linked:
+            pairs.append((min(a, b), max(a, b)))
+            linked.add(frozenset((a, b)))
+    lines = tuple(Line(i, f, t, -1.0 / rng.uniform(0.05, 0.3), rng.uniform(0.5, 1.5))
+                  for i, (f, t) in enumerate(pairs, start=1))
+    gens = tuple(Generator(g, bus, rng.uniform(1.0, 3.0)) for g, bus in
+                 enumerate(rng.sample(range(1, n_buses + 1), n_buses // 6), start=1))
+    loads = tuple(Load(d, bus, rng.uniform(0.2, 0.8)) for d, bus in
+                  enumerate(rng.sample(range(1, n_buses + 1), n_buses // 2), start=1))
+    return Network(buses=tuple(Bus(i) for i in range(1, n_buses + 1)),
+                   lines=lines, generators=gens, loads=loads)
+
+
+@pytest.fixture
+def meshed_scenarios():
+    """(network, damage) pairs on meshed grids, 25% of lines damaged."""
+    out = []
+    for seed, n_buses in ((1, 8), (2, 10), (3, 10), (4, 12)):
+        net = meshed_network(seed, n_buses)
+        out.append((net, random_damage(net, 0.25, seed)))
+    return out
 
 
 @pytest.fixture

@@ -4,11 +4,13 @@ import os
 
 import pytest
 
-from gridrestore.cli import (EXIT_OK, EXIT_PARSE, RunConfig, cmd_compare,
+import gridrestore.lp
+from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_compare,
                              cmd_solve, cmd_sweep, main)
 from gridrestore.heuristics import brute_force_optimal
 from gridrestore.network import (DamageScenario, build_schedule, parse_case,
                                  random_damage)
+from gridrestore.lp import LpSolution
 from conftest import CASES_DIR
 
 TINY3 = os.path.join(CASES_DIR, "tiny3.m")
@@ -61,6 +63,34 @@ class TestSolve:
         assert abs(recomputed - summary["total_energy_pu"]) <= 1e-9
         assert float(rows[-1]["cumulative_energy_pu"]) == pytest.approx(
             summary["total_energy_pu"], abs=1e-9)
+
+    def test_oracle_memo_does_not_outlive_the_call(self, tmp_path, monkeypatch):
+        real_solve = gridrestore.lp.solve_lp
+        calls = []
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        args = ["solve", "--case", TINY3, "--damage-lines", "1", "2", "3",
+                "--algo", "oracle", "--out", str(tmp_path)]
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert main(args) == EXIT_OK
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        def singular(lp, *args, **kwargs):
+            return LpSolution("numerical_failure", float("nan"), None)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", singular)
+        for algo in ("util", "oracle"):
+            rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2",
+                       "--algo", algo, "--out", str(tmp_path)])
+            assert rc == EXIT_SOLVER
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.m"
@@ -132,6 +162,16 @@ class TestSweep:
         after = {f: os.path.getmtime(os.path.join(cell_dir, f))
                  for f in os.listdir(cell_dir)}
         assert mtimes == after  # cells never recomputed
+
+    def test_changed_settings_recompute(self, tmp_path, capsys):
+        base = ["sweep", "--case", TINY3, "--fractions", "1.0", "--seeds", "0",
+                "--algos", "util", "--out", str(tmp_path), "--workers", "1"]
+        for n_periods in ("3", "2"):
+            assert main(base + ["--n-periods", n_periods]) == EXIT_OK
+            assert "(1 computed, 0 cached)" in capsys.readouterr().out
+        assert len(os.listdir(os.path.join(tmp_path, "cells"))) == 2
+        assert main(base + ["--n-periods", "2"]) == EXIT_OK
+        assert "(0 computed, 1 cached)" in capsys.readouterr().out
 
     def test_long_form_columns(self, tmp_path):
         main(["sweep", "--case", TINY3, "--fractions", "1.0", "--seeds", "0",

@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
+import gridrestore.heuristics
+import gridrestore.lp
 from gridrestore.heuristics import (AlgoBudget, RadConfig, RadStats, RrrStats,
                                     brute_force_optimal, rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
-from gridrestore.models import build_rop, evaluate_plan, plan_to_assignment
+from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
+                                plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule)
 from gridrestore.postprocess import monotonize, total_energy
@@ -185,6 +190,40 @@ class TestBruteForce:
         for order in ([[1], [2]], [[2], [1]]):
             assert best >= plan_energy(tiny3, dmg,
                                        RestorationPlan.from_lists(order)) - 1e-9
+
+    @pytest.mark.parametrize("n_periods", [None, 2])
+    def test_memo_solves_each_topology_once(self, meshed_scenarios, monkeypatch,
+                                            n_periods):
+        net, dmg = meshed_scenarios[2]
+        n = len(dmg.damaged_lines)
+        sched = build_schedule(n, n_periods or n)
+        plans = []
+        for perm in itertools.permutations(dmg.damaged_lines):
+            cuts = (0,) + sched.repair_budget
+            plans.append(RestorationPlan.from_lists(
+                [perm[a:b] for a, b in zip(cuts, cuts[1:])]))
+        topologies = {energized_lines(net, dmg, p, k) for p in plans
+                      for k in range(1, sched.n_periods + 1)}
+        real_solve = gridrestore.lp.solve_lp
+        calls = []
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        plan, energy = brute_force_optimal(net, dmg, sched)
+        assert len(calls) == len(topologies)
+
+        def no_memo(*args, memo=None):
+            return evaluate_plan(*args)
+
+        monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
+        calls.clear()
+        ref_plan, ref_energy = brute_force_optimal(net, dmg, sched)
+        assert len(calls) > len(topologies)
+        assert plan.periods == ref_plan.periods
+        assert energy == ref_energy
 
     def test_symmetric_parallel_lines(self):
         net = Network(buses=(Bus(1), Bus(2)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import gridrestore.lp as lp_module
 from gridrestore.lp import (INF, LinearProgram, Variable, mps_column_name,
                             mps_row_name, solve_lp, write_mps)
 from gridrestore.milp import MixedIntegerProgram
@@ -122,6 +123,19 @@ class TestBasics:
         full = solve_lp(lp)
         if full.iterations > 1:
             assert sol.status == "iteration_limit"
+
+    def test_singular_basis_is_a_status(self, monkeypatch):
+        def singular(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", singular)
+        lp = LinearProgram()
+        lp.add_variable("x", 0.0, 4.0)
+        lp.add_constraint("c", [(0, 1.0)], "<=", 3.0)
+        lp.set_objective("maximize", [(0, 1.0)])
+        sol = solve_lp(lp)
+        assert sol.status == "numerical_failure"
+        assert sol.primal.shape == (1,)
 
     def test_crossed_bounds_infeasible(self):
         lp = simple_lp("maximize", [(0, 1.0)], [("x", 2.0, 1.0)], [])

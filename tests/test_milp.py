@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from gridrestore.lp import INF, LinearProgram, mps_column_name, solve_lp
+import gridrestore.milp
+from gridrestore.lp import INF, LinearProgram, LpSolution, mps_column_name, solve_lp
 from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
                               SolveOptions, enumerate_binaries,
                               parse_solution_file, solve_external, solve_mip)
@@ -107,6 +108,36 @@ class TestBranchAndBound:
         lp.add_variable("z", 0.0, 2.0)
         with pytest.raises(ValueError, match="bounds outside"):
             MixedIntegerProgram(base=lp, binary_vars=frozenset({0}))
+
+    @pytest.mark.parametrize("failing_calls, status", [({2}, "feasible_time_limit"),
+                                                       (None, "failure")])
+    def test_unresolved_child_keeps_parent_bound(self, monkeypatch, failing_calls,
+                                                 status):
+        # knapsack whose root relaxation is fractional: 2.0 + 0.5 * 2.0 = 3.0
+        lp = LinearProgram()
+        for j in range(3):
+            lp.add_variable(f"z{j}", 0.0, 1.0)
+        lp.add_constraint("cap", [(0, 1.0), (1, 2.0), (2, 2.0)], "<=", 2.0)
+        lp.set_objective("maximize", [(0, 2.0), (1, 2.0), (2, 1.5)])
+        mip = MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
+        assert solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0)).status == \
+            "optimal_within_gap"
+        calls = []
+
+        def flaky(lp, *args, **kwargs):
+            calls.append(lp)
+            n = len(calls)
+            if n > 1 and (failing_calls is None or n in failing_calls):
+                return LpSolution("iteration_limit", float("nan"),
+                                  np.zeros(len(lp.variables)))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", flaky)
+        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0))
+        assert sol.status == status
+        if status == "feasible_time_limit":
+            assert sol.best_bound == pytest.approx(3.0)  # the root's bound
+            assert sol.objective_value <= sol.best_bound
 
     def test_determinism(self):
         mip, _, _ = self._feasible_seed(11)

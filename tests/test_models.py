@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from gridrestore.lp import solve_lp
+import gridrestore.lp
+from gridrestore.lp import LpSolution, solve_lp
 from gridrestore.milp import SolveOptions, solve_mip
-from gridrestore.models import (PlanExtractionError, angle_diff_big_m,
+from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
+                                angle_diff_big_m,
                                 build_rip, build_rop, energized_lines,
                                 evaluate_plan, extract_plan, fix_plan_in_rop,
                                 plan_to_assignment)
@@ -74,11 +77,68 @@ class TestRip:
                                build_schedule(1, 2))
         assert series.delivered[0] == pytest.approx(min(0.4, 0.7))
 
+    def test_periods_sum_to_monolith_on_meshed_grids(self, meshed_scenarios):
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            order = list(dmg.damaged_lines)
+            plans = [([[lid] for lid in order], build_schedule(n, n)),
+                     ([[lid] for lid in reversed(order)], build_schedule(n, n)),
+                     ([order[:2], order[2:]], build_schedule(n, 2))]
+            for periods, sched in plans:
+                plan = RestorationPlan.from_lists(periods)
+                series = evaluate_plan(net, dmg, plan, sched)
+                energy = sum(d * t for d, t in zip(series.delivered, series.durations))
+                mono = solve_lp(build_rip(net, dmg, plan, sched))
+                assert mono.status == "optimal"
+                assert energy == pytest.approx(mono.objective_value, rel=1e-9)
+
+    def test_memo_reuses_topologies(self, meshed_scenarios, monkeypatch):
+        net, dmg = meshed_scenarios[1]
+        n = len(dmg.damaged_lines)
+        sched = build_schedule(n, n)
+        plans = [RestorationPlan.from_lists([[lid] for lid in perm])
+                 for perm in itertools.permutations(dmg.damaged_lines)]
+        lps = []
+
+        def counting(lp, *args, **kwargs):
+            lps.append(lp)
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        memo: dict = {}
+        for plan in plans:
+            with_memo = evaluate_plan(net, dmg, plan, sched, memo=memo)
+            assert with_memo == evaluate_plan(net, dmg, plan, sched)
+        topologies = {energized_lines(net, dmg, p, k) for p in plans
+                      for k in range(1, n + 1)}
+        assert set(memo) == topologies
+        assert len(lps) == len(topologies) + n * len(plans)
+
+    def test_non_optimal_period_names_period(self, monkeypatch):
+        net, dmg = tiny3_damage12()
+        calls = []
+
+        def fail_second(lp, *args, **kwargs):
+            calls.append(lp)
+            if len(calls) == 2:
+                return LpSolution("numerical_failure", float("nan"), None)
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", fail_second)
+        with pytest.raises(PlanEvaluationError, match="period 2") as err:
+            evaluate_plan(net, dmg, RestorationPlan.from_lists([[1], [2]]),
+                          build_schedule(2, 2))
+        assert err.value.status == "numerical_failure"
+
     def test_plan_mismatch_rejected(self):
         net, dmg = tiny3_damage12()
-        with pytest.raises(ValueError):
-            build_rip(net, dmg, RestorationPlan.from_lists([[1], [3]]),
+        for build in (build_rip, evaluate_plan):
+            with pytest.raises(ValueError):
+                build(net, dmg, RestorationPlan.from_lists([[1], [3]]),
                       build_schedule(2, 2))
+            with pytest.raises(ValueError, match="length"):
+                build(net, dmg, RestorationPlan.from_lists([[1], [2]]),
+                      build_schedule(2, 3))
 
 
 class TestRop:
