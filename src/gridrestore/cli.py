@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -53,7 +54,6 @@ class RunConfig:
     output_dir: str = "."
     backend_cmd: str | None = None
     record_timing: bool = False
-    parallel: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -121,8 +121,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
         plan = util_order(network, damage)
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "rrr":
-        plan = rrr(network, damage, budget, rop_solver=rop_solver,
-                   parallel=config.parallel)
+        plan = rrr(network, damage, budget, rop_solver=rop_solver)
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "rad":
         plan = rad(network, damage, budget, rop_solver=rop_solver)
@@ -147,7 +146,8 @@ def run_algorithm(network: Network, damage: DamageScenario,
         plan = extract_plan(art, sol)
     except ValueError as e:
         raise CliError(f"cannot extract plan: {e}", EXIT_SOLVER)
-    return plan, schedule, sol.gap
+    # an unproven bound has an infinite gap, reported as unknown (null)
+    return plan, schedule, sol.gap if math.isfinite(sol.gap) else None
 
 
 def solve_to_report(config: RunConfig) -> tuple[RestorationReport, float | None, dict]:
@@ -326,8 +326,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--record-timing", action="store_true",
                    help="include wall time in outputs (off by default so "
                         "repeated runs are byte-identical)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run independent recursive halves concurrently")
 
 
 def _add_damage(p: argparse.ArgumentParser) -> None:
@@ -345,8 +343,7 @@ def _base_config(args, algorithm: str) -> RunConfig:
         damage_lines=tuple(args.damage_lines) if getattr(args, "damage_lines", None) else None,
         seed=args.seed, time_limit=args.time_limit, rel_gap=args.rel_gap,
         n_periods=args.n_periods, output_dir=args.out,
-        backend_cmd=args.backend_cmd, record_timing=args.record_timing,
-        parallel=args.parallel)
+        backend_cmd=args.backend_cmd, record_timing=args.record_timing)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .milp import SolveOptions, solve_mip
@@ -75,8 +74,7 @@ def _default_rop_solver(network, damage, schedule, opts) -> tuple:
 
 
 def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
-        rop_solver=None, parallel: bool = False,
-        stats: RrrStats | None = None) -> RestorationPlan:
+        rop_solver=None, stats: RrrStats | None = None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
     Each call splits its line set with a two-period ordering problem
@@ -128,11 +126,6 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
                     # nothing is urgent; any order works, use capacity order
                     st.empty_first_returns += 1
                     return util_order(network, sub_damage).ordered_lines()
-        if parallel and len(first) > 1 and len(second) > 1:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f1 = pool.submit(recurse, tuple(first))
-                f2 = pool.submit(recurse, tuple(second))
-                return f1.result() + f2.result()
         return recurse(tuple(first)) + recurse(tuple(second))
 
     order = recurse(tuple(sorted(damage.damaged_lines)))

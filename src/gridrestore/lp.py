@@ -1,9 +1,16 @@
 """Solver-agnostic LP representation, a bounded-variable simplex, MPS output.
 
-The solver is a dense two-phase simplex over general bounds, with Bland's
-anti-cycling rule engaged after a run of degenerate pivots. It is meant for
-desk-scale problems (a few thousand variables at most) where exactness and
-determinism matter more than speed.
+The solver is a dense simplex over general bounds, meant for desk-scale
+problems (a few thousand variables at most) where exactness and
+determinism matter more than speed. A cold solve is two-phase primal
+simplex from a slack basis, with Bland's anti-cycling rule engaged after
+a run of degenerate pivots. A warm solve starts from the optimal basis of
+an earlier solve of the same standard form under other bounds, as a
+branch-and-bound child does from its parent: a bound change keeps that
+basis dual feasible, so a bounded dual simplex restores primal
+feasibility and the primal simplex then finishes. A warm basis that is
+singular, inaccurate or not dual feasible falls back to a cold solve in
+the same call.
 """
 from __future__ import annotations
 
@@ -17,9 +24,14 @@ FEAS_TOL = 1e-7      # constraint feasibility
 OPT_TOL = 1e-7       # reduced cost optimality
 PIVOT_TOL = 1e-10    # zero-pivot threshold
 DEGEN_THRESHOLD = 40  # consecutive degenerate pivots before Bland's rule
+INFEAS_TOL = 1e-6    # phase-1 residual above which an LP is infeasible
+RESID_TOL = 1e-6     # warm basis: largest |Ax - b| relative to 1 + max|b|
 
 # nonbasic variable states
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
+
+# slack bounds per constraint relation
+_SLACK_BOUNDS = {"<=": (0.0, INF), ">=": (-INF, 0.0), "=": (0.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,60 @@ class LinearProgram:
         return worst
 
 
+@dataclass(frozen=True)
+class StandardForm:
+    """Dense minimization form of an LP: min c.x s.t. A x = b, lower <= x <= upper.
+
+    Columns are the LP's variables followed by one slack per row
+    (<=: [0, inf], >=: [-inf, 0], =: fixed at 0). ``c`` is the objective,
+    negated for maximization. The arrays are read-only, so solves that
+    differ only in their bounds share one form through
+    ``dataclasses.replace(form, lower=..., upper=...)``.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def standard_form(lp: LinearProgram) -> StandardForm:
+    """Build the standard form of a validated LP."""
+    n, m = len(lp.variables), len(lp.constraints)
+    A = np.zeros((m, n + m))
+    b = np.zeros(m)
+    c = np.zeros(n + m)
+    lower = np.empty(n + m)
+    upper = np.empty(n + m)
+    for j, v in enumerate(lp.variables):
+        lower[j], upper[j] = v.lower, v.upper
+    for i, con in enumerate(lp.constraints):
+        for idx, coef in con.terms:
+            A[i, idx] += coef
+        b[i] = con.rhs
+        A[i, n + i] = 1.0
+        lower[n + i], upper[n + i] = _SLACK_BOUNDS[con.relation]
+    sense = 1.0 if lp.objective_sense == "minimize" else -1.0
+    for idx, coef in lp.objective_terms:
+        c[idx] += sense * coef
+    for arr in (A, b, c, lower, upper):
+        arr.flags.writeable = False
+    return StandardForm(A, b, c, lower, upper)
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A basis of a standard form, to warm-start a later solve from.
+
+    ``columns`` holds the basic column of each row; ``status`` the state of
+    every column (basic, at lower, at upper, free).
+    """
+
+    columns: np.ndarray
+    status: np.ndarray
+
+
 @dataclass
 class LpSolution:
     # 'optimal', 'infeasible', 'unbounded', 'iteration_limit', 'numerical_failure'
@@ -106,46 +172,39 @@ class LpSolution:
     objective_value: float
     primal: np.ndarray
     iterations: int = 0
+    basis: Basis | None = None  # the optimal basis, for an optimal solve
 
     def value(self, idx: int) -> float:
         return float(self.primal[idx])
 
 
 class _Simplex:
-    """Two-phase dense simplex over variables with general bounds.
+    """Dense simplex over a standard form with general bounds.
 
-    Internally minimizes. Every row gets a slack column (<=: [0, inf],
-    >=: [-inf, 0], =: fixed at 0) plus, where the initial slack basis is
-    infeasible, an artificial column driven out in phase 1.
+    Internally minimizes. ``solve`` is the cold two-phase primal simplex:
+    the slack basis plus, where a slack's bound is violated, an artificial
+    column driven out in phase 1. ``solve_from`` is the warm dual-then-
+    primal simplex from a given basis.
+
+    Artificial column k is ``art_sign[k]`` times the unit vector of row
+    ``art_rows[k]``, numbered after the form's columns. It is never stored
+    in ``A``, which stays the form's shared read-only matrix.
     """
 
-    def __init__(self, lp: LinearProgram, iteration_limit: int):
+    def __init__(self, lp: LinearProgram, form: StandardForm, iteration_limit: int):
         self.lp = lp
         self.iteration_limit = iteration_limit
         self.iterations = 0
-        n = len(lp.variables)
-        m = len(lp.constraints)
-        self.n_struct = n
-        self.m = m
-        nt = n + m  # structural + slacks; artificials appended below
-        A = np.zeros((m, nt))
-        b = np.zeros(m)
-        lo = np.empty(nt)
-        up = np.empty(nt)
-        for j, v in enumerate(lp.variables):
-            lo[j], up[j] = v.lower, v.upper
-        for i, c in enumerate(lp.constraints):
-            for idx, coef in c.terms:
-                A[i, idx] += coef
-            b[i] = c.rhs
-            s = n + i
-            A[i, s] = 1.0
-            if c.relation == "<=":
-                lo[s], up[s] = 0.0, INF
-            elif c.relation == ">=":
-                lo[s], up[s] = -INF, 0.0
-            else:
-                lo[s], up[s] = 0.0, 0.0
+        self.m, self.nt = form.A.shape
+        self.n_struct = self.nt - self.m
+        self.A, self.b, self.c = form.A, form.b, form.c
+        self.lo, self.up = form.lower, form.upper
+        self.art_rows = np.zeros(0, dtype=int)
+        self.art_sign = np.zeros(0)
+
+    def _cold_start(self) -> None:
+        n, m, nt = self.n_struct, self.m, self.nt
+        A, b, lo, up = self.A, self.b, self.lo, self.up
         # initial nonbasic values for structural columns
         x = np.zeros(nt)
         stat = np.full(nt, _AT_LOWER, dtype=np.int8)
@@ -161,9 +220,9 @@ class _Simplex:
                 stat[j] = _FREE
         # slack basis with artificials where the slack bound is violated
         basis = []
-        art_cols = []
+        art_rows = []
+        art_sign = []
         resid = b - A[:, :n] @ x[:n]
-        extra = []
         for i in range(m):
             s = n + i
             r = resid[i]
@@ -178,52 +237,108 @@ class _Simplex:
                     x[s] = 0.0
                 stat[s] = _AT_LOWER if x[s] == lo[s] else _AT_UPPER
                 gap = r - x[s]
-                col = np.zeros(m)
-                col[i] = 1.0 if gap >= 0 else -1.0
-                extra.append(col)
-                a = nt + len(extra) - 1
-                art_cols.append(a)
-                basis.append(a)
-        if extra:
-            A = np.hstack([A, np.column_stack(extra)])
-            lo = np.concatenate([lo, np.zeros(len(extra))])
-            up = np.concatenate([up, np.full(len(extra), INF)])
-            x = np.concatenate([x, np.zeros(len(extra))])
-            stat = np.concatenate([stat, np.zeros(len(extra), dtype=np.int8)])
-        self.A = A
-        self.b = b
-        self.lo = lo
-        self.up = up
+                basis.append(nt + len(art_rows))
+                art_rows.append(i)
+                art_sign.append(1.0 if gap >= 0 else -1.0)
+        k = len(art_rows)
+        self.art_rows = np.array(art_rows, dtype=int)
+        self.art_sign = np.array(art_sign)
+        if k:
+            self.lo = np.concatenate([lo, np.zeros(k)])
+            self.up = np.concatenate([up, np.full(k, INF)])
+            self.c = np.concatenate([self.c, np.zeros(k)])
+            stat = np.concatenate([stat, np.zeros(k, dtype=np.int8)])
+            # artificial values make Ax = b hold exactly at the start
+            x = np.concatenate([x, (b - A @ x)[self.art_rows] / self.art_sign])
         self.x = x
         self.stat = stat
         self.basis = basis
-        self.art_cols = art_cols
-        self.nt = A.shape[1]
-        if art_cols:
-            # artificial values make Ax = b hold exactly at the start
-            resid2 = b - A @ x
-            for pos, bv in enumerate(basis):
-                if bv in art_cols:
-                    x[bv] = resid2[pos] / A[pos, bv]
-        # the slack/artificial basis consists of +-1 identity-like columns
-        self.Binv = np.linalg.inv(A[:, basis]) if m else np.zeros((0, 0))
+        self.nt = nt + k
+        # every basic column is +-e_pos, so the inverse is that same diagonal
+        diag = np.ones(m)
+        diag[self.art_rows] = self.art_sign
+        self.Binv = np.diag(diag)
+
+    def _warm_start(self, start: Basis) -> bool:
+        """Install ``start``; False when it does not fit, is inaccurate or
+        is not dual feasible.
+
+        Nonbasic columns go to the bound their state names, or the bound
+        they have. A column with both bounds finite goes to the one its
+        reduced cost prefers, which makes the basis dual feasible whatever
+        the new bounds are; any other dual infeasibility rejects the basis.
+        Raises ``numpy.linalg.LinAlgError`` when the basis is singular.
+        """
+        m, nt, lo, up = self.m, self.nt, self.lo, self.up
+        cols = np.asarray(start.columns)
+        if (cols.shape != (m,) or start.status.shape != (nt,)
+                or len(set(cols.tolist())) != m):
+            return False
+        fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
+        stat = np.full(nt, _FREE, dtype=np.int8)
+        stat[fin_up] = _AT_UPPER
+        stat[fin_lo & ~(fin_up & (start.status == _AT_UPPER))] = _AT_LOWER
+        stat[cols] = _BASIC
+        self.stat = stat
+        self.basis = [int(j) for j in cols]
+        self.x = np.zeros(nt)
+        self.Binv = np.linalg.inv(self.A[:, cols])
+        d = self._reduced_costs(self.c)
+        boxed = fin_lo & fin_up & (stat != _BASIC)
+        stat[boxed & (d < -OPT_TOL)] = _AT_UPPER
+        stat[boxed & (d > OPT_TOL)] = _AT_LOWER
+        at_lo, at_up = stat == _AT_LOWER, stat == _AT_UPPER
+        if ((at_lo & (d < -OPT_TOL)) | (at_up & (d > OPT_TOL))
+                | ((stat == _FREE) & (np.abs(d) > OPT_TOL))).any():
+            return False
+        x = self.x
+        x[at_lo] = lo[at_lo]
+        x[at_up] = up[at_up]
+        nb = stat != _BASIC
+        x[cols] = self.Binv @ (self.b - self.A[:, nb] @ x[nb])
+        return self._accurate()
 
     # -- core pivoting -----------------------------------------------------
 
+    def _price(self, y: np.ndarray) -> np.ndarray:
+        """``y`` times every column, artificial ones included."""
+        yA = y @ self.A
+        if self.art_rows.size:
+            yA = np.concatenate([yA, y[self.art_rows] * self.art_sign])
+        return yA
+
+    def _column(self, q: int) -> np.ndarray:
+        if q < self.A.shape[1]:
+            return self.A[:, q]
+        col = np.zeros(self.m)
+        k = q - self.A.shape[1]
+        col[self.art_rows[k]] = self.art_sign[k]
+        return col
+
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        y = c[self.basis] @ self.Binv
+        d = c - self._price(y)
+        d[self.basis] = 0.0
+        return d
+
+    def _update_inverse(self, pos: int, w: np.ndarray) -> None:
+        """Column ``w = Binv a_q`` replaced the basic column of row ``pos``."""
+        self.Binv[pos, :] /= w[pos]
+        wq = w.copy()
+        wq[pos] = 0.0
+        self.Binv -= np.outer(wq, self.Binv[pos, :])
+
     def _solve_phase(self, c: np.ndarray) -> str:
         """Minimize c over the current basis; returns 'optimal'/'unbounded'/'limit'."""
-        m, nt = self.m, self.nt
-        A, lo, up, x, stat = self.A, self.lo, self.up, self.x, self.stat
+        m = self.m
+        lo, up, x, stat = self.lo, self.up, self.x, self.stat
         degen_run = 0
         fixed = (up - lo) <= 0  # cannot move; never eligible to enter
         while True:
             if self.iterations >= self.iteration_limit:
                 return "limit"
             self.iterations += 1
-            cB = c[self.basis]
-            y = cB @ self.Binv if m else np.zeros(0)
-            d = c - (y @ A if m else 0.0)
-            d[self.basis] = 0.0
+            d = self._reduced_costs(c)
             up_ok = (stat == _AT_UPPER) | (stat == _FREE)
             lo_ok = (stat == _AT_LOWER) | (stat == _FREE)
             improving = (~fixed) & (((d < -OPT_TOL) & lo_ok) | ((d > OPT_TOL) & up_ok))
@@ -235,7 +350,7 @@ class _Simplex:
             else:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
             sigma = 1.0 if d[q] < 0 else -1.0
-            w = self.Binv @ A[:, q] if m else np.zeros(0)
+            w = self.Binv @ self._column(q)
             # ratio test; ties go to the lowest leaving variable index
             gap = up[q] - lo[q] if np.isfinite(up[q]) and np.isfinite(lo[q]) else INF
             if m:
@@ -276,43 +391,122 @@ class _Simplex:
             stat[bv] = _AT_LOWER if delta[leave_pos] < 0 else _AT_UPPER
             stat[q] = _BASIC
             self.basis[leave_pos] = q
-            # update Binv: pivot on row leave_pos, column q; the ratio test
-            # only selects rows with |w_i| > PIVOT_TOL
-            piv = w[leave_pos]
-            self.Binv[leave_pos, :] /= piv
-            wq = w.copy()
-            wq[leave_pos] = 0.0
-            self.Binv -= np.outer(wq, self.Binv[leave_pos, :])
+            # the ratio test only selects rows with |w_i| > PIVOT_TOL
+            self._update_inverse(leave_pos, w)
+
+    def _dual_phase(self) -> str:
+        """Bounded dual simplex from a dual-feasible basis.
+
+        Returns 'optimal' once every basic value is within its bounds,
+        'infeasible' when the leaving row proves no point is, 'unsure' when
+        that row can neither pivot nor prove it, and 'limit'. The leaving
+        row has the largest bound violation and the entering column the
+        smallest |d_j / alpha_rj|; among tied columns the largest |alpha_rj|
+        wins, which keeps the primal step short and most dual-degenerate
+        re-solves to a few pivots. After a run of degenerate pivots
+        Bland's rule takes over: the lowest basic variable index leaves,
+        the lowest tied column index enters.
+        """
+        lo, up, x, stat = self.lo, self.up, self.x, self.stat
+        fixed = (up - lo) <= 0
+        degen_run = 0
+        while True:
+            bvs = np.array(self.basis, dtype=int)
+            x_b = x[bvs]
+            viol = np.maximum(lo[bvs] - x_b, x_b - up[bvs])
+            rows = np.flatnonzero(viol > FEAS_TOL)
+            if not rows.size:
+                return "optimal"
+            if self.iterations >= self.iteration_limit:
+                return "limit"
+            self.iterations += 1
+            if degen_run >= DEGEN_THRESHOLD:
+                r = int(rows[np.argmin(bvs[rows])])
+            else:
+                r = int(rows[np.argmax(viol[rows])])
+            to_lower = x_b[r] < lo[bvs[r]]
+            alpha = self._price(self.Binv[r])
+            # gain: how much x_B[r] moves toward its bound per unit rise of x_j
+            gain = -alpha if to_lower else alpha
+            can_rise = (stat == _AT_LOWER) | (stat == _FREE)
+            can_fall = (stat == _AT_UPPER) | (stat == _FREE)
+            eligible = ~fixed & ((can_rise & (gain > PIVOT_TOL)) | (can_fall & (gain < -PIVOT_TOL)))
+            if not eligible.any():
+                return "infeasible" if self._row_infeasible(gain, viol[r]) else "unsure"
+            cand = np.flatnonzero(eligible)
+            d = self._reduced_costs(self.c)
+            ratio = np.abs(d[cand]) / np.abs(alpha[cand])
+            tmin = float(ratio.min())
+            tied = cand[ratio <= tmin + PIVOT_TOL]
+            if degen_run >= DEGEN_THRESHOLD:
+                q = int(tied[0])
+            else:
+                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            degen_run = degen_run + 1 if tmin <= PIVOT_TOL else 0
+            w = self.Binv @ self._column(q)
+            leaving = int(bvs[r])
+            bound = lo[leaving] if to_lower else up[leaving]
+            step = (x_b[r] - bound) / w[r]
+            x[q] += step
+            x[bvs] = x_b - step * w
+            x[leaving] = bound
+            stat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+            stat[q] = _BASIC
+            self.basis[r] = q
+            self._update_inverse(r, w)
+
+    def _row_infeasible(self, gain: np.ndarray, shortfall: float) -> bool:
+        """Whether moving every nonbasic column within its bounds, each the
+        way that helps, still leaves the row's basic value INFEAS_TOL short."""
+        x, lo, up = self.x, self.lo, self.up
+        nonbasic = self.stat != _BASIC
+        rise = nonbasic & (gain > 0)
+        fall = nonbasic & (gain < 0)
+        most = (gain[rise] * (up[rise] - x[rise])).sum() + \
+            (gain[fall] * (lo[fall] - x[fall])).sum()
+        return bool(most < shortfall - INFEAS_TOL)
+
+    def _accurate(self) -> bool:
+        x = self.x
+        if not np.isfinite(x).all():
+            return False
+        resid = np.abs(self.A @ x - self.b).max(initial=0.0)
+        return bool(resid <= RESID_TOL * (1.0 + np.abs(self.b).max(initial=0.0)))
 
     def _refactorize(self) -> None:
-        B = self.A[:, self.basis]
+        """Invert the basis afresh and recompute the basic values from the
+        nonbasic ones, clearing accumulated drift. Runs only once the
+        artificial columns are pinned at zero, so only the form's nonbasic
+        columns contribute."""
+        nf = self.A.shape[1]
+        cols = np.array(self.basis, dtype=int)
+        art = cols >= nf
+        B = np.zeros((self.m, self.m))
+        B[:, ~art] = self.A[:, cols[~art]]
+        B[self.art_rows[cols[art] - nf], np.flatnonzero(art)] = self.art_sign[cols[art] - nf]
         self.Binv = np.linalg.inv(B)
-        # recompute basic values to clear accumulated drift
-        nb = np.ones(self.nt, dtype=bool)
-        nb[self.basis] = False
-        rhs = self.b - self.A[:, nb] @ self.x[nb]
-        self.x[self.basis] = self.Binv @ rhs
+        nb = np.ones(nf, dtype=bool)
+        nb[cols[~art]] = False
+        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[:nf][nb])
 
     def solve(self) -> LpSolution:
-        c2 = np.zeros(self.nt)
-        sense = 1.0 if self.lp.objective_sense == "minimize" else -1.0
-        for idx, coef in self.lp.objective_terms:
-            c2[idx] += sense * coef
-        if self.art_cols:
+        """Cold two-phase primal simplex from the slack basis."""
+        self._cold_start()
+        if self.art_rows.size:
+            nf = self.A.shape[1]
             c1 = np.zeros(self.nt)
-            c1[self.art_cols] = 1.0
+            c1[nf:] = 1.0
             res = self._solve_phase(c1)
             if res == "limit":
                 return self._finish("iteration_limit")
-            if res == "unbounded" or float(c1 @ self.x) > 1e-6:
+            if res == "unbounded" or float(c1 @ self.x) > INFEAS_TOL:
                 return self._finish("infeasible")
             # pin artificials at zero for phase 2
-            for a in self.art_cols:
-                self.lo[a] = 0.0
-                self.up[a] = 0.0
-                self.x[a] = 0.0
+            self.lo[nf:] = 0.0
+            self.up[nf:] = 0.0
+            self.x[nf:] = 0.0
             self._refactorize()
-        res = self._solve_phase(c2)
+        res = self._solve_phase(self.c)
         if res == "limit":
             return self._finish("iteration_limit")
         if res == "unbounded":
@@ -320,27 +514,83 @@ class _Simplex:
         self._refactorize()
         return self._finish("optimal")
 
+    def solve_from(self, start: Basis) -> LpSolution | None:
+        """Warm dual-then-primal simplex from ``start``.
+
+        None when the basis cannot be used or the dual simplex cannot
+        settle infeasibility; the caller then solves cold.
+        """
+        if not self._warm_start(start):
+            return None
+        res = self._dual_phase()
+        if res == "unsure":
+            return None
+        if res != "optimal":
+            return self._finish("iteration_limit" if res == "limit" else "infeasible")
+        res = self._solve_phase(self.c)
+        if res == "limit":
+            return self._finish("iteration_limit")
+        if res == "unbounded":
+            return None
+        self._refactorize()
+        if not self._accurate():
+            return None
+        return self._finish("optimal")
+
+    def _basis(self) -> Basis:
+        """The current basis over the standard form, each artificial column
+        replaced by its row's slack (the same column up to sign)."""
+        nt = self.n_struct + self.m
+        cols = np.array(self.basis, dtype=np.int32)
+        art = cols >= nt
+        cols[art] = self.n_struct + self.art_rows[cols[art] - nt]
+        stat = self.stat[:nt].copy()
+        stat[cols] = _BASIC
+        return Basis(cols, stat)
+
     def _finish(self, status: str) -> LpSolution:
         primal = np.array(self.x[: self.n_struct])
         obj = self.lp.objective_value(primal) if status in ("optimal", "iteration_limit") else float("nan")
         return LpSolution(status=status, objective_value=obj, primal=primal,
-                          iterations=self.iterations)
+                          iterations=self.iterations,
+                          basis=self._basis() if status == "optimal" else None)
 
 
-def solve_lp(lp: LinearProgram, iteration_limit: int = 50000) -> LpSolution:
+def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
+             form: StandardForm | None = None, start: Basis | None = None) -> LpSolution:
     """Solve an LP with the internal bounded-variable simplex.
 
     Returns a proven status; deterministic for identical input. On
     iteration limit exhaustion the best point found is returned with
     status 'iteration_limit'. A singular basis ends the solve with status
     'numerical_failure'.
+
+    ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
+    is then neither validated nor rebuilt, and its variables' bounds are
+    ignored. ``start`` is the basis of an earlier optimal solve of the
+    same form under any bounds: the solve begins from it, and starts cold
+    instead, within the same iteration limit, when that basis is singular,
+    inaccurate or not dual feasible.
     """
-    lp.validate()
-    for v in lp.variables:
-        if v.lower > v.upper:
-            return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
+    if form is None:
+        lp.validate()
+        form = standard_form(lp)
+    if (form.lower > form.upper).any():
+        return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
     try:
-        return _Simplex(lp, iteration_limit).solve()
+        used = 0
+        if start is not None:
+            warm = _Simplex(lp, form, iteration_limit)
+            try:
+                sol = warm.solve_from(start)
+            except np.linalg.LinAlgError:
+                sol = None
+            if sol is not None:
+                return sol
+            used = warm.iterations
+        cold = _Simplex(lp, form, iteration_limit)
+        cold.iterations = used
+        return cold.solve()
     except np.linalg.LinAlgError:
         return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)))
 

@@ -2,6 +2,10 @@
 
 Node selection is best bound, branching is most-fractional with lowest
 variable index as the tie-break, so the search is fully deterministic.
+The MILP's standard form is built once; a node is its binary fixes, and
+each child LP is re-solved under them from its parent's optimal basis by
+the LP core's dual simplex (the root and the warm-start LP are solved
+cold).
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -13,11 +17,12 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, Variable, mps_column_name, solve_lp, write_mps
+from .lp import (INF, LinearProgram, StandardForm, mps_column_name, solve_lp,
+                 standard_form, write_mps)
 
 INT_TOL = 1e-6
 
@@ -69,21 +74,12 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return abs(bound - incumbent) / max(abs(incumbent), 1e-10)
 
 
-def _solve_with_bounds(mip: MixedIntegerProgram, fixes: dict[int, tuple[float, float]],
-                       iteration_limit: int) -> LpSolution:
-    lp = mip.base
-    if fixes:
-        patched = LinearProgram(
-            variables=list(lp.variables),
-            constraints=lp.constraints,
-            objective_sense=lp.objective_sense,
-            objective_terms=lp.objective_terms,
-        )
-        for j, (lo, hi) in fixes.items():
-            v = lp.variables[j]
-            patched.variables[j] = Variable(v.name, lo, hi)
-        lp = patched
-    return solve_lp(lp, iteration_limit)
+def _with_fixes(form: StandardForm, fixes: dict[int, float]) -> StandardForm:
+    """``form`` with column j fixed at ``fixes[j]``; the matrix is shared."""
+    lower, upper = form.lower.copy(), form.upper.copy()
+    for j, v in fixes.items():
+        lower[j] = upper[j] = v
+    return replace(form, lower=lower, upper=upper)
 
 
 def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
@@ -98,6 +94,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     incumbent.
     """
     mip.base.validate()
+    form = standard_form(mip.base)
     start = time.monotonic()
     sense_max = mip.base.objective_sense == "maximize"
     better = (lambda a, b: a > b) if sense_max else (lambda a, b: a < b)
@@ -109,19 +106,21 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     unresolved: list[float] = []  # parent bounds of children left unsolved
 
     if opts.warm_start is not None:
-        fixes = {j: (float(v), float(v)) for j, v in opts.warm_start.items() if j in mip.binary_vars}
+        fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
         if len(fixes) == len(binaries):
-            sol = _solve_with_bounds(mip, fixes, opts.iteration_limit)
+            sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes))
             nodes_solved += 1
             if sol.status == "optimal":
                 incumbent_obj = sol.objective_value
                 incumbent_x = sol.primal
         # an infeasible or partial warm start is silently discarded
 
-    # heap of (priority, tiebreak, fixes); priority = -bound for max
+    # heap of (priority, tiebreak, fixes, node LP solution); priority = -bound
+    # for max. The solution's basis is where the node's children start. A
+    # fixes dict, not full bound arrays, keeps large heaps small.
     counter = 0
     heap: list = []
-    root = _solve_with_bounds(mip, {}, opts.iteration_limit)
+    root = solve_lp(mip.base, opts.iteration_limit, form=form)
     nodes_solved += 1
     if root.status == "infeasible":
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,
@@ -173,9 +172,9 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
                 incumbent_x = relax.primal
             continue
         for branch_val in (0.0, 1.0):
-            child_fixes = dict(fixes)
-            child_fixes[frac_j] = (branch_val, branch_val)
-            child = _solve_with_bounds(mip, child_fixes, opts.iteration_limit)
+            child_fixes = {**fixes, frac_j: branch_val}
+            child = solve_lp(mip.base, opts.iteration_limit,
+                             form=_with_fixes(form, child_fixes), start=relax.basis)
             nodes_solved += 1
             if child.status == "infeasible":
                 continue
@@ -213,10 +212,12 @@ def _final_result(mip, obj, x, bound, start, nodes, status) -> MipSolution:
 
 
 def _timeout_result(mip, obj, x, bound, start, nodes) -> MipSolution:
+    """Incumbent without proof; ``bound`` None means none was proven (the
+    root LP did not solve), reported as an infinite bound and gap."""
     if obj is None:
         return MipSolution(status="failure", elapsed=time.monotonic() - start, nodes=nodes)
     if bound is None:
-        bound = obj
+        bound = INF if mip.base.objective_sense == "maximize" else -INF
     return _final_result(mip, obj, x, bound, start, nodes, "feasible_time_limit")
 
 
@@ -305,16 +306,17 @@ def enumerate_binaries(mip: MixedIntegerProgram, iteration_limit: int = 50000):
     binaries = sorted(mip.binary_vars)
     if len(binaries) > 20:
         raise ValueError("too many binaries to enumerate")
+    mip.base.validate()
+    form = standard_form(mip.base)
     sense_max = mip.base.objective_sense == "maximize"
     best = None
     best_assign = None
     for mask in range(1 << len(binaries)):
-        fixes = {j: (float((mask >> i) & 1), float((mask >> i) & 1))
-                 for i, j in enumerate(binaries)}
-        sol = _solve_with_bounds(mip, fixes, iteration_limit)
+        fixes = {j: float((mask >> i) & 1) for i, j in enumerate(binaries)}
+        sol = solve_lp(mip.base, iteration_limit, form=_with_fixes(form, fixes))
         if sol.status != "optimal":
             continue
         if best is None or (sol.objective_value > best if sense_max else sol.objective_value < best):
             best = sol.objective_value
-            best_assign = {j: int(fixes[j][0]) for j in binaries}
+            best_assign = {j: int(fixes[j]) for j in binaries}
     return best, best_assign

@@ -2,9 +2,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 import gridrestore.lp
+import gridrestore.milp
 from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_compare,
                              cmd_solve, cmd_sweep, main)
 from gridrestore.heuristics import brute_force_optimal
@@ -53,6 +55,23 @@ class TestSolve:
         summary = read_summary(tmp_path)
         assert summary["gap"] is not None
         assert summary["gap"] >= 0.0
+
+    def test_rop_unproven_bound_writes_null_gap(self, tmp_path, monkeypatch):
+        real_solve = gridrestore.milp.solve_lp
+        calls = []
+
+        def root_fails(lp, *args, **kwargs):
+            calls.append(lp)
+            if len(calls) == 2:  # after the warm-start LP comes the root
+                return LpSolution("numerical_failure", float("nan"),
+                                  np.zeros(len(lp.variables)))
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", root_fails)
+        rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2",
+                   "--algo", "rop", "--time-limit", "30", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert read_summary(tmp_path)["gap"] is None
 
     def test_summary_energy_matches_csv(self, tmp_path):
         main(["solve", "--case", TINY3, "--damage-fraction", "1.0",

@@ -101,12 +101,6 @@ class TestRrr:
             assert stats.subsolves <= 2 * n - 1
             assert stats.max_binaries <= 2 * n
 
-    def test_parallel_matches_serial(self):
-        net, dmg = random_scenario(8)
-        budget = AlgoBudget(time_limit=60, rel_gap=0.0)
-        assert rrr(net, dmg, budget, parallel=False) == \
-            rrr(net, dmg, budget, parallel=True)
-
 
 class TestRad:
     def test_stall_limit_zero_is_identity(self, tiny3):

@@ -1,13 +1,14 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import gridrestore.lp as lp_module
-from gridrestore.lp import (INF, LinearProgram, Variable, mps_column_name,
-                            mps_row_name, solve_lp, write_mps)
+from gridrestore.lp import (INF, Basis, LinearProgram, Variable, mps_column_name,
+                            mps_row_name, solve_lp, standard_form, write_mps)
 from gridrestore.milp import MixedIntegerProgram
 from gridrestore.models import build_rip
 from gridrestore.network import (DamageScenario, RestorationPlan,
@@ -189,6 +190,95 @@ class TestInvariants:
         assert a.status == b.status
         assert a.iterations == b.iterations
         assert np.array_equal(a.primal, b.primal)
+
+
+def tightened(form, j, lower, upper):
+    """``form`` with column j's bounds replaced."""
+    lo, up = form.lower.copy(), form.upper.copy()
+    lo[j], up[j] = lower, upper
+    return replace(form, lower=lo, upper=up)
+
+
+def assert_same_result(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                     rel=1e-9, abs=1e-9)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bound_change_matches_cold(self, seed):
+        lp = random_lp(seed)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        if parent.status != "optimal":
+            return
+        rng = random.Random(seed)
+        for _ in range(4):
+            j = rng.randrange(len(lp.variables))
+            lo, up = form.lower[j], form.upper[j]
+            v = parent.primal[j]
+            cut = min(max(v + rng.choice([-1.0, -0.5, 0.5, 1.0]), lo), up)
+            child = tightened(form, j, *((lo, cut) if cut < v else (cut, up)))
+            assert_same_result(solve_lp(lp, form=child, start=parent.basis),
+                               solve_lp(lp, form=child))
+
+    def test_lp_without_rows(self):
+        lp = simple_lp("maximize", [(0, 1.0), (1, -1.0)],
+                       [("x", 0.0, 3.0), ("y", -1.0, 2.0)], [])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        assert parent.objective_value == pytest.approx(4.0)
+        child = solve_lp(lp, form=tightened(form, 0, 0.0, 1.0), start=parent.basis)
+        assert child.status == "optimal"
+        assert child.objective_value == pytest.approx(2.0)
+
+    def test_infeasible_child_from_the_dual_simplex(self, monkeypatch):
+        # max x s.t. x + y <= 1, y >= 0.6: optimum x = 0.4
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        assert parent.objective_value == pytest.approx(0.4)
+
+        def no_cold_solve(self):
+            raise AssertionError("warm start fell back to a cold solve")
+
+        monkeypatch.setattr(lp_module._Simplex, "solve", no_cold_solve)
+        child = solve_lp(lp, form=tightened(form, 0, 0.5, 1.0), start=parent.basis)
+        assert child.status == "infeasible"
+        assert child.basis is None
+
+    def test_singular_start_falls_back_to_cold(self):
+        # x and y have identical columns, so a basis holding both is singular
+        lp = simple_lp("maximize", [(0, 1.0), (1, 2.0)],
+                       [("x", 0.0, 5.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 3.0),
+                        ([(0, 2.0), (1, 2.0)], "<=", 8.0)])
+        form = standard_form(lp)
+        status = np.full(4, 1, dtype=np.int8)
+        status[:2] = 0
+        singular = Basis(np.array([0, 1]), status)
+        sol = solve_lp(lp, form=form, start=singular)
+        assert sol.status == "optimal"
+        assert_same_result(sol, solve_lp(lp))
+        assert sol.objective_value == pytest.approx(4.0)
+
+    def test_artificial_basis_maps_to_slacks(self):
+        # the >= and = rows start on artificials; the optimal basis names slacks
+        lp = simple_lp("minimize", [(0, 1.0), (1, 1.0)],
+                       [("x", 0.0, 10.0), ("y", 0.0, 10.0)],
+                       [([(0, 1.0), (1, 1.0)], ">=", 2.0),
+                        ([(0, 1.0), (1, -1.0)], "=", 1.0)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        assert parent.status == "optimal"
+        assert parent.basis.columns.max() < form.A.shape[1]
+        assert len(set(parent.basis.columns)) == len(lp.constraints)
+        child = tightened(form, 0, 0.0, 1.0)
+        assert_same_result(solve_lp(lp, form=child, start=parent.basis),
+                           solve_lp(lp, form=child))
 
 
 # -- minimal MPS reader used only to verify the writer ----------------------

@@ -1,14 +1,18 @@
 import os
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gridrestore.milp
-from gridrestore.lp import INF, LinearProgram, LpSolution, mps_column_name, solve_lp
+from gridrestore.lp import (INF, LinearProgram, LpSolution, mps_column_name, solve_lp,
+                            standard_form)
 from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
                               SolveOptions, enumerate_binaries,
                               parse_solution_file, solve_external, solve_mip)
+from gridrestore.models import build_rop
+from gridrestore.network import build_schedule
 
 
 def random_mip(seed, max_binaries=12):
@@ -29,6 +33,16 @@ def random_mip(seed, max_binaries=12):
                           rng.uniform(0, 6))
     lp.set_objective("maximize", [(j, rng.uniform(-1, 3)) for j in range(n)])
     return MixedIntegerProgram(base=lp, binary_vars=frozenset(range(nb)))
+
+
+def knapsack():
+    """3-item knapsack; root relaxation 2.0 + 0.5 * 2.0 = 3.0, optimum 2.0."""
+    lp = LinearProgram()
+    for j in range(3):
+        lp.add_variable(f"z{j}", 0.0, 1.0)
+    lp.add_constraint("cap", [(0, 1.0), (1, 2.0), (2, 2.0)], "<=", 2.0)
+    lp.set_objective("maximize", [(0, 2.0), (1, 2.0), (2, 1.5)])
+    return MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
 
 
 class TestBranchAndBound:
@@ -113,13 +127,7 @@ class TestBranchAndBound:
                                                        (None, "failure")])
     def test_unresolved_child_keeps_parent_bound(self, monkeypatch, failing_calls,
                                                  status):
-        # knapsack whose root relaxation is fractional: 2.0 + 0.5 * 2.0 = 3.0
-        lp = LinearProgram()
-        for j in range(3):
-            lp.add_variable(f"z{j}", 0.0, 1.0)
-        lp.add_constraint("cap", [(0, 1.0), (1, 2.0), (2, 2.0)], "<=", 2.0)
-        lp.set_objective("maximize", [(0, 2.0), (1, 2.0), (2, 1.5)])
-        mip = MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
+        mip = knapsack()
         assert solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0)).status == \
             "optimal_within_gap"
         calls = []
@@ -138,6 +146,63 @@ class TestBranchAndBound:
         if status == "feasible_time_limit":
             assert sol.best_bound == pytest.approx(3.0)  # the root's bound
             assert sol.objective_value <= sol.best_bound
+
+    def test_failed_root_leaves_the_bound_unknown(self, monkeypatch):
+        mip = knapsack()
+        calls = []
+
+        def root_fails(lp, *args, **kwargs):
+            calls.append(lp)
+            if len(calls) == 2:  # after the warm-start LP comes the root
+                return LpSolution("numerical_failure", float("nan"),
+                                  np.zeros(len(lp.variables)))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", root_fails)
+        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0,
+                                          warm_start={0: 0, 1: 0, 2: 1}))
+        assert sol.status == "feasible_time_limit"
+        assert sol.objective_value == pytest.approx(1.5)
+        assert sol.best_bound == INF
+        assert sol.gap == INF
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_node_is_one_lp_call(self, monkeypatch, seed):
+        mip, _, assign = self._feasible_seed(20 + 10 * seed)
+        calls = []
+
+        def counting(lp, *args, **kwargs):
+            calls.append((lp, kwargs.get("start")))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", counting)
+        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
+        assert sol.nodes == len(calls)
+        assert all(lp is mip.base for lp, _ in calls)
+        # the warm-start LP and the root are cold; every child starts warm
+        assert [start is None for _, start in calls[:2]] == [True, True]
+        assert all(start is not None for _, start in calls[2:])
+
+    def test_rop_node_bounds_warm_matches_cold(self, meshed_scenarios):
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            mip = build_rop(net, dmg, build_schedule(n, n)).program
+            form = standard_form(mip.base)
+            root = solve_lp(mip.base, form=form)
+            assert root.status == "optimal"
+            fractional = [j for j in sorted(mip.binary_vars)
+                          if 1e-6 < root.primal[j] < 1 - 1e-6][:3]
+            for j in fractional:
+                for value in (0.0, 1.0):
+                    lower, upper = form.lower.copy(), form.upper.copy()
+                    lower[j] = upper[j] = value
+                    child = replace(form, lower=lower, upper=upper)
+                    warm = solve_lp(mip.base, form=child, start=root.basis)
+                    cold = solve_lp(mip.base, form=child)
+                    assert warm.status == cold.status
+                    if cold.status == "optimal":
+                        assert warm.objective_value == pytest.approx(
+                            cold.objective_value, rel=1e-9, abs=1e-9)
 
     def test_determinism(self):
         mip, _, _ = self._feasible_seed(11)
