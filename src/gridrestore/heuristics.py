@@ -142,13 +142,13 @@ def _subnetwork_without(network: Network, removed: set[int]) -> Network:
 
 
 def _block_energy(network: Network, removed_after: set[int],
-                  block_order: list[int]) -> float:
+                  block_order: list[int], memo: dict) -> float:
     """Energy served over the block's periods with post-block lines absent."""
     sub = _subnetwork_without(network, removed_after)
     dmg = DamageScenario(tuple(sorted(block_order)))
     sched = build_schedule(len(block_order), len(block_order), 1.0)
     plan = RestorationPlan.from_lists([[lid] for lid in block_order])
-    series = evaluate_plan(sub, dmg, plan, sched)
+    series = evaluate_plan(sub, dmg, plan, sched, memo=memo)
     return sum(d * dt for d, dt in zip(series.delivered, series.durations))
 
 
@@ -180,6 +180,11 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     s_hi = float(config.max_partition)
     s_cap = max(n // 2, s_lo)
     stall = 0
+    # one evaluation memo for the whole call. A period LP depends only on
+    # the buses, generators, loads and energized lines, and
+    # _subnetwork_without changes none of these for the lines that stay
+    # energized, so block and full-network evaluations share entries.
+    memo: dict = {}
 
     while stall < config.stall_limit and time.monotonic() < deadline:
         st.iterations += 1
@@ -200,7 +205,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                 continue
             n_blocks += 1
             removed_after = set(order[b:])
-            cur_energy = _block_energy(network, removed_after, block)
+            cur_energy = _block_energy(network, removed_after, block, memo)
             sub = _subnetwork_without(network, removed_after)
             dmg = DamageScenario(tuple(sorted(block)))
             sched = build_schedule(len(block), len(block), 1.0)
@@ -219,7 +224,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                 except PlanExtractionError:
                     new_order = None
                 if new_order is not None:
-                    new_energy = _block_energy(network, removed_after, new_order)
+                    new_energy = _block_energy(network, removed_after, new_order, memo)
                     if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
                         order[a:b] = new_order
                         accepted = True
@@ -246,9 +251,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
     sched_full = build_schedule(n, initial_plan.n_periods, 1.0)
     try:
-        init_series = evaluate_plan(network, damage, initial_plan, sched_full)
+        init_series = evaluate_plan(network, damage, initial_plan, sched_full, memo=memo)
         fin_series = evaluate_plan(network, damage, final,
-                                   build_schedule(n, final.n_periods, 1.0))
+                                   build_schedule(n, final.n_periods, 1.0), memo=memo)
         init_e = total_energy(monotonize(init_series, initial_plan)[0])
         fin_e = total_energy(monotonize(fin_series, final)[0])
         if fin_e < init_e - 1e-9:

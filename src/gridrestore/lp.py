@@ -4,11 +4,15 @@ The solver is a dense simplex over general bounds, meant for desk-scale
 problems (a few thousand variables at most) where exactness and
 determinism matter more than speed. A cold solve is two-phase primal
 simplex from a slack basis, with Bland's anti-cycling rule engaged after
-a run of degenerate pivots. A warm solve starts from the optimal basis of
-an earlier solve of the same standard form under other bounds, as a
-branch-and-bound child does from its parent: a bound change keeps that
-basis dual feasible, so a bounded dual simplex restores primal
-feasibility and the primal simplex then finishes. A warm basis that is
+a run of degenerate pivots, and ends by inverting its final basis afresh.
+A warm solve starts from the optimal basis of an earlier solve of the same
+standard form under other bounds, as a branch-and-bound child does from
+its parent: a bound change keeps that basis dual feasible, so a bounded
+dual simplex restores primal feasibility and the primal simplex then
+finishes. The start may carry the inverse of its basis, which the solve
+copies instead of inverting; at the end the product-updated inverse is
+kept when the basic values it gives pass the residual check, and the
+basis is inverted afresh only when they do not. A warm basis that is
 singular, inaccurate or not dual feasible falls back to a cold solve in
 the same call.
 """
@@ -158,11 +162,15 @@ class Basis:
     """A basis of a standard form, to warm-start a later solve from.
 
     ``columns`` holds the basic column of each row; ``status`` the state of
-    every column (basic, at lower, at upper, free).
+    every column (basic, at lower, at upper, free). ``inverse``, if given,
+    is the inverse of the form's ``A[:, columns]``; a solve from this basis
+    copies it instead of inverting. Only a short-lived start shared by
+    sibling solves carries one, so stored bases stay small.
     """
 
     columns: np.ndarray
     status: np.ndarray
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -267,7 +275,8 @@ class _Simplex:
         they have. A column with both bounds finite goes to the one its
         reduced cost prefers, which makes the basis dual feasible whatever
         the new bounds are; any other dual infeasibility rejects the basis.
-        Raises ``numpy.linalg.LinAlgError`` when the basis is singular.
+        Raises ``numpy.linalg.LinAlgError`` when the basis is singular and
+        ``start`` carries no inverse.
         """
         m, nt, lo, up = self.m, self.nt, self.lo, self.up
         cols = np.asarray(start.columns)
@@ -282,7 +291,12 @@ class _Simplex:
         self.stat = stat
         self.basis = [int(j) for j in cols]
         self.x = np.zeros(nt)
-        self.Binv = np.linalg.inv(self.A[:, cols])
+        if start.inverse is None:
+            self.Binv = np.linalg.inv(self.A[:, cols])
+        elif start.inverse.shape == (m, m):
+            self.Binv = start.inverse.copy()
+        else:
+            return False
         d = self._reduced_costs(self.c)
         boxed = fin_lo & fin_up & (stat != _BASIC)
         stat[boxed & (d < -OPT_TOL)] = _AT_UPPER
@@ -294,8 +308,7 @@ class _Simplex:
         x = self.x
         x[at_lo] = lo[at_lo]
         x[at_up] = up[at_up]
-        nb = stat != _BASIC
-        x[cols] = self.Binv @ (self.b - self.A[:, nb] @ x[nb])
+        self._basic_values()
         return self._accurate()
 
     # -- core pivoting -----------------------------------------------------
@@ -322,11 +335,23 @@ class _Simplex:
         return d
 
     def _update_inverse(self, pos: int, w: np.ndarray) -> None:
-        """Column ``w = Binv a_q`` replaced the basic column of row ``pos``."""
-        self.Binv[pos, :] /= w[pos]
-        wq = w.copy()
-        wq[pos] = 0.0
-        self.Binv -= np.outer(wq, self.Binv[pos, :])
+        """Column ``w = Binv a_q`` replaced the basic column of row ``pos``.
+
+        Only the rows where ``w`` is nonzero change. Updating just those
+        rows gathers and scatters them, which costs more than the dense
+        update unless they are few and the inverse is large; both give
+        the same values.
+        """
+        Binv = self.Binv
+        Binv[pos, :] /= w[pos]
+        if 2 * np.count_nonzero(w) + 64 < self.m:
+            rows = np.flatnonzero(w)
+            rows = rows[rows != pos]
+            Binv[rows] -= np.outer(w[rows], Binv[pos, :])
+        else:
+            wq = w.copy()
+            wq[pos] = 0.0
+            Binv -= np.outer(wq, Binv[pos, :])
 
     def _solve_phase(self, c: np.ndarray) -> str:
         """Minimize c over the current basis; returns 'optimal'/'unbounded'/'limit'."""
@@ -473,11 +498,19 @@ class _Simplex:
         resid = np.abs(self.A @ x - self.b).max(initial=0.0)
         return bool(resid <= RESID_TOL * (1.0 + np.abs(self.b).max(initial=0.0)))
 
+    def _basic_values(self) -> None:
+        """Recompute the basic values from the nonbasic ones with the current
+        inverse. Runs only while the artificial columns are pinned at zero
+        (or absent), so only the form's nonbasic columns contribute."""
+        nf = self.A.shape[1]
+        cols = np.array(self.basis, dtype=int)
+        nb = np.ones(nf, dtype=bool)
+        nb[cols[cols < nf]] = False
+        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[:nf][nb])
+
     def _refactorize(self) -> None:
-        """Invert the basis afresh and recompute the basic values from the
-        nonbasic ones, clearing accumulated drift. Runs only once the
-        artificial columns are pinned at zero, so only the form's nonbasic
-        columns contribute."""
+        """Invert the basis afresh and recompute the basic values, clearing
+        accumulated drift."""
         nf = self.A.shape[1]
         cols = np.array(self.basis, dtype=int)
         art = cols >= nf
@@ -485,9 +518,7 @@ class _Simplex:
         B[:, ~art] = self.A[:, cols[~art]]
         B[self.art_rows[cols[art] - nf], np.flatnonzero(art)] = self.art_sign[cols[art] - nf]
         self.Binv = np.linalg.inv(B)
-        nb = np.ones(nf, dtype=bool)
-        nb[cols[~art]] = False
-        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[:nf][nb])
+        self._basic_values()
 
     def solve(self) -> LpSolution:
         """Cold two-phase primal simplex from the slack basis."""
@@ -517,8 +548,11 @@ class _Simplex:
     def solve_from(self, start: Basis) -> LpSolution | None:
         """Warm dual-then-primal simplex from ``start``.
 
-        None when the basis cannot be used or the dual simplex cannot
-        settle infeasibility; the caller then solves cold.
+        The optimum keeps the product-updated inverse when the basic values
+        it gives pass the residual check; otherwise the basis is inverted
+        afresh and checked again. None when the basis cannot be used, the
+        dual simplex cannot settle infeasibility or the optimum stays
+        inaccurate; the caller then solves cold.
         """
         if not self._warm_start(start):
             return None
@@ -532,9 +566,11 @@ class _Simplex:
             return self._finish("iteration_limit")
         if res == "unbounded":
             return None
-        self._refactorize()
+        self._basic_values()
         if not self._accurate():
-            return None
+            self._refactorize()
+            if not self._accurate():
+                return None
         return self._finish("optimal")
 
     def _basis(self) -> Basis:
@@ -570,7 +606,8 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
     ignored. ``start`` is the basis of an earlier optimal solve of the
     same form under any bounds: the solve begins from it, and starts cold
     instead, within the same iteration limit, when that basis is singular,
-    inaccurate or not dual feasible.
+    inaccurate or not dual feasible. An inverse carried by ``start`` is
+    copied, never changed, so sibling solves can share it.
     """
     if form is None:
         lp.validate()

@@ -2,10 +2,12 @@
 
 Node selection is best bound, branching is most-fractional with lowest
 variable index as the tie-break, so the search is fully deterministic.
-The MILP's standard form is built once; a node is its binary fixes, and
-each child LP is re-solved under them from its parent's optimal basis by
-the LP core's dual simplex (the root and the warm-start LP are solved
-cold).
+The MILP's standard form is built once; a node is its binary fixes. The
+root LP is the only one solved cold: the warm-start incumbent LP starts
+from the root's optimal basis, and each child LP is re-solved under its
+fixes from its parent's optimal basis by the LP core's dual simplex. The
+parent basis is inverted once per branching and both children copy that
+inverse; heap entries hold bases without inverses.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -102,38 +104,38 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
 
     incumbent_obj = None
     incumbent_x = None
-    nodes_solved = 0
     unresolved: list[float] = []  # parent bounds of children left unsolved
 
-    if opts.warm_start is not None:
-        fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
-        if len(fixes) == len(binaries):
-            sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes))
-            nodes_solved += 1
-            if sol.status == "optimal":
-                incumbent_obj = sol.objective_value
-                incumbent_x = sol.primal
-        # an infeasible or partial warm start is silently discarded
-
-    # heap of (priority, tiebreak, fixes, node LP solution); priority = -bound
-    # for max. The solution's basis is where the node's children start. A
-    # fixes dict, not full bound arrays, keeps large heaps small.
-    counter = 0
-    heap: list = []
     root = solve_lp(mip.base, opts.iteration_limit, form=form)
-    nodes_solved += 1
+    nodes_solved = 1
     if root.status == "infeasible":
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,
                            nodes=nodes_solved)
     if root.status == "unbounded":
         return MipSolution(status="failure", elapsed=time.monotonic() - start,
                            nodes=nodes_solved)
+
+    if opts.warm_start is not None:
+        fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
+        if len(fixes) == len(binaries):
+            # from the root's basis; cold when the root LP is not optimal
+            sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes),
+                           start=root.basis)
+            nodes_solved += 1
+            if sol.status == "optimal":
+                incumbent_obj = sol.objective_value
+                incumbent_x = sol.primal
+        # an infeasible or partial warm start is silently discarded
+
     if root.status != "optimal":
         return _timeout_result(mip, incumbent_obj, incumbent_x, None, start, nodes_solved)
 
-    heapq.heappush(heap, ((-root.objective_value if sense_max else root.objective_value),
-                          counter, {}, root))
-    counter += 1
+    # heap of (priority, tiebreak, fixes, node LP solution); priority = -bound
+    # for max. The solution's basis is where the node's children start. A
+    # fixes dict, not full bound arrays, and bases without inverses keep
+    # large heaps small.
+    heap = [((-root.objective_value if sense_max else root.objective_value), 0, {}, root)]
+    counter = 1
 
     def current_bound():
         vals = [(-h[0] if sense_max else h[0]) for h in heap] + unresolved
@@ -171,10 +173,17 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
                 incumbent_obj = bound
                 incumbent_x = relax.primal
             continue
+        # one inversion of the parent basis serves both children, which copy
+        # it; a singular one leaves each child to invert or solve cold itself
+        try:
+            inverse = np.linalg.inv(form.A[:, relax.basis.columns])
+        except np.linalg.LinAlgError:
+            inverse = None
+        parent = replace(relax.basis, inverse=inverse)
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
             child = solve_lp(mip.base, opts.iteration_limit,
-                             form=_with_fixes(form, child_fixes), start=relax.basis)
+                             form=_with_fixes(form, child_fixes), start=parent)
             nodes_solved += 1
             if child.status == "infeasible":
                 continue
@@ -300,8 +309,10 @@ def solve_external(mip: MixedIntegerProgram, opts: SolveOptions,
 def enumerate_binaries(mip: MixedIntegerProgram, iteration_limit: int = 50000):
     """Exhaustive oracle: best objective over all full binary assignments.
 
-    Returns (objective, assignment) or (None, None) if infeasible. Only
-    usable for small binary counts; intended for verification.
+    Assignments that put a binary outside its own bounds (a binary fixed
+    at 1 by the model, say) are skipped. Returns (objective, assignment)
+    or (None, None) if infeasible. Only usable for small binary counts;
+    intended for verification.
     """
     binaries = sorted(mip.binary_vars)
     if len(binaries) > 20:
@@ -313,6 +324,9 @@ def enumerate_binaries(mip: MixedIntegerProgram, iteration_limit: int = 50000):
     best_assign = None
     for mask in range(1 << len(binaries)):
         fixes = {j: float((mask >> i) & 1) for i, j in enumerate(binaries)}
+        if any(not form.lower[j] - INT_TOL <= v <= form.upper[j] + INT_TOL
+               for j, v in fixes.items()):
+            continue
         sol = solve_lp(mip.base, iteration_limit, form=_with_fixes(form, fixes))
         if sol.status != "optimal":
             continue

@@ -316,9 +316,11 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     Periods are independent, so each one is solved as its own
     single-period LP. ``memo``, if given, maps the frozenset of energized
     line ids of a period to its ``(delivered, load fractions)``; it is
-    read before and filled after each solve. A memo is only valid for
-    one network: callers create one per network and pass it to every
-    evaluation on it.
+    read before and filled after each solve. A period LP depends only on
+    the buses, generators, loads and energized lines, so a memo is valid
+    for one network and for copies of it that drop lines (which are then
+    never energized): callers create one per network and pass it to every
+    evaluation on it and on such copies.
     """
     # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
     # double, a tracing wrapper) sees every period LP

@@ -62,7 +62,7 @@ class TestSolve:
 
         def root_fails(lp, *args, **kwargs):
             calls.append(lp)
-            if len(calls) == 2:  # after the warm-start LP comes the root
+            if len(calls) == 1:  # the root LP comes first
                 return LpSolution("numerical_failure", float("nan"),
                                   np.zeros(len(lp.variables)))
             return real_solve(lp, *args, **kwargs)
@@ -71,6 +71,7 @@ class TestSolve:
         rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2",
                    "--algo", "rop", "--time-limit", "30", "--out", str(tmp_path)])
         assert rc == EXIT_OK
+        assert len(calls) == 2  # the failed root and the cold warm-start LP
         assert read_summary(tmp_path)["gap"] is None
 
     def test_summary_energy_matches_csv(self, tmp_path):

@@ -130,6 +130,42 @@ class TestRad:
             plan.validate_against(dmg)
             assert plan_energy(net, dmg, plan) >= before - 1e-9
 
+    def test_one_memo_per_call(self, meshed_scenarios, monkeypatch):
+        net, dmg = meshed_scenarios[3]
+        real_solve = gridrestore.lp.solve_lp
+        calls = []
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return real_solve(lp, *args, **kwargs)
+
+        def run():
+            calls.clear()
+            plan = rad(net, dmg, AlgoBudget(time_limit=300, seed=3),
+                       config=RadConfig(stall_limit=3))
+            return plan, len(calls)
+
+        topologies = set()
+
+        def recording(network, damage, plan, schedule, memo=None):
+            topologies.update(energized_lines(network, damage, plan, k)
+                              for k in range(1, schedule.n_periods + 1))
+            return evaluate_plan(network, damage, plan, schedule, memo=memo)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", recording)
+        plan, with_memo = run()
+        # block and safeguard evaluations share the memo: one LP per topology
+        assert with_memo == len(topologies)
+
+        def no_memo(*args, memo=None):
+            return evaluate_plan(*args)
+
+        monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
+        ref_plan, without = run()
+        assert plan == ref_plan
+        assert with_memo < without
+
     def test_time_doubling_adaptation(self):
         def failing(net, dmg, sched, opts):
             art = build_rop(net, dmg, sched)

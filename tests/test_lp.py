@@ -10,7 +10,7 @@ import gridrestore.lp as lp_module
 from gridrestore.lp import (INF, Basis, LinearProgram, Variable, mps_column_name,
                             mps_row_name, solve_lp, standard_form, write_mps)
 from gridrestore.milp import MixedIntegerProgram
-from gridrestore.models import build_rip
+from gridrestore.models import build_rip, build_rop
 from gridrestore.network import (DamageScenario, RestorationPlan,
                                  build_schedule)
 from conftest import tiny3_network
@@ -279,6 +279,118 @@ class TestWarmStart:
         child = tightened(form, 0, 0.0, 1.0)
         assert_same_result(solve_lp(lp, form=child, start=parent.basis),
                            solve_lp(lp, form=child))
+
+    def test_siblings_share_one_parent_inverse(self, meshed_scenarios):
+        pivoted = 0
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            mip = build_rop(net, dmg, build_schedule(n, n)).program
+            form = standard_form(mip.base)
+            parent = solve_lp(mip.base, form=form)
+            assert parent.status == "optimal"
+            shared = replace(parent.basis,
+                             inverse=np.linalg.inv(form.A[:, parent.basis.columns]))
+            before = shared.inverse.copy()
+            fractional = [j for j in sorted(mip.binary_vars)
+                          if 1e-6 < parent.primal[j] < 1 - 1e-6][:3]
+            for j in fractional:
+                for value in (0.0, 1.0):
+                    child = tightened(form, j, value, value)
+                    ours = solve_lp(mip.base, form=child, start=shared)
+                    own = solve_lp(mip.base, form=child, start=parent.basis)
+                    assert ours.status == own.status
+                    assert ours.iterations == own.iterations
+                    pivoted += own.iterations > 0
+                    if own.status == "optimal":
+                        assert ours.objective_value == own.objective_value
+                        np.testing.assert_array_equal(ours.basis.columns,
+                                                      own.basis.columns)
+                        np.testing.assert_array_equal(ours.basis.status,
+                                                      own.basis.status)
+                        assert ours.basis.inverse is None
+            np.testing.assert_array_equal(shared.inverse, before)
+        assert pivoted >= 6
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_inaccurate_updated_inverse(self, monkeypatch, failures):
+        # max x s.t. x + y <= 1, y >= 0.6; the child x <= 0.2 takes a dual pivot
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        child = tightened(form, 0, 0.0, 0.2)
+        real_accurate = lp_module._Simplex._accurate
+        real_refactorize = lp_module._Simplex._refactorize
+        real_solve = lp_module._Simplex.solve
+        checks, refactorized, cold = [], [], []
+
+        def accurate(self):
+            # check 1 accepts the start, check 2 the updated inverse's
+            # optimum, check 3 the refactorized one
+            checks.append(None)
+            if 2 <= len(checks) <= 1 + failures:
+                return False
+            return real_accurate(self)
+
+        def refactorize(self):
+            refactorized.append(None)
+            real_refactorize(self)
+
+        def solve(self):
+            cold.append(None)
+            return real_solve(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_accurate", accurate)
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", refactorize)
+        monkeypatch.setattr(lp_module._Simplex, "solve", solve)
+        sol = solve_lp(lp, form=child, start=parent.basis)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(0.2)
+        assert len(checks) == 3
+        if failures == 1:
+            assert (len(refactorized), len(cold)) == (1, 0)
+        else:
+            assert len(cold) == 1  # the cold solve refactorizes too
+            assert len(refactorized) >= 2
+
+
+def dense_update(Binv, pos, w):
+    """Product-form update of ``Binv`` after column ``w = Binv a`` enters at ``pos``."""
+    out = Binv.copy()
+    out[pos, :] /= w[pos]
+    wq = w.copy()
+    wq[pos] = 0.0
+    out -= np.outer(wq, out[pos, :])
+    return out
+
+
+class TestInverseUpdate:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_update_matches_dense(self, seed):
+        # a block-diagonal basis and a column inside one block: w = Binv a is
+        # zero on every row of the other block. Large inverses with a small
+        # block take the row-wise update, the others the dense one.
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            k, m = int(rng.integers(1, 6)), int(rng.integers(7, 14))
+        else:
+            k, m = int(rng.integers(1, 30)), int(rng.integers(130, 200))
+        B = np.zeros((m, m))
+        B[:k, :k] = rng.uniform(-1, 1, (k, k)) + 4 * np.eye(k)
+        B[k:, k:] = rng.uniform(-1, 1, (m - k, m - k)) + 4 * np.eye(m - k)
+        Binv = np.linalg.inv(B)
+        a = np.zeros(m)
+        a[:k] = rng.uniform(-2, 2, k)
+        w = Binv @ a
+        assert (w == 0.0).sum() >= m - k
+        pos = int(np.argmax(np.abs(w)))
+        simplex = lp_module._Simplex.__new__(lp_module._Simplex)
+        simplex.m = m
+        simplex.Binv = Binv.copy()
+        simplex._update_inverse(pos, w)
+        np.testing.assert_array_equal(simplex.Binv, dense_update(Binv, pos, w))
+        B[:, pos] = a
+        np.testing.assert_allclose(simplex.Binv @ B, np.eye(m), atol=1e-12)
 
 
 # -- minimal MPS reader used only to verify the writer ----------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import gridrestore.milp
 from gridrestore.lp import (INF, LinearProgram, LpSolution, mps_column_name, solve_lp,
@@ -12,7 +13,8 @@ from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
                               SolveOptions, enumerate_binaries,
                               parse_solution_file, solve_external, solve_mip)
 from gridrestore.models import build_rop
-from gridrestore.network import build_schedule
+from gridrestore.network import build_schedule, random_damage
+from conftest import meshed_network
 
 
 def random_mip(seed, max_binaries=12):
@@ -45,6 +47,33 @@ def knapsack():
     return MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
 
 
+def solve_with_highs(mip):
+    """Optimum of ``mip`` from SciPy's HiGHS MILP, in the MIP's own sense."""
+    lp = mip.base
+    n = len(lp.variables)
+    sense = -1.0 if lp.objective_sense == "maximize" else 1.0
+    c = np.zeros(n)
+    for j, coef in lp.objective_terms:
+        c[j] += sense * coef
+    rows = np.zeros((len(lp.constraints), n))
+    lb = np.full(len(lp.constraints), -np.inf)
+    ub = np.full(len(lp.constraints), np.inf)
+    for i, con in enumerate(lp.constraints):
+        for j, coef in con.terms:
+            rows[i, j] += coef
+        if con.relation in ("<=", "="):
+            ub[i] = con.rhs
+        if con.relation in (">=", "="):
+            lb[i] = con.rhs
+    integrality = np.zeros(n)
+    integrality[sorted(mip.binary_vars)] = 1
+    res = milp(c, constraints=LinearConstraint(rows, lb, ub), integrality=integrality,
+               bounds=Bounds([v.lower for v in lp.variables], [v.upper for v in lp.variables]),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0
+    return sense * res.fun
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration(self, seed):
@@ -59,6 +88,20 @@ class TestBranchAndBound:
             assert mip.base.constraint_violation(sol.primal) <= 1e-6
             for j in mip.binary_vars:
                 assert abs(sol.primal[j] - round(sol.primal[j])) <= 1e-6
+
+    def test_enumeration_respects_binary_bounds(self):
+        # the ROP fixes its final-period binaries at 1; an enumeration that
+        # set them to 0 would score plans outside the MILP (3.977 here)
+        net = meshed_network(100, 8)
+        mip = build_rop(net, random_damage(net, 0.25, 0), build_schedule(3, 2)).program
+        assert any(mip.base.variables[j].lower == 1.0 for j in mip.binary_vars)
+        best, assign = enumerate_binaries(mip)
+        for j, v in assign.items():
+            assert mip.base.variables[j].lower <= v <= mip.base.variables[j].upper
+        sol = solve_mip(mip, SolveOptions(time_limit=60, rel_gap=0.0))
+        assert sol.status == "optimal_within_gap"
+        assert best == pytest.approx(sol.objective_value, abs=1e-9, rel=1e-9)
+        assert best == pytest.approx(solve_with_highs(mip), abs=1e-6, rel=1e-6)
 
     def test_all_binaries_fixed_is_lp(self):
         lp = LinearProgram()
@@ -152,8 +195,8 @@ class TestBranchAndBound:
         calls = []
 
         def root_fails(lp, *args, **kwargs):
-            calls.append(lp)
-            if len(calls) == 2:  # after the warm-start LP comes the root
+            calls.append(kwargs.get("start"))
+            if len(calls) == 1:  # the root LP comes first
                 return LpSolution("numerical_failure", float("nan"),
                                   np.zeros(len(lp.variables)))
             return solve_lp(lp, *args, **kwargs)
@@ -161,6 +204,9 @@ class TestBranchAndBound:
         monkeypatch.setattr(gridrestore.milp, "solve_lp", root_fails)
         sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0,
                                           warm_start={0: 0, 1: 0, 2: 1}))
+        # with no root basis the warm-start LP is solved cold, and nothing else
+        assert calls == [None, None]
+        assert sol.nodes == 2
         assert sol.status == "feasible_time_limit"
         assert sol.objective_value == pytest.approx(1.5)
         assert sol.best_bound == INF
@@ -170,18 +216,31 @@ class TestBranchAndBound:
     def test_every_node_is_one_lp_call(self, monkeypatch, seed):
         mip, _, assign = self._feasible_seed(20 + 10 * seed)
         calls = []
+        results = []
 
         def counting(lp, *args, **kwargs):
             calls.append((lp, kwargs.get("start")))
-            return solve_lp(lp, *args, **kwargs)
+            results.append(solve_lp(lp, *args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(gridrestore.milp, "solve_lp", counting)
         sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
         assert sol.nodes == len(calls)
         assert all(lp is mip.base for lp, _ in calls)
-        # the warm-start LP and the root are cold; every child starts warm
-        assert [start is None for _, start in calls[:2]] == [True, True]
-        assert all(start is not None for _, start in calls[2:])
+        # the root is cold; the warm-start LP and every child start warm
+        assert calls[0][1] is None
+        assert all(start is not None for _, start in calls[1:])
+        # the warm-start LP starts from the root's basis and inverts it itself
+        assert calls[1][1] is results[0].basis
+        assert calls[1][1].inverse is None
+        # siblings share one start carrying the parent's inverse
+        children = [start for _, start in calls[2:]]
+        assert len(children) % 2 == 0
+        for first, second in zip(children[::2], children[1::2]):
+            assert first is second
+            assert first.inverse is not None
+        # no solution, and so no heap entry, holds an inverse
+        assert all(r.basis is None or r.basis.inverse is None for r in results)
 
     def test_rop_node_bounds_warm_matches_cold(self, meshed_scenarios):
         for net, dmg in meshed_scenarios:
