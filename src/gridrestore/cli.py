@@ -111,8 +111,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
     mip_solver = _mip_solver(config)
 
     def rop_solver(net, dmg, sched, opts):
-        from .models import build_rop as _build
-        art = _build(net, dmg, sched)
+        art = build_rop(net, dmg, sched)
         return art, mip_solver(art.program, opts)
 
     if n == 0:

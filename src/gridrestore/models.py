@@ -1,8 +1,11 @@
 """DC power flow restoration models.
 
-Builds the fixed-plan evaluation LP (multi-period DC optimal power flow
-with load shedding) and the restoration ordering MILP whose binaries pick
-the period in which each damaged line comes back.
+One period builder, ``_period_dcopf``, writes the DC optimal power flow
+with load shedding of a single period. The fixed-plan evaluation LP (RIP)
+is that model over each period's energized lines; the restoration
+ordering MILP (ROP) is the same model in every period with the damaged
+lines switchable, whose status binaries pick the period in which each
+damaged line comes back.
 """
 from __future__ import annotations
 
@@ -34,12 +37,7 @@ class RopArtifacts:
     network: Network
     damage: DamageScenario
     schedule: PeriodSchedule
-    pg: dict = field(default_factory=dict)     # (gen id, k) -> var index
-    pl: dict = field(default_factory=dict)     # (line id, k) -> var index
-    xd: dict = field(default_factory=dict)     # (load id, k) -> var index
-    theta: dict = field(default_factory=dict)  # (bus id, k) -> var index
-    z: dict = field(default_factory=dict)      # (line id, k) -> var index
-    big_m: dict = field(default_factory=dict)  # line id -> theta-delta bound
+    z: dict = field(default_factory=dict)  # (line id, k) -> var index
 
 
 @dataclass
@@ -87,66 +85,76 @@ def _check_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
         raise ValueError("plan length does not match schedule length")
 
 
-def _period_dcopf(network: Network, live: frozenset[int]) -> tuple[LinearProgram, list[int]]:
-    """Single-period DC dispatch LP over the energized lines ``live``.
+def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
+                  switchable: frozenset[int] = frozenset(), weight: float = 1.0,
+                  tag: str = "") -> tuple[dict, dict]:
+    """Append one period's DC dispatch model to ``lp``.
 
-    Nodal balance, DC flow equalities on energized lines, thermal limits
-    as flow-variable bounds, generator limits as bounds, and one voltage
-    angle pinned to 0 per connected component of the energized topology.
-    Objective: demand-weighted power served. Returns the LP and the
-    indices of the load-fraction variables, in ``network.loads`` order.
+    The present lines are the energized ones, ``live``, and the damaged
+    ones whose status a binary picks, ``switchable``. Variables, named
+    with ``tag`` appended: generator outputs PG, line flows PL of the
+    present lines (thermal limits as bounds), load fractions XD in [0, 1],
+    voltage angles TH with the lowest bus of each connected component of
+    the present lines pinned at 0, and one status Z in [0, 1] per
+    switchable line. Rows: a DC flow equality per live line; per
+    switchable line, four big-M rows that enforce the flow equality when
+    Z = 1 (M = |b| * ``angle_diff_big_m``) and hold the flow at 0 when
+    Z = 0; then nodal balance. Adds ``p_demand * weight`` per load to the
+    objective. Returns the XD indices by load id and the Z indices by line
+    id.
     """
-    lp = LinearProgram()
-    demand = {d.id: d.p_demand for d in network.loads}
-    pg = {g.id: lp.add_variable(f"PG{g.id}", 0.0, g.p_max) for g in network.generators}
-    pl = {}
-    for lid in sorted(live):
-        ln = network.lines_by_id[lid]
-        pl[lid] = lp.add_variable(f"PL{lid}", -ln.thermal_limit, ln.thermal_limit)
-    xd = {d.id: lp.add_variable(f"XD{d.id}", 0.0, 1.0) for d in network.loads}
-    th = {b.id: lp.add_variable(f"TH{b.id}", -INF, INF) for b in network.buses}
-    for rb in _reference_buses(network, live):
-        lp.variables[th[rb]] = Variable(f"TH{rb}", 0.0, 0.0)
+    present = live | switchable
+    lines = [ln for ln in network.lines if ln.id in present]
+    pg = {g.id: lp.add_variable(f"PG{g.id}{tag}", 0.0, g.p_max) for g in network.generators}
+    pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", -ln.thermal_limit, ln.thermal_limit)
+          for ln in lines}
+    xd = {d.id: lp.add_variable(f"XD{d.id}{tag}", 0.0, 1.0) for d in network.loads}
+    refs = set(_reference_buses(network, present))
+    th = {}
+    for b in network.buses:
+        lo, hi = (0.0, 0.0) if b.id in refs else (-INF, INF)
+        th[b.id] = lp.add_variable(f"TH{b.id}{tag}", lo, hi)
+    z = {lid: lp.add_variable(f"Z{lid}{tag}", 0.0, 1.0) for lid in sorted(switchable)}
 
-    for lid in sorted(live):
-        ln = network.lines_by_id[lid]
+    theta_delta = angle_diff_big_m(network)
+    for ln in lines:
         b = ln.susceptance_b
-        lp.add_constraint(f"flow{lid}",
-                          [(pl[lid], 1.0), (th[ln.from_bus], b), (th[ln.to_bus], -b)],
-                          "=", 0.0)
+        flow = [(pl[ln.id], 1.0), (th[ln.from_bus], b), (th[ln.to_bus], -b)]
+        if ln.id in live:
+            lp.add_constraint(f"flow{ln.id}{tag}", flow, "=", 0.0)
+            continue
+        M = abs(b) * theta_delta
+        if not 0 < M < INF:
+            raise ValueError(f"degenerate big-M for line {ln.id}")
+        zj, lim = z[ln.id], ln.thermal_limit
+        lp.add_constraint(f"flowu{ln.id}{tag}", flow + [(zj, M)], "<=", M)
+        lp.add_constraint(f"flowl{ln.id}{tag}", flow + [(zj, -M)], ">=", -M)
+        lp.add_constraint(f"onu{ln.id}{tag}", [(pl[ln.id], 1.0), (zj, -lim)], "<=", 0.0)
+        lp.add_constraint(f"onl{ln.id}{tag}", [(pl[ln.id], 1.0), (zj, lim)], ">=", 0.0)
+    demand = {d.id: d.p_demand for d in network.loads}
     for bus in network.buses:
         terms = [(pg[g], 1.0) for g in network.gens_at[bus.id]]
-        for lid in network.lines_at[bus.id]:
-            if lid in live:
-                sign = -1.0 if network.lines_by_id[lid].from_bus == bus.id else 1.0
-                terms.append((pl[lid], sign))
+        terms += [(pl[lid], -1.0 if network.lines_by_id[lid].from_bus == bus.id else 1.0)
+                  for lid in network.lines_at[bus.id] if lid in pl]
         terms += [(xd[d], -demand[d]) for d in network.loads_at[bus.id]]
-        lp.add_constraint(f"bal{bus.id}", terms, "=", 0.0)
-    lp.set_objective("maximize", [(xd[d.id], d.p_demand) for d in network.loads])
-    return lp, [xd[d.id] for d in network.loads]
+        lp.add_constraint(f"bal{bus.id}{tag}", terms, "=", 0.0)
+    lp.objective_terms += [(xd[d.id], d.p_demand * weight) for d in network.loads]
+    return xd, z
 
 
 def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
               schedule: PeriodSchedule) -> LinearProgram:
     """Multi-period DC dispatch LP for a fixed restoration plan.
 
-    The periods are independent: the LP stacks one ``_period_dcopf``
-    block per period, with ``_k`` appended to every variable and
-    constraint name. Objective: total demand-weighted energy served.
+    The periods are independent: one ``_period_dcopf`` block per period,
+    with ``_k`` appended to every name and the demand weighted by the
+    period's duration. Objective: total demand-weighted energy served.
     """
     _check_plan(network, damage, plan, schedule)
     lp = LinearProgram()
-    obj = []
     for k in range(1, schedule.n_periods + 1):
-        block, xd = _period_dcopf(network, energized_lines(network, damage, plan, k))
-        off = len(lp.variables)
-        lp.variables += [Variable(f"{v.name}_{k}", v.lower, v.upper) for v in block.variables]
-        for c in block.constraints:
-            lp.add_constraint(f"{c.name}_{k}", [(j + off, a) for j, a in c.terms],
-                              c.relation, c.rhs)
-        dk = schedule.delta[k - 1]
-        obj += [(j + off, d.p_demand * dk) for j, d in zip(xd, network.loads)]
-    lp.set_objective("maximize", obj)
+        _period_dcopf(lp, network, energized_lines(network, damage, plan, k),
+                      weight=schedule.delta[k - 1], tag=f"_{k}")
     return lp
 
 
@@ -159,86 +167,37 @@ def build_rop(network: Network, damage: DamageScenario,
               schedule: PeriodSchedule) -> RopArtifacts:
     """Restoration ordering MILP over the damaged lines and periods.
 
-    Binaries z[line, k] switch damaged-line flow constraints on via a
-    big-M formulation; per-period budgets, monotone status, and final
-    period completion constrain the restoration sequence.
+    Each period is the ``_period_dcopf`` model with the damaged lines
+    switchable, led by its repair budget row; the status binaries are
+    monotone across periods and all 1 in the final period.
     """
     damage.validate(network)
-    n_damaged = len(damage.damaged_lines)
-    if schedule.repair_budget[-1] != n_damaged:
+    damaged = frozenset(damage.damaged_lines)
+    if schedule.repair_budget[-1] != len(damaged):
         raise ValueError("schedule final repair budget must equal the damage count")
 
-    theta_delta = angle_diff_big_m(network)
-    damaged = set(damage.damaged_lines)
-    demand = {d.id: d.p_demand for d in network.loads}
+    live = frozenset(l.id for l in network.lines) - damaged
     lp = LinearProgram()
     art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule)
-    for lid in sorted(damaged):
-        bigm = abs(network.lines_by_id[lid].susceptance_b) * theta_delta
-        if not (bigm > 0 and bigm < INF):
-            raise ValueError(f"degenerate big-M for line {lid}")
-        art.big_m[lid] = bigm
-
     N = schedule.n_periods
-    binaries = []
-    refs = _reference_buses(network, [l.id for l in network.lines])
     for k in range(1, N + 1):
-        for g in network.generators:
-            art.pg[(g.id, k)] = lp.add_variable(f"PG{g.id}_{k}", 0.0, g.p_max)
-        for ln in network.lines:
-            art.pl[(ln.id, k)] = lp.add_variable(f"PL{ln.id}_{k}",
-                                                 -ln.thermal_limit, ln.thermal_limit)
-        for d in network.loads:
-            art.xd[(d.id, k)] = lp.add_variable(f"XD{d.id}_{k}", 0.0, 1.0)
-        for b in network.buses:
-            lo, hi = (0.0, 0.0) if b.id in refs else (-INF, INF)
-            art.theta[(b.id, k)] = lp.add_variable(f"TH{b.id}_{k}", lo, hi)
-        for lid in sorted(damaged):
-            lo = 1.0 if k == N else 0.0  # final period: all restored
-            j = lp.add_variable(f"Z{lid}_{k}", lo, 1.0)
-            art.z[(lid, k)] = j
-            binaries.append(j)
-
-        lp.add_constraint(f"budget_{k}",
-                          [(art.z[(lid, k)], 1.0) for lid in sorted(damaged)],
+        first = len(lp.constraints)
+        _, z = _period_dcopf(lp, network, live, damaged,
+                             weight=schedule.delta[k - 1], tag=f"_{k}")
+        # the budget row leads its period: the row order steers the B&B search
+        lp.add_constraint(f"budget_{k}", [(j, 1.0) for j in z.values()],
                           "<=", schedule.repair_budget[k - 1])
-        for ln in network.lines:
-            b = ln.susceptance_b
-            fterms = [(art.pl[(ln.id, k)], 1.0),
-                      (art.theta[(ln.from_bus, k)], b),
-                      (art.theta[(ln.to_bus, k)], -b)]
-            if ln.id not in damaged:
-                lp.add_constraint(f"flow{ln.id}_{k}", fterms, "=", 0.0)
-            else:
-                M = art.big_m[ln.id]
-                zj = art.z[(ln.id, k)]
-                lp.add_constraint(f"flowu{ln.id}_{k}", fterms + [(zj, M)], "<=", M)
-                lp.add_constraint(f"flowl{ln.id}_{k}", fterms + [(zj, -M)], ">=", -M)
-                lim = ln.thermal_limit
-                lp.add_constraint(f"onu{ln.id}_{k}",
-                                  [(art.pl[(ln.id, k)], 1.0), (zj, -lim)], "<=", 0.0)
-                lp.add_constraint(f"onl{ln.id}_{k}",
-                                  [(art.pl[(ln.id, k)], 1.0), (zj, lim)], ">=", 0.0)
-        for bus in network.buses:
-            terms = [(art.pg[(g, k)], 1.0) for g in network.gens_at[bus.id]]
-            for lid in network.lines_at[bus.id]:
-                ln = network.lines_by_id[lid]
-                sign = -1.0 if ln.from_bus == bus.id else 1.0
-                terms.append((art.pl[(lid, k)], sign))
-            terms += [(art.xd[(d, k)], -demand[d]) for d in network.loads_at[bus.id]]
-            lp.add_constraint(f"bal{bus.id}_{k}", terms, "=", 0.0)
+        lp.constraints.insert(first, lp.constraints.pop())
+        for lid, j in z.items():
+            if k == N:  # final period: all restored
+                lp.variables[j] = Variable(lp.variables[j].name, 1.0, 1.0)
+            art.z[(lid, k)] = j
     for lid in sorted(damaged):
         for k in range(1, N):
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
-    obj = []
-    for k in range(1, N + 1):
-        dk = schedule.delta[k - 1]
-        for d in network.loads:
-            obj.append((art.xd[(d.id, k)], d.p_demand * dk))
-    lp.set_objective("maximize", obj)
-    art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(binaries))
+    art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()))
     return art
 
 
@@ -333,12 +292,12 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
         live = energized_lines(network, damage, plan, k)
         hit = memo.get(live) if memo is not None else None
         if hit is None:
-            lp, xd = _period_dcopf(network, live)
+            lp = LinearProgram()
+            xd, _ = _period_dcopf(lp, network, live)
             sol = solve_lp(lp)
             if sol.status != "optimal":
                 raise PlanEvaluationError(k, sol.status)
-            fr = {d.id: min(max(float(sol.primal[j]), 0.0), 1.0)
-                  for j, d in zip(xd, network.loads)}
+            fr = {lid: min(max(float(sol.primal[j]), 0.0), 1.0) for lid, j in xd.items()}
             hit = (sum(fr[d.id] * d.p_demand for d in network.loads), fr)
             if memo is not None:
                 memo[live] = hit

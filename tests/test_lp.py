@@ -53,6 +53,35 @@ def random_lp(seed, max_vars=30):
     return lp
 
 
+def feasible_lp(seed, max_vars=30):
+    """Random feasible, bounded LP: boxed variables, rows satisfied by a known point.
+
+    Each rhs is a.x0 for a point x0 inside the boxes, moved by a nonnegative
+    slack in the direction of its relation (zero for half the
+    inequalities, so some rows are tight at x0).
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, max_vars)
+    m = rng.randint(1, n + 5)
+    lp = LinearProgram()
+    x0 = []
+    for j in range(n):
+        lo = 0.0 if rng.random() < 0.6 else -rng.uniform(1, 5)
+        hi = lo + rng.uniform(1, 10)
+        lp.add_variable(f"x{j}", lo, hi)
+        x0.append(rng.uniform(lo, hi))
+    for i in range(m):
+        terms = [(j, rng.uniform(-3, 3)) for j in
+                 rng.sample(range(n), rng.randint(1, min(n, 4)))]
+        rel = rng.choice(["<=", "<=", ">=", "="])
+        slack = 0.0 if rel == "=" else rng.choice([0.0, rng.uniform(0, 3)])
+        ax0 = sum(a * x0[j] for j, a in terms)
+        lp.add_constraint(f"c{i}", terms, rel, ax0 + slack if rel == "<=" else ax0 - slack)
+    lp.set_objective(rng.choice(["maximize", "minimize"]),
+                     [(j, rng.uniform(-2, 2)) for j in range(n)])
+    return lp
+
+
 def solve_with_scipy(lp):
     n = len(lp.variables)
     c = np.zeros(n)
@@ -154,9 +183,10 @@ class TestBasics:
 
 
 class TestAgainstScipy:
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", range(100))
     def test_random_lps(self, seed):
-        lp = random_lp(seed)
+        # random_lp covers every status; feasible_lp's optima are compared
+        lp = random_lp(seed) if seed < 60 else feasible_lp(seed)
         ours = solve_lp(lp)
         ref = solve_with_scipy(lp)
         if ref.status == 2:
@@ -209,11 +239,10 @@ def assert_same_result(warm, cold):
 class TestWarmStart:
     @pytest.mark.parametrize("seed", range(40))
     def test_bound_change_matches_cold(self, seed):
-        lp = random_lp(seed)
+        lp = feasible_lp(seed)
         form = standard_form(lp)
         parent = solve_lp(lp, form=form)
-        if parent.status != "optimal":
-            return
+        assert parent.status == "optimal"
         rng = random.Random(seed)
         for _ in range(4):
             j = rng.randrange(len(lp.variables))

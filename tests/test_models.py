@@ -155,8 +155,36 @@ class TestRop:
                       loads=(Load(1, 3, 0.5),))
         assert angle_diff_big_m(net) == pytest.approx(1.0472)
         art = build_rop(net, DamageScenario((1, 2)), build_schedule(2, 2))
-        assert art.big_m[1] == pytest.approx(5.236)
-        assert art.big_m[2] == pytest.approx(5.236)
+        lp = art.program.base
+        rows = {c.name: c for c in lp.constraints}
+        for lid in (1, 2):
+            row = rows[f"flowu{lid}_1"]
+            assert dict(row.terms)[art.z[(lid, 1)]] == pytest.approx(5.236)
+            assert row.rhs == pytest.approx(5.236)
+
+    def test_degenerate_big_m_rejected(self):
+        net = Network(buses=(Bus(1), Bus(2)),
+                      lines=(Line(1, 1, 2, -5.0, 1.0), Line(2, 1, 2, 0.0, 1.0)),
+                      generators=(Generator(1, 1, 1.0),),
+                      loads=(Load(1, 2, 0.5),))
+        with pytest.raises(ValueError, match="degenerate big-M for line 2"):
+            build_rop(net, DamageScenario((2,)), build_schedule(1, 1))
+
+    def test_one_period_matches_evaluation_on_meshed_grids(self, meshed_scenarios):
+        # one period: every Z is fixed at 1, so the switchable rows must
+        # describe the same physics as the flow equalities of live lines
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            sched = build_schedule(n, 1)
+            art = build_rop(net, dmg, sched)
+            lp = art.program.base
+            assert all(lp.variables[j].lower == 1.0 for j in art.z.values())
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            series = evaluate_plan(net, dmg, RestorationPlan.from_lists(
+                [list(dmg.damaged_lines)]), sched)
+            energy = sum(d * t for d, t in zip(series.delivered, series.durations))
+            assert sol.objective_value == pytest.approx(energy, rel=0, abs=1e-9)
 
     def test_fixed_plan_recovers_evaluation(self):
         net, dmg = tiny3_damage12()
