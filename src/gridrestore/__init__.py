@@ -15,8 +15,8 @@ from .milp import (ExternalBackendConfig, MipSolution, MixedIntegerProgram,
 from .models import (PlanExtractionError, PowerServedSeries, RopArtifacts,
                      build_rip, build_rop, evaluate_plan, extract_plan,
                      fix_plan_in_rop, plan_to_assignment)
-from .heuristics import (AlgoBudget, RadConfig, RadStats, RrrStats,
-                         brute_force_optimal, rad, rrr, util_order)
+from .heuristics import (AlgoBudget, RadConfig, brute_force_optimal, rad, rrr,
+                         util_order)
 from .postprocess import (RestorationReport, build_report, island_metrics,
                           monotonize, total_energy)
 
@@ -31,7 +31,7 @@ __all__ = [
     "solve_mip", "solve_external", "ExternalBackendConfig",
     "PowerServedSeries", "RopArtifacts", "PlanExtractionError", "build_rip",
     "build_rop", "evaluate_plan", "extract_plan", "plan_to_assignment",
-    "fix_plan_in_rop", "AlgoBudget", "RadConfig", "RrrStats", "RadStats",
-    "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",
-    "island_metrics", "total_energy", "RestorationReport", "build_report",
+    "fix_plan_in_rop", "AlgoBudget", "RadConfig", "util_order", "rrr", "rad",
+    "brute_force_optimal", "monotonize", "island_metrics", "total_energy",
+    "RestorationReport", "build_report",
 ]

@@ -42,3 +42,13 @@ def connected_components(bus_ids, edges) -> list[list[int]]:
     for a, b in edges:
         uf.union(a, b)
     return sorted(uf.components(), key=lambda c: c[0])
+
+
+def line_components(network, line_ids) -> list[list[int]]:
+    """Components of all the network's buses joined by the lines ``line_ids``.
+
+    Isolated buses form singleton components.
+    """
+    edges = [(network.lines_by_id[l].from_bus, network.lines_by_id[l].to_bus)
+             for l in line_ids]
+    return connected_components([b.id for b in network.buses], edges)

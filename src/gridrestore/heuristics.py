@@ -1,4 +1,8 @@
-"""Restoration ordering algorithms: UTIL, RRR, RAD, and a brute-force oracle."""
+"""Restoration ordering algorithms: UTIL, RRR, RAD, and a brute-force oracle.
+
+RRR and RAD repeat one step, ``_sub_solve``: re-order a set of damaged
+lines with a small ordering MILP through the ``rop_solver`` seam.
+"""
 from __future__ import annotations
 
 import itertools
@@ -11,6 +15,7 @@ from .milp import SolveOptions, solve_mip
 from .models import (PlanExtractionError, build_rop, evaluate_plan, extract_plan)
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
+from .postprocess import monotonize, total_energy
 
 
 @dataclass
@@ -40,24 +45,6 @@ class RadConfig:
             raise ValueError("initial_time_fraction must be in (0, 1]")
 
 
-@dataclass
-class RrrStats:
-    """Instrumentation for the recursive refinement: sub-solve accounting."""
-
-    subsolves: int = 0
-    max_binaries: int = 0
-    fallback_util_splits: int = 0
-    empty_first_returns: int = 0
-
-
-@dataclass
-class RadStats:
-    iterations: int = 0
-    accepted_blocks: int = 0
-    time_doublings: int = 0
-    size_growths: int = 0
-
-
 def util_order(network: Network, damage: DamageScenario) -> RestorationPlan:
     """Largest-capacity-first ordering, one line per period.
 
@@ -73,59 +60,64 @@ def _default_rop_solver(network, damage, schedule, opts) -> tuple:
     return art, solve_mip(art.program, opts)
 
 
+def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: float,
+               rel_gap: float) -> tuple[RestorationPlan | None, str]:
+    """The step ``rrr`` and ``rad`` repeat: re-order a line set by MILP.
+
+    Orders ``line_ids`` over ``n_periods`` unit periods with an even
+    repair budget. Returns the extracted plan (None without a usable
+    incumbent) and the MILP status, ``"failure"`` when there is no time
+    left or the solver raises ``PlanExtractionError``.
+    """
+    if time_limit <= 0:
+        return None, "failure"
+    damage = DamageScenario(tuple(sorted(line_ids)))
+    schedule = build_schedule(len(line_ids), n_periods, 1.0)
+    opts = SolveOptions(time_limit=time_limit, rel_gap=rel_gap)
+    try:
+        artifacts, solution = solver(network, damage, schedule, opts)
+    except PlanExtractionError:
+        return None, "failure"
+    try:
+        plan = extract_plan(artifacts, solution) if solution.has_incumbent else None
+    except PlanExtractionError:
+        plan = None
+    return plan, solution.status
+
+
+def _capacity_order(network: Network, line_ids) -> list[int]:
+    return util_order(network, DamageScenario(tuple(sorted(line_ids)))).ordered_lines()
+
+
 def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
-        rop_solver=None, stats: RrrStats | None = None) -> RestorationPlan:
+        rop_solver=None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
-    Each call splits its line set with a two-period ordering problem
-    (budget: half the lines in period one), falling back to a
-    capacity-ordered split when the MILP fails, and recursing on both
-    halves until singletons remain. The sub-problem time limit is half
-    the remaining wall-clock budget at each call. Output is fully
-    ordered: one line per period.
+    Each split picks half its lines for period one and recurses on both
+    halves, with half the remaining budget as the MILP time limit. With no
+    plan or no time left, it splits the capacity order in half; with an
+    empty first half, the set comes back in capacity order. ``rop_solver
+    (network, damage, schedule, opts) -> (RopArtifacts, MipSolution)``
+    sees every sub-solve. Output is fully ordered: one line per period.
     """
     solver = rop_solver or _default_rop_solver
     deadline = time.monotonic() + budget.time_limit
-    st = stats if stats is not None else RrrStats()
 
     def recurse(line_ids: tuple[int, ...]) -> list[int]:
         if len(line_ids) <= 1:
             return list(line_ids)
-        sub_damage = DamageScenario(tuple(sorted(line_ids)))
-        schedule = build_schedule(len(line_ids), 2, 1.0)
         remaining = deadline - time.monotonic()
-        st.subsolves += 1
-        st.max_binaries = max(st.max_binaries, 2 * len(line_ids))
-        solution = None
-        if remaining > 0:
-            opts = SolveOptions(time_limit=remaining / 2.0, rel_gap=budget.rel_gap)
-            try:
-                artifacts, solution = solver(network, sub_damage, schedule, opts)
-            except PlanExtractionError:
-                solution = None
-        first: list[int]
-        second: list[int]
-        if solution is None or not solution.has_incumbent:
+        split, _ = _sub_solve(solver, network, line_ids, 2, remaining / 2.0, budget.rel_gap)
+        if split is None:
             # MILP failure: capacity-ordered split into halves
-            st.fallback_util_splits += 1
-            order = util_order(network, sub_damage).ordered_lines()
+            order = _capacity_order(network, line_ids)
             half = math.ceil(len(order) / 2)
             first, second = order[:half], order[half:]
         else:
-            try:
-                split = extract_plan(artifacts, solution)
-            except PlanExtractionError:
-                st.fallback_util_splits += 1
-                order = util_order(network, sub_damage).ordered_lines()
-                half = math.ceil(len(order) / 2)
-                first, second = order[:half], order[half:]
-            else:
-                first = sorted(split.periods[0])
-                second = sorted(split.periods[1])
-                if not first:
-                    # nothing is urgent; any order works, use capacity order
-                    st.empty_first_returns += 1
-                    return util_order(network, sub_damage).ordered_lines()
+            first, second = sorted(split.periods[0]), sorted(split.periods[1])
+            if not first:
+                # nothing is urgent; any order works, use capacity order
+                return _capacity_order(network, line_ids)
         return recurse(tuple(first)) + recurse(tuple(second))
 
     order = recurse(tuple(sorted(damage.damaged_lines)))
@@ -141,31 +133,27 @@ def _subnetwork_without(network: Network, removed: set[int]) -> Network:
                    base_mva=network.base_mva)
 
 
-def _block_energy(network: Network, removed_after: set[int],
-                  block_order: list[int], memo: dict) -> float:
-    """Energy served over the block's periods with post-block lines absent."""
-    sub = _subnetwork_without(network, removed_after)
+def _block_energy(sub: Network, block_order: list[int], memo: dict) -> float:
+    """Energy served over the block's periods, one line each, on ``sub``."""
     dmg = DamageScenario(tuple(sorted(block_order)))
     sched = build_schedule(len(block_order), len(block_order), 1.0)
     plan = RestorationPlan.from_lists([[lid] for lid in block_order])
-    series = evaluate_plan(sub, dmg, plan, sched, memo=memo)
-    return sum(d * dt for d, dt in zip(series.delivered, series.durations))
+    return total_energy(evaluate_plan(sub, dmg, plan, sched, memo=memo))
 
 
 def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
         config: RadConfig | None = None, initial: RestorationPlan | None = None,
-        rop_solver=None, stats: RadStats | None = None) -> RestorationPlan:
+        rop_solver=None) -> RestorationPlan:
     """Randomized adaptive decomposition of a fully-ordered plan.
 
-    Repeatedly partitions the current ordering into contiguous random
-    blocks, re-optimizes each block with an ordering MILP under the
-    block's boundary conditions, and accepts a re-ordering only when it
-    improves the block's served energy. Sub-problem time limits and the
-    maximum block size adapt when most blocks stop improving.
+    Cuts the ordering into random contiguous blocks, re-orders each by
+    MILP (``rop_solver`` as in ``rrr``) without the lines restored after
+    it, and keeps a re-ordering that serves more energy. When most blocks
+    of a round fail, the MILP time limit doubles if most solves hit it or
+    failed, else the block-size cap grows. Never worse than ``initial``.
     """
     config = config or RadConfig()
     solver = rop_solver or _default_rop_solver
-    st = stats if stats is not None else RadStats()
     initial_plan = initial or util_order(network, damage)
     initial_plan.validate_against(damage)
     order = initial_plan.ordered_lines()
@@ -176,9 +164,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     rng = random.Random(budget.seed)
     deadline = time.monotonic() + budget.time_limit
     sub_time = max(config.initial_time_fraction * budget.time_limit, 1e-3)
-    s_lo = config.min_partition
-    s_hi = float(config.max_partition)
-    s_cap = max(n // 2, s_lo)
+    s_lo, s_hi = config.min_partition, config.max_partition
     stall = 0
     # one evaluation memo for the whole call. A period LP depends only on
     # the buses, generators, loads and energized lines, and
@@ -187,15 +173,12 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     memo: dict = {}
 
     while stall < config.stall_limit and time.monotonic() < deadline:
-        st.iterations += 1
         # contiguous random partition of the current ordering
-        cuts = []
-        pos = 0
+        cuts, pos = [], 0
         while pos < n:
-            size = rng.randint(s_lo, max(s_lo, int(s_hi)))
+            size = rng.randint(s_lo, s_hi)
             cuts.append((pos, min(pos + size, n)))
             pos += size
-        improved = False
         n_blocks = n_fail = n_hit = 0
         for a, b in cuts:
             if time.monotonic() >= deadline:
@@ -204,54 +187,31 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
             if len(block) < 2:
                 continue
             n_blocks += 1
-            removed_after = set(order[b:])
-            cur_energy = _block_energy(network, removed_after, block, memo)
-            sub = _subnetwork_without(network, removed_after)
-            dmg = DamageScenario(tuple(sorted(block)))
-            sched = build_schedule(len(block), len(block), 1.0)
-            opts = SolveOptions(time_limit=sub_time, rel_gap=budget.rel_gap)
-            try:
-                artifacts, solution = solver(sub, dmg, sched, opts)
-            except PlanExtractionError:
-                solution = None
-            hit_limit = solution is None or solution.status in ("feasible_time_limit", "failure")
-            if hit_limit:
-                n_hit += 1
-            accepted = False
-            if solution is not None and solution.has_incumbent:
-                try:
-                    new_order = extract_plan(artifacts, solution).ordered_lines()
-                except PlanExtractionError:
-                    new_order = None
-                if new_order is not None:
-                    new_energy = _block_energy(network, removed_after, new_order, memo)
-                    if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
-                        order[a:b] = new_order
-                        accepted = True
-                        improved = True
-                        st.accepted_blocks += 1
-            if not accepted:
-                n_fail += 1
-        if improved:
-            stall = 0
-        else:
-            stall += 1
+            sub = _subnetwork_without(network, set(order[b:]))
+            cur_energy = _block_energy(sub, block, memo)
+            plan, status = _sub_solve(solver, sub, block, len(block), sub_time,
+                                      budget.rel_gap)
+            n_hit += status in ("feasible_time_limit", "failure")
+            if plan is not None:
+                new_order = plan.ordered_lines()
+                new_energy = _block_energy(sub, new_order, memo)
+                if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
+                    order[a:b] = new_order
+                    continue
+            n_fail += 1
+        stall = 0 if n_fail < n_blocks else stall + 1
         if n_blocks > 0 and n_fail >= config.adapt_threshold * n_blocks:
             if n_hit >= config.adapt_threshold * n_blocks:
                 sub_time *= 2.0
-                st.time_doublings += 1
             else:
-                s_hi = min(math.ceil(config.growth_factor * s_hi), s_cap)
-                s_hi = max(float(s_hi), float(s_lo))
-                st.size_growths += 1
+                # grow toward n // 2, never below the configured cap
+                s_hi = max(s_hi, min(math.ceil(config.growth_factor * s_hi), n // 2))
 
     final = RestorationPlan.from_lists([[lid] for lid in order])
     # safeguard: never return a plan worse (post-processed) than the initial
-    from .postprocess import monotonize, total_energy
-
-    sched_full = build_schedule(n, initial_plan.n_periods, 1.0)
     try:
-        init_series = evaluate_plan(network, damage, initial_plan, sched_full, memo=memo)
+        init_series = evaluate_plan(network, damage, initial_plan,
+                                    build_schedule(n, initial_plan.n_periods, 1.0), memo=memo)
         fin_series = evaluate_plan(network, damage, final,
                                    build_schedule(n, final.n_periods, 1.0), memo=memo)
         init_e = total_energy(monotonize(init_series, initial_plan)[0])
@@ -272,8 +232,6 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     and scored by total energy. Ties break lexicographically on the
     post-processed plan. Guarded to at most 7 damaged lines.
     """
-    from .postprocess import monotonize, total_energy
-
     n = len(damage.damaged_lines)
     if n > 7:
         raise ValueError("brute force limited to 7 damaged lines")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import connected_components
+from .graph import line_components
 from .lp import INF, LinearProgram, Variable
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Network, PeriodSchedule, RestorationPlan
@@ -66,17 +66,6 @@ def energized_lines(network: Network, damage: DamageScenario, plan: RestorationP
     return frozenset(out)
 
 
-def _reference_buses(network: Network, line_ids) -> list[int]:
-    """Lowest bus of each connected component of the given line subgraph.
-
-    Isolated buses form singleton components and are included.
-    """
-    edges = [(network.lines_by_id[l].from_bus, network.lines_by_id[l].to_bus)
-             for l in sorted(line_ids)]
-    comps = connected_components([b.id for b in network.buses], edges)
-    return [c[0] for c in comps]
-
-
 def _check_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
                 schedule: PeriodSchedule) -> None:
     damage.validate(network)
@@ -109,7 +98,7 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
     pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", -ln.thermal_limit, ln.thermal_limit)
           for ln in lines}
     xd = {d.id: lp.add_variable(f"XD{d.id}{tag}", 0.0, 1.0) for d in network.loads}
-    refs = set(_reference_buses(network, present))
+    refs = {c[0] for c in line_components(network, present)}
     th = {}
     for b in network.buses:
         lo, hi = (0.0, 0.0) if b.id in refs else (-INF, INF)

@@ -6,7 +6,7 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .graph import connected_components
+from .graph import line_components
 from .models import PowerServedSeries, energized_lines
 from .network import DamageScenario, Network, RestorationPlan
 
@@ -63,10 +63,7 @@ def island_metrics(network: Network, damage: DamageScenario,
     """Per-period (island count, largest island size) of the energized graph."""
     out = []
     for k in range(1, plan.n_periods + 1):
-        live = energized_lines(network, damage, plan, k)
-        edges = [(network.lines_by_id[l].from_bus, network.lines_by_id[l].to_bus)
-                 for l in sorted(live)]
-        comps = connected_components([b.id for b in network.buses], edges)
+        comps = line_components(network, energized_lines(network, damage, plan, k))
         out.append((len(comps), max(len(c) for c in comps)))
     return out
 

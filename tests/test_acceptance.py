@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from gridrestore.cli import EXIT_OK, main as cli_main
-from gridrestore.heuristics import (AlgoBudget, RadConfig, RadStats, RrrStats,
-                                    brute_force_optimal, rad, rrr, util_order)
+from gridrestore.heuristics import (AlgoBudget, RadConfig, brute_force_optimal,
+                                    rad, rrr, util_order)
 from gridrestore.lp import solve_lp
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (PowerServedSeries, build_rop, evaluate_plan,
@@ -124,9 +124,7 @@ def test_criterion_04_subproblem_scaling():
             binary_counts.append(len(art.program.binary_vars))
             return art, MipSolution(status="failure")
 
-        stats = RrrStats()
-        plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=probe,
-                   stats=stats)
+        plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=probe)
         plan.validate_against(dmg)
         assert max(binary_counts) <= 2 * n
         assert len(binary_counts) <= 2 * n - 1
@@ -194,10 +192,14 @@ def test_criterion_07_fallback_paths():
                                 objective_value=0.0, assignment=assign)
 
     net, dmg = random_scenario(61)
-    stats = RrrStats()
-    plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=delaying,
-               stats=stats)
-    assert stats.empty_first_returns >= 1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return delaying(*args)
+
+    plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=counted)
+    assert len(calls) == 1  # the empty first half ends the recursion
     assert plan == util_order(net, dmg)
     print("\ncriterion 7 (starved solver reproduces capacity order; empty "
           "first split falls back to capacity order): PASS")
@@ -216,11 +218,16 @@ def test_criterion_08_rad_behavior():
             degraded += 1
     assert degraded == 0
 
+    time_limits = []
+    block_sizes = []
+
     def failing(sub_net, sub_dmg, sched, opts):
+        time_limits.append(opts.time_limit)
         art = build_rop(sub_net, sub_dmg, sched)
         return art, MipSolution(status="failure")
 
     def identity(sub_net, sub_dmg, sched, opts):
+        block_sizes.append(len(sub_dmg.damaged_lines))
         art = build_rop(sub_net, sub_dmg, sched)
         plan = RestorationPlan.from_lists(
             [[lid] for lid in sorted(sub_dmg.damaged_lines)])
@@ -228,16 +235,18 @@ def test_criterion_08_rad_behavior():
                                 assignment=plan_to_assignment(art, plan))
 
     net, dmg = random_scenario(2)
+    rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
+        rop_solver=failing)
+    assert max(time_limits[1:]) >= 2 * time_limits[0]
+    # 12 lines: the block-size cap can grow past 5, up to n // 2 = 6
+    net = random_network(7, n_buses=8, n_lines=12)
+    dmg = DamageScenario(tuple(l.id for l in net.lines))
     initial = RestorationPlan.from_lists(
         [[lid] for lid in sorted(dmg.damaged_lines)])
-    doubling = RadStats()
-    rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-        rop_solver=failing, stats=doubling)
-    assert doubling.time_doublings >= 1
-    growing = RadStats()
-    rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-        initial=initial, rop_solver=identity, stats=growing)
-    assert growing.size_growths >= 1
+    config = RadConfig(stall_limit=6)
+    rad(net, dmg, AlgoBudget(time_limit=60), config=config, initial=initial,
+        rop_solver=identity)
+    assert max(block_sizes) > config.max_partition
     print("\ncriterion 8 (randomized decomposition: 0/50 runs degraded; both "
           "adaptation rules observed): PASS")
 

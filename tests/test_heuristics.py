@@ -4,15 +4,15 @@ import pytest
 
 import gridrestore.heuristics
 import gridrestore.lp
-from gridrestore.heuristics import (AlgoBudget, RadConfig, RadStats, RrrStats,
-                                    brute_force_optimal, rad, rrr, util_order)
+from gridrestore.heuristics import (AlgoBudget, RadConfig, brute_force_optimal,
+                                    rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
-                                plan_to_assignment)
+                                extract_plan, plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule)
 from gridrestore.postprocess import monotonize, total_energy
-from conftest import random_scenario, tiny3_network
+from conftest import random_network, random_scenario, tiny3_network
 
 
 def plan_energy(net, dmg, plan):
@@ -20,6 +20,53 @@ def plan_energy(net, dmg, plan):
     series = evaluate_plan(net, dmg, plan, sched)
     mono, _ = monotonize(series, plan)
     return total_energy(mono)
+
+
+def real_solver(net, dmg, sched, opts):
+    art = build_rop(net, dmg, sched)
+    return art, solve_mip(art.program, opts)
+
+
+def failing_solver(net, dmg, sched, opts):
+    return build_rop(net, dmg, sched), MipSolution(status="failure")
+
+
+def delaying_solver(net, dmg, sched, opts):
+    """Every line in the last period: the first half of a split is empty."""
+    art = build_rop(net, dmg, sched)
+    assign = {}
+    for lid in dmg.damaged_lines:
+        assign[art.z[(lid, 1)]] = 0
+        assign[art.z[(lid, 2)]] = 1
+    return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
+                            assignment=assign)
+
+
+def identity_solver(net, dmg, sched, opts):
+    """Optimal-status answer that orders the lines by id."""
+    art = build_rop(net, dmg, sched)
+    plan = RestorationPlan.from_lists([[lid] for lid in sorted(dmg.damaged_lines)])
+    return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
+                            assignment=plan_to_assignment(art, plan))
+
+
+def recorded(solver):
+    """A ``rop_solver`` running ``solver`` and the list of its sub-solves.
+
+    Each sub-solve appends its (artifacts, solution, options).
+    """
+    calls = []
+
+    def seam(net, dmg, sched, opts):
+        art, sol = solver(net, dmg, sched, opts)
+        calls.append((art, sol, opts))
+        return art, sol
+
+    return seam, calls
+
+
+def sorted_plan(dmg):
+    return RestorationPlan.from_lists([[lid] for lid in sorted(dmg.damaged_lines)])
 
 
 class TestUtil:
@@ -63,43 +110,58 @@ class TestRrr:
             assert plan == util_order(net, dmg)
 
     def test_failing_solver_still_partitions(self):
-        def failing(net, dmg, sched, opts):
-            art = build_rop(net, dmg, sched)
-            return art, MipSolution(status="failure")
-
         for seed in range(5):
             net, dmg = random_scenario(seed)
-            stats = RrrStats()
-            plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=failing,
-                       stats=stats)
+            seam, calls = recorded(failing_solver)
+            plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
             plan.validate_against(dmg)
-            assert stats.fallback_util_splits > 0
+            # every split falls back to halving its capacity order: n - 1
+            # splits, whose halves recurse to the capacity order itself
+            assert len(calls) == len(dmg.damaged_lines) - 1
+            assert plan == util_order(net, dmg)
 
     def test_empty_first_split_returns_capacity_order(self):
-        def delaying(net, dmg, sched, opts):
-            art = build_rop(net, dmg, sched)
-            assign = {}
-            for lid in dmg.damaged_lines:
-                assign[art.z[(lid, 1)]] = 0
-                assign[art.z[(lid, 2)]] = 1
-            return art, MipSolution(status="optimal_within_gap",
-                                    objective_value=0.0, assignment=assign)
-
         net, dmg = random_scenario(3)
-        stats = RrrStats()
-        plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=delaying,
-                   stats=stats)
-        assert stats.empty_first_returns >= 1
+        seam, calls = recorded(delaying_solver)
+        plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+        assert len(calls) == 1  # no recursion below an empty first half
         assert plan == util_order(net, dmg)
 
     def test_subsolve_instrumentation_bounds(self):
         for seed in range(5):
             net, dmg = random_scenario(seed)
             n = len(dmg.damaged_lines)
-            stats = RrrStats()
-            rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), stats=stats)
-            assert stats.subsolves <= 2 * n - 1
-            assert stats.max_binaries <= 2 * n
+            seam, calls = recorded(real_solver)
+            rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), rop_solver=seam)
+            assert 1 <= len(calls) <= 2 * n - 1
+            assert max(len(art.program.binary_vars) for art, _, _ in calls) <= 2 * n
+
+    def test_capacity_order_only_on_fallback(self, monkeypatch):
+        util_calls = []
+
+        def counting(net, dmg):
+            util_calls.append(dmg)
+            return util_order(net, dmg)
+
+        monkeypatch.setattr(gridrestore.heuristics, "util_order", counting)
+        # every split has an incumbent with a nonempty first half
+        net, dmg = random_scenario(6)
+        seam, calls = recorded(real_solver)
+        rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), rop_solver=seam)
+        assert len(calls) == 2
+        assert all(extract_plan(art, sol).periods[0] for art, sol, _ in calls)
+        assert util_calls == []
+        # one empty first half at the top
+        seam, calls = recorded(delaying_solver)
+        rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+        assert len(util_calls) == len(calls) == 1
+        # one fallback per split
+        for seed in range(5):
+            net, dmg = random_scenario(seed)
+            util_calls.clear()
+            seam, calls = recorded(failing_solver)
+            rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+            assert len(util_calls) == len(calls) == len(dmg.damaged_lines) - 1
 
 
 class TestRad:
@@ -167,33 +229,41 @@ class TestRad:
         assert with_memo < without
 
     def test_time_doubling_adaptation(self):
-        def failing(net, dmg, sched, opts):
-            art = build_rop(net, dmg, sched)
-            return art, MipSolution(status="failure")
-
         net, dmg = random_scenario(2)
-        stats = RadStats()
+        seam, calls = recorded(failing_solver)
         rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-            rop_solver=failing, stats=stats)
-        assert stats.time_doublings >= 1
+            rop_solver=seam)
+        limits = [opts.time_limit for _, _, opts in calls]
+        assert max(limits[1:]) >= 2 * limits[0]
 
     def test_partition_size_growth_adaptation(self):
-        def identity(net, dmg, sched, opts):
-            # optimal-status answer that never changes the block order
-            art = build_rop(net, dmg, sched)
-            plan = RestorationPlan.from_lists(
-                [[lid] for lid in sorted(dmg.damaged_lines)])
-            assign = plan_to_assignment(art, plan)
-            return art, MipSolution(status="optimal_within_gap",
-                                    objective_value=0.0, assignment=assign)
+        # 12 lines, so the block-size cap can grow past 5 up to n // 2 = 6;
+        # the identity answer never improves a block, so every round adapts
+        net = random_network(7, n_buses=8, n_lines=12)
+        dmg = DamageScenario(tuple(l.id for l in net.lines))
+        cfg = RadConfig(stall_limit=6)
+        seam, calls = recorded(identity_solver)
+        rad(net, dmg, AlgoBudget(time_limit=60), config=cfg,
+            initial=sorted_plan(dmg), rop_solver=seam)
+        sizes = [len(art.damage.damaged_lines) for art, _, _ in calls]
+        assert max(sizes) > cfg.max_partition
 
+    def test_growth_never_shrinks_the_block_size_cap(self):
+        # n = 4 < 2 * max_partition: a growth step must keep the cap at 5,
+        # not cut it to n // 2 = 2
         net, dmg = random_scenario(2)
-        initial = RestorationPlan.from_lists(
-            [[lid] for lid in sorted(dmg.damaged_lines)])
-        stats = RadStats()
-        rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-            initial=initial, rop_solver=identity, stats=stats)
-        assert stats.size_growths >= 1
+        assert len(dmg.damaged_lines) == 4
+        initial = sorted_plan(dmg)
+        seam, calls = recorded(identity_solver)
+        rad(net, dmg, AlgoBudget(time_limit=60), config=RadConfig(stall_limit=6),
+            initial=initial, rop_solver=seam)
+        # each round's first block holds the first line, and every round
+        # adapts: the identity answer never improves a block
+        first = initial.ordered_lines()[0]
+        starts = [i for i, (art, _, _) in enumerate(calls)
+                  if first in art.damage.damaged_lines]
+        assert len(starts) == 6
+        assert max(len(art.damage.damaged_lines) for art, _, _ in calls[starts[1]:]) > 2
 
 
 class TestBruteForce:
