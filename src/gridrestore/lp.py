@@ -1,8 +1,12 @@
 """Solver-agnostic LP representation, a bounded-variable simplex, MPS output.
 
-The solver is a dense simplex over general bounds, meant for desk-scale
-problems (a few thousand variables at most) where exactness and
-determinism matter more than speed. A cold solve is two-phase primal
+The solver is a simplex over general bounds with a dense basis inverse,
+meant for desk-scale problems (a few thousand variables at most) where
+exactness and determinism matter more than speed. The constraint matrix
+is also held compressed by column: pricing (the reduced costs and the
+dual simplex's pivot row) sums over its nonzeros only, and the entering
+column's image under the inverse reads only the inverse's columns on that
+column's rows. A cold solve is two-phase primal
 simplex from a slack basis, with Bland's anti-cycling rule engaged after
 a run of degenerate pivots, and ends by inverting its final basis afresh.
 A warm solve starts from the optimal basis of an earlier solve of the same
@@ -10,7 +14,9 @@ standard form under other bounds, as a branch-and-bound child does from
 its parent: a bound change keeps that basis dual feasible, so a bounded
 dual simplex restores primal feasibility and the primal simplex then
 finishes. The start may carry the inverse of its basis, which the solve
-copies instead of inverting; at the end the product-updated inverse is
+copies instead of inverting; without one the solve inverts it with
+``basis_inverse``, which peels the basic slack columns off and inverts
+only the block left. At the end the product-updated inverse is
 kept when the basic values it gives pass the residual check, and the
 basis is inverted afresh only when they do not. A warm basis that is
 singular, inaccurate or not dual feasible falls back to a cold solve in
@@ -18,6 +24,7 @@ the same call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,22 +87,22 @@ class LinearProgram:
             raise ValueError("variable names must be unique")
         n = len(self.variables)
         for v in self.variables:
-            if np.isnan(v.lower) or np.isnan(v.upper):
+            if math.isnan(v.lower) or math.isnan(v.upper):
                 raise ValueError(f"variable {v.name}: NaN bound")
         for c in self.constraints:
             if c.relation not in ("<=", "=", ">="):
                 raise ValueError(f"constraint {c.name}: bad relation {c.relation!r}")
-            if np.isnan(c.rhs):
+            if math.isnan(c.rhs):
                 raise ValueError(f"constraint {c.name}: NaN rhs")
             for idx, coef in c.terms:
                 if not 0 <= idx < n:
                     raise ValueError(f"constraint {c.name}: variable index {idx} out of range")
-                if np.isnan(coef):
+                if math.isnan(coef):
                     raise ValueError(f"constraint {c.name}: NaN coefficient")
         for idx, coef in self.objective_terms:
             if not 0 <= idx < n:
                 raise ValueError(f"objective: variable index {idx} out of range")
-            if np.isnan(coef):
+            if math.isnan(coef):
                 raise ValueError("objective: NaN coefficient")
 
     def objective_value(self, x) -> float:
@@ -117,12 +124,15 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Dense minimization form of an LP: min c.x s.t. A x = b, lower <= x <= upper.
+    """Minimization form of an LP: min c.x s.t. A x = b, lower <= x <= upper.
 
     Columns are the LP's variables followed by one slack per row
     (<=: [0, inf], >=: [-inf, 0], =: fixed at 0). ``c`` is the objective,
-    negated for maximization. The arrays are read-only, so solves that
-    differ only in their bounds share one form through
+    negated for maximization. ``A`` is held twice: dense, and compressed by
+    column, where the nonzeros of column j are ``nz_val[k]`` in rows
+    ``nz_row[k]`` for k in ``col_ptr[j]:col_ptr[j + 1]``, and ``nz_col[k]``
+    is j. The arrays are read-only, so solves that differ only in their
+    bounds share one form, both copies of ``A`` included, through
     ``dataclasses.replace(form, lower=..., upper=...)``.
     """
 
@@ -131,6 +141,10 @@ class StandardForm:
     c: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    nz_val: np.ndarray
+    nz_row: np.ndarray
+    nz_col: np.ndarray
+    col_ptr: np.ndarray
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
@@ -152,9 +166,47 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     sense = 1.0 if lp.objective_sense == "minimize" else -1.0
     for idx, coef in lp.objective_terms:
         c[idx] += sense * coef
-    for arr in (A, b, c, lower, upper):
+    # the nonzeros of A.T come column of A by column, rows ascending
+    nz_col, nz_row = np.nonzero(A.T)
+    nz_val = A[nz_row, nz_col]
+    col_ptr = np.zeros(n + m + 1, dtype=nz_col.dtype)
+    np.cumsum(np.bincount(nz_col, minlength=n + m), out=col_ptr[1:])
+    arrays = (A, b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)
+    for arr in arrays:
         arr.flags.writeable = False
-    return StandardForm(A, b, c, lower, upper)
+    return StandardForm(*arrays)
+
+
+def basis_inverse(form: StandardForm, columns: np.ndarray) -> np.ndarray:
+    """The inverse of ``form.A[:, columns]``, with the basic slacks peeled off.
+
+    A basic slack is the unit column of its row. Order the rows whose slack
+    is not basic first and the basic structural columns J first; the basis
+    is then ``[[A_NJ, 0], [A_SJ, I]]`` and its inverse
+    ``[[X, 0], [-A_SJ X, I]]`` with ``X = inv(A_NJ)``, so only that block is
+    inverted. Row k of the result belongs to basis position k, as in
+    ``np.linalg.inv(form.A[:, columns])``, which it equals up to rounding.
+    Raises ``numpy.linalg.LinAlgError`` when the basis is singular; two
+    basic columns that are the unit column of one row make ``A_NJ``
+    singular or not square.
+    """
+    A = form.A
+    m, nt = A.shape
+    cols = np.asarray(columns)
+    slack = cols >= nt - m
+    struct = cols[~slack]
+    slack_rows = cols[slack] - nt + m
+    free = np.ones(m, dtype=bool)
+    free[slack_rows] = False
+    X = np.linalg.inv(A[np.ix_(free, struct)])
+    pos_struct = np.flatnonzero(~slack)
+    pos_slack = np.flatnonzero(slack)
+    rows_free = np.flatnonzero(free)
+    inverse = np.zeros((m, m))
+    inverse[np.ix_(pos_struct, rows_free)] = X
+    inverse[np.ix_(pos_slack, rows_free)] = -A[np.ix_(slack_rows, struct)] @ X
+    inverse[pos_slack, slack_rows] = 1.0
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -187,7 +239,7 @@ class LpSolution:
 
 
 class _Simplex:
-    """Dense simplex over a standard form with general bounds.
+    """Simplex over a standard form with general bounds and a dense inverse.
 
     Internally minimizes. ``solve`` is the cold two-phase primal simplex:
     the slack basis plus, where a slack's bound is violated, an artificial
@@ -196,11 +248,13 @@ class _Simplex:
 
     Artificial column k is ``art_sign[k]`` times the unit vector of row
     ``art_rows[k]``, numbered after the form's columns. It is never stored
-    in ``A``, which stays the form's shared read-only matrix.
+    in ``A``, which stays the form's shared read-only matrix. ``basis``
+    holds the basic column of each row and is updated in place.
     """
 
     def __init__(self, lp: LinearProgram, form: StandardForm, iteration_limit: int):
         self.lp = lp
+        self.form = form
         self.iteration_limit = iteration_limit
         self.iterations = 0
         self.m, self.nt = form.A.shape
@@ -260,7 +314,7 @@ class _Simplex:
             x = np.concatenate([x, (b - A @ x)[self.art_rows] / self.art_sign])
         self.x = x
         self.stat = stat
-        self.basis = basis
+        self.basis = np.array(basis, dtype=np.intp)
         self.nt = nt + k
         # every basic column is +-e_pos, so the inverse is that same diagonal
         diag = np.ones(m)
@@ -289,10 +343,10 @@ class _Simplex:
         stat[fin_lo & ~(fin_up & (start.status == _AT_UPPER))] = _AT_LOWER
         stat[cols] = _BASIC
         self.stat = stat
-        self.basis = [int(j) for j in cols]
+        self.basis = cols.astype(np.intp)
         self.x = np.zeros(nt)
         if start.inverse is None:
-            self.Binv = np.linalg.inv(self.A[:, cols])
+            self.Binv = basis_inverse(self.form, cols)
         elif start.inverse.shape == (m, m):
             self.Binv = start.inverse.copy()
         else:
@@ -314,19 +368,24 @@ class _Simplex:
     # -- core pivoting -----------------------------------------------------
 
     def _price(self, y: np.ndarray) -> np.ndarray:
-        """``y`` times every column, artificial ones included."""
-        yA = y @ self.A
+        """``y`` times every column, artificial ones included, summed over
+        the nonzeros of ``A`` only."""
+        f = self.form
+        yA = np.bincount(f.nz_col, weights=y[f.nz_row] * f.nz_val,
+                         minlength=self.A.shape[1])
         if self.art_rows.size:
             yA = np.concatenate([yA, y[self.art_rows] * self.art_sign])
         return yA
 
-    def _column(self, q: int) -> np.ndarray:
+    def _ftran(self, q: int) -> np.ndarray:
+        """``Binv`` times column q, read from the columns of ``Binv`` on the
+        rows where column q is nonzero."""
+        f = self.form
         if q < self.A.shape[1]:
-            return self.A[:, q]
-        col = np.zeros(self.m)
+            k = slice(f.col_ptr[q], f.col_ptr[q + 1])
+            return self.Binv[:, f.nz_row[k]] @ f.nz_val[k]
         k = q - self.A.shape[1]
-        col[self.art_rows[k]] = self.art_sign[k]
-        return col
+        return self.art_sign[k] * self.Binv[:, self.art_rows[k]]
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = c[self.basis] @ self.Binv
@@ -375,11 +434,11 @@ class _Simplex:
             else:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
             sigma = 1.0 if d[q] < 0 else -1.0
-            w = self.Binv @ self._column(q)
+            w = self._ftran(q)
             # ratio test; ties go to the lowest leaving variable index
             gap = up[q] - lo[q] if np.isfinite(up[q]) and np.isfinite(lo[q]) else INF
             if m:
-                bvs = np.array(self.basis)
+                bvs = self.basis
                 delta = -sigma * w
                 lo_b, up_b, x_b = lo[bvs], up[bvs], x[bvs]
                 t_arr = np.full(m, INF)
@@ -411,7 +470,7 @@ class _Simplex:
             # apply the step
             x[q] += sigma * t
             x[bvs] = x_b - sigma * t * w
-            bv = self.basis[leave_pos]
+            bv = int(bvs[leave_pos])
             x[bv] = lo[bv] if delta[leave_pos] < 0 else up[bv]
             stat[bv] = _AT_LOWER if delta[leave_pos] < 0 else _AT_UPPER
             stat[q] = _BASIC
@@ -436,7 +495,7 @@ class _Simplex:
         fixed = (up - lo) <= 0
         degen_run = 0
         while True:
-            bvs = np.array(self.basis, dtype=int)
+            bvs = self.basis
             x_b = x[bvs]
             viol = np.maximum(lo[bvs] - x_b, x_b - up[bvs])
             rows = np.flatnonzero(viol > FEAS_TOL)
@@ -468,7 +527,7 @@ class _Simplex:
             else:
                 q = int(tied[np.argmax(np.abs(alpha[tied]))])
             degen_run = degen_run + 1 if tmin <= PIVOT_TOL else 0
-            w = self.Binv @ self._column(q)
+            w = self._ftran(q)
             leaving = int(bvs[r])
             bound = lo[leaving] if to_lower else up[leaving]
             step = (x_b[r] - bound) / w[r]
@@ -503,7 +562,7 @@ class _Simplex:
         inverse. Runs only while the artificial columns are pinned at zero
         (or absent), so only the form's nonbasic columns contribute."""
         nf = self.A.shape[1]
-        cols = np.array(self.basis, dtype=int)
+        cols = self.basis
         nb = np.ones(nf, dtype=bool)
         nb[cols[cols < nf]] = False
         self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[:nf][nb])
@@ -512,7 +571,7 @@ class _Simplex:
         """Invert the basis afresh and recompute the basic values, clearing
         accumulated drift."""
         nf = self.A.shape[1]
-        cols = np.array(self.basis, dtype=int)
+        cols = self.basis
         art = cols >= nf
         B = np.zeros((self.m, self.m))
         B[:, ~art] = self.A[:, cols[~art]]
@@ -577,7 +636,7 @@ class _Simplex:
         """The current basis over the standard form, each artificial column
         replaced by its row's slack (the same column up to sign)."""
         nt = self.n_struct + self.m
-        cols = np.array(self.basis, dtype=np.int32)
+        cols = self.basis.astype(np.int32)
         art = cols >= nt
         cols[art] = self.n_struct + self.art_rows[cols[art] - nt]
         stat = self.stat[:nt].copy()
@@ -599,7 +658,7 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
     Returns a proven status; deterministic for identical input. On
     iteration limit exhaustion the best point found is returned with
     status 'iteration_limit'. A singular basis ends the solve with status
-    'numerical_failure'.
+    'numerical_failure', which reports the pivots made up to then.
 
     ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
     is then neither validated nor rebuilt, and its variables' bounds are
@@ -614,22 +673,23 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
         form = standard_form(lp)
     if (form.lower > form.upper).any():
         return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
+    used = 0
+    if start is not None:
+        warm = _Simplex(lp, form, iteration_limit)
+        try:
+            sol = warm.solve_from(start)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None:
+            return sol
+        used = warm.iterations
+    cold = _Simplex(lp, form, iteration_limit)
+    cold.iterations = used
     try:
-        used = 0
-        if start is not None:
-            warm = _Simplex(lp, form, iteration_limit)
-            try:
-                sol = warm.solve_from(start)
-            except np.linalg.LinAlgError:
-                sol = None
-            if sol is not None:
-                return sol
-            used = warm.iterations
-        cold = _Simplex(lp, form, iteration_limit)
-        cold.iterations = used
         return cold.solve()
     except np.linalg.LinAlgError:
-        return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)))
+        return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)),
+                          iterations=cold.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ The MILP's standard form is built once; a node is its binary fixes. The
 root LP is the only one solved cold: the warm-start incumbent LP starts
 from the root's optimal basis, and each child LP is re-solved under its
 fixes from its parent's optimal basis by the LP core's dual simplex. The
-parent basis is inverted once per branching and both children copy that
-inverse; heap entries hold bases without inverses.
+parent basis is inverted once per branching, by ``basis_inverse``, which
+inverts only the block its basic slacks leave, and both children copy
+that inverse. The root's inverse is made once: the warm-start incumbent
+LP and the root's children share it. Heap entries hold bases without
+inverses.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import (INF, LinearProgram, StandardForm, mps_column_name, solve_lp,
-                 standard_form, write_mps)
+from .lp import (INF, Basis, LinearProgram, StandardForm, basis_inverse,
+                 mps_column_name, solve_lp, standard_form, write_mps)
 
 INT_TOL = 1e-6
 
@@ -84,6 +87,16 @@ def _with_fixes(form: StandardForm, fixes: dict[int, float]) -> StandardForm:
     return replace(form, lower=lower, upper=upper)
 
 
+def _inverse_start(form: StandardForm, basis: Basis) -> Basis:
+    """``basis`` carrying its inverse, for sibling solves to copy. A singular
+    basis goes without one, which leaves each solve from it to invert or
+    solve cold itself."""
+    try:
+        return replace(basis, inverse=basis_inverse(form, basis.columns))
+    except np.linalg.LinAlgError:
+        return basis
+
+
 def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
@@ -105,6 +118,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     incumbent_obj = None
     incumbent_x = None
     unresolved: list[float] = []  # parent bounds of children left unsolved
+    root_start = None  # the root's inverse-carrying start, until the root is popped
 
     root = solve_lp(mip.base, opts.iteration_limit, form=form)
     nodes_solved = 1
@@ -119,8 +133,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
         fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
         if len(fixes) == len(binaries):
             # from the root's basis; cold when the root LP is not optimal
+            if root.basis is not None:
+                root_start = _inverse_start(form, root.basis)
             sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes),
-                           start=root.basis)
+                           start=root_start)
             nodes_solved += 1
             if sol.status == "optimal":
                 incumbent_obj = sol.objective_value
@@ -152,6 +168,8 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             return _timeout_result(mip, incumbent_obj, incumbent_x, current_bound(),
                                    start, nodes_solved)
         _, _, fixes, relax = heapq.heappop(heap)
+        # the root is popped first: only then can root_start be set
+        parent, root_start = root_start, None
         bound = relax.objective_value
         if incumbent_obj is not None:
             slack = max(opts.rel_gap * abs(incumbent_obj), abs_tol)
@@ -173,13 +191,9 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
                 incumbent_obj = bound
                 incumbent_x = relax.primal
             continue
-        # one inversion of the parent basis serves both children, which copy
-        # it; a singular one leaves each child to invert or solve cold itself
-        try:
-            inverse = np.linalg.inv(form.A[:, relax.basis.columns])
-        except np.linalg.LinAlgError:
-            inverse = None
-        parent = replace(relax.basis, inverse=inverse)
+        # one inversion of the parent basis serves both children
+        if parent is None:
+            parent = _inverse_start(form, relax.basis)
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
             child = solve_lp(mip.base, opts.iteration_limit,

@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import linprog
 
 import gridrestore.lp as lp_module
-from gridrestore.lp import (INF, Basis, LinearProgram, Variable, mps_column_name,
-                            mps_row_name, solve_lp, standard_form, write_mps)
+from gridrestore.lp import (INF, Basis, LinearProgram, Variable, basis_inverse,
+                            mps_column_name, mps_row_name, solve_lp, standard_form,
+                            write_mps)
 from gridrestore.milp import MixedIntegerProgram
 from gridrestore.models import build_rip, build_rop
 from gridrestore.network import (DamageScenario, RestorationPlan,
@@ -155,17 +156,48 @@ class TestBasics:
             assert sol.status == "iteration_limit"
 
     def test_singular_basis_is_a_status(self, monkeypatch):
+        raised_at = []
+
         def singular(self):
+            raised_at.append(self.iterations)
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(lp_module._Simplex, "_refactorize", singular)
         lp = LinearProgram()
         lp.add_variable("x", 0.0, 4.0)
         lp.add_constraint("c", [(0, 1.0)], "<=", 3.0)
         lp.set_objective("maximize", [(0, 1.0)])
+        pivots = solve_lp(lp).iterations
+        # max x s.t. x + y <= 1, y >= 0.6; the child x <= 0.2 takes a dual pivot
+        lp2 = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                        [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp2)
+        parent = solve_lp(lp2, form=form)
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", singular)
         sol = solve_lp(lp)
         assert sol.status == "numerical_failure"
         assert sol.primal.shape == (1,)
+        # the cold solve refactorizes after its last pivot
+        assert pivots > 0
+        assert raised_at == [pivots]
+        assert sol.iterations == pivots
+
+        # a warm solve whose result is discarded: the cold solve after it
+        # raises at the end of phase 1, and both solves' pivots count
+        real_solve_from = lp_module._Simplex.solve_from
+        warm_pivots = []
+
+        def discarded(self, start):
+            real_solve_from(self, start)
+            warm_pivots.append(self.iterations)
+            return None
+
+        monkeypatch.setattr(lp_module._Simplex, "solve_from", discarded)
+        raised_at.clear()
+        sol = solve_lp(lp2, form=tightened(form, 0, 0.0, 0.2), start=parent.basis)
+        assert sol.status == "numerical_failure"
+        assert len(raised_at) == 1
+        assert raised_at[0] > warm_pivots[0] > 0
+        assert sol.iterations == raised_at[0]
 
     def test_crossed_bounds_infeasible(self):
         lp = simple_lp("maximize", [(0, 1.0)], [("x", 2.0, 1.0)], [])
@@ -234,6 +266,14 @@ def assert_same_result(warm, cold):
     if cold.status == "optimal":
         assert warm.objective_value == pytest.approx(cold.objective_value,
                                                      rel=1e-9, abs=1e-9)
+
+
+def rop_forms(meshed_scenarios):
+    """(MILP, standard form) of the full ROP of each meshed scenario."""
+    for net, dmg in meshed_scenarios:
+        n = len(dmg.damaged_lines)
+        mip = build_rop(net, dmg, build_schedule(n, n)).program
+        yield mip, standard_form(mip.base)
 
 
 class TestWarmStart:
@@ -311,14 +351,11 @@ class TestWarmStart:
 
     def test_siblings_share_one_parent_inverse(self, meshed_scenarios):
         pivoted = 0
-        for net, dmg in meshed_scenarios:
-            n = len(dmg.damaged_lines)
-            mip = build_rop(net, dmg, build_schedule(n, n)).program
-            form = standard_form(mip.base)
+        for mip, form in rop_forms(meshed_scenarios):
             parent = solve_lp(mip.base, form=form)
             assert parent.status == "optimal"
             shared = replace(parent.basis,
-                             inverse=np.linalg.inv(form.A[:, parent.basis.columns]))
+                             inverse=basis_inverse(form, parent.basis.columns))
             before = shared.inverse.copy()
             fractional = [j for j in sorted(mip.binary_vars)
                           if 1e-6 < parent.primal[j] < 1 - 1e-6][:3]
@@ -420,6 +457,118 @@ class TestInverseUpdate:
         np.testing.assert_array_equal(simplex.Binv, dense_update(Binv, pos, w))
         B[:, pos] = a
         np.testing.assert_allclose(simplex.Binv @ B, np.eye(m), atol=1e-12)
+
+
+def check_compressed(form):
+    """The compressed-column arrays of ``form`` list exactly the nonzeros of A."""
+    m, nt = form.A.shape
+    A = np.zeros((m, nt))
+    A[form.nz_row, form.nz_col] = form.nz_val
+    np.testing.assert_array_equal(A, form.A)
+    assert form.nz_val.size == np.count_nonzero(form.A)
+    assert form.col_ptr[0] == 0 and form.col_ptr[-1] == form.nz_val.size
+    np.testing.assert_array_equal(form.nz_col, np.repeat(np.arange(nt), np.diff(form.col_ptr)))
+    for arr in (form.nz_val, form.nz_row, form.nz_col, form.col_ptr):
+        assert not arr.flags.writeable
+    shared = tightened(form, 0, 0.0, 0.0)
+    assert shared.nz_val is form.nz_val and shared.col_ptr is form.col_ptr
+
+
+def rop_node_bases(mip, form):
+    """The root's optimal basis and those of its children on 3 fractional binaries."""
+    root = solve_lp(mip.base, form=form)
+    assert root.status == "optimal"
+    bases = [root.basis]
+    fractional = [j for j in sorted(mip.binary_vars)
+                  if 1e-6 < root.primal[j] < 1 - 1e-6][:3]
+    for j in fractional:
+        for value in (0.0, 1.0):
+            child = solve_lp(mip.base, form=tightened(form, j, value, value),
+                             start=root.basis)
+            if child.status == "optimal":
+                bases.append(child.basis)
+    return bases
+
+
+def dense_lp(seed, m):
+    """LP of m dense rows over m + 2 variables, for bases of any mix of
+    structural and slack columns."""
+    rng = np.random.default_rng(seed)
+    return simple_lp("minimize", [], [(f"x{j}", 0.0, 1.0) for j in range(m + 2)],
+                     [([(j, float(a)) for j, a in enumerate(rng.uniform(-1, 1, m + 2))],
+                       "<=", 1.0) for _ in range(m)])
+
+
+def assert_inverts(form, cols):
+    B = form.A[:, cols]
+    inverse = basis_inverse(form, cols)
+    np.testing.assert_allclose(inverse, np.linalg.inv(B), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(inverse @ B, np.eye(len(cols)), rtol=0, atol=1e-9)
+
+
+class TestSparseKernels:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_compressed_columns_scatter_back(self, seed):
+        check_compressed(standard_form(feasible_lp(seed)))
+
+    def test_rop_compressed_columns_scatter_back(self, meshed_scenarios):
+        for _, form in rop_forms(meshed_scenarios):
+            check_compressed(form)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_price_and_ftran_match_dense(self, seed):
+        # after the cold start, with its artificial columns, and a dense
+        # stand-in for the inverse
+        lp = feasible_lp(seed)
+        form = standard_form(lp)
+        simplex = lp_module._Simplex(lp, form, 100)
+        simplex._cold_start()
+        m, nf = form.A.shape
+        art = np.zeros((m, simplex.art_rows.size))
+        art[simplex.art_rows, np.arange(simplex.art_rows.size)] = simplex.art_sign
+        full = np.hstack([form.A, art])
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-5, 5, m)
+        expected = y @ full
+        np.testing.assert_allclose(simplex._price(y), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+        simplex.Binv = rng.uniform(-1, 1, (m, m))
+        for q in range(full.shape[1]):
+            expected = simplex.Binv @ full[:, q]
+            np.testing.assert_allclose(simplex._ftran(q), expected, rtol=0,
+                                       atol=1e-12 * max(np.abs(expected).max(), 1.0))
+
+    def test_basis_inverse_on_rop_node_bases(self, meshed_scenarios):
+        for mip, form in rop_forms(meshed_scenarios):
+            m, nt = form.A.shape
+            bases = rop_node_bases(mip, form)
+            assert len(bases) >= 3
+            for basis in bases:
+                slacks = (basis.columns >= nt - m).sum()
+                assert 0 < slacks < m
+                assert_inverts(form, basis.columns)
+            assert_inverts(form, np.arange(nt - m, nt))  # the all-slack basis
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_basis_inverse_on_any_mix_of_slacks(self, seed):
+        m = 4 + seed
+        form = standard_form(dense_lp(seed, m))
+        rng = np.random.default_rng(seed)
+        for n_slack in range(m + 1):  # no basic slack up to all slacks
+            slacks = rng.choice(m, n_slack, replace=False)
+            struct = rng.choice(m + 2, m - n_slack, replace=False)
+            cols = rng.permutation(np.concatenate([struct, m + 2 + slacks]))
+            assert_inverts(form, cols)
+
+    def test_two_unit_columns_on_one_row_are_singular(self):
+        # x appears in row 0 alone with coefficient 1: the column of slack 0
+        lp = simple_lp("maximize", [(0, 1.0), (1, 1.0)],
+                       [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0)], "<=", 1.0), ([(1, 2.0)], "<=", 1.0)])
+        form = standard_form(lp)
+        for cols in ([0, 2], [2, 0], [2, 2]):
+            with pytest.raises(np.linalg.LinAlgError):
+                basis_inverse(form, np.array(cols))
 
 
 # -- minimal MPS reader used only to verify the writer ----------------------

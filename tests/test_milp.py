@@ -230,17 +230,67 @@ class TestBranchAndBound:
         # the root is cold; the warm-start LP and every child start warm
         assert calls[0][1] is None
         assert all(start is not None for _, start in calls[1:])
-        # the warm-start LP starts from the root's basis and inverts it itself
-        assert calls[1][1] is results[0].basis
-        assert calls[1][1].inverse is None
-        # siblings share one start carrying the parent's inverse
+        # the warm-start LP starts from the root's basis, carrying its inverse
+        incumbent_start = calls[1][1]
+        np.testing.assert_array_equal(incumbent_start.columns, results[0].basis.columns)
+        assert incumbent_start.inverse is not None
+        # siblings share one start carrying the parent's inverse; the root's
+        # children share the warm-start LP's
         children = [start for _, start in calls[2:]]
         assert len(children) % 2 == 0
+        if children:
+            assert children[0].inverse is incumbent_start.inverse
         for first, second in zip(children[::2], children[1::2]):
             assert first is second
             assert first.inverse is not None
         # no solution, and so no heap entry, holds an inverse
         assert all(r.basis is None or r.basis.inverse is None for r in results)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_inverse_per_branching(self, monkeypatch, seed):
+        # the root's inverse, made for the warm-start LP, serves the root's
+        # children too: k > 0 branchings take k inversions, none take that one
+        mip, _, assign = self._feasible_seed(20 + 10 * seed)
+        inverses = []
+        real_inverse = gridrestore.lp.basis_inverse
+
+        def counting(form, columns):
+            inverses.append(None)
+            return real_inverse(form, columns)
+
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
+        monkeypatch.setattr(gridrestore.milp, "basis_inverse", counting)
+        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
+        # the root, the warm-start LP, then two children per branching
+        branchings = (sol.nodes - 2) // 2
+        assert sol.nodes == 2 + 2 * branchings
+        assert len(inverses) == max(branchings, 1)
+
+    def test_singular_parent_leaves_children_to_invert(self, monkeypatch,
+                                                       meshed_scenarios):
+        net, dmg = meshed_scenarios[1]
+        n = len(dmg.damaged_lines)
+        mip = build_rop(net, dmg, build_schedule(n, n)).program
+        opts = SolveOptions(time_limit=30, rel_gap=0.0)
+        expected = solve_mip(mip, opts)
+        starts = []
+
+        def singular(form, columns):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def recording(lp, *args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.milp, "basis_inverse", singular)
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
+        sol = solve_mip(mip, opts)
+        # each child gets the bare parent basis and inverts it itself
+        assert len(starts) == sol.nodes > 1
+        assert all(start.inverse is None for start in starts[1:])
+        assert (sol.status, sol.nodes, sol.assignment) == \
+            (expected.status, expected.nodes, expected.assignment)
+        assert sol.objective_value == expected.objective_value
 
     def test_rop_node_bounds_warm_matches_cold(self, meshed_scenarios):
         for net, dmg in meshed_scenarios:
