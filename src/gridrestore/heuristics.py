@@ -169,7 +169,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     # one evaluation memo for the whole call. A period LP depends only on
     # the buses, generators, loads and energized lines, and
     # _subnetwork_without changes none of these for the lines that stay
-    # energized, so block and full-network evaluations share entries.
+    # energized, so block and full-network evaluations share period
+    # results; each sub-network keeps a shared period LP of its own there,
+    # and each block a base.
     memo: dict = {}
 
     while stall < config.stall_limit and time.monotonic() < deadline:
@@ -242,7 +244,7 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     best_plan = None
     best_key = None
     seen: set = set()
-    memo: dict = {}  # energized line set -> period result, this network only
+    memo: dict = {}  # this network's shared period LP, base and period results
     for perm in itertools.permutations(sorted(damage.damaged_lines)):
         periods = []
         prev = 0

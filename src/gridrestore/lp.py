@@ -25,6 +25,7 @@ the same call.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,10 +253,12 @@ class _Simplex:
     holds the basic column of each row and is updated in place.
     """
 
-    def __init__(self, lp: LinearProgram, form: StandardForm, iteration_limit: int):
+    def __init__(self, lp: LinearProgram, form: StandardForm, iteration_limit: int,
+                 deadline: float | None = None):
         self.lp = lp
         self.form = form
         self.iteration_limit = iteration_limit
+        self.deadline = deadline
         self.iterations = 0
         self.m, self.nt = form.A.shape
         self.n_struct = self.nt - self.m
@@ -412,6 +415,11 @@ class _Simplex:
             wq[pos] = 0.0
             Binv -= np.outer(wq, Binv[pos, :])
 
+    def _out_of_pivots(self) -> bool:
+        """The iteration limit is used up or the deadline has passed."""
+        return self.iterations >= self.iteration_limit or (
+            self.deadline is not None and time.monotonic() > self.deadline)
+
     def _solve_phase(self, c: np.ndarray) -> str:
         """Minimize c over the current basis; returns 'optimal'/'unbounded'/'limit'."""
         m = self.m
@@ -419,7 +427,7 @@ class _Simplex:
         degen_run = 0
         fixed = (up - lo) <= 0  # cannot move; never eligible to enter
         while True:
-            if self.iterations >= self.iteration_limit:
+            if self._out_of_pivots():
                 return "limit"
             self.iterations += 1
             d = self._reduced_costs(c)
@@ -483,7 +491,8 @@ class _Simplex:
 
         Returns 'optimal' once every basic value is within its bounds,
         'infeasible' when the leaving row proves no point is, 'unsure' when
-        that row can neither pivot nor prove it, and 'limit'. The leaving
+        that row can neither pivot nor prove it, and 'limit' when the
+        iteration limit or the deadline leaves no pivot. The leaving
         row has the largest bound violation and the entering column the
         smallest |d_j / alpha_rj|; among tied columns the largest |alpha_rj|
         wins, which keeps the primal step short and most dual-degenerate
@@ -501,7 +510,7 @@ class _Simplex:
             rows = np.flatnonzero(viol > FEAS_TOL)
             if not rows.size:
                 return "optimal"
-            if self.iterations >= self.iteration_limit:
+            if self._out_of_pivots():
                 return "limit"
             self.iterations += 1
             if degen_run >= DEGEN_THRESHOLD:
@@ -551,10 +560,13 @@ class _Simplex:
         return bool(most < shortfall - INFEAS_TOL)
 
     def _accurate(self) -> bool:
-        x = self.x
+        """Whether ``x`` is finite and ``|Ax - b|`` passes the residual check;
+        ``Ax`` is summed over the nonzeros of ``A`` only."""
+        x, f = self.x, self.form
         if not np.isfinite(x).all():
             return False
-        resid = np.abs(self.A @ x - self.b).max(initial=0.0)
+        Ax = np.bincount(f.nz_row, weights=f.nz_val * x[f.nz_col], minlength=self.m)
+        resid = np.abs(Ax - self.b).max(initial=0.0)
         return bool(resid <= RESID_TOL * (1.0 + np.abs(self.b).max(initial=0.0)))
 
     def _basic_values(self) -> None:
@@ -652,13 +664,17 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
-             form: StandardForm | None = None, start: Basis | None = None) -> LpSolution:
+             form: StandardForm | None = None, start: Basis | None = None,
+             deadline: float | None = None) -> LpSolution:
     """Solve an LP with the internal bounded-variable simplex.
 
     Returns a proven status; deterministic for identical input. On
     iteration limit exhaustion the best point found is returned with
-    status 'iteration_limit'. A singular basis ends the solve with status
-    'numerical_failure', which reports the pivots made up to then.
+    status 'iteration_limit'. ``deadline``, a ``time.monotonic()`` value,
+    ends the solve the same way once it has passed; without one only the
+    iteration limit bounds the solve. A singular basis ends the
+    solve with status 'numerical_failure', which reports the pivots made
+    up to then.
 
     ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
     is then neither validated nor rebuilt, and its variables' bounds are
@@ -675,7 +691,7 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
         return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
     used = 0
     if start is not None:
-        warm = _Simplex(lp, form, iteration_limit)
+        warm = _Simplex(lp, form, iteration_limit, deadline)
         try:
             sol = warm.solve_from(start)
         except np.linalg.LinAlgError:
@@ -683,7 +699,7 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
         if sol is not None:
             return sol
         used = warm.iterations
-    cold = _Simplex(lp, form, iteration_limit)
+    cold = _Simplex(lp, form, iteration_limit, deadline)
     cold.iterations = used
     try:
         return cold.solve()

@@ -101,16 +101,17 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
     The warm start, if feasible, becomes the initial incumbent. The time
-    limit is checked between node solves only, so the overshoot is at
-    most one LP solve. A time limit with no incumbent yields 'failure'.
-    A child whose LP ends neither optimal nor infeasible (iteration limit,
-    numerical failure) stays open at its parent's bound; the search then
-    proves nothing and ends 'feasible_time_limit', or 'failure' with no
-    incumbent.
+    limit is checked between node solves and is every LP's deadline, so an
+    LP that runs past it ends 'iteration_limit'. A time limit with no
+    incumbent yields 'failure'. A child whose LP ends neither optimal nor
+    infeasible (iteration limit, deadline, numerical failure) stays open
+    at its parent's bound; the search then proves nothing and ends
+    'feasible_time_limit', or 'failure' with no incumbent.
     """
     mip.base.validate()
     form = standard_form(mip.base)
     start = time.monotonic()
+    deadline = start + opts.time_limit
     sense_max = mip.base.objective_sense == "maximize"
     better = (lambda a, b: a > b) if sense_max else (lambda a, b: a < b)
     binaries = sorted(mip.binary_vars)
@@ -120,7 +121,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     unresolved: list[float] = []  # parent bounds of children left unsolved
     root_start = None  # the root's inverse-carrying start, until the root is popped
 
-    root = solve_lp(mip.base, opts.iteration_limit, form=form)
+    root = solve_lp(mip.base, opts.iteration_limit, form=form, deadline=deadline)
     nodes_solved = 1
     if root.status == "infeasible":
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,
@@ -136,7 +137,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             if root.basis is not None:
                 root_start = _inverse_start(form, root.basis)
             sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes),
-                           start=root_start)
+                           start=root_start, deadline=deadline)
             nodes_solved += 1
             if sol.status == "optimal":
                 incumbent_obj = sol.objective_value
@@ -164,7 +165,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     abs_tol = 1e-9
 
     while heap:
-        if time.monotonic() - start > opts.time_limit:
+        if time.monotonic() > deadline:
             return _timeout_result(mip, incumbent_obj, incumbent_x, current_bound(),
                                    start, nodes_solved)
         _, _, fixes, relax = heapq.heappop(heap)
@@ -197,7 +198,8 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
             child = solve_lp(mip.base, opts.iteration_limit,
-                             form=_with_fixes(form, child_fixes), start=parent)
+                             form=_with_fixes(form, child_fixes), start=parent,
+                             deadline=deadline)
             nodes_solved += 1
             if child.status == "infeasible":
                 continue

@@ -6,13 +6,21 @@ is that model over each period's energized lines; the restoration
 ordering MILP (ROP) is the same model in every period with the damaged
 lines switchable, whose status binaries pick the period in which each
 damaged line comes back.
+
+``evaluate_plan`` solves the RIP period by period on one shared period LP
+per network, built over every line: a period's topology is a change of
+bounds that takes the lines that are out away, and each topology is
+re-solved from the optimal basis of one base topology, the undamaged
+lines alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .graph import line_components
-from .lp import INF, LinearProgram, Variable
+from .lp import INF, Basis, LinearProgram, StandardForm, Variable, standard_form
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Network, PeriodSchedule, RestorationPlan
 
@@ -257,39 +265,122 @@ def fix_plan_in_rop(artifacts: RopArtifacts, plan: RestorationPlan) -> MixedInte
     return MixedIntegerProgram(base=fixed, binary_vars=artifacts.program.binary_vars)
 
 
+@dataclass(frozen=True)
+class _SharedPeriod:
+    """One network's period LP over every line, shared by all its topologies.
+
+    Line ``ids[i]`` has its flow in column ``flow_cols[i]`` and the
+    slack of its flow row in column ``row_slacks[i]`` of ``form``. ``xd``
+    maps each load id to its load-fraction column.
+    """
+
+    lp: LinearProgram
+    form: StandardForm
+    xd: dict
+    ids: tuple[int, ...]
+    flow_cols: np.ndarray
+    row_slacks: np.ndarray
+
+    def bounds(self, live: frozenset[int]) -> StandardForm:
+        """``form`` with only the lines in ``live`` present.
+
+        A line that is out has its flow fixed at 0 and its flow row's slack
+        freed, which drops that row. Reference angles stay pinned per
+        component of every line, so an island that the outages create has
+        free angles; shifting the angles of a component changes no flow,
+        so the optimum is that of the LP over the live lines alone.
+        """
+        out = np.array([lid not in live for lid in self.ids], dtype=bool)
+        lower, upper = self.form.lower.copy(), self.form.upper.copy()
+        lower[self.flow_cols[out]] = upper[self.flow_cols[out]] = 0.0
+        lower[self.row_slacks[out]], upper[self.row_slacks[out]] = -INF, INF
+        return replace(self.form, lower=lower, upper=upper)
+
+
+def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
+    """The network's shared period LP, built once per line set and memo."""
+    ids = tuple(ln.id for ln in network.lines)
+    shared = memo.get(("form", ids))
+    if shared is None:
+        lp = LinearProgram()
+        xd, _ = _period_dcopf(lp, network, frozenset(ids))
+        lp.validate()
+        col = {v.name: j for j, v in enumerate(lp.variables)}
+        row = {c.name: len(lp.variables) + i for i, c in enumerate(lp.constraints)}
+        shared = _SharedPeriod(lp, standard_form(lp), xd, ids,
+                               np.array([col[f"PL{lid}"] for lid in ids], dtype=int),
+                               np.array([row[f"flow{lid}"] for lid in ids], dtype=int))
+        memo[("form", ids)] = shared
+    return shared
+
+
+def _period_result(network: Network, shared: _SharedPeriod, sol) -> tuple[float, dict]:
+    fr = {lid: min(max(float(sol.primal[j]), 0.0), 1.0) for lid, j in shared.xd.items()}
+    return sum(fr[d.id] * d.p_demand for d in network.loads), fr
+
+
+def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[int],
+                memo: dict, solve_lp) -> Basis | None:
+    """The optimal basis of the base topology, the undamaged lines alone.
+
+    Solved cold once per line set and undamaged set, and memoized with its
+    result like any other topology. None when that LP is not optimal: the
+    periods then solve cold.
+    """
+    key = ("base", shared.ids, undamaged)
+    if key not in memo:
+        sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
+        memo[key] = sol.basis
+        if sol.status == "optimal":
+            memo.setdefault(undamaged, _period_result(network, shared, sol))
+    return memo[key]
+
+
 def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
                   schedule: PeriodSchedule, memo: dict | None = None) -> PowerServedSeries:
     """Maximum power deliverable in each period under a fixed plan.
 
     Periods are independent, so each one is solved as its own
-    single-period LP. ``memo``, if given, maps the frozenset of energized
-    line ids of a period to its ``(delivered, load fractions)``; it is
-    read before and filled after each solve. A period LP depends only on
-    the buses, generators, loads and energized lines, so a memo is valid
-    for one network and for copies of it that drop lines (which are then
-    never energized): callers create one per network and pass it to every
-    evaluation on it and on such copies.
+    single-period LP. All of them are one shared LP over every line of
+    the network, the period's topology a change of its bounds. Each
+    topology is re-solved from the optimal basis of the base topology,
+    the undamaged lines alone, which is solved cold first. Restoring
+    lines only unfixes flow columns and fixes row slacks, so that basis
+    stays dual feasible, and as the start is the same for every period, a
+    result does not depend on the order of evaluation.
+
+    ``memo``, if given, holds that state across calls: the shared LP
+    keyed by ``("form", line ids)``, the base basis keyed by ``("base",
+    line ids, undamaged line ids)``, and per topology, keyed by the
+    frozenset of energized line ids, its ``(delivered, load fractions)``.
+    It is read before and filled after each solve. A period LP depends
+    only on the buses, generators, loads and energized lines, so a memo is
+    valid for one network and for copies of it that drop lines (which get
+    a shared LP and base of their own): callers create one per network and
+    pass it to every evaluation on it and on such copies.
     """
     # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
-    # double, a tracing wrapper) sees every period LP
+    # double, a tracing wrapper) sees every period LP, base LPs included
     from .lp import solve_lp
 
     _check_plan(network, damage, plan, schedule)
+    memo = {} if memo is None else memo
+    shared = _shared_period(network, memo)
+    undamaged = energized_lines(network, damage, plan, 0)
     delivered = []
     fractions = []
     for k in range(1, schedule.n_periods + 1):
         live = energized_lines(network, damage, plan, k)
-        hit = memo.get(live) if memo is not None else None
+        hit = memo.get(live)
         if hit is None:
-            lp = LinearProgram()
-            xd, _ = _period_dcopf(lp, network, live)
-            sol = solve_lp(lp)
+            start = _base_start(network, shared, undamaged, memo, solve_lp)
+            # the base solve is this period's when live is the base topology
+            hit = memo.get(live)
+        if hit is None:
+            sol = solve_lp(shared.lp, form=shared.bounds(live), start=start)
             if sol.status != "optimal":
                 raise PlanEvaluationError(k, sol.status)
-            fr = {lid: min(max(float(sol.primal[j]), 0.0), 1.0) for lid, j in xd.items()}
-            hit = (sum(fr[d.id] * d.p_demand for d in network.loads), fr)
-            if memo is not None:
-                memo[live] = hit
+            hit = memo[live] = _period_result(network, shared, sol)
         delivered.append(hit[0])
         fractions.append(dict(hit[1]))
     return PowerServedSeries(tuple(delivered), tuple(schedule.delta), tuple(fractions))

@@ -208,17 +208,32 @@ class TestRad:
             return plan, len(calls)
 
         topologies = set()
+        bases = set()
+        solved_twice = []  # base topologies solved before their base
 
         def recording(network, damage, plan, schedule, memo=None):
-            topologies.update(energized_lines(network, damage, plan, k)
-                              for k in range(1, schedule.n_periods + 1))
+            live = [energized_lines(network, damage, plan, k)
+                    for k in range(1, schedule.n_periods + 1)]
+            undamaged = energized_lines(network, damage, plan, 0)
+            key = (tuple(ln.id for ln in network.lines), undamaged)
+            # the first topology a call misses makes it solve the base of its
+            # line set and damage, once per memo
+            if not topologies.issuperset(live) and key not in bases:
+                bases.add(key)
+                if undamaged in topologies:
+                    solved_twice.append(key)
+                topologies.add(undamaged)
+            topologies.update(live)
             return evaluate_plan(network, damage, plan, schedule, memo=memo)
 
         monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", recording)
         plan, with_memo = run()
-        # block and safeguard evaluations share the memo: one LP per topology
-        assert with_memo == len(topologies)
+        # block and safeguard evaluations share the memo: one LP per topology,
+        # bases included, plus each base whose topology another base or period
+        # had solved already
+        assert len(bases) > 1
+        assert with_memo == len(topologies) + len(solved_twice)
 
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)
@@ -313,7 +328,10 @@ class TestBruteForce:
 
         monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
         plan, energy = brute_force_optimal(net, dmg, sched)
-        assert len(calls) == len(topologies)
+        # one LP per topology and one for the base, the undamaged lines alone,
+        # which is no period here
+        assert energized_lines(net, dmg, plans[0], 0) not in topologies
+        assert len(calls) == len(topologies) + 1
 
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,56 @@ class TestWarmStart:
         else:
             assert len(cold) == 1  # the cold solve refactorizes too
             assert len(refactorized) >= 2
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_past_deadline_stops_a_cold_solve(self, seed):
+        lp = feasible_lp(seed)
+        sol = solve_lp(lp, deadline=time.monotonic() - 1.0)
+        assert (sol.status, sol.iterations) == ("iteration_limit", 0)
+
+    def test_past_deadline_stops_the_dual_simplex(self):
+        # max x s.t. x + y <= 1, y >= 0.6; the child x <= 0.2 takes a dual pivot
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        child = tightened(form, 0, 0.0, 0.2)
+        late = solve_lp(lp, form=child, start=parent.basis, deadline=time.monotonic() - 1.0)
+        assert (late.status, late.iterations) == ("iteration_limit", 0)
+        on_time = solve_lp(lp, form=child, start=parent.basis,
+                           deadline=time.monotonic() + 60.0)
+        assert on_time.status == "optimal"
+        assert on_time.objective_value == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_later_deadline_changes_nothing(self, seed):
+        lp = feasible_lp(seed)
+        free = solve_lp(lp)
+        timed = solve_lp(lp, deadline=time.monotonic() + 3600.0)
+        assert (timed.status, timed.iterations) == (free.status, free.iterations)
+        np.testing.assert_array_equal(timed.primal, free.primal)
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sparse_residual_matches_dense(self, seed):
+        # the check sums A x over the nonzeros; the dense product is the reference
+        lp = feasible_lp(seed)
+        form = standard_form(lp)
+        sol = solve_lp(lp, form=form)
+        assert sol.status == "optimal"
+        x = np.concatenate([sol.primal, form.b - form.A[:, :len(sol.primal)] @ sol.primal])
+        simplex = lp_module._Simplex(lp, form, 100)
+        rng = np.random.default_rng(seed)
+        scale = lp_module.RESID_TOL * (1.0 + np.abs(form.b).max())
+        for size in (0.0, 0.1 * scale, 10.0 * scale):
+            simplex.x = x + size * rng.standard_normal(x.size)
+            dense = np.abs(form.A @ simplex.x - form.b).max()
+            assert simplex._accurate() == bool(dense <= scale)
+        simplex.x = np.full(x.size, np.nan)
+        assert not simplex._accurate()
 
 
 def dense_update(Binv, pos, w):

@@ -1,11 +1,14 @@
 import os
 import random
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import gridrestore.lp
 import gridrestore.milp
 from gridrestore.lp import (INF, LinearProgram, LpSolution, mps_column_name, solve_lp,
                             standard_form)
@@ -212,9 +215,12 @@ class TestBranchAndBound:
         assert sol.best_bound == INF
         assert sol.gap == INF
 
+    # instances whose root branches under their optimal warm start
+    BRANCHING_STARTS = (100, 180, 40, 50, 60, 70)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_every_node_is_one_lp_call(self, monkeypatch, seed):
-        mip, _, assign = self._feasible_seed(20 + 10 * seed)
+        mip, _, assign = self._feasible_seed(self.BRANCHING_STARTS[seed])
         calls = []
         results = []
 
@@ -238,8 +244,8 @@ class TestBranchAndBound:
         # children share the warm-start LP's
         children = [start for _, start in calls[2:]]
         assert len(children) % 2 == 0
-        if children:
-            assert children[0].inverse is incumbent_start.inverse
+        assert children, "the root must branch for the checks below to bite"
+        assert children[0].inverse is incumbent_start.inverse
         for first, second in zip(children[::2], children[1::2]):
             assert first is second
             assert first.inverse is not None
@@ -265,6 +271,38 @@ class TestBranchAndBound:
         branchings = (sol.nodes - 2) // 2
         assert sol.nodes == 2 + 2 * branchings
         assert len(inverses) == max(branchings, 1)
+
+    def test_long_child_lp_keeps_the_deadline(self, monkeypatch):
+        # the LP core's clock jumps past the deadline as each child LP starts,
+        # as if the child ran long: it ends iteration_limit, and the search
+        # returns at once with its incumbent and the root's bound
+        mip = knapsack()
+        now = [time.monotonic()]
+        monkeypatch.setattr(gridrestore.lp, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        deadlines, results = [], []
+
+        def long_children(lp, *args, **kwargs):
+            deadlines.append(kwargs["deadline"])
+            if len(deadlines) > 2:  # after the root and the warm-start LP
+                now[0] = kwargs["deadline"] + 1.0
+            results.append(solve_lp(lp, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", long_children)
+        began = time.monotonic()
+        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0,
+                                          warm_start={0: 1, 1: 0, 2: 0}))
+        ended = time.monotonic()
+        assert ended - began < 30
+        # every LP's deadline is the MILP's start plus its time limit
+        assert began + 30 <= deadlines[0] <= ended + 30
+        assert len(set(deadlines)) == 1
+        assert [r.status for r in results[:2]] == ["optimal", "optimal"]
+        assert [(r.status, r.iterations) for r in results[2:]] == \
+            [("iteration_limit", 0)] * 2
+        assert sol.status == "feasible_time_limit"
+        assert sol.objective_value == pytest.approx(2.0)
+        assert sol.best_bound == pytest.approx(3.0)  # the root's bound
 
     def test_singular_parent_leaves_children_to_invert(self, monkeypatch,
                                                        meshed_scenarios):

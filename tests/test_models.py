@@ -4,10 +4,11 @@ import random
 import pytest
 
 import gridrestore.lp
-from gridrestore.lp import LpSolution, solve_lp
+import gridrestore.models
+from gridrestore.lp import LinearProgram, LpSolution, solve_lp
 from gridrestore.milp import SolveOptions, solve_mip
 from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
-                                angle_diff_big_m,
+                                _period_dcopf, angle_diff_big_m,
                                 build_rip, build_rop, energized_lines,
                                 evaluate_plan, extract_plan, fix_plan_in_rop,
                                 plan_to_assignment)
@@ -19,6 +20,27 @@ from conftest import random_scenario, tiny3_network
 
 def tiny3_damage12():
     return tiny3_network(), DamageScenario((1, 2))
+
+
+def cold_period(network, live):
+    """Optimum of the period LP over the lines ``live`` alone, solved cold."""
+    lp = LinearProgram()
+    _period_dcopf(lp, network, live)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    return sol.objective_value
+
+
+def order_plans(damage):
+    """One line per period in order and reversed, and the order after an
+    empty first period, which is the base topology."""
+    order = list(damage.damaged_lines)
+    n = len(order)
+    return [(RestorationPlan.from_lists([[lid] for lid in order]), build_schedule(n, n)),
+            (RestorationPlan.from_lists([[lid] for lid in reversed(order)]),
+             build_schedule(n, n)),
+            (RestorationPlan.from_lists([[]] + [[lid] for lid in order]),
+             build_schedule(n, n + 1))]
 
 
 class TestRip:
@@ -111,24 +133,105 @@ class TestRip:
             assert with_memo == evaluate_plan(net, dmg, plan, sched)
         topologies = {energized_lines(net, dmg, p, k) for p in plans
                       for k in range(1, n + 1)}
-        assert set(memo) == topologies
-        assert len(lps) == len(topologies) + n * len(plans)
+        # the base topology, the undamaged lines alone, is no period here
+        base = energized_lines(net, dmg, plans[0], 0)
+        assert base not in topologies
+        assert {key for key in memo if isinstance(key, frozenset)} == topologies | {base}
+        # one LP per topology and one for the base; each call without a memo
+        # solves its n periods and a base of its own
+        assert len(lps) == len(topologies) + 1 + (n + 1) * len(plans)
 
     def test_non_optimal_period_names_period(self, monkeypatch):
         net, dmg = tiny3_damage12()
-        calls = []
+        plan = RestorationPlan.from_lists([[1], [2]])
+        period_2 = energized_lines(net, dmg, plan, 2)
+        failed = []
 
-        def fail_second(lp, *args, **kwargs):
-            calls.append(lp)
-            if len(calls) == 2:
+        def fail_period_2(lp, *args, **kwargs):
+            # the lines of the solved topology are those whose flow is not fixed at 0
+            col = {v.name: j for j, v in enumerate(lp.variables)}
+            live = {ln.id for ln in net.lines if kwargs["form"].upper[col[f"PL{ln.id}"]] > 0}
+            if live == period_2:
+                failed.append(lp)
                 return LpSolution("numerical_failure", float("nan"), None)
             return solve_lp(lp, *args, **kwargs)
 
-        monkeypatch.setattr(gridrestore.lp, "solve_lp", fail_second)
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", fail_period_2)
         with pytest.raises(PlanEvaluationError, match="period 2") as err:
-            evaluate_plan(net, dmg, RestorationPlan.from_lists([[1], [2]]),
-                          build_schedule(2, 2))
+            evaluate_plan(net, dmg, plan, build_schedule(2, 2))
         assert err.value.status == "numerical_failure"
+        assert len(failed) == 1
+
+    def test_shared_form_matches_cold_period_lps(self, meshed_scenarios):
+        # tree grids with parallel duplicates, where a line out can island a
+        # subtree; tiny3 with every line out, where every bus is an island;
+        # and meshed grids
+        scenarios = [random_scenario(seed) for seed in range(8)]
+        scenarios += [tiny3_damage12(), (tiny3_network(), DamageScenario((1, 2, 3)))]
+        for net, dmg in scenarios + meshed_scenarios:
+            memo: dict = {}
+            for plan, sched in order_plans(dmg):
+                series = evaluate_plan(net, dmg, plan, sched, memo=memo)
+                for k, delivered in enumerate(series.delivered, start=1):
+                    live = energized_lines(net, dmg, plan, k)
+                    assert delivered == pytest.approx(cold_period(net, live),
+                                                      rel=1e-9, abs=1e-9)
+                    fr = series.load_fractions[k - 1]
+                    assert all(0.0 <= v <= 1.0 for v in fr.values())
+
+    def test_every_miss_starts_from_the_base(self, meshed_scenarios, monkeypatch):
+        net, dmg = meshed_scenarios[1]
+        calls = []
+
+        def recording(lp, *args, **kwargs):
+            sol = solve_lp(lp, *args, **kwargs)
+            calls.append((kwargs.get("start"), sol))
+            return sol
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
+        memo: dict = {}
+        for plan, sched in order_plans(dmg):
+            evaluate_plan(net, dmg, plan, sched, memo=memo)
+        (base_start, base), misses = calls[0], calls[1:]
+        assert base_start is None and base.status == "optimal"
+        assert len(misses) == 2 * len(dmg.damaged_lines) - 1
+        assert all(start is base.basis for start, _ in misses)
+        # the base solve is memoized as the base topology's result
+        undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
+        assert memo[undamaged][0] == pytest.approx(base.objective_value, rel=1e-12)
+
+    def test_one_form_per_line_set_and_memo(self, meshed_scenarios, monkeypatch):
+        net, dmg = meshed_scenarios[2]
+        built, forms = [], []
+        real_standard_form = gridrestore.models.standard_form
+
+        def counting(lp):
+            built.append(lp)
+            return real_standard_form(lp)
+
+        def recording(lp, *args, **kwargs):
+            forms.append((lp, kwargs["form"]))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.models, "standard_form", counting)
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
+        memo: dict = {}
+        for plan, sched in order_plans(dmg):
+            evaluate_plan(net, dmg, plan, sched, memo=memo)
+        assert len(built) == 1
+        assert all(lp is built[0] and form.A is forms[0][1].A for lp, form in forms)
+        # a copy that drops the last damaged line has a form of its own
+        last = dmg.damaged_lines[-1]
+        sub = Network(buses=net.buses, lines=tuple(l for l in net.lines if l.id != last),
+                      generators=net.generators, loads=net.loads, base_mva=net.base_mva)
+        sub_dmg = DamageScenario(dmg.damaged_lines[:-1])
+        for plan, sched in order_plans(sub_dmg):
+            evaluate_plan(sub, sub_dmg, plan, sched, memo=memo)
+        evaluate_plan(net, dmg, *order_plans(dmg)[1], memo=memo)
+        assert len(built) == 2
+        # and a fresh memo builds afresh
+        evaluate_plan(net, dmg, *order_plans(dmg)[0])
+        assert len(built) == 3
 
     def test_plan_mismatch_rejected(self):
         net, dmg = tiny3_damage12()
