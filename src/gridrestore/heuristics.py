@@ -125,20 +125,13 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
 
 def _subnetwork_without(network: Network, removed: set[int]) -> Network:
+    """The network without the lines ``removed``, for an ordering MILP."""
     if not removed:
         return network
     return Network(buses=network.buses,
                    lines=tuple(l for l in network.lines if l.id not in removed),
                    generators=network.generators, loads=network.loads,
                    base_mva=network.base_mva)
-
-
-def _block_energy(sub: Network, block_order: list[int], memo: dict) -> float:
-    """Energy served over the block's periods, one line each, on ``sub``."""
-    dmg = DamageScenario(tuple(sorted(block_order)))
-    sched = build_schedule(len(block_order), len(block_order), 1.0)
-    plan = RestorationPlan.from_lists([[lid] for lid in block_order])
-    return total_energy(evaluate_plan(sub, dmg, plan, sched, memo=memo))
 
 
 def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
@@ -148,9 +141,12 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
     Cuts the ordering into random contiguous blocks, re-orders each by
     MILP (``rop_solver`` as in ``rrr``) without the lines restored after
-    it, and keeps a re-ordering that serves more energy. When most blocks
-    of a round fail, the MILP time limit doubles if most solves hit it or
-    failed, else the block-size cap grows. Never worse than ``initial``.
+    it, and keeps a re-ordering that serves more energy over the block's
+    periods. Those periods are read off the evaluation of the whole
+    ordering on the full network: the lines restored after the block are
+    still out in them. When most blocks of a round fail, the MILP time
+    limit doubles if most solves hit it or failed, else the block-size cap
+    grows. Never worse than ``initial``.
     """
     config = config or RadConfig()
     solver = rop_solver or _default_rop_solver
@@ -166,13 +162,13 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     sub_time = max(config.initial_time_fraction * budget.time_limit, 1e-3)
     s_lo, s_hi = config.min_partition, config.max_partition
     stall = 0
-    # one evaluation memo for the whole call. A period LP depends only on
-    # the buses, generators, loads and energized lines, and
-    # _subnetwork_without changes none of these for the lines that stay
-    # energized, so block and full-network evaluations share period
-    # results; each sub-network keeps a shared period LP of its own there,
-    # and each block a base.
-    memo: dict = {}
+    schedule = build_schedule(n, n, 1.0)
+    memo: dict = {}  # the network's shared period LP, base and period results
+
+    def energy(ordering: list[int], a: int, b: int) -> float:
+        """Energy served over periods a+1..b of ``ordering``, one line each."""
+        plan = RestorationPlan.from_lists([[lid] for lid in ordering])
+        return sum(evaluate_plan(network, damage, plan, schedule, memo=memo).delivered[a:b])
 
     while stall < config.stall_limit and time.monotonic() < deadline:
         # contiguous random partition of the current ordering
@@ -189,14 +185,13 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
             if len(block) < 2:
                 continue
             n_blocks += 1
-            sub = _subnetwork_without(network, set(order[b:]))
-            cur_energy = _block_energy(sub, block, memo)
-            plan, status = _sub_solve(solver, sub, block, len(block), sub_time,
-                                      budget.rel_gap)
+            cur_energy = energy(order, a, b)
+            plan, status = _sub_solve(solver, _subnetwork_without(network, set(order[b:])),
+                                      block, len(block), sub_time, budget.rel_gap)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:
                 new_order = plan.ordered_lines()
-                new_energy = _block_energy(sub, new_order, memo)
+                new_energy = energy(order[:a] + new_order + order[b:], a, b)
                 if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
                     order[a:b] = new_order
                     continue

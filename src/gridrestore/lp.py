@@ -3,30 +3,32 @@
 The solver is a simplex over general bounds with a dense basis inverse,
 meant for desk-scale problems (a few thousand variables at most) where
 exactness and determinism matter more than speed. The constraint matrix
-is also held compressed by column: pricing (the reduced costs and the
-dual simplex's pivot row) sums over its nonzeros only, and the entering
-column's image under the inverse reads only the inverse's columns on that
-column's rows. A cold solve is two-phase primal
-simplex from a slack basis, with Bland's anti-cycling rule engaged after
-a run of degenerate pivots, and ends by inverting its final basis afresh.
-A warm solve starts from the optimal basis of an earlier solve of the same
-standard form under other bounds, as a branch-and-bound child does from
-its parent: a bound change keeps that basis dual feasible, so a bounded
-dual simplex restores primal feasibility and the primal simplex then
-finishes. The start may carry the inverse of its basis, which the solve
+is held only compressed by column, built once by ``standard_form``:
+pricing (the reduced costs and the dual simplex's pivot row) and every
+product ``A x`` sum over its nonzeros, the entering column's image under
+the inverse reads only the inverse's columns on that column's rows, and
+an inversion scatters just the basic columns into a dense block. A cold
+solve is two-phase primal simplex from a slack basis, with Bland's
+anti-cycling rule engaged after a run of degenerate pivots, and ends by
+inverting its final basis afresh. A warm solve starts from the optimal
+basis of an earlier solve of the same standard form under other bounds,
+as a branch-and-bound child does from its parent: a bound change keeps
+that basis dual feasible, so a bounded dual simplex restores primal
+feasibility and the primal simplex then finishes. The start may carry
+the inverse of its basis (``inverse_start`` makes one), which the solve
 copies instead of inverting; without one the solve inverts it with
 ``basis_inverse``, which peels the basic slack columns off and inverts
-only the block left. At the end the product-updated inverse is
-kept when the basic values it gives pass the residual check, and the
-basis is inverted afresh only when they do not. A warm basis that is
-singular, inaccurate or not dual feasible falls back to a cold solve in
-the same call.
+only the block left. At the end the product-updated inverse is kept when
+the basic values it gives pass the residual check, and the basis is
+inverted afresh only when they do not. A warm basis that is singular,
+inaccurate or not dual feasible falls back to a cold solve in the same
+call.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,15 +131,14 @@ class StandardForm:
 
     Columns are the LP's variables followed by one slack per row
     (<=: [0, inf], >=: [-inf, 0], =: fixed at 0). ``c`` is the objective,
-    negated for maximization. ``A`` is held twice: dense, and compressed by
-    column, where the nonzeros of column j are ``nz_val[k]`` in rows
-    ``nz_row[k]`` for k in ``col_ptr[j]:col_ptr[j + 1]``, and ``nz_col[k]``
-    is j. The arrays are read-only, so solves that differ only in their
-    bounds share one form, both copies of ``A`` included, through
+    negated for maximization. ``A`` is held only compressed by column: the
+    nonzeros of column j are ``nz_val[k]`` in rows ``nz_row[k]`` for k in
+    ``col_ptr[j]:col_ptr[j + 1]``, rows ascending, and ``nz_col[k]`` is j.
+    The arrays are read-only, so solves that differ only in their bounds
+    share one form, the matrix included, through
     ``dataclasses.replace(form, lower=..., upper=...)``.
     """
 
-    A: np.ndarray
     b: np.ndarray
     c: np.ndarray
     lower: np.ndarray
@@ -149,63 +150,83 @@ class StandardForm:
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
-    """Build the standard form of a validated LP."""
+    """Build the standard form of a validated LP.
+
+    The one place an LP's terms become a matrix: the terms of one column
+    in one row are summed in term order and a zero sum is dropped.
+    """
     n, m = len(lp.variables), len(lp.constraints)
-    A = np.zeros((m, n + m))
     b = np.zeros(m)
     c = np.zeros(n + m)
     lower = np.empty(n + m)
     upper = np.empty(n + m)
     for j, v in enumerate(lp.variables):
         lower[j], upper[j] = v.lower, v.upper
+    entries: dict[tuple[int, int], float] = {}  # (column, row) -> coefficient
     for i, con in enumerate(lp.constraints):
         for idx, coef in con.terms:
-            A[i, idx] += coef
+            entries[idx, i] = entries.get((idx, i), 0.0) + coef
+        entries[n + i, i] = 1.0
         b[i] = con.rhs
-        A[i, n + i] = 1.0
         lower[n + i], upper[n + i] = _SLACK_BOUNDS[con.relation]
     sense = 1.0 if lp.objective_sense == "minimize" else -1.0
     for idx, coef in lp.objective_terms:
         c[idx] += sense * coef
-    # the nonzeros of A.T come column of A by column, rows ascending
-    nz_col, nz_row = np.nonzero(A.T)
-    nz_val = A[nz_row, nz_col]
-    col_ptr = np.zeros(n + m + 1, dtype=nz_col.dtype)
+    keys = sorted(key for key, v in entries.items() if v != 0.0)
+    nz_col = np.array([col for col, _ in keys], dtype=np.intp)
+    nz_row = np.array([row for _, row in keys], dtype=np.intp)
+    nz_val = np.array([entries[key] for key in keys], dtype=float)
+    col_ptr = np.zeros(n + m + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_col, minlength=n + m), out=col_ptr[1:])
-    arrays = (A, b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)
+    arrays = (b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)
     for arr in arrays:
         arr.flags.writeable = False
     return StandardForm(*arrays)
 
 
+def _times(form: StandardForm, x: np.ndarray) -> np.ndarray:
+    """``A x``, summed over the nonzeros of ``A`` in column order."""
+    return np.bincount(form.nz_row, weights=form.nz_val * x[form.nz_col],
+                       minlength=form.b.size)
+
+
+def _dense_columns(form: StandardForm, columns: np.ndarray) -> np.ndarray:
+    """``A[:, columns]`` as a dense array, scattered from the nonzeros."""
+    count = form.col_ptr[columns + 1] - form.col_ptr[columns]
+    first = form.col_ptr[columns] - np.cumsum(count) + count
+    k = np.arange(count.sum()) + np.repeat(first, count)
+    out = np.zeros((form.b.size, len(columns)))
+    out[form.nz_row[k], np.repeat(np.arange(len(columns)), count)] = form.nz_val[k]
+    return out
+
+
 def basis_inverse(form: StandardForm, columns: np.ndarray) -> np.ndarray:
-    """The inverse of ``form.A[:, columns]``, with the basic slacks peeled off.
+    """The inverse of ``A[:, columns]``, with the basic slacks peeled off.
 
     A basic slack is the unit column of its row. Order the rows whose slack
     is not basic first and the basic structural columns J first; the basis
     is then ``[[A_NJ, 0], [A_SJ, I]]`` and its inverse
     ``[[X, 0], [-A_SJ X, I]]`` with ``X = inv(A_NJ)``, so only that block is
     inverted. Row k of the result belongs to basis position k, as in
-    ``np.linalg.inv(form.A[:, columns])``, which it equals up to rounding.
+    ``np.linalg.inv(A[:, columns])``, which it equals up to rounding.
     Raises ``numpy.linalg.LinAlgError`` when the basis is singular; two
     basic columns that are the unit column of one row make ``A_NJ``
     singular or not square.
     """
-    A = form.A
-    m, nt = A.shape
+    m, nt = form.b.size, form.c.size
     cols = np.asarray(columns)
     slack = cols >= nt - m
-    struct = cols[~slack]
+    struct = _dense_columns(form, cols[~slack])
     slack_rows = cols[slack] - nt + m
     free = np.ones(m, dtype=bool)
     free[slack_rows] = False
-    X = np.linalg.inv(A[np.ix_(free, struct)])
+    X = np.linalg.inv(struct[free])
     pos_struct = np.flatnonzero(~slack)
     pos_slack = np.flatnonzero(slack)
     rows_free = np.flatnonzero(free)
     inverse = np.zeros((m, m))
     inverse[np.ix_(pos_struct, rows_free)] = X
-    inverse[np.ix_(pos_slack, rows_free)] = -A[np.ix_(slack_rows, struct)] @ X
+    inverse[np.ix_(pos_slack, rows_free)] = -struct[slack_rows] @ X
     inverse[pos_slack, slack_rows] = 1.0
     return inverse
 
@@ -217,13 +238,27 @@ class Basis:
     ``columns`` holds the basic column of each row; ``status`` the state of
     every column (basic, at lower, at upper, free). ``inverse``, if given,
     is the inverse of the form's ``A[:, columns]``; a solve from this basis
-    copies it instead of inverting. Only a short-lived start shared by
-    sibling solves carries one, so stored bases stay small.
+    copies it instead of inverting. Only a start that many solves share
+    carries one (``inverse_start``): the parent basis of a branching, the
+    memoized base of a plan evaluation. Solutions, and so the bases that
+    wait on a branch-and-bound heap, go without.
     """
 
     columns: np.ndarray
     status: np.ndarray
     inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def inverse_start(form: StandardForm, basis: Basis) -> Basis:
+    """``basis`` carrying its inverse, for later solves from it to copy.
+
+    A singular basis goes without one, which leaves each solve from it to
+    invert it, or to solve cold, itself.
+    """
+    try:
+        return replace(basis, inverse=basis_inverse(form, basis.columns))
+    except np.linalg.LinAlgError:
+        return basis
 
 
 @dataclass
@@ -248,8 +283,8 @@ class _Simplex:
     primal simplex from a given basis.
 
     Artificial column k is ``art_sign[k]`` times the unit vector of row
-    ``art_rows[k]``, numbered after the form's columns. It is never stored
-    in ``A``, which stays the form's shared read-only matrix. ``basis``
+    ``art_rows[k]``, numbered after the form's ``nf`` columns. It is never
+    stored in the form, whose matrix stays shared and read-only. ``basis``
     holds the basic column of each row and is updated in place.
     """
 
@@ -260,68 +295,55 @@ class _Simplex:
         self.iteration_limit = iteration_limit
         self.deadline = deadline
         self.iterations = 0
-        self.m, self.nt = form.A.shape
-        self.n_struct = self.nt - self.m
-        self.A, self.b, self.c = form.A, form.b, form.c
+        self.m, self.nf = form.b.size, form.c.size
+        self.nt = self.nf
+        self.n_struct = self.nf - self.m
+        self.b, self.c = form.b, form.c
         self.lo, self.up = form.lower, form.upper
         self.art_rows = np.zeros(0, dtype=int)
         self.art_sign = np.zeros(0)
 
     def _cold_start(self) -> None:
-        n, m, nt = self.n_struct, self.m, self.nt
-        A, b, lo, up = self.A, self.b, self.lo, self.up
-        # initial nonbasic values for structural columns
+        n, nt = self.n_struct, self.nt
+        b, lo, up = self.b, self.lo, self.up
+        # structural columns start at their lower bound, else their upper
+        # bound, else (free) at 0
+        at_lo = np.isfinite(lo[:n])
+        at_up = ~at_lo & np.isfinite(up[:n])
         x = np.zeros(nt)
-        stat = np.full(nt, _AT_LOWER, dtype=np.int8)
-        for j in range(n):
-            if np.isfinite(lo[j]):
-                x[j] = lo[j]
-                stat[j] = _AT_LOWER
-            elif np.isfinite(up[j]):
-                x[j] = up[j]
-                stat[j] = _AT_UPPER
-            else:
-                x[j] = 0.0
-                stat[j] = _FREE
-        # slack basis with artificials where the slack bound is violated
-        basis = []
-        art_rows = []
-        art_sign = []
-        resid = b - A[:, :n] @ x[:n]
-        for i in range(m):
-            s = n + i
-            r = resid[i]
-            if lo[s] - FEAS_TOL <= r <= up[s] + FEAS_TOL:
-                x[s] = r
-                stat[s] = _BASIC
-                basis.append(s)
-            else:
-                # park the slack at its nearest bound, cover the gap
-                x[s] = min(max(r, lo[s]), up[s]) if np.isfinite(lo[s]) or np.isfinite(up[s]) else 0.0
-                if not np.isfinite(x[s]):
-                    x[s] = 0.0
-                stat[s] = _AT_LOWER if x[s] == lo[s] else _AT_UPPER
-                gap = r - x[s]
-                basis.append(nt + len(art_rows))
-                art_rows.append(i)
-                art_sign.append(1.0 if gap >= 0 else -1.0)
-        k = len(art_rows)
-        self.art_rows = np.array(art_rows, dtype=int)
-        self.art_sign = np.array(art_sign)
+        x[:n][at_lo] = lo[:n][at_lo]
+        x[:n][at_up] = up[:n][at_up]
+        stat = np.full(nt, _FREE, dtype=np.int8)
+        stat[:n][at_lo] = _AT_LOWER
+        stat[:n][at_up] = _AT_UPPER
+        # slack basis, with an artificial on each row whose slack value
+        # breaks its bounds: that slack is parked at its nearest bound and
+        # the artificial covers the gap
+        resid = b - _times(self.form, x)
+        inside = (lo[n:] - FEAS_TOL <= resid) & (resid <= up[n:] + FEAS_TOL)
+        x[n:] = np.where(inside, resid, np.clip(resid, lo[n:], up[n:]))
+        stat[n:] = np.where(inside, _BASIC, np.where(x[n:] == lo[n:], _AT_LOWER, _AT_UPPER))
+        art_rows = np.flatnonzero(~inside)
+        k = art_rows.size
+        self.art_rows = art_rows
+        gap = resid[art_rows] - x[n:][art_rows]
+        self.art_sign = np.where(gap >= 0, 1.0, -1.0)
+        basis = np.arange(n, nt, dtype=np.intp)
+        basis[art_rows] = nt + np.arange(k)
         if k:
             self.lo = np.concatenate([lo, np.zeros(k)])
             self.up = np.concatenate([up, np.full(k, INF)])
             self.c = np.concatenate([self.c, np.zeros(k)])
             stat = np.concatenate([stat, np.zeros(k, dtype=np.int8)])
             # artificial values make Ax = b hold exactly at the start
-            x = np.concatenate([x, (b - A @ x)[self.art_rows] / self.art_sign])
+            x = np.concatenate([x, (b - _times(self.form, x))[art_rows] / self.art_sign])
         self.x = x
         self.stat = stat
-        self.basis = np.array(basis, dtype=np.intp)
+        self.basis = basis
         self.nt = nt + k
         # every basic column is +-e_pos, so the inverse is that same diagonal
-        diag = np.ones(m)
-        diag[self.art_rows] = self.art_sign
+        diag = np.ones(self.m)
+        diag[art_rows] = self.art_sign
         self.Binv = np.diag(diag)
 
     def _warm_start(self, start: Basis) -> bool:
@@ -374,8 +396,7 @@ class _Simplex:
         """``y`` times every column, artificial ones included, summed over
         the nonzeros of ``A`` only."""
         f = self.form
-        yA = np.bincount(f.nz_col, weights=y[f.nz_row] * f.nz_val,
-                         minlength=self.A.shape[1])
+        yA = np.bincount(f.nz_col, weights=y[f.nz_row] * f.nz_val, minlength=self.nf)
         if self.art_rows.size:
             yA = np.concatenate([yA, y[self.art_rows] * self.art_sign])
         return yA
@@ -384,10 +405,10 @@ class _Simplex:
         """``Binv`` times column q, read from the columns of ``Binv`` on the
         rows where column q is nonzero."""
         f = self.form
-        if q < self.A.shape[1]:
+        if q < self.nf:
             k = slice(f.col_ptr[q], f.col_ptr[q + 1])
             return self.Binv[:, f.nz_row[k]] @ f.nz_val[k]
-        k = q - self.A.shape[1]
+        k = q - self.nf
         return self.art_sign[k] * self.Binv[:, self.art_rows[k]]
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
@@ -560,33 +581,28 @@ class _Simplex:
         return bool(most < shortfall - INFEAS_TOL)
 
     def _accurate(self) -> bool:
-        """Whether ``x`` is finite and ``|Ax - b|`` passes the residual check;
-        ``Ax`` is summed over the nonzeros of ``A`` only."""
-        x, f = self.x, self.form
-        if not np.isfinite(x).all():
+        """Whether ``x`` is finite and ``|Ax - b|`` passes the residual check."""
+        if not np.isfinite(self.x).all():
             return False
-        Ax = np.bincount(f.nz_row, weights=f.nz_val * x[f.nz_col], minlength=self.m)
-        resid = np.abs(Ax - self.b).max(initial=0.0)
+        resid = np.abs(_times(self.form, self.x) - self.b).max(initial=0.0)
         return bool(resid <= RESID_TOL * (1.0 + np.abs(self.b).max(initial=0.0)))
 
     def _basic_values(self) -> None:
         """Recompute the basic values from the nonbasic ones with the current
         inverse. Runs only while the artificial columns are pinned at zero
         (or absent), so only the form's nonbasic columns contribute."""
-        nf = self.A.shape[1]
         cols = self.basis
-        nb = np.ones(nf, dtype=bool)
-        nb[cols[cols < nf]] = False
-        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[:nf][nb])
+        x_n = self.x[:self.nf].copy()
+        x_n[cols[cols < self.nf]] = 0.0
+        self.x[cols] = self.Binv @ (self.b - _times(self.form, x_n))
 
     def _refactorize(self) -> None:
         """Invert the basis afresh and recompute the basic values, clearing
         accumulated drift."""
-        nf = self.A.shape[1]
-        cols = self.basis
+        nf, cols = self.nf, self.basis
         art = cols >= nf
         B = np.zeros((self.m, self.m))
-        B[:, ~art] = self.A[:, cols[~art]]
+        B[:, ~art] = _dense_columns(self.form, cols[~art])
         B[self.art_rows[cols[art] - nf], np.flatnonzero(art)] = self.art_sign[cols[art] - nf]
         self.Binv = np.linalg.inv(B)
         self._basic_values()
@@ -595,7 +611,7 @@ class _Simplex:
         """Cold two-phase primal simplex from the slack basis."""
         self._cold_start()
         if self.art_rows.size:
-            nf = self.A.shape[1]
+            nf = self.nf
             c1 = np.zeros(self.nt)
             c1[nf:] = 1.0
             res = self._solve_phase(c1)
@@ -647,11 +663,11 @@ class _Simplex:
     def _basis(self) -> Basis:
         """The current basis over the standard form, each artificial column
         replaced by its row's slack (the same column up to sign)."""
-        nt = self.n_struct + self.m
+        nf = self.nf
         cols = self.basis.astype(np.int32)
-        art = cols >= nt
-        cols[art] = self.n_struct + self.art_rows[cols[art] - nt]
-        stat = self.stat[:nt].copy()
+        art = cols >= nf
+        cols[art] = self.n_struct + self.art_rows[cols[art] - nf]
+        stat = self.stat[:nf].copy()
         stat[cols] = _BASIC
         return Basis(cols, stat)
 
@@ -743,10 +759,7 @@ def write_mps(prog) -> str:
         lp = prog.base
         binary = set(prog.binary_vars)
     lp.validate()
-    sense = -1.0 if lp.objective_sense == "maximize" else 1.0
-    obj = {}
-    for idx, coef in lp.objective_terms:
-        obj[idx] = obj.get(idx, 0.0) + sense * coef
+    form = standard_form(lp)
 
     out = []
     out.append("NAME          GRIDRESTORE")
@@ -756,17 +769,6 @@ def write_mps(prog) -> str:
     for i, c in enumerate(lp.constraints):
         out.append(f" {rel_tag[c.relation]}  {mps_row_name(i)}")
     out.append("COLUMNS")
-    col_entries: list[list[tuple[str, float]]] = [[] for _ in lp.variables]
-    for j, coef in obj.items():
-        if coef != 0.0:
-            col_entries[j].append(("OBJ", coef))
-    for i, c in enumerate(lp.constraints):
-        merged: dict[int, float] = {}
-        for idx, coef in c.terms:
-            merged[idx] = merged.get(idx, 0.0) + coef
-        for idx in sorted(merged):
-            if merged[idx] != 0.0:
-                col_entries[idx].append((mps_row_name(i), merged[idx]))
     marker = 0
     in_int = False
     for j in range(len(lp.variables)):
@@ -780,7 +782,12 @@ def write_mps(prog) -> str:
             marker += 1
             in_int = False
         name = mps_column_name(j)
-        entries = col_entries[j]
+        # the objective (negated for maximization, like the form's) leads
+        # the column's nonzeros, rows ascending
+        k = slice(form.col_ptr[j], form.col_ptr[j + 1])
+        entries = [("OBJ", float(form.c[j]))] if form.c[j] != 0.0 else []
+        entries += [(mps_row_name(int(i)), float(v))
+                    for i, v in zip(form.nz_row[k], form.nz_val[k])]
         if not entries:
             entries = [("OBJ", 0.0)]  # keep every column present
         for a in range(0, len(entries), 2):

@@ -6,11 +6,10 @@ The MILP's standard form is built once; a node is its binary fixes. The
 root LP is the only one solved cold: the warm-start incumbent LP starts
 from the root's optimal basis, and each child LP is re-solved under its
 fixes from its parent's optimal basis by the LP core's dual simplex. The
-parent basis is inverted once per branching, by ``basis_inverse``, which
-inverts only the block its basic slacks leave, and both children copy
-that inverse. The root's inverse is made once: the warm-start incumbent
-LP and the root's children share it. Heap entries hold bases without
-inverses.
+parent basis is inverted once per branching, by the LP core's
+``inverse_start``, and both children copy that inverse. The root's
+inverse is made once: the warm-start incumbent LP and the root's
+children share it. Heap entries hold bases without inverses.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -26,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import (INF, Basis, LinearProgram, StandardForm, basis_inverse,
-                 mps_column_name, solve_lp, standard_form, write_mps)
+from .lp import (INF, LinearProgram, StandardForm, inverse_start, mps_column_name,
+                 solve_lp, standard_form, write_mps)
 
 INT_TOL = 1e-6
 
@@ -50,7 +49,6 @@ class SolveOptions:
     time_limit: float = 60.0
     rel_gap: float = 0.01
     warm_start: dict[int, int] | None = None  # full binary assignment
-    iteration_limit: int = 50000
 
     def __post_init__(self):
         if self.time_limit <= 0:
@@ -87,16 +85,6 @@ def _with_fixes(form: StandardForm, fixes: dict[int, float]) -> StandardForm:
     return replace(form, lower=lower, upper=upper)
 
 
-def _inverse_start(form: StandardForm, basis: Basis) -> Basis:
-    """``basis`` carrying its inverse, for sibling solves to copy. A singular
-    basis goes without one, which leaves each solve from it to invert or
-    solve cold itself."""
-    try:
-        return replace(basis, inverse=basis_inverse(form, basis.columns))
-    except np.linalg.LinAlgError:
-        return basis
-
-
 def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
@@ -121,7 +109,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     unresolved: list[float] = []  # parent bounds of children left unsolved
     root_start = None  # the root's inverse-carrying start, until the root is popped
 
-    root = solve_lp(mip.base, opts.iteration_limit, form=form, deadline=deadline)
+    root = solve_lp(mip.base, form=form, deadline=deadline)
     nodes_solved = 1
     if root.status == "infeasible":
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,
@@ -135,9 +123,9 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
         if len(fixes) == len(binaries):
             # from the root's basis; cold when the root LP is not optimal
             if root.basis is not None:
-                root_start = _inverse_start(form, root.basis)
-            sol = solve_lp(mip.base, opts.iteration_limit, form=_with_fixes(form, fixes),
-                           start=root_start, deadline=deadline)
+                root_start = inverse_start(form, root.basis)
+            sol = solve_lp(mip.base, form=_with_fixes(form, fixes), start=root_start,
+                           deadline=deadline)
             nodes_solved += 1
             if sol.status == "optimal":
                 incumbent_obj = sol.objective_value
@@ -194,11 +182,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             continue
         # one inversion of the parent basis serves both children
         if parent is None:
-            parent = _inverse_start(form, relax.basis)
+            parent = inverse_start(form, relax.basis)
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
-            child = solve_lp(mip.base, opts.iteration_limit,
-                             form=_with_fixes(form, child_fixes), start=parent,
+            child = solve_lp(mip.base, form=_with_fixes(form, child_fixes), start=parent,
                              deadline=deadline)
             nodes_solved += 1
             if child.status == "infeasible":
@@ -322,7 +309,7 @@ def solve_external(mip: MixedIntegerProgram, opts: SolveOptions,
                        elapsed=time.monotonic() - start)
 
 
-def enumerate_binaries(mip: MixedIntegerProgram, iteration_limit: int = 50000):
+def enumerate_binaries(mip: MixedIntegerProgram):
     """Exhaustive oracle: best objective over all full binary assignments.
 
     Assignments that put a binary outside its own bounds (a binary fixed
@@ -343,7 +330,7 @@ def enumerate_binaries(mip: MixedIntegerProgram, iteration_limit: int = 50000):
         if any(not form.lower[j] - INT_TOL <= v <= form.upper[j] + INT_TOL
                for j, v in fixes.items()):
             continue
-        sol = solve_lp(mip.base, iteration_limit, form=_with_fixes(form, fixes))
+        sol = solve_lp(mip.base, form=_with_fixes(form, fixes))
         if sol.status != "optimal":
             continue
         if best is None or (sol.objective_value > best if sense_max else sol.objective_value < best):

@@ -11,7 +11,7 @@ damaged line comes back.
 per network, built over every line: a period's topology is a change of
 bounds that takes the lines that are out away, and each topology is
 re-solved from the optimal basis of one base topology, the undamaged
-lines alone.
+lines alone, whose inverse is made once and copied by every such solve.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import line_components
-from .lp import INF, Basis, LinearProgram, StandardForm, Variable, standard_form
+from .lp import (INF, Basis, LinearProgram, StandardForm, Variable, inverse_start,
+                 standard_form)
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Network, PeriodSchedule, RestorationPlan
 
@@ -90,20 +91,26 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
     The present lines are the energized ones, ``live``, and the damaged
     ones whose status a binary picks, ``switchable``. Variables, named
     with ``tag`` appended: generator outputs PG, line flows PL of the
-    present lines (thermal limits as bounds), load fractions XD in [0, 1],
-    voltage angles TH with the lowest bus of each connected component of
-    the present lines pinned at 0, and one status Z in [0, 1] per
-    switchable line. Rows: a DC flow equality per live line; per
-    switchable line, four big-M rows that enforce the flow equality when
-    Z = 1 (M = |b| * ``angle_diff_big_m``) and hold the flow at 0 when
-    Z = 0; then nodal balance. Adds ``p_demand * weight`` per load to the
-    objective. Returns the XD indices by load id and the Z indices by line
-    id.
+    present lines, load fractions XD in [0, 1], voltage angles TH with
+    the lowest bus of each connected component of the present lines
+    pinned at 0, and one status Z in [0, 1] per switchable line. A line's
+    flow limit is the smaller of its thermal limit and ``|b| *
+    angle_diff_max``: where the flow equality holds, the latter is the
+    line's angle-difference limit ``|TH_f - TH_t| <= angle_diff_max``,
+    and a line that is out carries no flow. Rows: a DC flow equality per
+    live line; per switchable line, four big-M rows that enforce the flow
+    equality when Z = 1 (M = |b| * ``angle_diff_big_m``, valid as every
+    line that carries flow keeps its angle limit) and hold the flow at 0
+    when Z = 0; then nodal balance. Adds ``p_demand * weight`` per load
+    to the objective. Returns the XD indices by load id and the Z indices
+    by line id.
     """
     present = live | switchable
     lines = [ln for ln in network.lines if ln.id in present]
     pg = {g.id: lp.add_variable(f"PG{g.id}{tag}", 0.0, g.p_max) for g in network.generators}
-    pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", -ln.thermal_limit, ln.thermal_limit)
+    limit = {ln.id: min(ln.thermal_limit, abs(ln.susceptance_b) * ln.angle_diff_max)
+             for ln in lines}
+    pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", -limit[ln.id], limit[ln.id])
           for ln in lines}
     xd = {d.id: lp.add_variable(f"XD{d.id}{tag}", 0.0, 1.0) for d in network.loads}
     refs = {c[0] for c in line_components(network, present)}
@@ -123,7 +130,7 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
         M = abs(b) * theta_delta
         if not 0 < M < INF:
             raise ValueError(f"degenerate big-M for line {ln.id}")
-        zj, lim = z[ln.id], ln.thermal_limit
+        zj, lim = z[ln.id], limit[ln.id]
         lp.add_constraint(f"flowu{ln.id}{tag}", flow + [(zj, M)], "<=", M)
         lp.add_constraint(f"flowl{ln.id}{tag}", flow + [(zj, -M)], ">=", -M)
         lp.add_constraint(f"onu{ln.id}{tag}", [(pl[ln.id], 1.0), (zj, -lim)], "<=", 0.0)
@@ -298,10 +305,10 @@ class _SharedPeriod:
 
 
 def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
-    """The network's shared period LP, built once per line set and memo."""
-    ids = tuple(ln.id for ln in network.lines)
-    shared = memo.get(("form", ids))
+    """The network's shared period LP, built once per memo."""
+    shared = memo.get("form")
     if shared is None:
+        ids = tuple(ln.id for ln in network.lines)
         lp = LinearProgram()
         xd, _ = _period_dcopf(lp, network, frozenset(ids))
         lp.validate()
@@ -310,7 +317,7 @@ def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
         shared = _SharedPeriod(lp, standard_form(lp), xd, ids,
                                np.array([col[f"PL{lid}"] for lid in ids], dtype=int),
                                np.array([row[f"flow{lid}"] for lid in ids], dtype=int))
-        memo[("form", ids)] = shared
+        memo["form"] = shared
     return shared
 
 
@@ -321,17 +328,19 @@ def _period_result(network: Network, shared: _SharedPeriod, sol) -> tuple[float,
 
 def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[int],
                 memo: dict, solve_lp) -> Basis | None:
-    """The optimal basis of the base topology, the undamaged lines alone.
+    """The optimal basis of the base topology, the undamaged lines alone,
+    carrying its inverse.
 
-    Solved cold once per line set and undamaged set, and memoized with its
-    result like any other topology. None when that LP is not optimal: the
-    periods then solve cold.
+    Solved cold and inverted once per undamaged set and memo, and
+    memoized with its result like any other topology. None when that LP
+    is not optimal: the periods then solve cold.
     """
-    key = ("base", shared.ids, undamaged)
+    key = ("base", undamaged)
     if key not in memo:
         sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
-        memo[key] = sol.basis
+        memo[key] = None
         if sol.status == "optimal":
+            memo[key] = inverse_start(shared.form, sol.basis)
             memo.setdefault(undamaged, _period_result(network, shared, sol))
     return memo[key]
 
@@ -344,20 +353,17 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     single-period LP. All of them are one shared LP over every line of
     the network, the period's topology a change of its bounds. Each
     topology is re-solved from the optimal basis of the base topology,
-    the undamaged lines alone, which is solved cold first. Restoring
-    lines only unfixes flow columns and fixes row slacks, so that basis
-    stays dual feasible, and as the start is the same for every period, a
-    result does not depend on the order of evaluation.
+    the undamaged lines alone, which is solved cold first and inverted
+    once. Restoring lines only unfixes flow columns and fixes row slacks,
+    so that basis stays dual feasible, and as the start is the same for
+    every period, a result does not depend on the order of evaluation.
 
-    ``memo``, if given, holds that state across calls: the shared LP
-    keyed by ``("form", line ids)``, the base basis keyed by ``("base",
-    line ids, undamaged line ids)``, and per topology, keyed by the
-    frozenset of energized line ids, its ``(delivered, load fractions)``.
-    It is read before and filled after each solve. A period LP depends
-    only on the buses, generators, loads and energized lines, so a memo is
-    valid for one network and for copies of it that drop lines (which get
-    a shared LP and base of their own): callers create one per network and
-    pass it to every evaluation on it and on such copies.
+    ``memo``, if given, holds that state across calls on one network: the
+    network under ``"network"``, the shared LP under ``"form"``, the base
+    basis under ``("base", undamaged line ids)``, and per topology, keyed
+    by the frozenset of energized line ids, its ``(delivered, load
+    fractions)``. It is read before and filled after each solve. Raises
+    ``ValueError`` when the memo holds another network.
     """
     # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
     # double, a tracing wrapper) sees every period LP, base LPs included
@@ -365,6 +371,9 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
 
     _check_plan(network, damage, plan, schedule)
     memo = {} if memo is None else memo
+    known = memo.setdefault("network", network)
+    if known is not network and known != network:
+        raise ValueError("the memo holds the evaluations of another network")
     shared = _shared_period(network, memo)
     undamaged = energized_lines(network, damage, plan, 0)
     delivered = []

@@ -4,6 +4,7 @@ import pytest
 
 import gridrestore.heuristics
 import gridrestore.lp
+import gridrestore.models
 from gridrestore.heuristics import (AlgoBudget, RadConfig, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
@@ -195,53 +196,51 @@ class TestRad:
     def test_one_memo_per_call(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[3]
         real_solve = gridrestore.lp.solve_lp
-        calls = []
+        real_standard_form = gridrestore.models.standard_form
+        calls, forms = [], []
 
         def counting(lp, *args, **kwargs):
-            calls.append(lp)
+            calls.append(kwargs.get("start"))
             return real_solve(lp, *args, **kwargs)
+
+        def counting_forms(lp):
+            forms.append(lp)
+            return real_standard_form(lp)
 
         def run():
             calls.clear()
-            plan = rad(net, dmg, AlgoBudget(time_limit=300, seed=3),
+            forms.clear()
+            return rad(net, dmg, AlgoBudget(time_limit=300, seed=3),
                        config=RadConfig(stall_limit=3))
-            return plan, len(calls)
 
         topologies = set()
-        bases = set()
-        solved_twice = []  # base topologies solved before their base
 
         def recording(network, damage, plan, schedule, memo=None):
-            live = [energized_lines(network, damage, plan, k)
-                    for k in range(1, schedule.n_periods + 1)]
-            undamaged = energized_lines(network, damage, plan, 0)
-            key = (tuple(ln.id for ln in network.lines), undamaged)
-            # the first topology a call misses makes it solve the base of its
-            # line set and damage, once per memo
-            if not topologies.issuperset(live) and key not in bases:
-                bases.add(key)
-                if undamaged in topologies:
-                    solved_twice.append(key)
-                topologies.add(undamaged)
-            topologies.update(live)
+            # every evaluation is of the full network and damage
+            assert network is net and damage == dmg
+            topologies.update(energized_lines(network, damage, plan, k)
+                              for k in range(1, schedule.n_periods + 1))
             return evaluate_plan(network, damage, plan, schedule, memo=memo)
 
         monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        monkeypatch.setattr(gridrestore.models, "standard_form", counting_forms)
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", recording)
-        plan, with_memo = run()
-        # block and safeguard evaluations share the memo: one LP per topology,
-        # bases included, plus each base whose topology another base or period
-        # had solved already
-        assert len(bases) > 1
-        assert with_memo == len(topologies) + len(solved_twice)
+        plan = run()
+        # one shared LP and one base, the undamaged lines alone, which no
+        # period has; every other LP solves one topology from that base
+        base = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
+        assert base not in topologies
+        assert len(forms) == 1
+        assert calls.count(None) == 1
+        assert len(calls) == len(topologies) + 1
 
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)
 
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
-        ref_plan, without = run()
+        ref_plan = run()
         assert plan == ref_plan
-        assert with_memo < without
+        assert len(forms) > 1 and len(calls) > len(topologies) + 1
 
     def test_time_doubling_adaptation(self):
         net, dmg = random_scenario(2)

@@ -109,6 +109,18 @@ def solve_with_scipy(lp):
                    b_eq=b_eq or None, bounds=bounds, method="highs")
 
 
+def dense_matrix(lp):
+    """The standard form's matrix, built densely from the LP's own terms:
+    each term added into its cell, then one unit slack column per row."""
+    n, m = len(lp.variables), len(lp.constraints)
+    A = np.zeros((m, n + m))
+    for i, con in enumerate(lp.constraints):
+        for idx, coef in con.terms:
+            A[i, idx] += coef
+    A[:, n:] = np.eye(m)
+    return A
+
+
 class TestBasics:
     def test_single_constraint(self):
         lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 10.0)],
@@ -277,6 +289,12 @@ def rop_forms(meshed_scenarios):
         yield mip, standard_form(mip.base)
 
 
+def sums_and_cancels():
+    """min x1 over one row whose terms on x0 cancel and on x1 sum to 5."""
+    return simple_lp("minimize", [(1, 1.0)], [("x0", 0.0, 1.0), ("x1", 0.0, 1.0)],
+                     [([(0, 1.0), (0, -1.0), (1, 2.0), (1, 3.0)], "<=", 4.0)])
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("seed", range(40))
     def test_bound_change_matches_cold(self, seed):
@@ -344,7 +362,7 @@ class TestWarmStart:
         form = standard_form(lp)
         parent = solve_lp(lp, form=form)
         assert parent.status == "optimal"
-        assert parent.basis.columns.max() < form.A.shape[1]
+        assert parent.basis.columns.max() < dense_matrix(lp).shape[1]
         assert len(set(parent.basis.columns)) == len(lp.constraints)
         child = tightened(form, 0, 0.0, 1.0)
         assert_same_result(solve_lp(lp, form=child, start=parent.basis),
@@ -459,13 +477,14 @@ class TestResidualCheck:
         form = standard_form(lp)
         sol = solve_lp(lp, form=form)
         assert sol.status == "optimal"
-        x = np.concatenate([sol.primal, form.b - form.A[:, :len(sol.primal)] @ sol.primal])
+        A = dense_matrix(lp)
+        x = np.concatenate([sol.primal, form.b - A[:, :len(sol.primal)] @ sol.primal])
         simplex = lp_module._Simplex(lp, form, 100)
         rng = np.random.default_rng(seed)
         scale = lp_module.RESID_TOL * (1.0 + np.abs(form.b).max())
         for size in (0.0, 0.1 * scale, 10.0 * scale):
             simplex.x = x + size * rng.standard_normal(x.size)
-            dense = np.abs(form.A @ simplex.x - form.b).max()
+            dense = np.abs(A @ simplex.x - form.b).max()
             assert simplex._accurate() == bool(dense <= scale)
         simplex.x = np.full(x.size, np.nan)
         assert not simplex._accurate()
@@ -510,19 +529,54 @@ class TestInverseUpdate:
         np.testing.assert_allclose(simplex.Binv @ B, np.eye(m), atol=1e-12)
 
 
-def check_compressed(form):
-    """The compressed-column arrays of ``form`` list exactly the nonzeros of A."""
-    m, nt = form.A.shape
-    A = np.zeros((m, nt))
-    A[form.nz_row, form.nz_col] = form.nz_val
-    np.testing.assert_array_equal(A, form.A)
-    assert form.nz_val.size == np.count_nonzero(form.A)
+def check_compressed(lp, form):
+    """The compressed-column arrays of ``form`` list exactly the nonzeros of
+    the LP's matrix, column by column with rows ascending."""
+    A = dense_matrix(lp)
+    m, nt = A.shape
+    assert (form.b.size, form.c.size) == (m, nt)
+    scattered = np.zeros((m, nt))
+    scattered[form.nz_row, form.nz_col] = form.nz_val
+    np.testing.assert_array_equal(scattered, A)
+    assert form.nz_val.size == np.count_nonzero(A)
     assert form.col_ptr[0] == 0 and form.col_ptr[-1] == form.nz_val.size
     np.testing.assert_array_equal(form.nz_col, np.repeat(np.arange(nt), np.diff(form.col_ptr)))
+    assert (np.lexsort((form.nz_row, form.nz_col)) == np.arange(form.nz_val.size)).all()
     for arr in (form.nz_val, form.nz_row, form.nz_col, form.col_ptr):
         assert not arr.flags.writeable
     shared = tightened(form, 0, 0.0, 0.0)
     assert shared.nz_val is form.nz_val and shared.col_ptr is form.col_ptr
+
+
+def loop_cold_start(lp):
+    """The slack start of a cold solve, variable by variable and row by row
+    over the dense matrix: (x, status, basis, artificial rows and signs)."""
+    A, form = dense_matrix(lp), standard_form(lp)
+    n, m = len(lp.variables), len(lp.constraints)
+    lo, up = form.lower, form.upper
+    x = np.zeros(n + m)
+    stat = np.zeros(n + m, dtype=np.int8)
+    for j in range(n):
+        if np.isfinite(lo[j]):
+            x[j], stat[j] = lo[j], lp_module._AT_LOWER
+        elif np.isfinite(up[j]):
+            x[j], stat[j] = up[j], lp_module._AT_UPPER
+        else:
+            stat[j] = lp_module._FREE
+    resid = form.b - A @ x
+    basis, art_rows, art_sign = [], [], []
+    for i in range(m):
+        s = n + i
+        if lo[s] - lp_module.FEAS_TOL <= resid[i] <= up[s] + lp_module.FEAS_TOL:
+            x[s], stat[s] = resid[i], lp_module._BASIC
+            basis.append(s)
+        else:
+            x[s] = min(max(resid[i], lo[s]), up[s])
+            stat[s] = lp_module._AT_LOWER if x[s] == lo[s] else lp_module._AT_UPPER
+            basis.append(n + m + len(art_rows))
+            art_rows.append(i)
+            art_sign.append(1.0 if resid[i] >= x[s] else -1.0)
+    return x, stat, basis, art_rows, art_sign
 
 
 def rop_node_bases(mip, form):
@@ -550,8 +604,8 @@ def dense_lp(seed, m):
                        "<=", 1.0) for _ in range(m)])
 
 
-def assert_inverts(form, cols):
-    B = form.A[:, cols]
+def assert_inverts(form, A, cols):
+    B = A[:, cols]
     inverse = basis_inverse(form, cols)
     np.testing.assert_allclose(inverse, np.linalg.inv(B), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(inverse @ B, np.eye(len(cols)), rtol=0, atol=1e-9)
@@ -560,11 +614,21 @@ def assert_inverts(form, cols):
 class TestSparseKernels:
     @pytest.mark.parametrize("seed", range(20))
     def test_compressed_columns_scatter_back(self, seed):
-        check_compressed(standard_form(feasible_lp(seed)))
+        lp = feasible_lp(seed)
+        check_compressed(lp, standard_form(lp))
 
     def test_rop_compressed_columns_scatter_back(self, meshed_scenarios):
-        for _, form in rop_forms(meshed_scenarios):
-            check_compressed(form)
+        for mip, form in rop_forms(meshed_scenarios):
+            check_compressed(mip.base, form)
+
+    def test_duplicate_terms_sum_and_cancelling_ones_drop(self):
+        lp = sums_and_cancels()
+        form = standard_form(lp)
+        check_compressed(lp, form)
+        # x0's terms cancel: no entry; x1's sum to 5; then the slack's 1
+        np.testing.assert_array_equal(form.col_ptr, [0, 0, 1, 2])
+        np.testing.assert_array_equal(form.nz_row, [0, 0])
+        np.testing.assert_array_equal(form.nz_val, [5.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_price_and_ftran_match_dense(self, seed):
@@ -574,10 +638,11 @@ class TestSparseKernels:
         form = standard_form(lp)
         simplex = lp_module._Simplex(lp, form, 100)
         simplex._cold_start()
-        m, nf = form.A.shape
+        A = dense_matrix(lp)
+        m = A.shape[0]
         art = np.zeros((m, simplex.art_rows.size))
         art[simplex.art_rows, np.arange(simplex.art_rows.size)] = simplex.art_sign
-        full = np.hstack([form.A, art])
+        full = np.hstack([A, art])
         rng = np.random.default_rng(seed)
         y = rng.uniform(-5, 5, m)
         expected = y @ full
@@ -589,27 +654,45 @@ class TestSparseKernels:
             np.testing.assert_allclose(simplex._ftran(q), expected, rtol=0,
                                        atol=1e-12 * max(np.abs(expected).max(), 1.0))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cold_start_matches_loop_reference(self, seed):
+        # random_lp has free and half-bounded columns, feasible_lp boxed ones
+        lp = random_lp(seed) if seed % 2 else feasible_lp(seed)
+        simplex = lp_module._Simplex(lp, standard_form(lp), 100)
+        simplex._cold_start()
+        x, stat, basis, art_rows, art_sign = loop_cold_start(lp)
+        nf = x.size
+        np.testing.assert_array_equal(simplex.stat[:nf], stat)
+        np.testing.assert_array_equal(simplex.basis, basis)
+        np.testing.assert_array_equal(simplex.art_rows, art_rows)
+        np.testing.assert_array_equal(simplex.art_sign, art_sign)
+        np.testing.assert_allclose(simplex.x[:nf], x, rtol=1e-12, atol=1e-12)
+        assert (simplex.stat[nf:] == lp_module._BASIC).all()
+
     def test_basis_inverse_on_rop_node_bases(self, meshed_scenarios):
         for mip, form in rop_forms(meshed_scenarios):
-            m, nt = form.A.shape
+            A = dense_matrix(mip.base)
+            m, nt = A.shape
             bases = rop_node_bases(mip, form)
             assert len(bases) >= 3
             for basis in bases:
                 slacks = (basis.columns >= nt - m).sum()
                 assert 0 < slacks < m
-                assert_inverts(form, basis.columns)
-            assert_inverts(form, np.arange(nt - m, nt))  # the all-slack basis
+                assert_inverts(form, A, basis.columns)
+            assert_inverts(form, A, np.arange(nt - m, nt))  # the all-slack basis
 
     @pytest.mark.parametrize("seed", range(10))
     def test_basis_inverse_on_any_mix_of_slacks(self, seed):
         m = 4 + seed
-        form = standard_form(dense_lp(seed, m))
+        lp = dense_lp(seed, m)
+        form = standard_form(lp)
+        A = dense_matrix(lp)
         rng = np.random.default_rng(seed)
         for n_slack in range(m + 1):  # no basic slack up to all slacks
             slacks = rng.choice(m, n_slack, replace=False)
             struct = rng.choice(m + 2, m - n_slack, replace=False)
             cols = rng.permutation(np.concatenate([struct, m + 2 + slacks]))
-            assert_inverts(form, cols)
+            assert_inverts(form, A, cols)
 
     def test_two_unit_columns_on_one_row_are_singular(self):
         # x appears in row 0 alone with coefficient 1: the column of slack 0
@@ -708,6 +791,15 @@ class TestMps:
     def test_byte_identical(self):
         lp = random_lp(9)
         assert write_mps(lp) == write_mps(lp)
+
+    def test_duplicate_terms_merge(self):
+        # x0's terms cancel, so its column keeps only the OBJ placeholder;
+        # x1's sum to one entry of 5
+        text = write_mps(sums_and_cancels())
+        columns = text[text.index("COLUMNS\n"):text.index("RHS\n")].splitlines()[1:]
+        assert [line.split() for line in columns] == [
+            [mps_column_name(0), "OBJ", "0"],
+            [mps_column_name(1), "OBJ", "1", mps_row_name(0), "5"]]
 
     # the first 10 seeds whose random LP has a bounded optimum
     SOLVABLE = [s for s in range(200)

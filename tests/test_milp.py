@@ -265,7 +265,6 @@ class TestBranchAndBound:
             return real_inverse(form, columns)
 
         monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
-        monkeypatch.setattr(gridrestore.milp, "basis_inverse", counting)
         sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
         # the root, the warm-start LP, then two children per branching
         branchings = (sol.nodes - 2) // 2
@@ -311,21 +310,28 @@ class TestBranchAndBound:
         mip = build_rop(net, dmg, build_schedule(n, n)).program
         opts = SolveOptions(time_limit=30, rel_gap=0.0)
         expected = solve_mip(mip, opts)
-        starts = []
+        starts, inverses = [], []
+        real_inverse = gridrestore.lp.basis_inverse
 
-        def singular(form, columns):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def singular_parent(form, columns):
+            # each branching inverts its parent once, then each child its
+            # start: the first of every three calls is the parent's
+            inverses.append(None)
+            if len(inverses) % 3 == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inverse(form, columns)
 
         def recording(lp, *args, **kwargs):
             starts.append(kwargs.get("start"))
             return solve_lp(lp, *args, **kwargs)
 
-        monkeypatch.setattr(gridrestore.milp, "basis_inverse", singular)
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", singular_parent)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, opts)
         # each child gets the bare parent basis and inverts it itself
         assert len(starts) == sol.nodes > 1
         assert all(start.inverse is None for start in starts[1:])
+        assert len(inverses) == 3 * (sol.nodes - 1) // 2
         assert (sol.status, sol.nodes, sol.assignment) == \
             (expected.status, expected.nodes, expected.assignment)
         assert sol.objective_value == expected.objective_value

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import gridrestore.lp
@@ -14,8 +16,9 @@ from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network, RestorationPlan, build_schedule)
-from conftest import random_scenario, tiny3_network
+                                 Network, RestorationPlan, build_schedule, random_damage)
+from gridrestore.postprocess import total_energy
+from conftest import meshed_network, random_scenario, tiny3_network
 
 
 def tiny3_damage12():
@@ -181,21 +184,34 @@ class TestRip:
 
     def test_every_miss_starts_from_the_base(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[1]
-        calls = []
+        calls, inverses = [], []
+        real_inverse = gridrestore.lp.basis_inverse
 
         def recording(lp, *args, **kwargs):
             sol = solve_lp(lp, *args, **kwargs)
             calls.append((kwargs.get("start"), sol))
             return sol
 
+        def counting(form, columns):
+            inverses.append(columns)
+            return real_inverse(form, columns)
+
         monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
         memo: dict = {}
         for plan, sched in order_plans(dmg):
             evaluate_plan(net, dmg, plan, sched, memo=memo)
         (base_start, base), misses = calls[0], calls[1:]
         assert base_start is None and base.status == "optimal"
         assert len(misses) == 2 * len(dmg.damaged_lines) - 1
-        assert all(start is base.basis for start, _ in misses)
+        # one start, the base's basis carrying its inverse, made once
+        start = misses[0][0]
+        assert all(s is start for s, _ in misses)
+        np.testing.assert_array_equal(start.columns, base.basis.columns)
+        np.testing.assert_array_equal(start.status, base.basis.status)
+        assert start.inverse is not None
+        assert len(inverses) == 1
+        np.testing.assert_array_equal(inverses[0], base.basis.columns)
         # the base solve is memoized as the base topology's result
         undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         assert memo[undamaged][0] == pytest.approx(base.objective_value, rel=1e-12)
@@ -219,19 +235,26 @@ class TestRip:
         for plan, sched in order_plans(dmg):
             evaluate_plan(net, dmg, plan, sched, memo=memo)
         assert len(built) == 1
-        assert all(lp is built[0] and form.A is forms[0][1].A for lp, form in forms)
-        # a copy that drops the last damaged line has a form of its own
+        matrix = forms[0][1]
+        assert all(lp is built[0] and form.nz_val is matrix.nz_val
+                   and form.col_ptr is matrix.col_ptr for lp, form in forms)
+        # an equal copy of the network shares the memo
+        twin = Network(buses=net.buses, lines=net.lines, generators=net.generators,
+                       loads=net.loads, base_mva=net.base_mva)
+        evaluate_plan(twin, dmg, *order_plans(dmg)[1], memo=memo)
+        assert len(built) == 1
+        # a copy that drops the last damaged line is another network
         last = dmg.damaged_lines[-1]
         sub = Network(buses=net.buses, lines=tuple(l for l in net.lines if l.id != last),
                       generators=net.generators, loads=net.loads, base_mva=net.base_mva)
         sub_dmg = DamageScenario(dmg.damaged_lines[:-1])
-        for plan, sched in order_plans(sub_dmg):
-            evaluate_plan(sub, sub_dmg, plan, sched, memo=memo)
-        evaluate_plan(net, dmg, *order_plans(dmg)[1], memo=memo)
-        assert len(built) == 2
+        solved = len(forms)
+        with pytest.raises(ValueError, match="another network"):
+            evaluate_plan(sub, sub_dmg, *order_plans(sub_dmg)[0], memo=memo)
+        assert (len(built), len(forms)) == (1, solved)
         # and a fresh memo builds afresh
         evaluate_plan(net, dmg, *order_plans(dmg)[0])
-        assert len(built) == 3
+        assert len(built) == 2
 
     def test_plan_mismatch_rejected(self):
         net, dmg = tiny3_damage12()
@@ -300,6 +323,49 @@ class TestRop:
         series = evaluate_plan(net, dmg, plan, sched)
         energy = sum(d * t for d, t in zip(series.delivered, series.durations))
         assert sol.objective_value == pytest.approx(energy, abs=1e-6)
+
+    def test_angle_limit_binds_in_both_models(self):
+        # two parallel lines 1-2 with b = -1 and a 30 degree angle limit:
+        # |b| * angle_diff_max = 0.5236 lies far below the thermal limit 5,
+        # so one line carries 0.5236 and two carry 1.0472
+        net = Network(buses=(Bus(1), Bus(2)),
+                      lines=(Line(1, 1, 2, -1.0, 5.0), Line(2, 1, 2, -1.0, 5.0)),
+                      generators=(Generator(1, 1, 5.0),), loads=(Load(1, 2, 5.0),))
+        dmg = DamageScenario((1, 2))
+        plan = RestorationPlan.from_lists([[1], [2]])
+        sched = build_schedule(2, 2)
+        series = evaluate_plan(net, dmg, plan, sched)
+        assert series.delivered == pytest.approx((0.5236, 1.0472), abs=1e-12)
+        sol = solve_lp(fix_plan_in_rop(build_rop(net, dmg, sched), plan).base)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(1.5708, abs=1e-9)
+        assert solve_lp(build_rip(net, dmg, plan, sched)).objective_value == \
+            pytest.approx(1.5708, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fixed_plan_matches_evaluation_under_tight_angle_limits(self, seed):
+        # thermal limits, generators and loads x10 and angle limits in
+        # [0.05, 0.3] rad, so that angle limits bind; the meshed fixtures
+        # keep |b| * angle_diff_max above every thermal limit
+        rng = random.Random(seed)
+        grid = meshed_network(seed, (6, 8, 10)[seed % 3])
+        net = Network(
+            buses=grid.buses,
+            lines=tuple(dataclasses.replace(ln, thermal_limit=10 * ln.thermal_limit,
+                                            angle_diff_max=rng.uniform(0.05, 0.3))
+                        for ln in grid.lines),
+            generators=tuple(dataclasses.replace(g, p_max=10 * g.p_max)
+                             for g in grid.generators),
+            loads=tuple(dataclasses.replace(d, p_demand=10 * d.p_demand) for d in grid.loads))
+        dmg = random_damage(net, 0.3, seed)
+        order = list(dmg.damaged_lines)
+        rng.shuffle(order)
+        plan = RestorationPlan.from_lists([[lid] for lid in order])
+        sched = build_schedule(len(order), len(order))
+        sol = solve_lp(fix_plan_in_rop(build_rop(net, dmg, sched), plan).base)
+        assert sol.status == "optimal"
+        assert total_energy(evaluate_plan(net, dmg, plan, sched)) == \
+            pytest.approx(sol.objective_value, rel=0, abs=1e-6)
 
     def test_optimum_dominates_any_plan(self):
         net, dmg = tiny3_damage12()
