@@ -60,6 +60,12 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if (self.damage_fraction is None) == (self.damage_lines is None):
             raise ValueError("exactly one of damage_fraction or damage_lines required")
+        if not self.time_limit > 0:
+            raise ValueError("time limit must be positive")
+        if not 0 <= self.rel_gap < 1:
+            raise ValueError("relative gap must be in [0, 1)")
+        if self.n_periods is not None and self.n_periods < 1:
+            raise ValueError("number of periods must be at least 1")
 
 
 def _read_case(path: str) -> str:
@@ -106,7 +112,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
     n = len(damage.damaged_lines)
     budget = AlgoBudget(time_limit=config.time_limit, rel_gap=config.rel_gap,
                         seed=config.seed)
-    n_periods = config.n_periods or max(n, 1)
+    n_periods = max(n, 1) if config.n_periods is None else config.n_periods
     schedule = build_schedule(n, n_periods)
     mip_solver = _mip_solver(config)
 
@@ -335,14 +341,18 @@ def _add_damage(p: argparse.ArgumentParser) -> None:
 
 def _base_config(args, algorithm: str) -> RunConfig:
     # sweep has no per-run damage flags; cells fill in their own fractions
-    return RunConfig(
-        case=args.case, algorithm=algorithm,
-        damage_fraction=getattr(args, "damage_fraction", None)
-        if hasattr(args, "damage_fraction") else 1.0,
-        damage_lines=tuple(args.damage_lines) if getattr(args, "damage_lines", None) else None,
-        seed=args.seed, time_limit=args.time_limit, rel_gap=args.rel_gap,
-        n_periods=args.n_periods, output_dir=args.out,
-        backend_cmd=args.backend_cmd, record_timing=args.record_timing)
+    try:
+        return RunConfig(
+            case=args.case, algorithm=algorithm,
+            damage_fraction=getattr(args, "damage_fraction", None)
+            if hasattr(args, "damage_fraction") else 1.0,
+            damage_lines=tuple(args.damage_lines) if getattr(args, "damage_lines", None)
+            else None,
+            seed=args.seed, time_limit=args.time_limit, rel_gap=args.rel_gap,
+            n_periods=args.n_periods, output_dir=args.out,
+            backend_cmd=args.backend_cmd, record_timing=args.record_timing)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_PARSE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,21 +14,20 @@ inverting its final basis afresh. A warm solve starts from the optimal
 basis of an earlier solve of the same standard form under other bounds,
 as a branch-and-bound child does from its parent: a bound change keeps
 that basis dual feasible, so a bounded dual simplex restores primal
-feasibility and the primal simplex then finishes. The start may carry
-the inverse of its basis (``inverse_start`` makes one), which the solve
-copies instead of inverting; without one the solve inverts it with
-``basis_inverse``, which peels the basic slack columns off and inverts
-only the block left. At the end the product-updated inverse is kept when
-the basic values it gives pass the residual check, and the basis is
-inverted afresh only when they do not. A warm basis that is singular,
-inaccurate or not dual feasible falls back to a cold solve in the same
-call.
+feasibility and the primal simplex then finishes. A basis inverts itself
+once per matrix (``Basis.inverse``, by ``basis_inverse``, which peels
+the basic slack columns off and inverts only the block left), and every
+solve from it copies that inverse, so sibling solves share one. At the
+end the product-updated inverse is kept when the basic values it gives
+pass the residual check, and the basis is inverted afresh only when they
+do not. A warm basis that is singular, inaccurate or not dual feasible
+falls back to a cold solve in the same call.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +39,7 @@ PIVOT_TOL = 1e-10    # zero-pivot threshold
 DEGEN_THRESHOLD = 40  # consecutive degenerate pivots before Bland's rule
 INFEAS_TOL = 1e-6    # phase-1 residual above which an LP is infeasible
 RESID_TOL = 1e-6     # warm basis: largest |Ax - b| relative to 1 + max|b|
+ITERATION_LIMIT = 50000  # pivots per solve_lp call, warm and cold together
 
 # nonbasic variable states
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
@@ -236,29 +236,25 @@ class Basis:
     """A basis of a standard form, to warm-start a later solve from.
 
     ``columns`` holds the basic column of each row; ``status`` the state of
-    every column (basic, at lower, at upper, free). ``inverse``, if given,
-    is the inverse of the form's ``A[:, columns]``; a solve from this basis
-    copies it instead of inverting. Only a start that many solves share
-    carries one (``inverse_start``): the parent basis of a branching, the
-    memoized base of a plan evaluation. Solutions, and so the bases that
-    wait on a branch-and-bound heap, go without.
+    every column (basic, at lower, at upper, free). ``inverse`` inverts the
+    basis on first use and keeps that inverse for the matrix it was made
+    for, so every solve from this basis on forms that share the matrix
+    (a branching's children, the period LPs of an evaluation) copies one
+    inverse. A basis that no solve starts from is never inverted.
     """
 
     columns: np.ndarray
     status: np.ndarray
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-
-def inverse_start(form: StandardForm, basis: Basis) -> Basis:
-    """``basis`` carrying its inverse, for later solves from it to copy.
-
-    A singular basis goes without one, which leaves each solve from it to
-    invert it, or to solve cold, itself.
-    """
-    try:
-        return replace(basis, inverse=basis_inverse(form, basis.columns))
-    except np.linalg.LinAlgError:
-        return basis
+    def inverse(self, form: StandardForm) -> np.ndarray:
+        """The inverse of ``form``'s ``A[:, columns]``, made by ``basis_inverse``
+        on first use for that matrix (``form.nz_val``) and kept; the caller
+        must not change it. Raises ``numpy.linalg.LinAlgError`` when the
+        basis is singular."""
+        if not self._kept or self._kept[0] is not form.nz_val:
+            self._kept[:] = form.nz_val, basis_inverse(form, self.columns)
+        return self._kept[1]
 
 
 @dataclass
@@ -288,11 +284,9 @@ class _Simplex:
     holds the basic column of each row and is updated in place.
     """
 
-    def __init__(self, lp: LinearProgram, form: StandardForm, iteration_limit: int,
-                 deadline: float | None = None):
+    def __init__(self, lp: LinearProgram, form: StandardForm, deadline: float | None = None):
         self.lp = lp
         self.form = form
-        self.iteration_limit = iteration_limit
         self.deadline = deadline
         self.iterations = 0
         self.m, self.nf = form.b.size, form.c.size
@@ -354,8 +348,7 @@ class _Simplex:
         they have. A column with both bounds finite goes to the one its
         reduced cost prefers, which makes the basis dual feasible whatever
         the new bounds are; any other dual infeasibility rejects the basis.
-        Raises ``numpy.linalg.LinAlgError`` when the basis is singular and
-        ``start`` carries no inverse.
+        Raises ``numpy.linalg.LinAlgError`` when the basis is singular.
         """
         m, nt, lo, up = self.m, self.nt, self.lo, self.up
         cols = np.asarray(start.columns)
@@ -370,12 +363,7 @@ class _Simplex:
         self.stat = stat
         self.basis = cols.astype(np.intp)
         self.x = np.zeros(nt)
-        if start.inverse is None:
-            self.Binv = basis_inverse(self.form, cols)
-        elif start.inverse.shape == (m, m):
-            self.Binv = start.inverse.copy()
-        else:
-            return False
+        self.Binv = start.inverse(self.form).copy()
         d = self._reduced_costs(self.c)
         boxed = fin_lo & fin_up & (stat != _BASIC)
         stat[boxed & (d < -OPT_TOL)] = _AT_UPPER
@@ -436,9 +424,23 @@ class _Simplex:
             wq[pos] = 0.0
             Binv -= np.outer(wq, Binv[pos, :])
 
+    def _pivot(self, pos: int, q: int, step: float, w: np.ndarray, to_lower: bool) -> None:
+        """Column q enters the basis at row ``pos`` after a step of ``step``
+        along it, ``w = Binv a_q``; the leaving column goes to its lower
+        bound if ``to_lower``, else to its upper bound."""
+        x, bvs = self.x, self.basis
+        leaving = int(bvs[pos])
+        x[q] += step
+        x[bvs] -= step * w
+        x[leaving] = self.lo[leaving] if to_lower else self.up[leaving]
+        self.stat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+        self.stat[q] = _BASIC
+        bvs[pos] = q
+        self._update_inverse(pos, w)
+
     def _out_of_pivots(self) -> bool:
         """The iteration limit is used up or the deadline has passed."""
-        return self.iterations >= self.iteration_limit or (
+        return self.iterations >= ITERATION_LIMIT or (
             self.deadline is not None and time.monotonic() > self.deadline)
 
     def _solve_phase(self, c: np.ndarray) -> str:
@@ -496,16 +498,8 @@ class _Simplex:
                     x[bvs] = x_b - sigma * t * w
                 continue
             degen_run = degen_run + 1 if t <= PIVOT_TOL else 0
-            # apply the step
-            x[q] += sigma * t
-            x[bvs] = x_b - sigma * t * w
-            bv = int(bvs[leave_pos])
-            x[bv] = lo[bv] if delta[leave_pos] < 0 else up[bv]
-            stat[bv] = _AT_LOWER if delta[leave_pos] < 0 else _AT_UPPER
-            stat[q] = _BASIC
-            self.basis[leave_pos] = q
             # the ratio test only selects rows with |w_i| > PIVOT_TOL
-            self._update_inverse(leave_pos, w)
+            self._pivot(leave_pos, q, sigma * t, w, bool(delta[leave_pos] < 0))
 
     def _dual_phase(self) -> str:
         """Bounded dual simplex from a dual-feasible basis.
@@ -558,16 +552,8 @@ class _Simplex:
                 q = int(tied[np.argmax(np.abs(alpha[tied]))])
             degen_run = degen_run + 1 if tmin <= PIVOT_TOL else 0
             w = self._ftran(q)
-            leaving = int(bvs[r])
-            bound = lo[leaving] if to_lower else up[leaving]
-            step = (x_b[r] - bound) / w[r]
-            x[q] += step
-            x[bvs] = x_b - step * w
-            x[leaving] = bound
-            stat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
-            stat[q] = _BASIC
-            self.basis[r] = q
-            self._update_inverse(r, w)
+            bound = lo[bvs[r]] if to_lower else up[bvs[r]]
+            self._pivot(r, q, (x_b[r] - bound) / w[r], w, to_lower)
 
     def _row_infeasible(self, gain: np.ndarray, shortfall: float) -> bool:
         """Whether moving every nonbasic column within its bounds, each the
@@ -679,16 +665,15 @@ class _Simplex:
                           basis=self._basis() if status == "optimal" else None)
 
 
-def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
-             form: StandardForm | None = None, start: Basis | None = None,
-             deadline: float | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
+             start: Basis | None = None, deadline: float | None = None) -> LpSolution:
     """Solve an LP with the internal bounded-variable simplex.
 
-    Returns a proven status; deterministic for identical input. On
-    iteration limit exhaustion the best point found is returned with
-    status 'iteration_limit'. ``deadline``, a ``time.monotonic()`` value,
-    ends the solve the same way once it has passed; without one only the
-    iteration limit bounds the solve. A singular basis ends the
+    Returns a proven status; deterministic for identical input. Once
+    ``ITERATION_LIMIT`` pivots are made the best point found is returned
+    with status 'iteration_limit'. ``deadline``, a ``time.monotonic()``
+    value, ends the solve the same way once it has passed; without one
+    only the iteration limit bounds the solve. A singular basis ends the
     solve with status 'numerical_failure', which reports the pivots made
     up to then.
 
@@ -697,31 +682,27 @@ def solve_lp(lp: LinearProgram, iteration_limit: int = 50000, *,
     ignored. ``start`` is the basis of an earlier optimal solve of the
     same form under any bounds: the solve begins from it, and starts cold
     instead, within the same iteration limit, when that basis is singular,
-    inaccurate or not dual feasible. An inverse carried by ``start`` is
-    copied, never changed, so sibling solves can share it.
+    inaccurate or not dual feasible. The solve copies the start's inverse
+    and never changes it, so sibling solves can share it.
     """
     if form is None:
         lp.validate()
         form = standard_form(lp)
     if (form.lower > form.upper).any():
         return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
-    used = 0
+    simplex = _Simplex(lp, form, deadline)
     if start is not None:
-        warm = _Simplex(lp, form, iteration_limit, deadline)
         try:
-            sol = warm.solve_from(start)
+            sol = simplex.solve_from(start)
         except np.linalg.LinAlgError:
             sol = None
         if sol is not None:
             return sol
-        used = warm.iterations
-    cold = _Simplex(lp, form, iteration_limit, deadline)
-    cold.iterations = used
     try:
-        return cold.solve()
+        return simplex.solve()
     except np.linalg.LinAlgError:
         return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)),
-                          iterations=cold.iterations)
+                          iterations=simplex.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ variable index as the tie-break, so the search is fully deterministic.
 The MILP's standard form is built once; a node is its binary fixes. The
 root LP is the only one solved cold: the warm-start incumbent LP starts
 from the root's optimal basis, and each child LP is re-solved under its
-fixes from its parent's optimal basis by the LP core's dual simplex. The
-parent basis is inverted once per branching, by the LP core's
-``inverse_start``, and both children copy that inverse. The root's
-inverse is made once: the warm-start incumbent LP and the root's
-children share it. Heap entries hold bases without inverses.
+fixes from its parent's optimal basis by the LP core's dual simplex. A
+basis inverts itself once, for the first solve from it, and later solves
+from it copy that inverse: a branching's two children share one, and the
+root's children share the warm-start incumbent LP's. A basis waiting on
+the heap has not been started from, so it holds no inverse.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import (INF, LinearProgram, StandardForm, inverse_start, mps_column_name,
-                 solve_lp, standard_form, write_mps)
+from .lp import (INF, LinearProgram, StandardForm, mps_column_name, solve_lp,
+                 standard_form, write_mps)
 
 INT_TOL = 1e-6
 
@@ -107,7 +107,6 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     incumbent_obj = None
     incumbent_x = None
     unresolved: list[float] = []  # parent bounds of children left unsolved
-    root_start = None  # the root's inverse-carrying start, until the root is popped
 
     root = solve_lp(mip.base, form=form, deadline=deadline)
     nodes_solved = 1
@@ -122,9 +121,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
         fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
         if len(fixes) == len(binaries):
             # from the root's basis; cold when the root LP is not optimal
-            if root.basis is not None:
-                root_start = inverse_start(form, root.basis)
-            sol = solve_lp(mip.base, form=_with_fixes(form, fixes), start=root_start,
+            sol = solve_lp(mip.base, form=_with_fixes(form, fixes), start=root.basis,
                            deadline=deadline)
             nodes_solved += 1
             if sol.status == "optimal":
@@ -141,6 +138,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     # large heaps small.
     heap = [((-root.objective_value if sense_max else root.objective_value), 0, {}, root)]
     counter = 1
+    del root  # the root's inverse goes with its node once that is branched
 
     def current_bound():
         vals = [(-h[0] if sense_max else h[0]) for h in heap] + unresolved
@@ -157,8 +155,6 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             return _timeout_result(mip, incumbent_obj, incumbent_x, current_bound(),
                                    start, nodes_solved)
         _, _, fixes, relax = heapq.heappop(heap)
-        # the root is popped first: only then can root_start be set
-        parent, root_start = root_start, None
         bound = relax.objective_value
         if incumbent_obj is not None:
             slack = max(opts.rel_gap * abs(incumbent_obj), abs_tol)
@@ -180,13 +176,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
                 incumbent_obj = bound
                 incumbent_x = relax.primal
             continue
-        # one inversion of the parent basis serves both children
-        if parent is None:
-            parent = inverse_start(form, relax.basis)
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
-            child = solve_lp(mip.base, form=_with_fixes(form, child_fixes), start=parent,
-                             deadline=deadline)
+            child = solve_lp(mip.base, form=_with_fixes(form, child_fixes),
+                             start=relax.basis, deadline=deadline)
             nodes_solved += 1
             if child.status == "infeasible":
                 continue

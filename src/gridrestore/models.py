@@ -11,7 +11,7 @@ damaged line comes back.
 per network, built over every line: a period's topology is a change of
 bounds that takes the lines that are out away, and each topology is
 re-solved from the optimal basis of one base topology, the undamaged
-lines alone, whose inverse is made once and copied by every such solve.
+lines alone, which inverts itself once and is copied by every such solve.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import line_components
-from .lp import (INF, Basis, LinearProgram, StandardForm, Variable, inverse_start,
-                 standard_form)
+from .lp import INF, Basis, LinearProgram, StandardForm, Variable, standard_form
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Network, PeriodSchedule, RestorationPlan
 
@@ -328,19 +327,18 @@ def _period_result(network: Network, shared: _SharedPeriod, sol) -> tuple[float,
 
 def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[int],
                 memo: dict, solve_lp) -> Basis | None:
-    """The optimal basis of the base topology, the undamaged lines alone,
-    carrying its inverse.
+    """The optimal basis of the base topology, the undamaged lines alone.
 
-    Solved cold and inverted once per undamaged set and memo, and
-    memoized with its result like any other topology. None when that LP
-    is not optimal: the periods then solve cold.
+    Solved cold once per undamaged set and memo, and memoized with its
+    result like any other topology; the basis inverts itself for the
+    first period solved from it. None when that LP is not optimal: the
+    periods then solve cold.
     """
     key = ("base", undamaged)
     if key not in memo:
         sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
-        memo[key] = None
+        memo[key] = sol.basis
         if sol.status == "optimal":
-            memo[key] = inverse_start(shared.form, sol.basis)
             memo.setdefault(undamaged, _period_result(network, shared, sol))
     return memo[key]
 
@@ -353,10 +351,11 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     single-period LP. All of them are one shared LP over every line of
     the network, the period's topology a change of its bounds. Each
     topology is re-solved from the optimal basis of the base topology,
-    the undamaged lines alone, which is solved cold first and inverted
-    once. Restoring lines only unfixes flow columns and fixes row slacks,
-    so that basis stays dual feasible, and as the start is the same for
-    every period, a result does not depend on the order of evaluation.
+    the undamaged lines alone, which is solved cold first and inverts
+    itself once. Restoring lines only unfixes flow columns and fixes row
+    slacks, so that basis stays dual feasible, and as the start is the
+    same for every period, a result does not depend on the order of
+    evaluation.
 
     ``memo``, if given, holds that state across calls on one network: the
     network under ``"network"``, the shared LP under ``"form"``, the base

@@ -178,12 +178,6 @@ class RestorationPlan:
     def n_periods(self) -> int:
         return len(self.periods)
 
-    def all_lines(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.periods:
-            out |= p
-        return frozenset(out)
-
     def ordered_lines(self) -> list[int]:
         """Flatten into a single sequence, period order preserved."""
         out: list[int] = []

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from gridrestore.lp import LpSolution
 from conftest import CASES_DIR
 
 TINY3 = os.path.join(CASES_DIR, "tiny3.m")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def read_summary(outdir):
@@ -213,3 +216,53 @@ class TestRunConfig:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             RunConfig(case=TINY3, algorithm="magic", damage_fraction=0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("time_limit", 0.0, "time limit"), ("time_limit", float("nan"), "time limit"),
+        ("rel_gap", 1.5, "relative gap"), ("rel_gap", -0.1, "relative gap"),
+        ("n_periods", 0, "number of periods"), ("n_periods", -1, "number of periods")])
+    def test_rejects_bad_solver_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(case=TINY3, algorithm="util", damage_fraction=0.5, **{field: value})
+
+
+# each subcommand, with the arguments it needs besides the option under test
+SUBCOMMANDS = {
+    "solve": ["solve", "--damage-lines", "1", "2", "--algo", "util"],
+    "compare": ["compare", "--damage-lines", "1", "2", "--algos", "util", "rrr"],
+    "sweep": ["sweep", "--fractions", "1.0", "--seeds", "0", "--algos", "util",
+              "--workers", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("option", [["--time-limit", "0"], ["--rel-gap", "1.5"],
+                                    ["--n-periods", "-1"], ["--n-periods", "0"]])
+def test_bad_option_is_one_error_line(tmp_path, capsys, command, option):
+    rc = main(SUBCOMMANDS[command] + ["--case", TINY3, "--out", str(tmp_path)] + option)
+    assert rc == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ")
+    assert out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: every algorithm solves with scipy unimportable
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from gridrestore.cli import ALGORITHMS, main\n"
+        "for algo in ALGORITHMS:\n"
+        "    rc = main(['solve', '--case', sys.argv[1], '--damage-fraction', '1.0',\n"
+        "               '--algo', algo, '--out', sys.argv[2] + '/' + algo])\n"
+        "    if rc:\n"
+        "        sys.exit(f'{algo} exited {rc}')\n"
+        "assert 'scipy' not in {m.split('.')[0] for m, v in sys.modules.items() if v}\n")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script, TINY3, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for algo in ("util", "rrr", "rad", "rop", "oracle"):
+        assert (tmp_path / algo / "summary.json").exists()

@@ -160,11 +160,12 @@ class TestBasics:
                        [([(0, -1.0)], "<=", 1.0)])
         assert solve_lp(lp).status == "unbounded"
 
-    def test_iteration_limit_status(self):
+    def test_iteration_limit_status(self, monkeypatch):
         lp = random_lp(7)
-        sol = solve_lp(lp, iteration_limit=1)
-        assert sol.status in ("iteration_limit", "optimal", "infeasible")
         full = solve_lp(lp)
+        monkeypatch.setattr(lp_module, "ITERATION_LIMIT", 1)
+        sol = solve_lp(lp)
+        assert sol.status in ("iteration_limit", "optimal", "infeasible")
         if full.iterations > 1:
             assert sol.status == "iteration_limit"
 
@@ -368,21 +369,34 @@ class TestWarmStart:
         assert_same_result(solve_lp(lp, form=child, start=parent.basis),
                            solve_lp(lp, form=child))
 
-    def test_siblings_share_one_parent_inverse(self, meshed_scenarios):
+    def test_siblings_share_one_parent_inverse(self, meshed_scenarios, monkeypatch):
+        made = []
+        real_inverse = lp_module.basis_inverse
+
+        def counting(form, columns):
+            made.append(real_inverse(form, columns))
+            return made[-1]
+
+        monkeypatch.setattr(lp_module, "basis_inverse", counting)
         pivoted = 0
         for mip, form in rop_forms(meshed_scenarios):
             parent = solve_lp(mip.base, form=form)
             assert parent.status == "optimal"
-            shared = replace(parent.basis,
-                             inverse=basis_inverse(form, parent.basis.columns))
-            before = shared.inverse.copy()
             fractional = [j for j in sorted(mip.binary_vars)
                           if 1e-6 < parent.primal[j] < 1 - 1e-6][:3]
+            del made[:]
             for j in fractional:
                 for value in (0.0, 1.0):
                     child = tightened(form, j, value, value)
-                    ours = solve_lp(mip.base, form=child, start=shared)
-                    own = solve_lp(mip.base, form=child, start=parent.basis)
+                    ours = solve_lp(mip.base, form=child, start=parent.basis)
+                    # the first child inverts the parent's basis, the rest copy it
+                    assert len(made) == 1
+                    if j == fractional[0] and value == 0.0:
+                        before = made[0].copy()
+                    own_basis = Basis(parent.basis.columns, parent.basis.status)
+                    own = solve_lp(mip.base, form=child, start=own_basis)
+                    assert len(made) == 2
+                    del made[1:]
                     assert ours.status == own.status
                     assert ours.iterations == own.iterations
                     pivoted += own.iterations > 0
@@ -392,9 +406,32 @@ class TestWarmStart:
                                                       own.basis.columns)
                         np.testing.assert_array_equal(ours.basis.status,
                                                       own.basis.status)
-                        assert ours.basis.inverse is None
-            np.testing.assert_array_equal(shared.inverse, before)
+            # kept for the matrix every child shares, and never changed
+            assert parent.basis.inverse(form) is made[0]
+            np.testing.assert_array_equal(made[0], before)
+            assert len(made) == 1
         assert pivoted >= 6
+
+    def test_basis_on_another_matrix_is_inverted_afresh(self):
+        # one shape, two matrices: the second row's coefficient on y differs
+        def lp_with(coef):
+            return simple_lp("maximize", [(0, 1.0), (1, 1.0)],
+                             [("x", 0.0, 4.0), ("y", 0.0, 4.0)],
+                             [([(0, 1.0), (1, 1.0)], "<=", 3.0),
+                              ([(0, 1.0), (1, coef)], "<=", 2.0)])
+        lp1, lp2 = lp_with(-1.0), lp_with(-2.0)
+        form1, form2 = standard_form(lp1), standard_form(lp2)
+        basis = solve_lp(lp1, form=form1).basis
+        first = basis.inverse(form1)
+        assert basis.inverse(tightened(form1, 0, 0.0, 1.0)) is first
+        second = basis.inverse(form2)
+        assert second is not first
+        np.testing.assert_array_equal(second, basis_inverse(form2, basis.columns))
+        assert not np.array_equal(first, second)
+        child = tightened(form2, 0, 0.0, 1.0)
+        warm = solve_lp(lp2, form=child, start=basis)
+        assert_same_result(warm, solve_lp(lp2, form=child))
+        assert warm.objective_value == pytest.approx(3.0)
 
     @pytest.mark.parametrize("failures", [1, 2])
     def test_inaccurate_updated_inverse(self, monkeypatch, failures):

@@ -221,36 +221,50 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_node_is_one_lp_call(self, monkeypatch, seed):
         mip, _, assign = self._feasible_seed(self.BRANCHING_STARTS[seed])
-        calls = []
-        results = []
+        calls, made = [], []
+        real_inverse = gridrestore.lp.basis_inverse
 
-        def counting(lp, *args, **kwargs):
-            calls.append((lp, kwargs.get("start")))
-            results.append(solve_lp(lp, *args, **kwargs))
-            return results[-1]
+        def counting_inverse(form, columns):
+            inverse = real_inverse(form, columns)
+            made.append((inverse, inverse.copy()))
+            return inverse
 
-        monkeypatch.setattr(gridrestore.milp, "solve_lp", counting)
+        def recording(lp, *args, **kwargs):
+            before = len(made)
+            sol = solve_lp(lp, *args, **kwargs)
+            calls.append((lp, kwargs.get("start"), sol, len(made) - before))
+            return sol
+
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting_inverse)
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
         assert sol.nodes == len(calls)
-        assert all(lp is mip.base for lp, _ in calls)
+        assert all(lp is mip.base for lp, _, _, _ in calls)
         # the root is cold; the warm-start LP and every child start warm
-        assert calls[0][1] is None
-        assert all(start is not None for _, start in calls[1:])
-        # the warm-start LP starts from the root's basis, carrying its inverse
-        incumbent_start = calls[1][1]
-        np.testing.assert_array_equal(incumbent_start.columns, results[0].basis.columns)
-        assert incumbent_start.inverse is not None
-        # siblings share one start carrying the parent's inverse; the root's
-        # children share the warm-start LP's
-        children = [start for _, start in calls[2:]]
+        root, incumbent = calls[0], calls[1]
+        assert root[1] is None and root[3] == 0
+        assert all(start is not None for _, start, _, _ in calls[1:])
+        # the warm-start LP starts from the root's basis and inverts it
+        assert incumbent[1] is root[2].basis
+        assert incumbent[3] == 1
+        children = calls[2:]
         assert len(children) % 2 == 0
         assert children, "the root must branch for the checks below to bite"
-        assert children[0].inverse is incumbent_start.inverse
-        for first, second in zip(children[::2], children[1::2]):
-            assert first is second
-            assert first.inverse is not None
-        # no solution, and so no heap entry, holds an inverse
-        assert all(r.basis is None or r.basis.inverse is None for r in results)
+        for i in range(2, len(calls), 2):
+            first, second = calls[i], calls[i + 1]
+            # siblings start from their parent's basis, which a solved node's
+            # solution holds: one that waited on the heap without an inverse,
+            # so the first sibling makes it and the second copies it. The
+            # root's children copy the warm-start LP's.
+            assert first[1] is second[1]
+            assert any(first[1] is c[2].basis for c in calls[:i])
+            assert first[3] == (0 if first[1] is root[2].basis else 1)
+            assert second[3] == 0
+        # one inversion per branching, the root's included
+        assert len(made) == len(children) // 2
+        # no solve changed an inverse it copied
+        for inverse, copy in made:
+            np.testing.assert_array_equal(inverse, copy)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_inverse_per_branching(self, monkeypatch, seed):
@@ -310,31 +324,39 @@ class TestBranchAndBound:
         mip = build_rop(net, dmg, build_schedule(n, n)).program
         opts = SolveOptions(time_limit=30, rel_gap=0.0)
         expected = solve_mip(mip, opts)
-        starts, inverses = [], []
-        real_inverse = gridrestore.lp.basis_inverse
+        starts, inverses, cold = [], [], []
+        real_solve = gridrestore.lp._Simplex.solve
 
-        def singular_parent(form, columns):
-            # each branching inverts its parent once, then each child its
-            # start: the first of every three calls is the parent's
-            inverses.append(None)
-            if len(inverses) % 3 == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_inverse(form, columns)
+        def singular(form, columns):
+            inverses.append(columns)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def counting_cold(self):
+            cold.append(None)
+            return real_solve(self)
 
         def recording(lp, *args, **kwargs):
             starts.append(kwargs.get("start"))
             return solve_lp(lp, *args, **kwargs)
 
-        monkeypatch.setattr(gridrestore.lp, "basis_inverse", singular_parent)
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", singular)
+        monkeypatch.setattr(gridrestore.lp._Simplex, "solve", counting_cold)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, opts)
-        # each child gets the bare parent basis and inverts it itself
+        # a failed inversion is not kept: each child tries its parent's
+        # basis once, then solves cold in the same LP call
         assert len(starts) == sol.nodes > 1
-        assert all(start.inverse is None for start in starts[1:])
-        assert len(inverses) == 3 * (sol.nodes - 1) // 2
-        assert (sol.status, sol.nodes, sol.assignment) == \
-            (expected.status, expected.nodes, expected.assignment)
-        assert sol.objective_value == expected.objective_value
+        assert all(start is not None for start in starts[1:])
+        assert len(inverses) == sol.nodes - 1
+        for start, columns in zip(starts[1:], inverses):
+            np.testing.assert_array_equal(columns, start.columns)
+        assert len(cold) == sol.nodes
+        # cold children may reach another optimal vertex, and so another
+        # optimal assignment, but the optimum is the same
+        assert sol.status == expected.status == "optimal_within_gap"
+        assert sol.objective_value == pytest.approx(expected.objective_value,
+                                                    rel=1e-9)
+        assert sol.gap == 0.0
 
     def test_rop_node_bounds_warm_matches_cold(self, meshed_scenarios):
         for net, dmg in meshed_scenarios:
