@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass
 
 from .milp import SolveOptions, solve_mip
-from .models import (PlanExtractionError, build_rop, evaluate_plan, extract_plan)
+from .models import (FinalPeriodError, PlanExtractionError, build_rop, evaluate_plan,
+                     extract_plan)
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
 from .postprocess import monotonize, total_energy
@@ -67,7 +68,8 @@ def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: f
     Orders ``line_ids`` over ``n_periods`` unit periods with an even
     repair budget. Returns the extracted plan (None without a usable
     incumbent) and the MILP status, ``"failure"`` when there is no time
-    left or the solver raises ``PlanExtractionError``.
+    left or the solver raises ``PlanExtractionError`` or
+    ``FinalPeriodError``.
     """
     if time_limit <= 0:
         return None, "failure"
@@ -76,7 +78,7 @@ def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: f
     opts = SolveOptions(time_limit=time_limit, rel_gap=rel_gap)
     try:
         artifacts, solution = solver(network, damage, schedule, opts)
-    except PlanExtractionError:
+    except (PlanExtractionError, FinalPeriodError):
         return None, "failure"
     try:
         plan = extract_plan(artifacts, solution) if solution.has_incumbent else None
@@ -89,12 +91,27 @@ def _capacity_order(network: Network, line_ids) -> list[int]:
     return util_order(network, DamageScenario(tuple(sorted(line_ids)))).ordered_lines()
 
 
+def _subnetwork_without(network: Network, removed: frozenset[int]) -> Network:
+    """The network without the lines ``removed``, for an ordering MILP."""
+    if not removed:
+        return network
+    return Network(buses=network.buses,
+                   lines=tuple(l for l in network.lines if l.id not in removed),
+                   generators=network.generators, loads=network.loads,
+                   base_mva=network.base_mva)
+
+
 def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
         rop_solver=None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
     Each split picks half its lines for period one and recurses on both
-    halves, with half the remaining budget as the MILP time limit. With no
+    halves, with half the remaining budget as the MILP time limit. A split
+    is solved on the network without the lines restored after its set:
+    the top split sees the full grid, the first half recurses with the
+    second half's lines out as well, and the second half with the same
+    lines out as its parent. Every line of the set is back in period two,
+    so each split is one period of free binaries plus a constant. With no
     plan or no time left, it splits the capacity order in half; with an
     empty first half, the set comes back in capacity order. ``rop_solver
     (network, damage, schedule, opts) -> (RopArtifacts, MipSolution)``
@@ -103,11 +120,12 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
     solver = rop_solver or _default_rop_solver
     deadline = time.monotonic() + budget.time_limit
 
-    def recurse(line_ids: tuple[int, ...]) -> list[int]:
+    def recurse(line_ids: tuple[int, ...], later: frozenset[int]) -> list[int]:
         if len(line_ids) <= 1:
             return list(line_ids)
         remaining = deadline - time.monotonic()
-        split, _ = _sub_solve(solver, network, line_ids, 2, remaining / 2.0, budget.rel_gap)
+        split, _ = _sub_solve(solver, _subnetwork_without(network, later), line_ids, 2,
+                              remaining / 2.0, budget.rel_gap)
         if split is None:
             # MILP failure: capacity-ordered split into halves
             order = _capacity_order(network, line_ids)
@@ -118,20 +136,10 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
             if not first:
                 # nothing is urgent; any order works, use capacity order
                 return _capacity_order(network, line_ids)
-        return recurse(tuple(first)) + recurse(tuple(second))
+        return recurse(tuple(first), later | frozenset(second)) + recurse(tuple(second), later)
 
-    order = recurse(tuple(sorted(damage.damaged_lines)))
+    order = recurse(tuple(sorted(damage.damaged_lines)), frozenset())
     return RestorationPlan.from_lists([[lid] for lid in order])
-
-
-def _subnetwork_without(network: Network, removed: set[int]) -> Network:
-    """The network without the lines ``removed``, for an ordering MILP."""
-    if not removed:
-        return network
-    return Network(buses=network.buses,
-                   lines=tuple(l for l in network.lines if l.id not in removed),
-                   generators=network.generators, loads=network.loads,
-                   base_mva=network.base_mva)
 
 
 def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
@@ -186,7 +194,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                 continue
             n_blocks += 1
             cur_energy = energy(order, a, b)
-            plan, status = _sub_solve(solver, _subnetwork_without(network, set(order[b:])),
+            plan, status = _sub_solve(solver, _subnetwork_without(network, frozenset(order[b:])),
                                       block, len(block), sub_time, budget.rel_gap)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:

@@ -10,7 +10,8 @@ the inverse reads only the inverse's columns on that column's rows, and
 an inversion scatters just the basic columns into a dense block. A cold
 solve is two-phase primal simplex from a slack basis, with Bland's
 anti-cycling rule engaged after a run of degenerate pivots, and ends by
-inverting its final basis afresh. A warm solve starts from the optimal
+inverting its final basis afresh. No solve reports "optimal" unless every
+basic value then lies within its bounds. A warm solve starts from the optimal
 basis of an earlier solve of the same standard form under other bounds,
 as a branch-and-bound child does from its parent: a bound change keeps
 that basis dual feasible, so a bounded dual simplex restores primal
@@ -566,6 +567,16 @@ class _Simplex:
             (gain[fall] * (lo[fall] - x[fall])).sum()
         return bool(most < shortfall - INFEAS_TOL)
 
+    def _within_bounds(self) -> bool:
+        """Whether every basic value is finite and lies within its bounds, to
+        FEAS_TOL scaled by ``1 + |bound|``. A basic slack outside its bounds
+        is a broken row."""
+        bvs = self.basis
+        x, lo, up = self.x[bvs], self.lo[bvs], self.up[bvs]
+        return bool(np.isfinite(x).all()
+                    and not (lo - x > FEAS_TOL * (1.0 + np.abs(lo))).any()
+                    and not (x - up > FEAS_TOL * (1.0 + np.abs(up))).any())
+
     def _accurate(self) -> bool:
         """Whether ``x`` is finite and ``|Ax - b|`` passes the residual check."""
         if not np.isfinite(self.x).all():
@@ -616,7 +627,8 @@ class _Simplex:
         if res == "unbounded":
             return self._finish("unbounded")
         self._refactorize()
-        return self._finish("optimal")
+        # the fresh inverse can move drifted basic values out of their bounds
+        return self._finish("optimal" if self._within_bounds() else "numerical_failure")
 
     def solve_from(self, start: Basis) -> LpSolution | None:
         """Warm dual-then-primal simplex from ``start``.
@@ -624,8 +636,9 @@ class _Simplex:
         The optimum keeps the product-updated inverse when the basic values
         it gives pass the residual check; otherwise the basis is inverted
         afresh and checked again. None when the basis cannot be used, the
-        dual simplex cannot settle infeasibility or the optimum stays
-        inaccurate; the caller then solves cold.
+        dual simplex cannot settle infeasibility, or the optimum stays
+        inaccurate or has a basic value outside its bounds; the caller then
+        solves cold.
         """
         if not self._warm_start(start):
             return None
@@ -644,7 +657,7 @@ class _Simplex:
             self._refactorize()
             if not self._accurate():
                 return None
-        return self._finish("optimal")
+        return self._finish("optimal") if self._within_bounds() else None
 
     def _basis(self) -> Basis:
         """The current basis over the standard form, each artificial column
@@ -673,9 +686,10 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
     ``ITERATION_LIMIT`` pivots are made the best point found is returned
     with status 'iteration_limit'. ``deadline``, a ``time.monotonic()``
     value, ends the solve the same way once it has passed; without one
-    only the iteration limit bounds the solve. A singular basis ends the
-    solve with status 'numerical_failure', which reports the pivots made
-    up to then.
+    only the iteration limit bounds the solve. A singular basis, or a
+    cold optimum whose freshly inverted basis puts a basic value outside
+    its bounds, ends the solve with status 'numerical_failure', which
+    reports the pivots made up to then.
 
     ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
     is then neither validated nor rebuilt, and its variables' bounds are

@@ -3,9 +3,11 @@
 One period builder, ``_period_dcopf``, writes the DC optimal power flow
 with load shedding of a single period. The fixed-plan evaluation LP (RIP)
 is that model over each period's energized lines; the restoration
-ordering MILP (ROP) is the same model in every period with the damaged
-lines switchable, whose status binaries pick the period in which each
-damaged line comes back.
+ordering MILP (ROP) is the same model in every period but the last with
+the damaged lines switchable, whose status binaries pick the period in
+which each damaged line comes back. Every line is back in the final
+period, so the ROP carries that period's energy as a constant, solved
+once.
 
 ``evaluate_plan`` solves the RIP period by period on one shared period LP
 per network, built over every line: a period's topology is a change of
@@ -22,7 +24,7 @@ import numpy as np
 from .graph import line_components
 from .lp import INF, Basis, LinearProgram, StandardForm, Variable, standard_form
 from .milp import MipSolution, MixedIntegerProgram
-from .network import DamageScenario, Network, PeriodSchedule, RestorationPlan
+from .network import DamageScenario, Line, Network, PeriodSchedule, RestorationPlan
 
 
 class PlanExtractionError(ValueError):
@@ -34,6 +36,14 @@ class PlanEvaluationError(RuntimeError):
 
     def __init__(self, period: int, status: str):
         super().__init__(f"plan evaluation LP of period {period} ended with status {status}")
+        self.status = status
+
+
+class FinalPeriodError(RuntimeError):
+    """The final period's LP of an ordering MILP did not end optimal."""
+
+    def __init__(self, status: str):
+        super().__init__(f"final-period LP of the ordering MILP ended with status {status}")
         self.status = status
 
 
@@ -126,9 +136,7 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
         if ln.id in live:
             lp.add_constraint(f"flow{ln.id}{tag}", flow, "=", 0.0)
             continue
-        M = abs(b) * theta_delta
-        if not 0 < M < INF:
-            raise ValueError(f"degenerate big-M for line {ln.id}")
+        M = _big_m(ln, theta_delta)
         zj, lim = z[ln.id], limit[ln.id]
         lp.add_constraint(f"flowu{ln.id}{tag}", flow + [(zj, M)], "<=", M)
         lp.add_constraint(f"flowl{ln.id}{tag}", flow + [(zj, -M)], ">=", -M)
@@ -166,24 +174,45 @@ def angle_diff_big_m(network: Network) -> float:
     return sum(l.angle_diff_max for l in network.lines)
 
 
+def _big_m(line: Line, theta_delta: float) -> float:
+    """The big-M of a switchable line's flow rows, ``|b| * theta_delta``."""
+    M = abs(line.susceptance_b) * theta_delta
+    if not 0 < M < INF:
+        raise ValueError(f"degenerate big-M for line {line.id}")
+    return M
+
+
 def build_rop(network: Network, damage: DamageScenario,
               schedule: PeriodSchedule) -> RopArtifacts:
     """Restoration ordering MILP over the damaged lines and periods.
 
-    Each period is the ``_period_dcopf`` model with the damaged lines
-    switchable, led by its repair budget row; the status binaries are
-    monotone across periods and all 1 in the final period.
+    Each period but the last is the ``_period_dcopf`` model with the
+    damaged lines switchable, led by its repair budget row; the status
+    binaries are monotone across periods. Every line is back in the final
+    period, so its model would be the same LP at every branch-and-bound
+    node: it is solved once instead, cold, with every line live, and its
+    optimum times the period's duration enters the objective as one
+    column fixed at 1. The final period's binaries stay as columns fixed
+    at 1 in no row, so ``z`` still maps every (line, period) and
+    ``z_{N-1} <= z_N`` holds by their bounds. Raises ``FinalPeriodError``
+    when the final period's LP does not end optimal.
     """
+    # looked up per call, as in evaluate_plan
+    from .lp import solve_lp
+
     damage.validate(network)
     damaged = frozenset(damage.damaged_lines)
     if schedule.repair_budget[-1] != len(damaged):
         raise ValueError("schedule final repair budget must equal the damage count")
+    theta_delta = angle_diff_big_m(network)
+    for lid in sorted(damaged):  # checked even when no period switches a line
+        _big_m(network.lines_by_id[lid], theta_delta)
 
     live = frozenset(l.id for l in network.lines) - damaged
     lp = LinearProgram()
     art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule)
     N = schedule.n_periods
-    for k in range(1, N + 1):
+    for k in range(1, N):
         first = len(lp.constraints)
         _, z = _period_dcopf(lp, network, live, damaged,
                              weight=schedule.delta[k - 1], tag=f"_{k}")
@@ -191,15 +220,20 @@ def build_rop(network: Network, damage: DamageScenario,
         lp.add_constraint(f"budget_{k}", [(j, 1.0) for j in z.values()],
                           "<=", schedule.repair_budget[k - 1])
         lp.constraints.insert(first, lp.constraints.pop())
-        for lid, j in z.items():
-            if k == N:  # final period: all restored
-                lp.variables[j] = Variable(lp.variables[j].name, 1.0, 1.0)
-            art.z[(lid, k)] = j
+        art.z.update({(lid, k): j for lid, j in z.items()})
     for lid in sorted(damaged):
-        for k in range(1, N):
+        art.z[(lid, N)] = lp.add_variable(f"Z{lid}_{N}", 1.0, 1.0)
+        for k in range(1, N - 1):
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
+    final = LinearProgram()
+    _period_dcopf(final, network, live | damaged)
+    sol = solve_lp(final)
+    if sol.status != "optimal":
+        raise FinalPeriodError(sol.status)
+    lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
+                               sol.objective_value * schedule.delta[N - 1]))
     art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()))
     return art
 

@@ -115,6 +115,30 @@ class TestSolve:
                        "--algo", algo, "--out", str(tmp_path)])
             assert rc == EXIT_SOLVER
 
+    def test_final_period_failure(self, tmp_path, monkeypatch, capsys):
+        # the final-period LP of an ordering MILP is the one solved without a form
+        real_solve = gridrestore.lp.solve_lp
+
+        def failing_final(lp, *args, **kwargs):
+            if kwargs.get("form") is None:
+                return LpSolution("numerical_failure", float("nan"), None)
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", failing_final)
+        args = ["solve", "--case", TINY3, "--damage-lines", "1", "2", "3"]
+        capsys.readouterr()
+        assert main(args + ["--algo", "rop", "--out", str(tmp_path / "rop")]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("error: final-period LP") and "Traceback" not in err
+        # rrr and rad fall back to the capacity order
+        util = tmp_path / "util"
+        assert main(args + ["--algo", "util", "--out", str(util)]) == EXIT_OK
+        for algo in ("rrr", "rad"):
+            out = tmp_path / algo
+            assert main(args + ["--algo", algo, "--time-limit", "5", "--out", str(out)]) \
+                == EXIT_OK
+            assert read_summary(out)["plan"] == read_summary(util)["plan"]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.m"
         bad.write_text("mpc.baseMVA = 100;\n")

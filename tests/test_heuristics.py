@@ -11,9 +11,9 @@ from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
                                 extract_plan, plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network, RestorationPlan, build_schedule)
+                                 Network, RestorationPlan, build_schedule, random_damage)
 from gridrestore.postprocess import monotonize, total_energy
-from conftest import random_network, random_scenario, tiny3_network
+from conftest import meshed_network, random_network, random_scenario, tiny3_network
 
 
 def plan_energy(net, dmg, plan):
@@ -165,6 +165,65 @@ class TestRrr:
             assert len(util_calls) == len(calls) == len(dmg.damaged_lines) - 1
 
 
+    def test_splits_run_without_the_later_lines(self):
+        # every split puts the lower half of its sorted lines first, so the
+        # recursion is known: each split is solved on the grid without the
+        # lines ordered after its set
+        net = random_network(7, n_buses=8, n_lines=12)
+        dmg = DamageScenario(tuple(l.id for l in net.lines[:8]))
+
+        def halving(sub_net, sub_dmg, sched, opts):
+            art = build_rop(sub_net, sub_dmg, sched)
+            ids = sorted(sub_dmg.damaged_lines)
+            half = len(ids) // 2
+            plan = RestorationPlan.from_lists([ids[:half], ids[half:]])
+            return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
+                                    assignment=plan_to_assignment(art, plan))
+
+        seam, calls = recorded(halving)
+        plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=seam)
+        assert plan == sorted_plan(dmg)
+        every = frozenset(l.id for l in net.lines)
+        seen = {frozenset(art.damage.damaged_lines):
+                every - {l.id for l in art.network.lines} for art, _, _ in calls}
+        a, b, c, d, e, f, g, h = sorted(dmg.damaged_lines)
+        assert seen == {
+            frozenset({a, b, c, d, e, f, g, h}): frozenset(),
+            frozenset({a, b, c, d}): frozenset({e, f, g, h}),
+            frozenset({a, b}): frozenset({c, d, e, f, g, h}),
+            frozenset({c, d}): frozenset({e, f, g, h}),
+            frozenset({e, f, g, h}): frozenset(),
+            frozenset({e, f}): frozenset({g, h}),
+            frozenset({g, h}): frozenset(),
+        }
+        assert calls[0][0].network is net
+
+    def test_real_splits_take_the_later_lines_out(self):
+        # half the lines damaged, so that both halves of a split recurse
+        checked = [0, 0]
+        for seed in (3, 5):
+            net = meshed_network(seed, 12)
+            dmg = random_damage(net, 0.5, seed)
+            seam, calls = recorded(real_solver)
+            rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
+            # the top split sees the full grid
+            assert calls[0][0].network is net
+            lines = {frozenset(art.damage.damaged_lines):
+                     frozenset(l.id for l in art.network.lines) for art, _, _ in calls}
+            for art, sol, _ in calls:
+                first, second = (frozenset(p) for p in extract_plan(art, sol).periods)
+                parent = lines[frozenset(art.damage.damaged_lines)]
+                if len(first) > 1:
+                    # the first half's grid lacks exactly its later lines
+                    assert lines[first] == parent - second
+                    checked[0] += 1
+                if first and len(second) > 1:
+                    # the second half's grid keeps the first half's lines
+                    assert lines[second] == parent
+                    checked[1] += 1
+        assert min(checked) > 0
+
+
 class TestRad:
     def test_stall_limit_zero_is_identity(self, tiny3):
         dmg = DamageScenario((1, 2, 3))
@@ -197,7 +256,8 @@ class TestRad:
         net, dmg = meshed_scenarios[3]
         real_solve = gridrestore.lp.solve_lp
         real_standard_form = gridrestore.models.standard_form
-        calls, forms = [], []
+        real_solve_mip = gridrestore.heuristics.solve_mip
+        calls, forms, mips = [], [], []
 
         def counting(lp, *args, **kwargs):
             calls.append(kwargs.get("start"))
@@ -207,9 +267,14 @@ class TestRad:
             forms.append(lp)
             return real_standard_form(lp)
 
+        def counting_mips(mip, opts):
+            mips.append(mip)
+            return real_solve_mip(mip, opts)
+
         def run():
             calls.clear()
             forms.clear()
+            mips.clear()
             return rad(net, dmg, AlgoBudget(time_limit=300, seed=3),
                        config=RadConfig(stall_limit=3))
 
@@ -225,14 +290,18 @@ class TestRad:
         monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
         monkeypatch.setattr(gridrestore.models, "standard_form", counting_forms)
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", recording)
+        monkeypatch.setattr(gridrestore.heuristics, "solve_mip", counting_mips)
         plan = run()
         # one shared LP and one base, the undamaged lines alone, which no
-        # period has; every other LP solves one topology from that base
+        # period has; every other evaluation LP solves one topology from
+        # that base. Each sub-solve's ordering MILP adds one cold LP, its
+        # final period's.
         base = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         assert base not in topologies
         assert len(forms) == 1
-        assert calls.count(None) == 1
-        assert len(calls) == len(topologies) + 1
+        assert mips
+        assert calls.count(None) == 1 + len(mips)
+        assert len(calls) == len(topologies) + 1 + len(mips)
 
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)
@@ -240,7 +309,7 @@ class TestRad:
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
         ref_plan = run()
         assert plan == ref_plan
-        assert len(forms) > 1 and len(calls) > len(topologies) + 1
+        assert len(forms) > 1 and len(calls) > len(topologies) + 1 + len(mips)
 
     def test_time_doubling_adaptation(self):
         net, dmg = random_scenario(2)

@@ -14,8 +14,8 @@ from gridrestore.lp import (INF, Basis, LinearProgram, Variable, basis_inverse,
 from gridrestore.milp import MixedIntegerProgram
 from gridrestore.models import build_rip, build_rop
 from gridrestore.network import (DamageScenario, RestorationPlan,
-                                 build_schedule)
-from conftest import tiny3_network
+                                 build_schedule, random_damage)
+from conftest import meshed_network, tiny3_network
 
 
 def simple_lp(sense, obj, variables, constraints):
@@ -525,6 +525,90 @@ class TestResidualCheck:
             assert simplex._accurate() == bool(dense <= scale)
         simplex.x = np.full(x.size, np.nan)
         assert not simplex._accurate()
+
+
+def violations(lp, x):
+    """Largest row violation and largest bound violation of ``x``."""
+    bounds = max((max(v.lower - xj, xj - v.upper) for v, xj in zip(lp.variables, x)),
+                 default=0.0)
+    return lp.constraint_violation(x), max(bounds, 0.0)
+
+
+def full_rop_root(seed, n_buses, fraction):
+    """The ordering MILP with one period per damaged line; its base is the
+    full-ROP root LP."""
+    net = meshed_network(seed, n_buses)
+    dmg = random_damage(net, fraction, seed)
+    n = len(dmg.damaged_lines)
+    return build_rop(net, dmg, build_schedule(n, n)).program
+
+
+class TestFinalCheck:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_meshed_16_bus_root_is_highs_or_not_optimal(self, seed):
+        # full-ROP roots at 40% damage. Unchecked, seed 4's cold solve ends
+        # "optimal" 0.76 above HiGHS, at a point that breaks a row by 8.0
+        # and a bound by 2.4; seed 1 solves cleanly
+        lp = full_rop_root(seed, 16, 0.4).base
+        sol = solve_lp(lp)
+        if sol.status == "optimal":
+            assert sol.objective_value == pytest.approx(-solve_with_scipy(lp).fun,
+                                                        rel=0, abs=1e-6)
+            assert max(violations(lp, sol.primal)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_optimum_is_feasible_on_meshed_rop_roots(self, seed):
+        # the cold root, and both children of its most fractional binary
+        # solved warm from the root's basis. On the generated LPs,
+        # TestAgainstScipy checks the same of every optimum
+        mip = full_rop_root(seed, (6, 8, 10, 12)[seed % 4], (0.25, 0.4)[seed % 2])
+        form = standard_form(mip.base)
+        root = solve_lp(mip.base, form=form)
+        solves = [(form, root)]
+        if root.status == "optimal":
+            j = max(sorted(mip.binary_vars),
+                    key=lambda j: min(abs(root.primal[j] - round(root.primal[j])), 0.5))
+            for v in (0.0, 1.0):
+                child = tightened(form, j, v, v)
+                solves.append((child, solve_lp(mip.base, form=child, start=root.basis)))
+        for child, sol in solves:
+            if sol.status == "optimal":
+                lp = mip.base
+                fixed = [Variable(var.name, lo, hi) for var, lo, hi
+                         in zip(lp.variables, child.lower, child.upper)]
+                assert max(violations(replace(lp, variables=fixed), sol.primal)) <= 1e-6
+
+    def test_cold_optimum_out_of_bounds_is_a_numerical_failure(self, monkeypatch):
+        lp = feasible_lp(3)
+        pivots = solve_lp(lp).iterations
+        monkeypatch.setattr(lp_module._Simplex, "_within_bounds", lambda self: False)
+        sol = solve_lp(lp)
+        assert (sol.status, sol.iterations, sol.basis) == ("numerical_failure", pivots, None)
+
+    def test_warm_optimum_out_of_bounds_solves_cold(self, monkeypatch):
+        # max x s.t. x + y <= 1, y >= 0.6; the child x <= 0.2 takes a dual pivot
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        child = tightened(form, 0, 0.0, 0.2)
+        real_check = lp_module._Simplex._within_bounds
+        real_solve = lp_module._Simplex.solve
+        checks, cold = [], []
+
+        def first_fails(self):
+            checks.append(None)
+            return len(checks) > 1 and real_check(self)
+
+        def solve(self):
+            cold.append(None)
+            return real_solve(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_within_bounds", first_fails)
+        monkeypatch.setattr(lp_module._Simplex, "solve", solve)
+        sol = solve_lp(lp, form=child, start=parent.basis)
+        assert (sol.status, len(checks), len(cold)) == ("optimal", 2, 1)
+        assert sol.objective_value == pytest.approx(0.2)
 
 
 def dense_update(Binv, pos, w):

@@ -9,16 +9,47 @@ import gridrestore.lp
 import gridrestore.models
 from gridrestore.lp import LinearProgram, LpSolution, solve_lp
 from gridrestore.milp import SolveOptions, solve_mip
-from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
-                                _period_dcopf, angle_diff_big_m,
+from gridrestore.models import (FinalPeriodError, PlanEvaluationError,
+                                PlanExtractionError, _period_dcopf, angle_diff_big_m,
                                 build_rip, build_rop, energized_lines,
                                 evaluate_plan, extract_plan, fix_plan_in_rop,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network, RestorationPlan, build_schedule, random_damage)
+                                 Network, PeriodSchedule, RestorationPlan, build_schedule,
+                                 random_damage)
 from gridrestore.postprocess import total_energy
 from conftest import meshed_network, random_scenario, tiny3_network
+
+
+def highs_milp(mip):
+    """Optimum of the MILP by SciPy's HiGHS ``milp``."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = mip.base
+    n = len(lp.variables)
+    sign = -1.0 if lp.objective_sense == "maximize" else 1.0
+    c = np.zeros(n)
+    for j, coef in lp.objective_terms:
+        c[j] += sign * coef
+    A = np.zeros((len(lp.constraints), n))
+    lo = np.full(len(lp.constraints), -np.inf)
+    hi = np.full(len(lp.constraints), np.inf)
+    for i, con in enumerate(lp.constraints):
+        for j, coef in con.terms:
+            A[i, j] += coef
+        if con.relation != "<=":
+            lo[i] = con.rhs
+        if con.relation != ">=":
+            hi[i] = con.rhs
+    integrality = np.zeros(n)
+    integrality[sorted(mip.binary_vars)] = 1
+    res = milp(c, constraints=[LinearConstraint(A, lo, hi)] if len(A) else None,
+               integrality=integrality,
+               bounds=Bounds([v.lower for v in lp.variables], [v.upper for v in lp.variables]),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return sign * res.fun
 
 
 def tiny3_damage12():
@@ -298,20 +329,84 @@ class TestRop:
             build_rop(net, DamageScenario((2,)), build_schedule(1, 1))
 
     def test_one_period_matches_evaluation_on_meshed_grids(self, meshed_scenarios):
-        # one period: every Z is fixed at 1, so the switchable rows must
-        # describe the same physics as the flow equalities of live lines
+        # two periods, the second a constant: the one modeled period with
+        # the plan fixed has lines both in (Z = 1) and out (Z = 0), so its
+        # switchable rows must describe the same physics as the evaluation
         for net, dmg in meshed_scenarios:
             n = len(dmg.damaged_lines)
-            sched = build_schedule(n, 1)
+            sched = build_schedule(n, 2)
             art = build_rop(net, dmg, sched)
-            lp = art.program.base
-            assert all(lp.variables[j].lower == 1.0 for j in art.z.values())
-            sol = solve_lp(lp)
+            order = list(dmg.damaged_lines)
+            plan = RestorationPlan.from_lists([order[:sched.repair_budget[0]],
+                                               order[sched.repair_budget[0]:]])
+            assert all(plan.periods)
+            sol = solve_lp(fix_plan_in_rop(art, plan).base)
             assert sol.status == "optimal"
-            series = evaluate_plan(net, dmg, RestorationPlan.from_lists(
-                [list(dmg.damaged_lines)]), sched)
+            series = evaluate_plan(net, dmg, plan, sched)
             energy = sum(d * t for d, t in zip(series.delivered, series.durations))
             assert sol.objective_value == pytest.approx(energy, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_final_period_is_not_modeled(self, meshed_scenarios, full):
+        # only the final period's binaries, fixed at 1 and in no row, carry
+        # its tag; its energy is one constant column
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            N = n if full else 2
+            art = build_rop(net, dmg, build_schedule(n, N))
+            lp = art.program.base
+            tagged = {j for j, v in enumerate(lp.variables)
+                      if v.name.rsplit("_", 1)[-1] == str(N)}
+            finals = {art.z[(lid, N)] for lid in dmg.damaged_lines}
+            assert tagged == finals
+            assert all(lp.variables[j].lower == lp.variables[j].upper == 1.0 for j in finals)
+            assert not [c.name for c in lp.constraints
+                        if c.name.rsplit("_", 1)[-1] == str(N)]
+            in_rows = {j for c in lp.constraints for j, _ in c.terms}
+            assert not finals & in_rows
+            (const,) = [j for j, v in enumerate(lp.variables) if v.name == "final_energy"]
+            assert lp.variables[const].lower == lp.variables[const].upper == 1.0
+            assert const not in in_rows
+            assert len(art.program.binary_vars) == n * N
+
+    def test_constant_is_the_final_period_energy(self, meshed_scenarios):
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            for N in (1, 2, n):
+                budget = build_schedule(n, N).repair_budget
+                sched = PeriodSchedule(N, tuple(0.5 + k for k in range(N)), budget)
+                lp = build_rop(net, dmg, sched).program.base
+                (const,) = [j for j, v in enumerate(lp.variables) if v.name == "final_energy"]
+                coef = sum(c for j, c in lp.objective_terms if j == const)
+                plan = RestorationPlan.from_lists(
+                    [[]] * (N - 1) + [list(dmg.damaged_lines)])
+                series = evaluate_plan(net, dmg, plan, sched)
+                assert coef == pytest.approx(series.delivered[-1] * sched.delta[-1],
+                                             rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_optimum_matches_highs_milp(self, meshed_scenarios, full):
+        for net, dmg in meshed_scenarios:
+            n = len(dmg.damaged_lines)
+            art = build_rop(net, dmg, build_schedule(n, n if full else 2))
+            sol = solve_mip(art.program, SolveOptions(time_limit=60, rel_gap=0.0))
+            assert sol.status == "optimal_within_gap"
+            assert sol.objective_value == pytest.approx(highs_milp(art.program),
+                                                        rel=1e-9, abs=1e-7)
+
+    def test_final_period_failure_raises(self, monkeypatch):
+        # the final period's LP is the one solved without a form
+        def failing_final(lp, *args, **kwargs):
+            if kwargs.get("form") is None:
+                return LpSolution("numerical_failure", float("nan"),
+                                  np.zeros(len(lp.variables)))
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", failing_final)
+        net, dmg = tiny3_damage12()
+        with pytest.raises(FinalPeriodError, match="numerical_failure") as err:
+            build_rop(net, dmg, build_schedule(2, 2))
+        assert err.value.status == "numerical_failure"
 
     def test_fixed_plan_recovers_evaluation(self):
         net, dmg = tiny3_damage12()
