@@ -7,16 +7,14 @@ served over the restoration horizon.
 
 from .network import (Bus, CaseParseError, DamageScenario, Generator, Line,
                       Load, Network, PeriodSchedule, RestorationPlan,
-                      build_schedule, network_from_json, network_to_json,
-                      parse_case, random_damage)
+                      build_schedule, parse_case, random_damage)
 from .lp import Constraint, LinearProgram, LpSolution, Variable, solve_lp, write_mps
 from .milp import (ExternalBackendConfig, MipSolution, MixedIntegerProgram,
                    SolveOptions, solve_external, solve_mip)
 from .models import (PlanExtractionError, PowerServedSeries, RopArtifacts,
                      build_rip, build_rop, evaluate_plan, extract_plan,
-                     fix_plan_in_rop, plan_to_assignment)
-from .heuristics import (AlgoBudget, RadConfig, brute_force_optimal, rad, rrr,
-                         util_order)
+                     plan_to_assignment)
+from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
 from .postprocess import (RestorationReport, build_report, island_metrics,
                           monotonize, total_energy)
 
@@ -25,13 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Bus", "Line", "Generator", "Load", "Network", "DamageScenario",
     "PeriodSchedule", "RestorationPlan", "CaseParseError", "parse_case",
-    "network_to_json", "network_from_json", "build_schedule", "random_damage",
-    "Variable", "Constraint", "LinearProgram", "LpSolution", "solve_lp",
-    "write_mps", "MixedIntegerProgram", "SolveOptions", "MipSolution",
-    "solve_mip", "solve_external", "ExternalBackendConfig",
-    "PowerServedSeries", "RopArtifacts", "PlanExtractionError", "build_rip",
-    "build_rop", "evaluate_plan", "extract_plan", "plan_to_assignment",
-    "fix_plan_in_rop", "AlgoBudget", "RadConfig", "util_order", "rrr", "rad",
-    "brute_force_optimal", "monotonize", "island_metrics", "total_energy",
-    "RestorationReport", "build_report",
+    "build_schedule", "random_damage", "Variable", "Constraint",
+    "LinearProgram", "LpSolution", "solve_lp", "write_mps",
+    "MixedIntegerProgram", "SolveOptions", "MipSolution", "solve_mip",
+    "solve_external", "ExternalBackendConfig", "PowerServedSeries",
+    "RopArtifacts", "PlanExtractionError", "build_rip", "build_rop",
+    "evaluate_plan", "extract_plan", "plan_to_assignment", "AlgoBudget",
+    "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",
+    "island_metrics", "total_energy", "RestorationReport", "build_report",
 ]

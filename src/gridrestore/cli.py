@@ -1,8 +1,9 @@
 """Command-line front end: single solves, algorithm comparisons, and sweeps.
 
 Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
-failure: no plan, or an evaluation LP or the final-period LP of the
-ordering MILP that hit its iteration limit or a numerical failure.
+failure (no plan). A plan evaluation LP, or the final-period LP of the
+``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
+otherwise not optimal (iteration limit, numerical failure) exits 3.
 """
 from __future__ import annotations
 
@@ -17,11 +18,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .heuristics import (AlgoBudget, RadConfig, brute_force_optimal, rad, rrr,
-                         util_order)
+from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
 from .milp import ExternalBackendConfig, SolveOptions, solve_external, solve_mip
-from .models import (FinalPeriodError, PlanEvaluationError, build_rop, evaluate_plan,
-                     extract_plan, plan_to_assignment)
+from .models import (PlanEvaluationError, build_rop, evaluate_plan, extract_plan,
+                     plan_to_assignment)
 from .network import (CaseParseError, DamageScenario, Network, RestorationPlan,
                       build_schedule, parse_case, random_damage)
 from .postprocess import RestorationReport, build_report
@@ -138,10 +138,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
             raise CliError(str(e), EXIT_SOLVER)
         return plan, schedule, None
     # rop: warm-started ordering MILP
-    try:
-        art = build_rop(network, damage, schedule)
-    except FinalPeriodError as e:
-        raise CliError(str(e), EXIT_SOLVER)
+    art = build_rop(network, damage, schedule)
     warm = plan_to_assignment(art, util_order(network, damage))
     opts = SolveOptions(time_limit=config.time_limit, rel_gap=config.rel_gap,
                         warm_start=warm)

@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass
 
 from .milp import SolveOptions, solve_mip
-from .models import (FinalPeriodError, PlanExtractionError, build_rop, evaluate_plan,
-                     extract_plan)
+from .models import (PlanEvaluationError, PlanExtractionError, build_rop,
+                     evaluate_plan, extract_plan)
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
 from .postprocess import monotonize, total_energy
@@ -30,20 +30,13 @@ class AlgoBudget:
             raise ValueError("time_limit must be positive")
 
 
-@dataclass
-class RadConfig:
-    min_partition: int = 2
-    max_partition: int = 5
-    initial_time_fraction: float = 0.01
-    stall_limit: int = 100
-    growth_factor: float = 1.10
-    adapt_threshold: float = 0.80
-
-    def __post_init__(self):
-        if not 2 <= self.min_partition <= self.max_partition:
-            raise ValueError("need 2 <= min_partition <= max_partition")
-        if not 0 < self.initial_time_fraction <= 1:
-            raise ValueError("initial_time_fraction must be in (0, 1]")
+# rad's search settings, read at each call
+MIN_PARTITION = 2  # block sizes are drawn from MIN_PARTITION..cap,
+MAX_PARTITION = 5  # and the cap starts at MAX_PARTITION
+INITIAL_TIME_FRACTION = 0.01  # first MILP time limit, as a share of the budget
+STALL_LIMIT = 100  # stop after this many rounds in a row with no improved block
+GROWTH_FACTOR = 1.10  # growth of the block-size cap
+ADAPT_THRESHOLD = 0.80  # share of failed blocks that makes a round adapt
 
 
 def util_order(network: Network, damage: DamageScenario) -> RestorationPlan:
@@ -69,7 +62,7 @@ def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: f
     repair budget. Returns the extracted plan (None without a usable
     incumbent) and the MILP status, ``"failure"`` when there is no time
     left or the solver raises ``PlanExtractionError`` or
-    ``FinalPeriodError``.
+    ``PlanEvaluationError`` (the final period's LP failed).
     """
     if time_limit <= 0:
         return None, "failure"
@@ -78,7 +71,7 @@ def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: f
     opts = SolveOptions(time_limit=time_limit, rel_gap=rel_gap)
     try:
         artifacts, solution = solver(network, damage, schedule, opts)
-    except (PlanExtractionError, FinalPeriodError):
+    except (PlanExtractionError, PlanEvaluationError):
         return None, "failure"
     try:
         plan = extract_plan(artifacts, solution) if solution.has_incumbent else None
@@ -143,8 +136,7 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
 
 def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
-        config: RadConfig | None = None, initial: RestorationPlan | None = None,
-        rop_solver=None) -> RestorationPlan:
+        initial: RestorationPlan | None = None, rop_solver=None) -> RestorationPlan:
     """Randomized adaptive decomposition of a fully-ordered plan.
 
     Cuts the ordering into random contiguous blocks, re-orders each by
@@ -154,9 +146,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     ordering on the full network: the lines restored after the block are
     still out in them. When most blocks of a round fail, the MILP time
     limit doubles if most solves hit it or failed, else the block-size cap
-    grows. Never worse than ``initial``.
+    grows. Never worse than ``initial``. The module constants above set
+    the search.
     """
-    config = config or RadConfig()
     solver = rop_solver or _default_rop_solver
     initial_plan = initial or util_order(network, damage)
     initial_plan.validate_against(damage)
@@ -167,8 +159,8 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
     rng = random.Random(budget.seed)
     deadline = time.monotonic() + budget.time_limit
-    sub_time = max(config.initial_time_fraction * budget.time_limit, 1e-3)
-    s_lo, s_hi = config.min_partition, config.max_partition
+    sub_time = max(INITIAL_TIME_FRACTION * budget.time_limit, 1e-3)
+    s_lo, s_hi = MIN_PARTITION, MAX_PARTITION
     stall = 0
     schedule = build_schedule(n, n, 1.0)
     memo: dict = {}  # the network's shared period LP, base and period results
@@ -178,7 +170,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
         plan = RestorationPlan.from_lists([[lid] for lid in ordering])
         return sum(evaluate_plan(network, damage, plan, schedule, memo=memo).delivered[a:b])
 
-    while stall < config.stall_limit and time.monotonic() < deadline:
+    while stall < STALL_LIMIT and time.monotonic() < deadline:
         # contiguous random partition of the current ordering
         cuts, pos = [], 0
         while pos < n:
@@ -205,12 +197,12 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                     continue
             n_fail += 1
         stall = 0 if n_fail < n_blocks else stall + 1
-        if n_blocks > 0 and n_fail >= config.adapt_threshold * n_blocks:
-            if n_hit >= config.adapt_threshold * n_blocks:
+        if n_blocks > 0 and n_fail >= ADAPT_THRESHOLD * n_blocks:
+            if n_hit >= ADAPT_THRESHOLD * n_blocks:
                 sub_time *= 2.0
             else:
-                # grow toward n // 2, never below the configured cap
-                s_hi = max(s_hi, min(math.ceil(config.growth_factor * s_hi), n // 2))
+                # grow toward n // 2, never below the current cap
+                s_hi = max(s_hi, min(math.ceil(GROWTH_FACTOR * s_hi), n // 2))
 
     final = RestorationPlan.from_lists([[lid] for lid in order])
     # safeguard: never return a plan worse (post-processed) than the initial

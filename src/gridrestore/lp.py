@@ -267,9 +267,6 @@ class LpSolution:
     iterations: int = 0
     basis: Basis | None = None  # the optimal basis, for an optimal solve
 
-    def value(self, idx: int) -> float:
-        return float(self.primal[idx])
-
 
 class _Simplex:
     """Simplex over a standard form with general bounds and a dense inverse.

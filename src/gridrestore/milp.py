@@ -300,33 +300,3 @@ def solve_external(mip: MixedIntegerProgram, opts: SolveOptions,
     return MipSolution(status="optimal_within_gap", objective_value=obj, best_bound=obj,
                        gap=0.0, assignment=_assignment_from(mip, x), primal=x,
                        elapsed=time.monotonic() - start)
-
-
-def enumerate_binaries(mip: MixedIntegerProgram):
-    """Exhaustive oracle: best objective over all full binary assignments.
-
-    Assignments that put a binary outside its own bounds (a binary fixed
-    at 1 by the model, say) are skipped. Returns (objective, assignment)
-    or (None, None) if infeasible. Only usable for small binary counts;
-    intended for verification.
-    """
-    binaries = sorted(mip.binary_vars)
-    if len(binaries) > 20:
-        raise ValueError("too many binaries to enumerate")
-    mip.base.validate()
-    form = standard_form(mip.base)
-    sense_max = mip.base.objective_sense == "maximize"
-    best = None
-    best_assign = None
-    for mask in range(1 << len(binaries)):
-        fixes = {j: float((mask >> i) & 1) for i, j in enumerate(binaries)}
-        if any(not form.lower[j] - INT_TOL <= v <= form.upper[j] + INT_TOL
-               for j, v in fixes.items()):
-            continue
-        sol = solve_lp(mip.base, form=_with_fixes(form, fixes))
-        if sol.status != "optimal":
-            continue
-        if best is None or (sol.objective_value > best if sense_max else sol.objective_value < best):
-            best = sol.objective_value
-            best_assign = {j: int(fixes[j]) for j in binaries}
-    return best, best_assign

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import line_components
-from .lp import INF, Basis, LinearProgram, StandardForm, Variable, standard_form
+from .lp import INF, Basis, LinearProgram, StandardForm, standard_form
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Line, Network, PeriodSchedule, RestorationPlan
 
@@ -39,14 +39,6 @@ class PlanEvaluationError(RuntimeError):
         self.status = status
 
 
-class FinalPeriodError(RuntimeError):
-    """The final period's LP of an ordering MILP did not end optimal."""
-
-    def __init__(self, status: str):
-        super().__init__(f"final-period LP of the ordering MILP ended with status {status}")
-        self.status = status
-
-
 @dataclass
 class RopArtifacts:
     """Ordering MILP plus the index maps needed to interpret a solution."""
@@ -55,16 +47,15 @@ class RopArtifacts:
     network: Network
     damage: DamageScenario
     schedule: PeriodSchedule
-    z: dict = field(default_factory=dict)  # (line id, k) -> var index
+    z: dict = field(default_factory=dict)  # (line id, k) -> var index, k < N
 
 
 @dataclass
 class PowerServedSeries:
-    """Per-period delivered power, durations, and load fractions."""
+    """Per-period delivered power and durations."""
 
     delivered: tuple[float, ...]
     durations: tuple[float, ...]
-    load_fractions: tuple[dict, ...] = ()
 
     def __post_init__(self):
         if len(self.delivered) != len(self.durations):
@@ -192,10 +183,9 @@ def build_rop(network: Network, damage: DamageScenario,
     period, so its model would be the same LP at every branch-and-bound
     node: it is solved once instead, cold, with every line live, and its
     optimum times the period's duration enters the objective as one
-    column fixed at 1. The final period's binaries stay as columns fixed
-    at 1 in no row, so ``z`` still maps every (line, period) and
-    ``z_{N-1} <= z_N`` holds by their bounds. Raises ``FinalPeriodError``
-    when the final period's LP does not end optimal.
+    column fixed at 1. It has no binaries: ``z`` maps periods 1..N-1.
+    Raises ``PlanEvaluationError`` for period N when the final period's
+    LP does not end optimal.
     """
     # looked up per call, as in evaluate_plan
     from .lp import solve_lp
@@ -222,7 +212,6 @@ def build_rop(network: Network, damage: DamageScenario,
         lp.constraints.insert(first, lp.constraints.pop())
         art.z.update({(lid, k): j for lid, j in z.items()})
     for lid in sorted(damaged):
-        art.z[(lid, N)] = lp.add_variable(f"Z{lid}_{N}", 1.0, 1.0)
         for k in range(1, N - 1):
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
@@ -231,7 +220,7 @@ def build_rop(network: Network, damage: DamageScenario,
     _period_dcopf(final, network, live | damaged)
     sol = solve_lp(final)
     if sol.status != "optimal":
-        raise FinalPeriodError(sol.status)
+        raise PlanEvaluationError(N, sol.status)
     lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
                                sol.objective_value * schedule.delta[N - 1]))
     art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()))
@@ -239,29 +228,30 @@ def build_rop(network: Network, damage: DamageScenario,
 
 
 def extract_plan(artifacts: RopArtifacts, solution: MipSolution) -> RestorationPlan:
-    """Restoration plan from the incumbent's line-status transitions."""
+    """Restoration plan from the incumbent's line-status transitions.
+
+    Every line is back in the final period, which has no binaries.
+    """
     if not solution.has_incumbent:
         raise ValueError("solution has no incumbent")
     N = artifacts.schedule.n_periods
-    damaged = sorted(artifacts.damage.damaged_lines)
-    zval = {}
-    for lid in damaged:
-        prev = 0.0
+    periods = [set() for _ in range(N)]
+    for lid in sorted(artifacts.damage.damaged_lines):
+        prev = 0
         for k in range(1, N + 1):
-            raw = solution.assignment.get(artifacts.z[(lid, k)])
-            if raw is None and solution.primal is not None:
-                raw = solution.primal[artifacts.z[(lid, k)]]
-            v = 1 if raw >= 0.5 else 0
-            if v < prev - 1e-6:
+            v = 1
+            if k < N:
+                j = artifacts.z[(lid, k)]
+                raw = solution.assignment.get(j)
+                if raw is None and solution.primal is not None:
+                    raw = solution.primal[j]
+                v = 1 if raw >= 0.5 else 0
+            if v < prev:
                 raise PlanExtractionError(
                     f"line {lid}: status drops from period {k - 1} to {k}")
-            zval[(lid, k)] = v
+            if v > prev:
+                periods[k - 1].add(lid)
             prev = v
-    periods = []
-    for k in range(1, N + 1):
-        restored = {lid for lid in damaged
-                    if zval[(lid, k)] == 1 and (k == 1 or zval[(lid, k - 1)] == 0)}
-        periods.append(restored)
     return RestorationPlan.from_lists(periods)
 
 
@@ -287,22 +277,9 @@ def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[i
                     restore_period[lid] = k
                     break
     for lid in sorted(artifacts.damage.damaged_lines):
-        for k in range(1, schedule.n_periods + 1):
+        for k in range(1, schedule.n_periods):
             assign[artifacts.z[(lid, k)]] = 1 if k >= restore_period[lid] else 0
     return assign
-
-
-def fix_plan_in_rop(artifacts: RopArtifacts, plan: RestorationPlan) -> MixedIntegerProgram:
-    """Copy of the ordering MILP with all binaries fixed to the given plan."""
-    assign = plan_to_assignment(artifacts, plan)
-    lp = artifacts.program.base
-    fixed = LinearProgram(variables=list(lp.variables), constraints=lp.constraints,
-                          objective_sense=lp.objective_sense,
-                          objective_terms=lp.objective_terms)
-    for j, v in assign.items():
-        var = lp.variables[j]
-        fixed.variables[j] = Variable(var.name, float(v), float(v))
-    return MixedIntegerProgram(base=fixed, binary_vars=artifacts.program.binary_vars)
 
 
 @dataclass(frozen=True)
@@ -354,9 +331,10 @@ def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
     return shared
 
 
-def _period_result(network: Network, shared: _SharedPeriod, sol) -> tuple[float, dict]:
-    fr = {lid: min(max(float(sol.primal[j]), 0.0), 1.0) for lid, j in shared.xd.items()}
-    return sum(fr[d.id] * d.p_demand for d in network.loads), fr
+def _delivered(network: Network, shared: _SharedPeriod, sol) -> float:
+    """Power served at the period LP's optimum, load fractions clipped to [0, 1]."""
+    return sum(min(max(float(sol.primal[shared.xd[d.id]]), 0.0), 1.0) * d.p_demand
+               for d in network.loads)
 
 
 def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[int],
@@ -373,7 +351,7 @@ def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[in
         sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
         memo[key] = sol.basis
         if sol.status == "optimal":
-            memo.setdefault(undamaged, _period_result(network, shared, sol))
+            memo.setdefault(undamaged, _delivered(network, shared, sol))
     return memo[key]
 
 
@@ -394,9 +372,9 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     ``memo``, if given, holds that state across calls on one network: the
     network under ``"network"``, the shared LP under ``"form"``, the base
     basis under ``("base", undamaged line ids)``, and per topology, keyed
-    by the frozenset of energized line ids, its ``(delivered, load
-    fractions)``. It is read before and filled after each solve. Raises
-    ``ValueError`` when the memo holds another network.
+    by the frozenset of energized line ids, its delivered power. It is
+    read before and filled after each solve. Raises ``ValueError`` when
+    the memo holds another network.
     """
     # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
     # double, a tracing wrapper) sees every period LP, base LPs included
@@ -410,7 +388,6 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     shared = _shared_period(network, memo)
     undamaged = energized_lines(network, damage, plan, 0)
     delivered = []
-    fractions = []
     for k in range(1, schedule.n_periods + 1):
         live = energized_lines(network, damage, plan, k)
         hit = memo.get(live)
@@ -422,7 +399,6 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
             sol = solve_lp(shared.lp, form=shared.bounds(live), start=start)
             if sol.status != "optimal":
                 raise PlanEvaluationError(k, sol.status)
-            hit = memo[live] = _period_result(network, shared, sol)
-        delivered.append(hit[0])
-        fractions.append(dict(hit[1]))
-    return PowerServedSeries(tuple(delivered), tuple(schedule.delta), tuple(fractions))
+            hit = memo[live] = _delivered(network, shared, sol)
+        delivered.append(hit)
+    return PowerServedSeries(tuple(delivered), tuple(schedule.delta))

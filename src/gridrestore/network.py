@@ -5,7 +5,6 @@ restoration plans are overlays on a Network, never mutations of it.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -377,39 +376,3 @@ def _angle_diff_max(angmin_deg: float, angmax_deg: float) -> float:
         return DEFAULT_ANGLE_DIFF_MAX
     adm = max(abs(angmin_deg), abs(angmax_deg)) * math.pi / 180.0
     return adm if adm > 0 else DEFAULT_ANGLE_DIFF_MAX
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange format
-# ---------------------------------------------------------------------------
-
-def network_to_json(network: Network) -> str:
-    """Serialize a Network to the internal interchange JSON schema."""
-    doc = {
-        "base_mva": network.base_mva,
-        "buses": [{"id": b.id, "name": b.name} for b in network.buses],
-        "lines": [
-            {"id": l.id, "from_bus": l.from_bus, "to_bus": l.to_bus,
-             "susceptance_b": l.susceptance_b, "thermal_limit": l.thermal_limit,
-             "angle_diff_max": l.angle_diff_max}
-            for l in network.lines
-        ],
-        "generators": [{"id": g.id, "bus": g.bus, "p_max": g.p_max} for g in network.generators],
-        "loads": [{"id": d.id, "bus": d.bus, "p_demand": d.p_demand} for d in network.loads],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def network_from_json(text: str) -> Network:
-    doc = json.loads(text)
-    return Network(
-        buses=tuple(Bus(id=b["id"], name=b.get("name", "")) for b in doc["buses"]),
-        lines=tuple(Line(id=l["id"], from_bus=l["from_bus"], to_bus=l["to_bus"],
-                         susceptance_b=l["susceptance_b"], thermal_limit=l["thermal_limit"],
-                         angle_diff_max=l["angle_diff_max"]) for l in doc["lines"]),
-        generators=tuple(Generator(id=g["id"], bus=g["bus"], p_max=g["p_max"])
-                         for g in doc["generators"]),
-        loads=tuple(Load(id=d["id"], bus=d["bus"], p_demand=d["p_demand"])
-                    for d in doc["loads"]),
-        base_mva=doc["base_mva"],
-    )

@@ -27,18 +27,13 @@ def monotonize(series: PowerServedSeries,
         raise ValueError("series and plan must have equal length")
     n = series.n_periods
     best = float("-inf")
-    best_fr: dict = {}
     delivered = []
-    fractions = []
     new_periods: list[set[int]] = []
     carry: set[int] = set()
     for k in range(n):
         raw = series.delivered[k]
-        fr = series.load_fractions[k] if series.load_fractions else {}
         if k == 0 or raw >= best - DIP_TOL:
-            if raw > best:
-                best = raw
-                best_fr = fr
+            best = max(best, raw)
             new_periods.append(set(plan.periods[k]) | carry)
             carry = set()
         else:
@@ -46,11 +41,9 @@ def monotonize(series: PowerServedSeries,
             carry |= set(plan.periods[k])
             new_periods.append(set())
         delivered.append(best)
-        fractions.append(best_fr)
     if carry:
         new_periods[-1] |= carry
-    out_series = PowerServedSeries(tuple(delivered), series.durations,
-                                   tuple(fractions))
+    out_series = PowerServedSeries(tuple(delivered), series.durations)
     return out_series, RestorationPlan.from_lists(new_periods)
 
 

@@ -1,0 +1,47 @@
+"""Reference oracles that the tests check the solvers against."""
+from gridrestore.lp import LinearProgram, Variable, solve_lp, standard_form
+from gridrestore.milp import INT_TOL, MixedIntegerProgram, _with_fixes
+from gridrestore.models import RopArtifacts, plan_to_assignment
+from gridrestore.network import RestorationPlan
+
+
+def enumerate_binaries(mip: MixedIntegerProgram):
+    """Exhaustive oracle: best objective over all full binary assignments.
+
+    Assignments that put a binary outside its own bounds (a binary fixed
+    at 1 by the model, say) are skipped. Returns (objective, assignment)
+    or (None, None) if infeasible. Only usable for small binary counts.
+    """
+    binaries = sorted(mip.binary_vars)
+    if len(binaries) > 20:
+        raise ValueError("too many binaries to enumerate")
+    mip.base.validate()
+    form = standard_form(mip.base)
+    sense_max = mip.base.objective_sense == "maximize"
+    best = None
+    best_assign = None
+    for mask in range(1 << len(binaries)):
+        fixes = {j: float((mask >> i) & 1) for i, j in enumerate(binaries)}
+        if any(not form.lower[j] - INT_TOL <= v <= form.upper[j] + INT_TOL
+               for j, v in fixes.items()):
+            continue
+        sol = solve_lp(mip.base, form=_with_fixes(form, fixes))
+        if sol.status != "optimal":
+            continue
+        if best is None or (sol.objective_value > best if sense_max else sol.objective_value < best):
+            best = sol.objective_value
+            best_assign = {j: int(fixes[j]) for j in binaries}
+    return best, best_assign
+
+
+def fix_plan_in_rop(artifacts: RopArtifacts, plan: RestorationPlan) -> MixedIntegerProgram:
+    """Copy of the ordering MILP with all binaries fixed to the given plan."""
+    assign = plan_to_assignment(artifacts, plan)
+    lp = artifacts.program.base
+    fixed = LinearProgram(variables=list(lp.variables), constraints=lp.constraints,
+                          objective_sense=lp.objective_sense,
+                          objective_terms=lp.objective_terms)
+    for j, v in assign.items():
+        var = lp.variables[j]
+        fixed.variables[j] = Variable(var.name, float(v), float(v))
+    return MixedIntegerProgram(base=fixed, binary_vars=artifacts.program.binary_vars)

@@ -9,8 +9,9 @@ import random
 import numpy as np
 import pytest
 
+import gridrestore.heuristics
 from gridrestore.cli import EXIT_OK, main as cli_main
-from gridrestore.heuristics import (AlgoBudget, RadConfig, brute_force_optimal,
+from gridrestore.heuristics import (MAX_PARTITION, AlgoBudget, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.lp import solve_lp
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
@@ -184,10 +185,7 @@ def test_criterion_07_fallback_paths():
 
     def delaying(sub_net, sub_dmg, sched, opts):
         art = build_rop(sub_net, sub_dmg, sched)
-        assign = {}
-        for lid in sub_dmg.damaged_lines:
-            assign[art.z[(lid, 1)]] = 0
-            assign[art.z[(lid, 2)]] = 1
+        assign = {art.z[(lid, 1)]: 0 for lid in sub_dmg.damaged_lines}
         return art, MipSolution(status="optimal_within_gap",
                                 objective_value=0.0, assignment=assign)
 
@@ -205,14 +203,14 @@ def test_criterion_07_fallback_paths():
           "first split falls back to capacity order): PASS")
 
 
-def test_criterion_08_rad_behavior():
+def test_criterion_08_rad_behavior(monkeypatch):
+    monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 2)
     degraded = 0
     for seed in range(50):
         net, dmg = random_scenario(seed % 10)
         initial = util_order(net, dmg)
         before = plan_energy(net, dmg, initial)
-        plan = rad(net, dmg, AlgoBudget(time_limit=1.0, seed=seed),
-                   config=RadConfig(stall_limit=2), initial=initial)
+        plan = rad(net, dmg, AlgoBudget(time_limit=1.0, seed=seed), initial=initial)
         plan.validate_against(dmg)
         if plan_energy(net, dmg, plan) < before - 1e-9:
             degraded += 1
@@ -235,18 +233,17 @@ def test_criterion_08_rad_behavior():
                                 assignment=plan_to_assignment(art, plan))
 
     net, dmg = random_scenario(2)
-    rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-        rop_solver=failing)
+    monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 3)
+    rad(net, dmg, AlgoBudget(time_limit=5), rop_solver=failing)
     assert max(time_limits[1:]) >= 2 * time_limits[0]
     # 12 lines: the block-size cap can grow past 5, up to n // 2 = 6
     net = random_network(7, n_buses=8, n_lines=12)
     dmg = DamageScenario(tuple(l.id for l in net.lines))
     initial = RestorationPlan.from_lists(
         [[lid] for lid in sorted(dmg.damaged_lines)])
-    config = RadConfig(stall_limit=6)
-    rad(net, dmg, AlgoBudget(time_limit=60), config=config, initial=initial,
-        rop_solver=identity)
-    assert max(block_sizes) > config.max_partition
+    monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 6)
+    rad(net, dmg, AlgoBudget(time_limit=60), initial=initial, rop_solver=identity)
+    assert max(block_sizes) > MAX_PARTITION
     print("\ncriterion 8 (randomized decomposition: 0/50 runs degraded; both "
           "adaptation rules observed): PASS")
 

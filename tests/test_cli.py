@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import gridrestore.cli
 import gridrestore.lp
 import gridrestore.milp
 from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_compare,
@@ -129,7 +130,9 @@ class TestSolve:
         capsys.readouterr()
         assert main(args + ["--algo", "rop", "--out", str(tmp_path / "rop")]) == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith("error: final-period LP") and "Traceback" not in err
+        assert err.startswith("error: plan evaluation failed: plan evaluation LP of "
+                              "period 3 ended with status numerical_failure")
+        assert "Traceback" not in err
         # rrr and rad fall back to the capacity order
         util = tmp_path / "util"
         assert main(args + ["--algo", "util", "--out", str(util)]) == EXIT_OK
@@ -138,6 +141,23 @@ class TestSolve:
             assert main(args + ["--algo", algo, "--time-limit", "5", "--out", str(out)]) \
                 == EXIT_OK
             assert read_summary(out)["plan"] == read_summary(util)["plan"]
+
+    def test_rop_one_period_has_no_free_binary(self, tmp_path, monkeypatch):
+        real_solve_mip = gridrestore.cli.solve_mip
+        binaries = []
+
+        def counting(mip, opts):
+            binaries.append(len(mip.binary_vars))
+            return real_solve_mip(mip, opts)
+
+        monkeypatch.setattr(gridrestore.cli, "solve_mip", counting)
+        rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2", "3",
+                   "--algo", "rop", "--n-periods", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert binaries == [0]
+        summary = read_summary(tmp_path)
+        assert summary["plan"] == [[1, 2, 3]]
+        assert summary["gap"] == 0.0
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.m"

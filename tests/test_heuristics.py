@@ -5,7 +5,7 @@ import pytest
 import gridrestore.heuristics
 import gridrestore.lp
 import gridrestore.models
-from gridrestore.heuristics import (AlgoBudget, RadConfig, brute_force_optimal,
+from gridrestore.heuristics import (MAX_PARTITION, AlgoBudget, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
@@ -35,10 +35,7 @@ def failing_solver(net, dmg, sched, opts):
 def delaying_solver(net, dmg, sched, opts):
     """Every line in the last period: the first half of a split is empty."""
     art = build_rop(net, dmg, sched)
-    assign = {}
-    for lid in dmg.damaged_lines:
-        assign[art.z[(lid, 1)]] = 0
-        assign[art.z[(lid, 2)]] = 1
+    assign = {art.z[(lid, 1)]: 0 for lid in dmg.damaged_lines}
     return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
                             assignment=assign)
 
@@ -136,6 +133,9 @@ class TestRrr:
             rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), rop_solver=seam)
             assert 1 <= len(calls) <= 2 * n - 1
             assert max(len(art.program.binary_vars) for art, _, _ in calls) <= 2 * n
+            # a split's second period has no binaries: one per line of the split
+            assert all(len(art.program.binary_vars) == len(art.damage.damaged_lines)
+                       for art, _, _ in calls)
 
     def test_capacity_order_only_on_fallback(self, monkeypatch):
         util_calls = []
@@ -224,31 +224,34 @@ class TestRrr:
         assert min(checked) > 0
 
 
+def stall_limit(monkeypatch, rounds):
+    monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", rounds)
+
+
 class TestRad:
-    def test_stall_limit_zero_is_identity(self, tiny3):
+    def test_stall_limit_zero_is_identity(self, tiny3, monkeypatch):
         dmg = DamageScenario((1, 2, 3))
         initial = util_order(tiny3, dmg)
-        cfg = RadConfig(stall_limit=0)
-        plan = rad(tiny3, dmg, AlgoBudget(time_limit=5), config=cfg,
-                   initial=initial)
+        stall_limit(monkeypatch, 0)
+        plan = rad(tiny3, dmg, AlgoBudget(time_limit=5), initial=initial)
         assert plan == initial
 
-    def test_two_lines_matches_top_split_objective(self, tiny3):
+    def test_two_lines_matches_top_split_objective(self, tiny3, monkeypatch):
         dmg = DamageScenario((1, 2))
-        plan = rad(tiny3, dmg, AlgoBudget(time_limit=20, rel_gap=0.0),
-                   config=RadConfig(stall_limit=2))
+        stall_limit(monkeypatch, 2)
+        plan = rad(tiny3, dmg, AlgoBudget(time_limit=20, rel_gap=0.0))
         art = build_rop(tiny3, dmg, build_schedule(2, 2))
         sol = solve_mip(art.program, SolveOptions(time_limit=20, rel_gap=0.0))
         assert plan_energy(tiny3, dmg, plan) == pytest.approx(
             sol.objective_value, abs=1e-6)
 
-    def test_never_degrades(self):
+    def test_never_degrades(self, monkeypatch):
+        stall_limit(monkeypatch, 2)
         for seed in range(5):
             net, dmg = random_scenario(seed)
             initial = util_order(net, dmg)
             before = plan_energy(net, dmg, initial)
-            plan = rad(net, dmg, AlgoBudget(time_limit=2, seed=seed),
-                       config=RadConfig(stall_limit=2), initial=initial)
+            plan = rad(net, dmg, AlgoBudget(time_limit=2, seed=seed), initial=initial)
             plan.validate_against(dmg)
             assert plan_energy(net, dmg, plan) >= before - 1e-9
 
@@ -275,8 +278,7 @@ class TestRad:
             calls.clear()
             forms.clear()
             mips.clear()
-            return rad(net, dmg, AlgoBudget(time_limit=300, seed=3),
-                       config=RadConfig(stall_limit=3))
+            return rad(net, dmg, AlgoBudget(time_limit=300, seed=3))
 
         topologies = set()
 
@@ -287,6 +289,7 @@ class TestRad:
                               for k in range(1, schedule.n_periods + 1))
             return evaluate_plan(network, damage, plan, schedule, memo=memo)
 
+        stall_limit(monkeypatch, 3)
         monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
         monkeypatch.setattr(gridrestore.models, "standard_form", counting_forms)
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", recording)
@@ -311,35 +314,34 @@ class TestRad:
         assert plan == ref_plan
         assert len(forms) > 1 and len(calls) > len(topologies) + 1 + len(mips)
 
-    def test_time_doubling_adaptation(self):
+    def test_time_doubling_adaptation(self, monkeypatch):
         net, dmg = random_scenario(2)
         seam, calls = recorded(failing_solver)
-        rad(net, dmg, AlgoBudget(time_limit=5), config=RadConfig(stall_limit=3),
-            rop_solver=seam)
+        stall_limit(monkeypatch, 3)
+        rad(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
         limits = [opts.time_limit for _, _, opts in calls]
         assert max(limits[1:]) >= 2 * limits[0]
 
-    def test_partition_size_growth_adaptation(self):
+    def test_partition_size_growth_adaptation(self, monkeypatch):
         # 12 lines, so the block-size cap can grow past 5 up to n // 2 = 6;
         # the identity answer never improves a block, so every round adapts
         net = random_network(7, n_buses=8, n_lines=12)
         dmg = DamageScenario(tuple(l.id for l in net.lines))
-        cfg = RadConfig(stall_limit=6)
+        stall_limit(monkeypatch, 6)
         seam, calls = recorded(identity_solver)
-        rad(net, dmg, AlgoBudget(time_limit=60), config=cfg,
-            initial=sorted_plan(dmg), rop_solver=seam)
+        rad(net, dmg, AlgoBudget(time_limit=60), initial=sorted_plan(dmg), rop_solver=seam)
         sizes = [len(art.damage.damaged_lines) for art, _, _ in calls]
-        assert max(sizes) > cfg.max_partition
+        assert max(sizes) > MAX_PARTITION
 
-    def test_growth_never_shrinks_the_block_size_cap(self):
+    def test_growth_never_shrinks_the_block_size_cap(self, monkeypatch):
         # n = 4 < 2 * max_partition: a growth step must keep the cap at 5,
         # not cut it to n // 2 = 2
         net, dmg = random_scenario(2)
         assert len(dmg.damaged_lines) == 4
         initial = sorted_plan(dmg)
         seam, calls = recorded(identity_solver)
-        rad(net, dmg, AlgoBudget(time_limit=60), config=RadConfig(stall_limit=6),
-            initial=initial, rop_solver=seam)
+        stall_limit(monkeypatch, 6)
+        rad(net, dmg, AlgoBudget(time_limit=60), initial=initial, rop_solver=seam)
         # each round's first block holds the first line, and every round
         # adapts: the identity answer never improves a block
         first = initial.ordered_lines()[0]

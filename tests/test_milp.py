@@ -13,11 +13,11 @@ import gridrestore.milp
 from gridrestore.lp import (INF, LinearProgram, LpSolution, mps_column_name, solve_lp,
                             standard_form)
 from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
-                              SolveOptions, enumerate_binaries,
-                              parse_solution_file, solve_external, solve_mip)
+                              SolveOptions, parse_solution_file, solve_external,
+                              solve_mip)
 from gridrestore.models import build_rop
-from gridrestore.network import build_schedule, random_damage
-from conftest import meshed_network
+from gridrestore.network import build_schedule
+from oracles import enumerate_binaries
 
 
 def random_mip(seed, max_binaries=12):
@@ -93,14 +93,19 @@ class TestBranchAndBound:
                 assert abs(sol.primal[j] - round(sol.primal[j])) <= 1e-6
 
     def test_enumeration_respects_binary_bounds(self):
-        # the ROP fixes its final-period binaries at 1; an enumeration that
-        # set them to 0 would score plans outside the MILP (3.977 here)
-        net = meshed_network(100, 8)
-        mip = build_rop(net, random_damage(net, 0.25, 0), build_schedule(3, 2)).program
-        assert any(mip.base.variables[j].lower == 1.0 for j in mip.binary_vars)
+        # z0 is a binary bounded [1, 1]: an enumeration that set it to 0
+        # would score z1 = z2 = 1 (3.0), outside the MILP, whose optimum
+        # is z0 = z1 = 1 (1.0)
+        lp = LinearProgram()
+        lp.add_variable("z0", 1.0, 1.0)
+        lp.add_variable("z1", 0.0, 1.0)
+        lp.add_variable("z2", 0.0, 1.0)
+        lp.add_constraint("cap", [(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 2.0)
+        lp.set_objective("maximize", [(0, -1.0), (1, 2.0), (2, 1.0)])
+        mip = MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
         best, assign = enumerate_binaries(mip)
-        for j, v in assign.items():
-            assert mip.base.variables[j].lower <= v <= mip.base.variables[j].upper
+        assert assign == {0: 1, 1: 1, 2: 0}
+        assert best == pytest.approx(1.0, abs=1e-12)
         sol = solve_mip(mip, SolveOptions(time_limit=60, rel_gap=0.0))
         assert sol.status == "optimal_within_gap"
         assert best == pytest.approx(sol.objective_value, abs=1e-9, rel=1e-9)

@@ -9,10 +9,9 @@ import gridrestore.lp
 import gridrestore.models
 from gridrestore.lp import LinearProgram, LpSolution, solve_lp
 from gridrestore.milp import SolveOptions, solve_mip
-from gridrestore.models import (FinalPeriodError, PlanEvaluationError,
-                                PlanExtractionError, _period_dcopf, angle_diff_big_m,
-                                build_rip, build_rop, energized_lines,
-                                evaluate_plan, extract_plan, fix_plan_in_rop,
+from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
+                                _period_dcopf, angle_diff_big_m, build_rip, build_rop,
+                                energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
@@ -20,6 +19,7 @@ from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  random_damage)
 from gridrestore.postprocess import total_energy
 from conftest import meshed_network, random_scenario, tiny3_network
+from oracles import fix_plan_in_rop
 
 
 def highs_milp(mip):
@@ -210,8 +210,6 @@ class TestRip:
                     live = energized_lines(net, dmg, plan, k)
                     assert delivered == pytest.approx(cold_period(net, live),
                                                       rel=1e-9, abs=1e-9)
-                    fr = series.load_fractions[k - 1]
-                    assert all(0.0 <= v <= 1.0 for v in fr.values())
 
     def test_every_miss_starts_from_the_base(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[1]
@@ -246,7 +244,7 @@ class TestRip:
         assert len(inverses) == 1
         # the base solve is memoized as the base topology's result
         undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
-        assert memo[undamaged][0] == pytest.approx(base.objective_value, rel=1e-12)
+        assert memo[undamaged] == pytest.approx(base.objective_value, rel=1e-12)
 
     def test_one_form_per_line_set_and_memo(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[2]
@@ -299,11 +297,39 @@ class TestRip:
                       build_schedule(2, 3))
 
 
+def lumped_schedule(n):
+    """Four periods: nothing in the first, two lines in the second, none
+    in the third and the rest in the last."""
+    return PeriodSchedule(4, (1.0,) * 4, (0, 2, 2, n))
+
+
+def schedules(n):
+    """One period, two, one per line, and a lumped schedule."""
+    return [build_schedule(n, 1), build_schedule(n, 2), build_schedule(n, n),
+            lumped_schedule(n)]
+
+
+def bucketed(order, schedule):
+    """The plan restoring ``order`` by the schedule's repair budget."""
+    budget = (0,) + schedule.repair_budget
+    return RestorationPlan.from_lists([order[budget[k]:budget[k + 1]]
+                                       for k in range(schedule.n_periods)])
+
+
 class TestRop:
     def test_binary_count(self):
-        net, dmg = tiny3_damage12()
-        art = build_rop(net, dmg, build_schedule(2, 2))
-        assert len(art.program.binary_vars) == 2 * 2
+        # the final period, where every line is back, has no binaries
+        net, dmg = random_scenario(3)
+        n = len(dmg.damaged_lines)
+        for sched in schedules(n):
+            N = sched.n_periods
+            art = build_rop(net, dmg, sched)
+            assert set(art.z) == {(lid, k) for lid in dmg.damaged_lines
+                                  for k in range(1, N)}
+            assert art.program.binary_vars == frozenset(art.z.values())
+            assert len(art.program.binary_vars) == n * (N - 1)
+            assert not [v.name for v in art.program.base.variables
+                        if v.name.startswith("Z") and v.name.endswith(f"_{N}")]
 
     def test_big_m_arithmetic(self):
         net = Network(buses=(Bus(1), Bus(2), Bus(3)),
@@ -348,26 +374,18 @@ class TestRop:
 
     @pytest.mark.parametrize("full", [False, True])
     def test_final_period_is_not_modeled(self, meshed_scenarios, full):
-        # only the final period's binaries, fixed at 1 and in no row, carry
-        # its tag; its energy is one constant column
+        # no column or row carries the final period's tag; its energy is
+        # one constant column in no row
         for net, dmg in meshed_scenarios:
             n = len(dmg.damaged_lines)
             N = n if full else 2
-            art = build_rop(net, dmg, build_schedule(n, N))
-            lp = art.program.base
-            tagged = {j for j, v in enumerate(lp.variables)
-                      if v.name.rsplit("_", 1)[-1] == str(N)}
-            finals = {art.z[(lid, N)] for lid in dmg.damaged_lines}
-            assert tagged == finals
-            assert all(lp.variables[j].lower == lp.variables[j].upper == 1.0 for j in finals)
-            assert not [c.name for c in lp.constraints
-                        if c.name.rsplit("_", 1)[-1] == str(N)]
+            lp = build_rop(net, dmg, build_schedule(n, N)).program.base
+            assert not [v.name for v in lp.variables if v.name.endswith(f"_{N}")]
+            assert not [c.name for c in lp.constraints if c.name.endswith(f"_{N}")]
             in_rows = {j for c in lp.constraints for j, _ in c.terms}
-            assert not finals & in_rows
             (const,) = [j for j, v in enumerate(lp.variables) if v.name == "final_energy"]
             assert lp.variables[const].lower == lp.variables[const].upper == 1.0
             assert const not in in_rows
-            assert len(art.program.binary_vars) == n * N
 
     def test_constant_is_the_final_period_energy(self, meshed_scenarios):
         for net, dmg in meshed_scenarios:
@@ -404,7 +422,7 @@ class TestRop:
 
         monkeypatch.setattr(gridrestore.lp, "solve_lp", failing_final)
         net, dmg = tiny3_damage12()
-        with pytest.raises(FinalPeriodError, match="numerical_failure") as err:
+        with pytest.raises(PlanEvaluationError, match="period 2 .*numerical_failure") as err:
             build_rop(net, dmg, build_schedule(2, 2))
         assert err.value.status == "numerical_failure"
 
@@ -484,8 +502,7 @@ class TestPlanExtraction:
     def test_transition_example(self):
         net, dmg = tiny3_damage12()
         art = build_rop(net, dmg, build_schedule(2, 2))
-        assign = {art.z[(1, 1)]: 0, art.z[(1, 2)]: 1,
-                  art.z[(2, 1)]: 1, art.z[(2, 2)]: 1}
+        assign = {art.z[(1, 1)]: 0, art.z[(2, 1)]: 1}
         sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
                           assignment=assign)
         plan = extract_plan(art, sol)
@@ -494,7 +511,7 @@ class TestPlanExtraction:
     def test_all_first_period(self):
         net, dmg = tiny3_damage12()
         art = build_rop(net, dmg, build_schedule(2, 2))
-        assign = {art.z[(lid, k)]: 1 for lid in (1, 2) for k in (1, 2)}
+        assign = {art.z[(lid, 1)]: 1 for lid in (1, 2)}
         sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
                           assignment=assign)
         plan = extract_plan(art, sol)
@@ -502,12 +519,12 @@ class TestPlanExtraction:
 
     def test_monotonicity_violation_raises(self):
         net, dmg = tiny3_damage12()
-        art = build_rop(net, dmg, build_schedule(2, 2))
+        art = build_rop(net, dmg, build_schedule(2, 3))
         assign = {art.z[(1, 1)]: 1, art.z[(1, 2)]: 0,
                   art.z[(2, 1)]: 1, art.z[(2, 2)]: 1}
         sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
                           assignment=assign)
-        with pytest.raises(PlanExtractionError):
+        with pytest.raises(PlanExtractionError, match="line 1"):
             extract_plan(art, sol)
 
     def test_no_incumbent_rejected(self):
@@ -520,12 +537,19 @@ class TestPlanExtraction:
     def test_fix_then_extract_round_trip(self, seed):
         net, dmg = random_scenario(seed)
         n = len(dmg.damaged_lines)
-        sched = build_schedule(n, n)
-        art = build_rop(net, dmg, sched)
         order = list(dmg.damaged_lines)
         random.Random(seed).shuffle(order)
-        plan = RestorationPlan.from_lists([[lid] for lid in order])
-        assign = plan_to_assignment(art, plan)
-        sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
-                          assignment=assign)
-        assert extract_plan(art, sol).periods == plan.periods
+        ordered = RestorationPlan.from_lists([[lid] for lid in order])
+        for sched in schedules(n):
+            art = build_rop(net, dmg, sched)
+            plan = bucketed(order, sched)
+            assign = plan_to_assignment(art, plan)
+            assert set(assign) == set(art.program.binary_vars)
+            sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
+                              assignment=assign)
+            assert extract_plan(art, sol).periods == plan.periods
+            if n != sched.n_periods:
+                # a plan of one line per period and another length is
+                # bucketed by the repair budget
+                sol.assignment = plan_to_assignment(art, ordered)
+                assert extract_plan(art, sol).periods == plan.periods

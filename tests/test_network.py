@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from gridrestore.network import (Bus, CaseParseError, DamageScenario, Generator,
                                  Line, Load, Network, PeriodSchedule,
-                                 RestorationPlan, build_schedule,
-                                 network_from_json, network_to_json, parse_case,
+                                 RestorationPlan, build_schedule, parse_case,
                                  random_damage, round_half_up,
                                  DEFAULT_ANGLE_DIFF_MAX)
 from conftest import CASES_DIR, random_network, tiny3_network
@@ -88,18 +87,6 @@ class TestGoldenCases:
     def test_missing_bus_table(self):
         with pytest.raises(CaseParseError, match="bus"):
             parse_case("mpc.baseMVA = 100;\nmpc.branch = [\n];\n")
-
-
-class TestJsonRoundTrip:
-    @pytest.mark.parametrize("case", ["tiny3.m", "status0.m", "defaultangle.m"])
-    def test_parsed_cases(self, case):
-        net = read_case(case)
-        assert network_from_json(network_to_json(net)) == net
-
-    def test_random_networks(self):
-        for seed in range(5):
-            net = random_network(seed)
-            assert network_from_json(network_to_json(net)) == net
 
 
 class TestNetworkValidation:
