@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
 failure (no plan). A plan evaluation LP, or the final-period LP of the
 ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
-otherwise not optimal (iteration limit, numerical failure) exits 3.
+otherwise not optimal (iteration limit, numerical failure) exits 3. One
+memo per solve serves the ``rop`` model's final period and the evaluation.
 """
 from __future__ import annotations
 
@@ -106,8 +107,8 @@ def _mip_solver(config: RunConfig):
     return solve_mip
 
 
-def run_algorithm(network: Network, damage: DamageScenario,
-                  config: RunConfig) -> tuple[RestorationPlan, object, float | None]:
+def run_algorithm(network: Network, damage: DamageScenario, config: RunConfig,
+                  memo: dict | None = None) -> tuple[RestorationPlan, object, float | None]:
     """Run the configured algorithm; returns (plan, schedule, gap or None)."""
     n = len(damage.damaged_lines)
     budget = AlgoBudget(time_limit=config.time_limit, rel_gap=config.rel_gap,
@@ -115,10 +116,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
     n_periods = max(n, 1) if config.n_periods is None else config.n_periods
     schedule = build_schedule(n, n_periods)
     mip_solver = _mip_solver(config)
-
-    def rop_solver(net, dmg, sched, opts):
-        art = build_rop(net, dmg, sched)
-        return art, mip_solver(art.program, opts)
+    rop_solver = lambda art, opts: mip_solver(art.program, opts)
 
     if n == 0:
         return RestorationPlan.from_lists([[]]), build_schedule(0, 1), None
@@ -138,7 +136,7 @@ def run_algorithm(network: Network, damage: DamageScenario,
             raise CliError(str(e), EXIT_SOLVER)
         return plan, schedule, None
     # rop: warm-started ordering MILP
-    art = build_rop(network, damage, schedule)
+    art = build_rop(network, damage, schedule, memo=memo)
     warm = plan_to_assignment(art, util_order(network, damage))
     opts = SolveOptions(time_limit=config.time_limit, rel_gap=config.rel_gap,
                         warm_start=warm)
@@ -159,9 +157,10 @@ def solve_to_report(config: RunConfig) -> tuple[RestorationReport, float | None,
     network = _load_network(config.case)
     damage = _make_damage(network, config)
     t0 = time.monotonic()
+    memo: dict = {}  # period LPs shared by the rop model and the evaluation
     try:
-        plan, schedule, gap = run_algorithm(network, damage, config)
-        series = evaluate_plan(network, damage, plan, schedule)
+        plan, schedule, gap = run_algorithm(network, damage, config, memo)
+        series = evaluate_plan(network, damage, plan, schedule, memo=memo)
     except PlanEvaluationError as e:
         code = EXIT_INFEASIBLE if e.status == "infeasible" else EXIT_SOLVER
         raise CliError(f"plan evaluation failed: {e}", code)

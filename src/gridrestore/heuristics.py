@@ -1,7 +1,9 @@
 """Restoration ordering algorithms: UTIL, RRR, RAD, and a brute-force oracle.
 
 RRR and RAD repeat one step, ``_sub_solve``: re-order a set of damaged
-lines with a small ordering MILP through the ``rop_solver`` seam.
+lines with a small ordering MILP over the network with the later lines
+out, its final period read from the run's one memo, and solved through
+the ``rop_solver`` seam.
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .milp import SolveOptions, solve_mip
-from .models import (PlanEvaluationError, PlanExtractionError, build_rop,
-                     evaluate_plan, extract_plan)
+from . import models
+from .milp import MipSolution, SolveOptions, solve_mip
+from .models import PlanEvaluationError, PlanExtractionError, evaluate_plan, extract_plan
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
 from .postprocess import monotonize, total_energy
@@ -49,19 +51,20 @@ def util_order(network: Network, damage: DamageScenario) -> RestorationPlan:
     return RestorationPlan.from_lists([[l.id] for l in lines])
 
 
-def _default_rop_solver(network, damage, schedule, opts) -> tuple:
-    art = build_rop(network, damage, schedule)
-    return art, solve_mip(art.program, opts)
+def _default_rop_solver(artifacts, opts) -> MipSolution:
+    return solve_mip(artifacts.program, opts)
 
 
-def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: float,
+def _sub_solve(solver, network: Network, line_ids, out: frozenset[int], memo: dict,
+               n_periods: int, time_limit: float,
                rel_gap: float) -> tuple[RestorationPlan | None, str]:
     """The step ``rrr`` and ``rad`` repeat: re-order a line set by MILP.
 
     Orders ``line_ids`` over ``n_periods`` unit periods with an even
-    repair budget. Returns the extracted plan (None without a usable
-    incumbent) and the MILP status, ``"failure"`` when there is no time
-    left or the solver raises ``PlanExtractionError`` or
+    repair budget and the lines ``out`` absent (``build_rop``). Returns
+    the extracted plan (None without a usable incumbent) and the MILP
+    status, ``"failure"`` when there is no time left or building or
+    solving the MILP raises ``PlanExtractionError`` or
     ``PlanEvaluationError`` (the final period's LP failed).
     """
     if time_limit <= 0:
@@ -70,7 +73,9 @@ def _sub_solve(solver, network: Network, line_ids, n_periods: int, time_limit: f
     schedule = build_schedule(len(line_ids), n_periods, 1.0)
     opts = SolveOptions(time_limit=time_limit, rel_gap=rel_gap)
     try:
-        artifacts, solution = solver(network, damage, schedule, opts)
+        # through the module, so a replaced models.build_rop sees every sub-solve
+        artifacts = models.build_rop(network, damage, schedule, out, memo)
+        solution = solver(artifacts, opts)
     except (PlanExtractionError, PlanEvaluationError):
         return None, "failure"
     try:
@@ -84,40 +89,31 @@ def _capacity_order(network: Network, line_ids) -> list[int]:
     return util_order(network, DamageScenario(tuple(sorted(line_ids)))).ordered_lines()
 
 
-def _subnetwork_without(network: Network, removed: frozenset[int]) -> Network:
-    """The network without the lines ``removed``, for an ordering MILP."""
-    if not removed:
-        return network
-    return Network(buses=network.buses,
-                   lines=tuple(l for l in network.lines if l.id not in removed),
-                   generators=network.generators, loads=network.loads,
-                   base_mva=network.base_mva)
-
-
 def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
         rop_solver=None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
     Each split picks half its lines for period one and recurses on both
     halves, with half the remaining budget as the MILP time limit. A split
-    is solved on the network without the lines restored after its set:
-    the top split sees the full grid, the first half recurses with the
-    second half's lines out as well, and the second half with the same
-    lines out as its parent. Every line of the set is back in period two,
-    so each split is one period of free binaries plus a constant. With no
-    plan or no time left, it splits the capacity order in half; with an
-    empty first half, the set comes back in capacity order. ``rop_solver
-    (network, damage, schedule, opts) -> (RopArtifacts, MipSolution)``
-    sees every sub-solve. Output is fully ordered: one line per period.
+    is solved with the lines restored after its set out: none at the top
+    split, the second half's lines as well for the first half, and the
+    same lines as its parent for the second half. Every line of the set
+    is back in period two, so each split is one period of free binaries
+    plus a constant, that topology's power from the run's one memo. With
+    no plan or no time left, it splits the capacity order in half; with
+    an empty first half, the set comes back in capacity order.
+    ``rop_solver(artifacts, opts) -> MipSolution`` solves every
+    sub-problem. Output is fully ordered: one line per period.
     """
     solver = rop_solver or _default_rop_solver
     deadline = time.monotonic() + budget.time_limit
+    memo: dict = {}  # the network's shared period LP, bases and final periods
 
     def recurse(line_ids: tuple[int, ...], later: frozenset[int]) -> list[int]:
         if len(line_ids) <= 1:
             return list(line_ids)
         remaining = deadline - time.monotonic()
-        split, _ = _sub_solve(solver, _subnetwork_without(network, later), line_ids, 2,
+        split, _ = _sub_solve(solver, network, line_ids, later, memo, 2,
                               remaining / 2.0, budget.rel_gap)
         if split is None:
             # MILP failure: capacity-ordered split into halves
@@ -140,11 +136,12 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     """Randomized adaptive decomposition of a fully-ordered plan.
 
     Cuts the ordering into random contiguous blocks, re-orders each by
-    MILP (``rop_solver`` as in ``rrr``) without the lines restored after
-    it, and keeps a re-ordering that serves more energy over the block's
+    MILP (``rop_solver`` as in ``rrr``) with the lines restored after it
+    out, and keeps a re-ordering that serves more energy over the block's
     periods. Those periods are read off the evaluation of the whole
     ordering on the full network: the lines restored after the block are
-    still out in them. When most blocks of a round fail, the MILP time
+    still out in them, and the last is the MILP's final period, so its
+    constant costs no LP. When most blocks of a round fail, the MILP time
     limit doubles if most solves hit it or failed, else the block-size cap
     grows. Never worse than ``initial``. The module constants above set
     the search.
@@ -186,8 +183,8 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                 continue
             n_blocks += 1
             cur_energy = energy(order, a, b)
-            plan, status = _sub_solve(solver, _subnetwork_without(network, frozenset(order[b:])),
-                                      block, len(block), sub_time, budget.rel_gap)
+            plan, status = _sub_solve(solver, network, block, frozenset(order[b:]), memo,
+                                      len(block), sub_time, budget.rel_gap)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:
                 new_order = plan.ordered_lines()

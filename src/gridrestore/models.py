@@ -6,23 +6,25 @@ is that model over each period's energized lines; the restoration
 ordering MILP (ROP) is the same model in every period but the last with
 the damaged lines switchable, whose status binaries pick the period in
 which each damaged line comes back. Every line is back in the final
-period, so the ROP carries that period's energy as a constant, solved
-once.
+period, so the ROP carries that period's energy as a constant.
 
-``evaluate_plan`` solves the RIP period by period on one shared period LP
-per network, built over every line: a period's topology is a change of
-bounds that takes the lines that are out away, and each topology is
-re-solved from the optimal basis of one base topology, the undamaged
-lines alone, which inverts itself once and is copied by every such solve.
+Both read a period's topology from one shared period LP per network,
+built over every line: a topology is a change of bounds that takes the
+lines that are out away, and each one is re-solved from the optimal
+basis of a base topology, the undamaged lines alone, which inverts itself
+once and is copied by every such solve. ``evaluate_plan`` solves each
+period of a plan that way, and ``build_rop`` its final period, so a
+caller's memo serves both.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import line_components
-from .lp import INF, Basis, LinearProgram, StandardForm, standard_form
+from .lp import INF, LinearProgram, StandardForm, standard_form
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Line, Network, PeriodSchedule, RestorationPlan
 
@@ -47,6 +49,7 @@ class RopArtifacts:
     network: Network
     damage: DamageScenario
     schedule: PeriodSchedule
+    out: frozenset[int] = frozenset()  # line ids absent from every period
     z: dict = field(default_factory=dict)  # (line id, k) -> var index, k < N
 
 
@@ -99,11 +102,11 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
     line's angle-difference limit ``|TH_f - TH_t| <= angle_diff_max``,
     and a line that is out carries no flow. Rows: a DC flow equality per
     live line; per switchable line, four big-M rows that enforce the flow
-    equality when Z = 1 (M = |b| * ``angle_diff_big_m``, valid as every
-    line that carries flow keeps its angle limit) and hold the flow at 0
-    when Z = 0; then nodal balance. Adds ``p_demand * weight`` per load
-    to the objective. Returns the XD indices by load id and the Z indices
-    by line id.
+    equality when Z = 1 (M = |b| times the sum of the present lines'
+    ``angle_diff_max``, valid as every line that carries flow keeps its
+    angle limit) and hold the flow at 0 when Z = 0; then nodal balance.
+    Adds ``p_demand * weight`` per load to the objective. Returns the XD
+    indices by load id and the Z indices by line id.
     """
     present = live | switchable
     lines = [ln for ln in network.lines if ln.id in present]
@@ -120,7 +123,7 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
         th[b.id] = lp.add_variable(f"TH{b.id}{tag}", lo, hi)
     z = {lid: lp.add_variable(f"Z{lid}{tag}", 0.0, 1.0) for lid in sorted(switchable)}
 
-    theta_delta = angle_diff_big_m(network)
+    theta_delta = sum(ln.angle_diff_max for ln in lines)
     for ln in lines:
         b = ln.susceptance_b
         flow = [(pl[ln.id], 1.0), (th[ln.from_bus], b), (th[ln.to_bus], -b)]
@@ -160,11 +163,6 @@ def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
     return lp
 
 
-def angle_diff_big_m(network: Network) -> float:
-    """Aggregate angle spread bound: sum of per-line angle limits."""
-    return sum(l.angle_diff_max for l in network.lines)
-
-
 def _big_m(line: Line, theta_delta: float) -> float:
     """The big-M of a switchable line's flow rows, ``|b| * theta_delta``."""
     M = abs(line.susceptance_b) * theta_delta
@@ -173,34 +171,35 @@ def _big_m(line: Line, theta_delta: float) -> float:
     return M
 
 
-def build_rop(network: Network, damage: DamageScenario,
-              schedule: PeriodSchedule) -> RopArtifacts:
+def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule,
+              out: frozenset[int] = frozenset(), memo: dict | None = None) -> RopArtifacts:
     """Restoration ordering MILP over the damaged lines and periods.
 
-    Each period but the last is the ``_period_dcopf`` model with the
-    damaged lines switchable, led by its repair budget row; the status
-    binaries are monotone across periods. Every line is back in the final
-    period, so its model would be the same LP at every branch-and-bound
-    node: it is solved once instead, cold, with every line live, and its
-    optimum times the period's duration enters the objective as one
-    column fixed at 1. It has no binaries: ``z`` maps periods 1..N-1.
-    Raises ``PlanEvaluationError`` for period N when the final period's
-    LP does not end optimal.
+    The present lines are every line but ``out``, the lines that stay out
+    in every period. Each period but the last is the ``_period_dcopf``
+    model over them with the damaged lines switchable, led by its repair
+    budget row; the status binaries are monotone across periods. Every
+    present line is back in the final period, so its model would be the
+    same LP at every branch-and-bound node: it is instead that topology of
+    ``evaluate_plan``'s shared period LP (``memo`` as there), and its
+    power times the period's duration enters the objective as one column
+    fixed at 1. It has no binaries: ``z`` maps periods 1..N-1. Raises
+    ``PlanEvaluationError`` for period N when that LP is not optimal.
     """
-    # looked up per call, as in evaluate_plan
-    from .lp import solve_lp
-
     damage.validate(network)
     damaged = frozenset(damage.damaged_lines)
     if schedule.repair_budget[-1] != len(damaged):
         raise ValueError("schedule final repair budget must equal the damage count")
-    theta_delta = angle_diff_big_m(network)
+    if damaged & out:
+        raise ValueError("a damaged line cannot stay out")
+    present = frozenset(l.id for l in network.lines) - out
+    theta_delta = sum(l.angle_diff_max for l in network.lines if l.id in present)
     for lid in sorted(damaged):  # checked even when no period switches a line
         _big_m(network.lines_by_id[lid], theta_delta)
 
-    live = frozenset(l.id for l in network.lines) - damaged
+    live = present - damaged
     lp = LinearProgram()
-    art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule)
+    art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule, out=out)
     N = schedule.n_periods
     for k in range(1, N):
         first = len(lp.constraints)
@@ -216,13 +215,9 @@ def build_rop(network: Network, damage: DamageScenario,
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
-    final = LinearProgram()
-    _period_dcopf(final, network, live | damaged)
-    sol = solve_lp(final)
-    if sol.status != "optimal":
-        raise PlanEvaluationError(N, sol.status)
+    final = _served(network, present, live, {} if memo is None else memo, N)
     lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
-                               sol.objective_value * schedule.delta[N - 1]))
+                               final * schedule.delta[N - 1]))
     art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()))
     return art
 
@@ -258,28 +253,26 @@ def extract_plan(artifacts: RopArtifacts, solution: MipSolution) -> RestorationP
 def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[int, int]:
     """Binary warm-start assignment corresponding to a restoration plan.
 
-    A plan longer than the schedule is compressed by the schedule's
-    repair budget: line number r (1-based, in plan order) is restored in
-    the first period k with R_k >= r.
+    A plan of the schedule's length whose cumulative restoration counts
+    stay within the repair budget is taken period by period. Any other
+    plan is bucketed by the budget: line number r (1-based, in plan
+    order) is restored in the first period k with R_k >= r.
     """
-    order = plan.ordered_lines()
     schedule = artifacts.schedule
-    assign: dict[int, int] = {}
     restore_period: dict[int, int] = {}
-    if plan.n_periods == schedule.n_periods:
+    counts = itertools.accumulate(len(p) for p in plan.periods)
+    if plan.n_periods == schedule.n_periods and all(
+            c <= r for c, r in zip(counts, schedule.repair_budget)):
         for k, p in enumerate(plan.periods, start=1):
             for lid in p:
                 restore_period[lid] = k
     else:
-        for r, lid in enumerate(order, start=1):
-            for k in range(1, schedule.n_periods + 1):
-                if schedule.repair_budget[k - 1] >= r:
-                    restore_period[lid] = k
-                    break
-    for lid in sorted(artifacts.damage.damaged_lines):
-        for k in range(1, schedule.n_periods):
-            assign[artifacts.z[(lid, k)]] = 1 if k >= restore_period[lid] else 0
-    return assign
+        for r, lid in enumerate(plan.ordered_lines(), start=1):
+            restore_period[lid] = next(k for k, R in enumerate(schedule.repair_budget, start=1)
+                                       if R >= r)
+    return {artifacts.z[(lid, k)]: int(k >= restore_period[lid])
+            for lid in sorted(artifacts.damage.damaged_lines)
+            for k in range(1, schedule.n_periods)}
 
 
 @dataclass(frozen=True)
@@ -337,22 +330,42 @@ def _delivered(network: Network, shared: _SharedPeriod, sol) -> float:
                for d in network.loads)
 
 
-def _base_start(network: Network, shared: _SharedPeriod, undamaged: frozenset[int],
-                memo: dict, solve_lp) -> Basis | None:
-    """The optimal basis of the base topology, the undamaged lines alone.
+def _served(network: Network, live: frozenset[int], undamaged: frozenset[int],
+            memo: dict, k: int) -> float:
+    """Power served under the topology ``live``, read from ``memo`` or solved.
 
-    Solved cold once per undamaged set and memo, and memoized with its
-    result like any other topology; the basis inverts itself for the
-    first period solved from it. None when that LP is not optimal: the
-    periods then solve cold.
+    A miss is solved on the network's shared period LP from the optimal
+    basis of the base topology ``undamaged``. The base is solved cold once
+    per undamaged set and memo, and memoized with its result like any
+    other topology; its basis inverts itself for the first topology solved
+    from it, and when it is not optimal the topologies solve cold. Raises
+    ``PlanEvaluationError`` for period ``k`` when the topology's LP does
+    not end optimal, and ``ValueError`` when the memo holds another network.
     """
-    key = ("base", undamaged)
-    if key not in memo:
-        sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
-        memo[key] = sol.basis
-        if sol.status == "optimal":
-            memo.setdefault(undamaged, _delivered(network, shared, sol))
-    return memo[key]
+    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
+    # double, a tracing wrapper) sees every period LP, base LPs included
+    from .lp import solve_lp
+
+    known = memo.setdefault("network", network)
+    if known is not network and known != network:
+        raise ValueError("the memo holds the evaluations of another network")
+    hit = memo.get(live)
+    if hit is None:
+        shared = _shared_period(network, memo)
+        base = ("base", undamaged)
+        if base not in memo:
+            sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
+            memo[base] = sol.basis
+            if sol.status == "optimal":
+                memo.setdefault(undamaged, _delivered(network, shared, sol))
+        # the base solve is this topology's when live is the base topology
+        hit = memo.get(live)
+    if hit is None:
+        sol = solve_lp(shared.lp, form=shared.bounds(live), start=memo[base])
+        if sol.status != "optimal":
+            raise PlanEvaluationError(k, sol.status)
+        hit = memo[live] = _delivered(network, shared, sol)
+    return hit
 
 
 def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
@@ -376,29 +389,10 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     read before and filled after each solve. Raises ``ValueError`` when
     the memo holds another network.
     """
-    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
-    # double, a tracing wrapper) sees every period LP, base LPs included
-    from .lp import solve_lp
-
     _check_plan(network, damage, plan, schedule)
     memo = {} if memo is None else memo
-    known = memo.setdefault("network", network)
-    if known is not network and known != network:
-        raise ValueError("the memo holds the evaluations of another network")
-    shared = _shared_period(network, memo)
     undamaged = energized_lines(network, damage, plan, 0)
-    delivered = []
-    for k in range(1, schedule.n_periods + 1):
-        live = energized_lines(network, damage, plan, k)
-        hit = memo.get(live)
-        if hit is None:
-            start = _base_start(network, shared, undamaged, memo, solve_lp)
-            # the base solve is this period's when live is the base topology
-            hit = memo.get(live)
-        if hit is None:
-            sol = solve_lp(shared.lp, form=shared.bounds(live), start=start)
-            if sol.status != "optimal":
-                raise PlanEvaluationError(k, sol.status)
-            hit = memo[live] = _delivered(network, shared, sol)
-        delivered.append(hit)
-    return PowerServedSeries(tuple(delivered), tuple(schedule.delta))
+    delivered = tuple(_served(network, energized_lines(network, damage, plan, k),
+                              undamaged, memo, k)
+                      for k in range(1, schedule.n_periods + 1))
+    return PowerServedSeries(delivered, tuple(schedule.delta))

@@ -1,6 +1,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
@@ -101,6 +102,15 @@ def meshed_network(seed: int, n_buses: int = 10) -> Network:
                   enumerate(rng.sample(range(1, n_buses + 1), n_buses // 2), start=1))
     return Network(buses=tuple(Bus(i) for i in range(1, n_buses + 1)),
                    lines=lines, generators=gens, loads=loads)
+
+
+def energizes_every_line(lp, form) -> bool:
+    """Whether an LP call solves a topology with every line in.
+
+    ``form`` is a topology of the shared period LP ``lp``: a line that is
+    out frees its flow row's slack, and no other slack is ever free.
+    """
+    return form is not None and not np.isinf(form.lower[len(lp.variables):]).any()
 
 
 @pytest.fixture

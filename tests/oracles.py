@@ -2,7 +2,7 @@
 from gridrestore.lp import LinearProgram, Variable, solve_lp, standard_form
 from gridrestore.milp import INT_TOL, MixedIntegerProgram, _with_fixes
 from gridrestore.models import RopArtifacts, plan_to_assignment
-from gridrestore.network import RestorationPlan
+from gridrestore.network import Network, RestorationPlan
 
 
 def enumerate_binaries(mip: MixedIntegerProgram):
@@ -45,3 +45,15 @@ def fix_plan_in_rop(artifacts: RopArtifacts, plan: RestorationPlan) -> MixedInte
         var = lp.variables[j]
         fixed.variables[j] = Variable(var.name, float(v), float(v))
     return MixedIntegerProgram(base=fixed, binary_vars=artifacts.program.binary_vars)
+
+
+def subnetwork_without(network: Network, removed) -> Network:
+    """A copy of the network without the lines ``removed``.
+
+    The reference for ``build_rop(..., out=removed)``, which keeps those
+    lines out of one network instead of copying it.
+    """
+    return Network(buses=network.buses,
+                   lines=tuple(l for l in network.lines if l.id not in removed),
+                   generators=network.generators, loads=network.loads,
+                   base_mva=network.base_mva)

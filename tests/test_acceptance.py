@@ -120,10 +120,9 @@ def test_criterion_04_subproblem_scaling():
         dmg = DamageScenario(tuple(sorted(random.Random(n).sample(ids, n))))
         binary_counts = []
 
-        def probe(sub_net, sub_dmg, sched, opts):
-            art = build_rop(sub_net, sub_dmg, sched)
+        def probe(art, opts):
             binary_counts.append(len(art.program.binary_vars))
-            return art, MipSolution(status="failure")
+            return MipSolution(status="failure")
 
         plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=probe)
         plan.validate_against(dmg)
@@ -183,11 +182,10 @@ def test_criterion_07_fallback_paths():
         starved = rrr(net, dmg, AlgoBudget(time_limit=1e-9))
         assert starved == util_order(net, dmg)
 
-    def delaying(sub_net, sub_dmg, sched, opts):
-        art = build_rop(sub_net, sub_dmg, sched)
-        assign = {art.z[(lid, 1)]: 0 for lid in sub_dmg.damaged_lines}
-        return art, MipSolution(status="optimal_within_gap",
-                                objective_value=0.0, assignment=assign)
+    def delaying(art, opts):
+        assign = {art.z[(lid, 1)]: 0 for lid in art.damage.damaged_lines}
+        return MipSolution(status="optimal_within_gap",
+                           objective_value=0.0, assignment=assign)
 
     net, dmg = random_scenario(61)
     calls = []
@@ -219,18 +217,16 @@ def test_criterion_08_rad_behavior(monkeypatch):
     time_limits = []
     block_sizes = []
 
-    def failing(sub_net, sub_dmg, sched, opts):
+    def failing(art, opts):
         time_limits.append(opts.time_limit)
-        art = build_rop(sub_net, sub_dmg, sched)
-        return art, MipSolution(status="failure")
+        return MipSolution(status="failure")
 
-    def identity(sub_net, sub_dmg, sched, opts):
-        block_sizes.append(len(sub_dmg.damaged_lines))
-        art = build_rop(sub_net, sub_dmg, sched)
+    def identity(art, opts):
+        block_sizes.append(len(art.damage.damaged_lines))
         plan = RestorationPlan.from_lists(
-            [[lid] for lid in sorted(sub_dmg.damaged_lines)])
-        return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
-                                assignment=plan_to_assignment(art, plan))
+            [[lid] for lid in sorted(art.damage.damaged_lines)])
+        return MipSolution(status="optimal_within_gap", objective_value=0.0,
+                           assignment=plan_to_assignment(art, plan))
 
     net, dmg = random_scenario(2)
     monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 3)

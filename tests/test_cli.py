@@ -10,13 +10,15 @@ import pytest
 import gridrestore.cli
 import gridrestore.lp
 import gridrestore.milp
+import gridrestore.models
 from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_compare,
                              cmd_solve, cmd_sweep, main)
 from gridrestore.heuristics import brute_force_optimal
 from gridrestore.network import (DamageScenario, build_schedule, parse_case,
                                  random_damage)
 from gridrestore.lp import LpSolution
-from conftest import CASES_DIR
+from gridrestore.models import PlanEvaluationError
+from conftest import CASES_DIR, energizes_every_line
 
 TINY3 = os.path.join(CASES_DIR, "tiny3.m")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -117,11 +119,11 @@ class TestSolve:
             assert rc == EXIT_SOLVER
 
     def test_final_period_failure(self, tmp_path, monkeypatch, capsys):
-        # the final-period LP of an ordering MILP is the one solved without a form
+        # the final-period LP of the ordering MILP is the one with every line in
         real_solve = gridrestore.lp.solve_lp
 
         def failing_final(lp, *args, **kwargs):
-            if kwargs.get("form") is None:
+            if energizes_every_line(lp, kwargs.get("form")):
                 return LpSolution("numerical_failure", float("nan"), None)
             return real_solve(lp, *args, **kwargs)
 
@@ -133,7 +135,16 @@ class TestSolve:
         assert err.startswith("error: plan evaluation failed: plan evaluation LP of "
                               "period 3 ended with status numerical_failure")
         assert "Traceback" not in err
-        # rrr and rad fall back to the capacity order
+        # that LP is also the final period of every plan's evaluation
+        assert main(args + ["--algo", "util", "--out", str(tmp_path / "u")]) == EXIT_SOLVER
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", real_solve)
+
+        # rrr and rad fall back to the capacity order when an ordering
+        # MILP's final period fails
+        def failing_rop(network, damage, schedule, out=frozenset(), memo=None):
+            raise PlanEvaluationError(schedule.n_periods, "numerical_failure")
+
+        monkeypatch.setattr(gridrestore.models, "build_rop", failing_rop)
         util = tmp_path / "util"
         assert main(args + ["--algo", "util", "--out", str(util)]) == EXIT_OK
         for algo in ("rrr", "rad"):
@@ -141,6 +152,32 @@ class TestSolve:
             assert main(args + ["--algo", algo, "--time-limit", "5", "--out", str(out)]) \
                 == EXIT_OK
             assert read_summary(out)["plan"] == read_summary(util)["plan"]
+
+    def test_rop_solves_each_topology_once(self, tmp_path, monkeypatch):
+        # the ordering MILP's final period and its base are in the solve's
+        # memo, so the final evaluation re-solves neither
+        real_solve = gridrestore.lp.solve_lp
+        real_build_rop = gridrestore.cli.build_rop
+        solved, in_rop = [], []
+
+        def counting(lp, *args, **kwargs):
+            form = kwargs["form"]
+            solved.append((form.lower.tobytes(), form.upper.tobytes()))
+            return real_solve(lp, *args, **kwargs)
+
+        def build_rop(*args, **kwargs):
+            art = real_build_rop(*args, **kwargs)
+            in_rop.extend(solved)
+            return art
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        monkeypatch.setattr(gridrestore.cli, "build_rop", build_rop)
+        case = os.path.join(CASES_DIR, "mesh12.m")
+        assert main(["solve", "--case", case, "--damage-fraction", "0.25", "--seed", "3",
+                     "--algo", "rop", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(in_rop) == 2  # the base and the final period
+        assert len(solved) > len(in_rop)
+        assert len(set(solved)) == len(solved)
 
     def test_rop_one_period_has_no_free_binary(self, tmp_path, monkeypatch):
         real_solve_mip = gridrestore.cli.solve_mip
@@ -173,13 +210,16 @@ class TestSolve:
         assert rc == EXIT_PARSE
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["solve", "--case", TINY3, "--damage-fraction", "1.0",
-                "--seed", "3", "--algo", "rrr", "--rel-gap", "0"]
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2)]) == EXIT_OK
-        for name in ("summary.json", "report.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # rad stays on tiny3: it takes seconds on the meshed grid
+        for case, fraction, algo in (("tiny3.m", "1.0", "rrr"), ("mesh12.m", "0.25", "rrr"),
+                                     ("mesh12.m", "0.25", "rop")):
+            out1, out2 = tmp_path / f"{algo}_{case}_a", tmp_path / f"{algo}_{case}_b"
+            args = ["solve", "--case", os.path.join(CASES_DIR, case), "--damage-fraction",
+                    fraction, "--seed", "3", "--algo", algo, "--rel-gap", "0"]
+            assert main(args + ["--out", str(out1)]) == EXIT_OK
+            assert main(args + ["--out", str(out2)]) == EXIT_OK
+            for name in ("summary.json", "report.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestCompare:

@@ -23,29 +23,25 @@ def plan_energy(net, dmg, plan):
     return total_energy(mono)
 
 
-def real_solver(net, dmg, sched, opts):
-    art = build_rop(net, dmg, sched)
-    return art, solve_mip(art.program, opts)
+def real_solver(art, opts):
+    return solve_mip(art.program, opts)
 
 
-def failing_solver(net, dmg, sched, opts):
-    return build_rop(net, dmg, sched), MipSolution(status="failure")
+def failing_solver(art, opts):
+    return MipSolution(status="failure")
 
 
-def delaying_solver(net, dmg, sched, opts):
+def delaying_solver(art, opts):
     """Every line in the last period: the first half of a split is empty."""
-    art = build_rop(net, dmg, sched)
-    assign = {art.z[(lid, 1)]: 0 for lid in dmg.damaged_lines}
-    return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
-                            assignment=assign)
+    assign = {art.z[(lid, 1)]: 0 for lid in art.damage.damaged_lines}
+    return MipSolution(status="optimal_within_gap", objective_value=0.0, assignment=assign)
 
 
-def identity_solver(net, dmg, sched, opts):
+def identity_solver(art, opts):
     """Optimal-status answer that orders the lines by id."""
-    art = build_rop(net, dmg, sched)
-    plan = RestorationPlan.from_lists([[lid] for lid in sorted(dmg.damaged_lines)])
-    return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
-                            assignment=plan_to_assignment(art, plan))
+    plan = RestorationPlan.from_lists([[lid] for lid in sorted(art.damage.damaged_lines)])
+    return MipSolution(status="optimal_within_gap", objective_value=0.0,
+                       assignment=plan_to_assignment(art, plan))
 
 
 def recorded(solver):
@@ -55,10 +51,10 @@ def recorded(solver):
     """
     calls = []
 
-    def seam(net, dmg, sched, opts):
-        art, sol = solver(net, dmg, sched, opts)
+    def seam(art, opts):
+        sol = solver(art, opts)
         calls.append((art, sol, opts))
-        return art, sol
+        return sol
 
     return seam, calls
 
@@ -172,20 +168,17 @@ class TestRrr:
         net = random_network(7, n_buses=8, n_lines=12)
         dmg = DamageScenario(tuple(l.id for l in net.lines[:8]))
 
-        def halving(sub_net, sub_dmg, sched, opts):
-            art = build_rop(sub_net, sub_dmg, sched)
-            ids = sorted(sub_dmg.damaged_lines)
+        def halving(art, opts):
+            ids = sorted(art.damage.damaged_lines)
             half = len(ids) // 2
             plan = RestorationPlan.from_lists([ids[:half], ids[half:]])
-            return art, MipSolution(status="optimal_within_gap", objective_value=0.0,
-                                    assignment=plan_to_assignment(art, plan))
+            return MipSolution(status="optimal_within_gap", objective_value=0.0,
+                               assignment=plan_to_assignment(art, plan))
 
         seam, calls = recorded(halving)
         plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=seam)
         assert plan == sorted_plan(dmg)
-        every = frozenset(l.id for l in net.lines)
-        seen = {frozenset(art.damage.damaged_lines):
-                every - {l.id for l in art.network.lines} for art, _, _ in calls}
+        seen = {frozenset(art.damage.damaged_lines): art.out for art, _, _ in calls}
         a, b, c, d, e, f, g, h = sorted(dmg.damaged_lines)
         assert seen == {
             frozenset({a, b, c, d, e, f, g, h}): frozenset(),
@@ -196,7 +189,8 @@ class TestRrr:
             frozenset({e, f}): frozenset({g, h}),
             frozenset({g, h}): frozenset(),
         }
-        assert calls[0][0].network is net
+        # one network for every split: the later lines are out, not copied away
+        assert all(art.network is net for art, _, _ in calls)
 
     def test_real_splits_take_the_later_lines_out(self):
         # half the lines damaged, so that both halves of a split recurse
@@ -206,22 +200,50 @@ class TestRrr:
             dmg = random_damage(net, 0.5, seed)
             seam, calls = recorded(real_solver)
             rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
-            # the top split sees the full grid
-            assert calls[0][0].network is net
-            lines = {frozenset(art.damage.damaged_lines):
-                     frozenset(l.id for l in art.network.lines) for art, _, _ in calls}
+            # the top split has no line out
+            assert calls[0][0].out == frozenset()
+            outs = {frozenset(art.damage.damaged_lines): art.out for art, _, _ in calls}
             for art, sol, _ in calls:
                 first, second = (frozenset(p) for p in extract_plan(art, sol).periods)
-                parent = lines[frozenset(art.damage.damaged_lines)]
+                parent = outs[frozenset(art.damage.damaged_lines)]
                 if len(first) > 1:
-                    # the first half's grid lacks exactly its later lines
-                    assert lines[first] == parent - second
+                    # the first half has its later lines out as well
+                    assert outs[first] == parent | second
                     checked[0] += 1
                 if first and len(second) > 1:
-                    # the second half's grid keeps the first half's lines
-                    assert lines[second] == parent
+                    # the second half keeps the first half's lines in
+                    assert outs[second] == parent
                     checked[1] += 1
         assert min(checked) > 0
+
+    def test_one_period_lp_per_call(self, meshed_scenarios, monkeypatch):
+        # every split's final period is a topology of one shared period LP,
+        # built once per call and solved warm from a base
+        real_solve = gridrestore.lp.solve_lp
+        real_standard_form = gridrestore.models.standard_form
+        lps, forms = [], []
+
+        def counting(lp, *args, **kwargs):
+            lps.append((lp, kwargs.get("start")))
+            return real_solve(lp, *args, **kwargs)
+
+        def counting_forms(lp):
+            forms.append(lp)
+            return real_standard_form(lp)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        monkeypatch.setattr(gridrestore.models, "standard_form", counting_forms)
+        for net, dmg in meshed_scenarios:
+            lps.clear()
+            forms.clear()
+            seam, calls = recorded(real_solver)
+            rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
+            assert len(forms) == 1 and calls
+            assert {id(lp) for lp, _ in lps} == {id(forms[0])}
+            # at most a base and a final period per split, and no topology twice
+            finals = {art.out for art, _, _ in calls}
+            assert len(lps) <= 2 * len(finals)
+            assert sum(start is not None for _, start in lps) <= len(finals)
 
 
 def stall_limit(monkeypatch, rounds):
@@ -296,15 +318,15 @@ class TestRad:
         monkeypatch.setattr(gridrestore.heuristics, "solve_mip", counting_mips)
         plan = run()
         # one shared LP and one base, the undamaged lines alone, which no
-        # period has; every other evaluation LP solves one topology from
-        # that base. Each sub-solve's ordering MILP adds one cold LP, its
-        # final period's.
+        # period has; every other LP solves one topology from that base.
+        # A sub-solve's final period is a period the evaluation of the
+        # current ordering has solved, so its ordering MILP adds no LP.
         base = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         assert base not in topologies
         assert len(forms) == 1
         assert mips
-        assert calls.count(None) == 1 + len(mips)
-        assert len(calls) == len(topologies) + 1 + len(mips)
+        assert calls.count(None) == 1
+        assert len(calls) == len(topologies) + 1
 
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)
@@ -312,7 +334,7 @@ class TestRad:
         monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
         ref_plan = run()
         assert plan == ref_plan
-        assert len(forms) > 1 and len(calls) > len(topologies) + 1 + len(mips)
+        assert len(forms) > 1 and len(calls) > len(topologies) + 1
 
     def test_time_doubling_adaptation(self, monkeypatch):
         net, dmg = random_scenario(2)

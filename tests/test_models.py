@@ -10,7 +10,7 @@ import gridrestore.models
 from gridrestore.lp import LinearProgram, LpSolution, solve_lp
 from gridrestore.milp import SolveOptions, solve_mip
 from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
-                                _period_dcopf, angle_diff_big_m, build_rip, build_rop,
+                                _period_dcopf, build_rip, build_rop,
                                 energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
@@ -18,8 +18,9 @@ from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, PeriodSchedule, RestorationPlan, build_schedule,
                                  random_damage)
 from gridrestore.postprocess import total_energy
-from conftest import meshed_network, random_scenario, tiny3_network
-from oracles import fix_plan_in_rop
+from conftest import (energizes_every_line, meshed_network, random_network, random_scenario,
+                      tiny3_network)
+from oracles import fix_plan_in_rop, subnetwork_without
 
 
 def highs_milp(mip):
@@ -334,17 +335,20 @@ class TestRop:
     def test_big_m_arithmetic(self):
         net = Network(buses=(Bus(1), Bus(2), Bus(3)),
                       lines=(Line(1, 1, 2, -5.0, 1.0, 0.5236),
-                             Line(2, 2, 3, -5.0, 1.0, 0.5236)),
+                             Line(2, 2, 3, -5.0, 1.0, 0.5236),
+                             Line(3, 1, 3, -5.0, 1.0, 0.7)),
                       generators=(Generator(1, 1, 1.0),),
                       loads=(Load(1, 3, 0.5),))
-        assert angle_diff_big_m(net) == pytest.approx(1.0472)
-        art = build_rop(net, DamageScenario((1, 2)), build_schedule(2, 2))
-        lp = art.program.base
-        rows = {c.name: c for c in lp.constraints}
-        for lid in (1, 2):
-            row = rows[f"flowu{lid}_1"]
-            assert dict(row.terms)[art.z[(lid, 1)]] == pytest.approx(5.236)
-            assert row.rhs == pytest.approx(5.236)
+        # M = |b| times the sum of the present lines' angle limits: a line
+        # that stays out does not count
+        for out, M in ((frozenset(), 8.736), (frozenset({3}), 5.236)):
+            art = build_rop(net, DamageScenario((1, 2)), build_schedule(2, 2), out)
+            lp = art.program.base
+            rows = {c.name: c for c in lp.constraints}
+            for lid in (1, 2):
+                row = rows[f"flowu{lid}_1"]
+                assert dict(row.terms)[art.z[(lid, 1)]] == pytest.approx(M)
+                assert row.rhs == pytest.approx(M)
 
     def test_degenerate_big_m_rejected(self):
         net = Network(buses=(Bus(1), Bus(2)),
@@ -402,6 +406,49 @@ class TestRop:
                 assert coef == pytest.approx(series.delivered[-1] * sched.delta[-1],
                                              rel=0, abs=1e-9)
 
+    def test_out_lines_match_the_network_without_them(self, meshed_scenarios):
+        # build_rop with lines out is build_rop on a copy of the network
+        # without them, up to the final constant, which is the power served
+        # with every line but those in
+        checked = 0
+        for net, dmg in meshed_scenarios:
+            ids = sorted(dmg.damaged_lines)
+            undamaged = sorted(l.id for l in net.lines if l.id not in dmg.damaged_lines)
+            half = len(ids) // 2
+            for out in (frozenset(), frozenset(ids[half:]), frozenset(ids[1::2]),
+                        frozenset(ids[half:] + undamaged[:2])):
+                sub = [lid for lid in ids if lid not in out]
+                sub_dmg = DamageScenario(tuple(sub))
+                copy = subnetwork_without(net, out)
+                for N in (1, 2, len(sub)):
+                    sched = build_schedule(len(sub), N)
+                    art = build_rop(net, sub_dmg, sched, out)
+                    ref = build_rop(copy, sub_dmg, sched)
+                    assert art.out == out and art.z == ref.z
+                    lp, ref_lp = art.program.base, ref.program.base
+                    assert lp.variables == ref_lp.variables
+                    assert lp.constraints == ref_lp.constraints
+                    assert art.program.binary_vars == ref.program.binary_vars
+                    (const,) = [j for j, v in enumerate(lp.variables)
+                                if v.name == "final_energy"]
+                    terms = [t for t in lp.objective_terms if t[0] != const]
+                    assert terms == [t for t in ref_lp.objective_terms if t[0] != const]
+                    # period 1 of this plan has every line but those out
+                    plan = RestorationPlan.from_lists([sub, sorted(out)])
+                    served = evaluate_plan(net, DamageScenario(tuple(sub) + tuple(out)), plan,
+                                           PeriodSchedule(2, (1.0, 1.0),
+                                                          (len(sub), len(sub) + len(out))))
+                    coef = sum(c for j, c in lp.objective_terms if j == const)
+                    assert coef == pytest.approx(served.delivered[0] * sched.delta[-1],
+                                                 rel=0, abs=1e-9)
+                    checked += 1
+        assert checked == 4 * 4 * 3
+
+    def test_out_must_not_hold_a_damaged_line(self):
+        net, dmg = tiny3_damage12()
+        with pytest.raises(ValueError, match="damaged line cannot stay out"):
+            build_rop(net, dmg, build_schedule(2, 2), frozenset({2}))
+
     @pytest.mark.parametrize("full", [False, True])
     def test_optimum_matches_highs_milp(self, meshed_scenarios, full):
         for net, dmg in meshed_scenarios:
@@ -413,9 +460,9 @@ class TestRop:
                                                         rel=1e-9, abs=1e-7)
 
     def test_final_period_failure_raises(self, monkeypatch):
-        # the final period's LP is the one solved without a form
+        # the final period's LP is the one with every line in
         def failing_final(lp, *args, **kwargs):
-            if kwargs.get("form") is None:
+            if energizes_every_line(lp, kwargs.get("form")):
                 return LpSolution("numerical_failure", float("nan"),
                                   np.zeros(len(lp.variables)))
             return solve_lp(lp, *args, **kwargs)
@@ -532,6 +579,30 @@ class TestPlanExtraction:
         art = build_rop(net, dmg, build_schedule(2, 2))
         with pytest.raises(ValueError, match="incumbent"):
             extract_plan(art, MipSolution(status="failure"))
+
+    def test_assignment_keeps_the_budget(self):
+        # a plan of the schedule's length that restores more lines by some
+        # period than its budget allows is bucketed by the budget instead
+        net = random_network(7, n_buses=8, n_lines=12)
+        dmg = DamageScenario(tuple(l.id for l in net.lines[:4]))
+        order = list(dmg.damaged_lines)
+        ordered = RestorationPlan.from_lists([[lid] for lid in order])
+        for sched in (lumped_schedule(4), build_schedule(4, 4), build_schedule(4, 2)):
+            art = build_rop(net, dmg, sched)
+            for plan in (ordered, bucketed(order, sched)):
+                assign = plan_to_assignment(art, plan)
+                for k in range(1, sched.n_periods):
+                    restored = sum(assign[art.z[(lid, k)]] for lid in order)
+                    assert restored <= sched.repair_budget[k - 1]
+            sol = MipSolution(status="optimal_within_gap", objective_value=0.0,
+                              assignment=plan_to_assignment(art, ordered))
+            assert extract_plan(art, sol).periods == bucketed(order, sched).periods
+        # the warm start is kept: the first incumbent is the bucketed plan
+        art = build_rop(net, dmg, lumped_schedule(4))
+        warm = plan_to_assignment(art, ordered)
+        sol = solve_mip(art.program, SolveOptions(time_limit=30, rel_gap=0.99,
+                                                  warm_start=warm))
+        assert sol.has_incumbent and sol.assignment == warm
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fix_then_extract_round_trip(self, seed):
