@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
 failure (no plan). A plan evaluation LP, or the final-period LP of the
 ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
 otherwise not optimal (iteration limit, numerical failure) exits 3. One
-memo per solve serves the ``rop`` model's final period and the evaluation.
+memo per solve serves the ordering MILPs of ``rop``, ``rrr`` and ``rad``
+and the evaluation, so the final evaluation re-solves no topology the
+algorithm solved.
 """
 from __future__ import annotations
 
@@ -124,10 +126,10 @@ def run_algorithm(network: Network, damage: DamageScenario, config: RunConfig,
         plan = util_order(network, damage)
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "rrr":
-        plan = rrr(network, damage, budget, rop_solver=rop_solver)
+        plan = rrr(network, damage, budget, rop_solver=rop_solver, memo=memo)
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "rad":
-        plan = rad(network, damage, budget, rop_solver=rop_solver)
+        plan = rad(network, damage, budget, rop_solver=rop_solver, memo=memo)
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "oracle":
         try:
@@ -157,7 +159,7 @@ def solve_to_report(config: RunConfig) -> tuple[RestorationReport, float | None,
     network = _load_network(config.case)
     damage = _make_damage(network, config)
     t0 = time.monotonic()
-    memo: dict = {}  # period LPs shared by the rop model and the evaluation
+    memo: dict = {}  # period LPs shared by the ordering MILPs and the evaluation
     try:
         plan, schedule, gap = run_algorithm(network, damage, config, memo)
         series = evaluate_plan(network, damage, plan, schedule, memo=memo)

@@ -1,5 +1,7 @@
-"""Connected components of a network's buses under a set of lines."""
+"""Connected components and shortest paths of a network's buses under a set of lines."""
 from __future__ import annotations
+
+import heapq
 
 
 def line_components(network, line_ids) -> list[list[int]]:
@@ -23,3 +25,27 @@ def line_components(network, line_ids) -> list[list[int]]:
     for bus in sorted(root):
         groups.setdefault(find(bus), []).append(bus)
     return list(groups.values())
+
+
+def shortest_path(network, line_ids, weight, source: int, target: int) -> float:
+    """Length of the shortest path from bus ``source`` to bus ``target``
+    over the lines ``line_ids``, a line's length ``weight(line)`` (at least
+    0); infinite when no path joins them (Dijkstra)."""
+    adjacent: dict[int, list[tuple[int, float]]] = {}
+    for lid in line_ids:
+        ln = network.lines_by_id[lid]
+        adjacent.setdefault(ln.from_bus, []).append((ln.to_bus, weight(ln)))
+        adjacent.setdefault(ln.to_bus, []).append((ln.from_bus, weight(ln)))
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, bus = heapq.heappop(heap)
+        if bus == target:
+            return d
+        if d > dist[bus]:
+            continue
+        for other, w in adjacent.get(bus, ()):
+            if d + w < dist.get(other, float("inf")):
+                dist[other] = d + w
+                heapq.heappush(heap, (d + w, other))
+    return float("inf")

@@ -90,7 +90,7 @@ def _capacity_order(network: Network, line_ids) -> list[int]:
 
 
 def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
-        rop_solver=None) -> RestorationPlan:
+        rop_solver=None, memo: dict | None = None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
     Each split picks half its lines for period one and recurses on both
@@ -99,15 +99,17 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
     split, the second half's lines as well for the first half, and the
     same lines as its parent for the second half. Every line of the set
     is back in period two, so each split is one period of free binaries
-    plus a constant, that topology's power from the run's one memo. With
-    no plan or no time left, it splits the capacity order in half; with
-    an empty first half, the set comes back in capacity order.
+    plus a constant, that topology's power from the run's one memo, the
+    caller's ``memo`` (as in ``evaluate_plan``) when given. With no plan
+    or no time left, it splits the capacity order in half; with an empty
+    first half, the set comes back in capacity order.
     ``rop_solver(artifacts, opts) -> MipSolution`` solves every
     sub-problem. Output is fully ordered: one line per period.
     """
     solver = rop_solver or _default_rop_solver
     deadline = time.monotonic() + budget.time_limit
-    memo: dict = {}  # the network's shared period LP, bases and final periods
+    # the network's shared period LP, bases and final periods
+    memo = {} if memo is None else memo
 
     def recurse(line_ids: tuple[int, ...], later: frozenset[int]) -> list[int]:
         if len(line_ids) <= 1:
@@ -132,7 +134,8 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
 
 def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
-        initial: RestorationPlan | None = None, rop_solver=None) -> RestorationPlan:
+        initial: RestorationPlan | None = None, rop_solver=None,
+        memo: dict | None = None) -> RestorationPlan:
     """Randomized adaptive decomposition of a fully-ordered plan.
 
     Cuts the ordering into random contiguous blocks, re-orders each by
@@ -141,10 +144,11 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     periods. Those periods are read off the evaluation of the whole
     ordering on the full network: the lines restored after the block are
     still out in them, and the last is the MILP's final period, so its
-    constant costs no LP. When most blocks of a round fail, the MILP time
-    limit doubles if most solves hit it or failed, else the block-size cap
-    grows. Never worse than ``initial``. The module constants above set
-    the search.
+    constant costs no LP. One memo serves the run, the caller's ``memo``
+    (as in ``evaluate_plan``) when given. When most blocks of a round
+    fail, the MILP time limit doubles if most solves hit it or failed,
+    else the block-size cap grows. Never worse than ``initial``. The
+    module constants above set the search.
     """
     solver = rop_solver or _default_rop_solver
     initial_plan = initial or util_order(network, damage)
@@ -160,7 +164,8 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     s_lo, s_hi = MIN_PARTITION, MAX_PARTITION
     stall = 0
     schedule = build_schedule(n, n, 1.0)
-    memo: dict = {}  # the network's shared period LP, base and period results
+    # the network's shared period LP, bases and period results
+    memo = {} if memo is None else memo
 
     def energy(ordering: list[int], a: int, b: int) -> float:
         """Energy served over periods a+1..b of ``ordering``, one line each."""

@@ -11,18 +11,22 @@ an inversion scatters just the basic columns into a dense block. A cold
 solve is two-phase primal simplex from a slack basis, with Bland's
 anti-cycling rule engaged after a run of degenerate pivots, and ends by
 inverting its final basis afresh. No solve reports "optimal" unless every
-basic value then lies within its bounds. A warm solve starts from the optimal
-basis of an earlier solve of the same standard form under other bounds,
-as a branch-and-bound child does from its parent: a bound change keeps
-that basis dual feasible, so a bounded dual simplex restores primal
-feasibility and the primal simplex then finishes. A basis inverts itself
-once per matrix (``Basis.inverse``, by ``basis_inverse``, which peels
-the basic slack columns off and inverts only the block left), and every
-solve from it copies that inverse, so sibling solves share one. At the
-end the product-updated inverse is kept when the basic values it gives
-pass the residual check, and the basis is inverted afresh only when they
-do not. A warm basis that is singular, inaccurate or not dual feasible
-falls back to a cold solve in the same call.
+basic value then lies within its bounds. A warm solve starts from a basis
+of the same standard form, on one of two paths. From the optimal basis of
+an earlier solve under other bounds, as a branch-and-bound child starts
+from its parent, a bound change keeps that basis dual feasible, so a
+bounded dual simplex restores primal feasibility and the primal simplex
+then finishes. A basis that is not dual feasible but whose point is
+primal feasible, as an ordering MILP's root starts from the extended
+optimal basis of a period LP, runs the primal simplex's phase 2 from
+that point. A basis inverts itself once per matrix (``Basis.inverse``,
+by ``basis_inverse``, which peels the basic slack columns off and
+inverts only the block left), and every solve from it copies that
+inverse, so sibling solves share one. At the end the product-updated
+inverse is kept when the basic values it gives pass the residual check,
+and the basis is inverted afresh only when they do not. A warm basis
+that is singular, inaccurate, or neither dual nor primal feasible falls
+back to a cold solve in the same call.
 """
 from __future__ import annotations
 
@@ -338,43 +342,52 @@ class _Simplex:
         diag[art_rows] = self.art_sign
         self.Binv = np.diag(diag)
 
-    def _warm_start(self, start: Basis) -> bool:
-        """Install ``start``; False when it does not fit, is inaccurate or
-        is not dual feasible.
+    def _warm_start(self, start: Basis) -> str | None:
+        """Install ``start`` and name the phase to run from it: "dual" when
+        it is dual feasible, "primal" when it is not but its point is
+        primal feasible, None when it does not fit, is inaccurate or is
+        neither.
 
         Nonbasic columns go to the bound their state names, or the bound
-        they have. A column with both bounds finite goes to the one its
-        reduced cost prefers, which makes the basis dual feasible whatever
-        the new bounds are; any other dual infeasibility rejects the basis.
-        Raises ``numpy.linalg.LinAlgError`` when the basis is singular.
+        they have. For the dual start a column with both bounds finite goes
+        to the one its reduced cost prefers, which makes the basis dual
+        feasible whatever the new bounds are; any other dual infeasibility
+        leaves the primal start, which keeps every state as given and needs
+        every basic value within its bounds. Raises
+        ``numpy.linalg.LinAlgError`` when the basis is singular.
         """
         m, nt, lo, up = self.m, self.nt, self.lo, self.up
         cols = np.asarray(start.columns)
         if (cols.shape != (m,) or start.status.shape != (nt,)
                 or len(set(cols.tolist())) != m):
-            return False
+            return None
         fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
         stat = np.full(nt, _FREE, dtype=np.int8)
         stat[fin_up] = _AT_UPPER
         stat[fin_lo & ~(fin_up & (start.status == _AT_UPPER))] = _AT_LOWER
         stat[cols] = _BASIC
-        self.stat = stat
         self.basis = cols.astype(np.intp)
         self.x = np.zeros(nt)
         self.Binv = start.inverse(self.form).copy()
         d = self._reduced_costs(self.c)
+        flipped = stat.copy()
         boxed = fin_lo & fin_up & (stat != _BASIC)
-        stat[boxed & (d < -OPT_TOL)] = _AT_UPPER
-        stat[boxed & (d > OPT_TOL)] = _AT_LOWER
+        flipped[boxed & (d < -OPT_TOL)] = _AT_UPPER
+        flipped[boxed & (d > OPT_TOL)] = _AT_LOWER
+        dual = not ((flipped == _AT_LOWER) & (d < -OPT_TOL)
+                    | (flipped == _AT_UPPER) & (d > OPT_TOL)
+                    | (flipped == _FREE) & (np.abs(d) > OPT_TOL)).any()
+        self.stat = stat = flipped if dual else stat
         at_lo, at_up = stat == _AT_LOWER, stat == _AT_UPPER
-        if ((at_lo & (d < -OPT_TOL)) | (at_up & (d > OPT_TOL))
-                | ((stat == _FREE) & (np.abs(d) > OPT_TOL))).any():
-            return False
         x = self.x
         x[at_lo] = lo[at_lo]
         x[at_up] = up[at_up]
         self._basic_values()
-        return self._accurate()
+        if not self._accurate():
+            return None
+        if dual:
+            return "dual"
+        return "primal" if self._within_bounds() else None
 
     # -- core pivoting -----------------------------------------------------
 
@@ -628,22 +641,25 @@ class _Simplex:
         return self._finish("optimal" if self._within_bounds() else "numerical_failure")
 
     def solve_from(self, start: Basis) -> LpSolution | None:
-        """Warm dual-then-primal simplex from ``start``.
+        """Warm simplex from ``start``: dual then primal from a dual feasible
+        start, primal phase 2 alone from a primal feasible one.
 
         The optimum keeps the product-updated inverse when the basic values
         it gives pass the residual check; otherwise the basis is inverted
         afresh and checked again. None when the basis cannot be used, the
-        dual simplex cannot settle infeasibility, or the optimum stays
-        inaccurate or has a basic value outside its bounds; the caller then
-        solves cold.
+        dual simplex cannot settle infeasibility, the primal simplex finds
+        the LP unbounded, or the optimum stays inaccurate or has a basic
+        value outside its bounds; the caller then solves cold.
         """
-        if not self._warm_start(start):
+        phase = self._warm_start(start)
+        if phase is None:
             return None
-        res = self._dual_phase()
-        if res == "unsure":
-            return None
-        if res != "optimal":
-            return self._finish("iteration_limit" if res == "limit" else "infeasible")
+        if phase == "dual":
+            res = self._dual_phase()
+            if res == "unsure":
+                return None
+            if res != "optimal":
+                return self._finish("iteration_limit" if res == "limit" else "infeasible")
         res = self._solve_phase(self.c)
         if res == "limit":
             return self._finish("iteration_limit")
@@ -690,11 +706,13 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
 
     ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
     is then neither validated nor rebuilt, and its variables' bounds are
-    ignored. ``start`` is the basis of an earlier optimal solve of the
-    same form under any bounds: the solve begins from it, and starts cold
-    instead, within the same iteration limit, when that basis is singular,
-    inaccurate or not dual feasible. The solve copies the start's inverse
-    and never changes it, so sibling solves can share it.
+    ignored. ``start`` is a basis of the same form: the optimal basis of
+    an earlier solve under any bounds, which the dual simplex starts from,
+    or a primal feasible basis, which the primal simplex starts from. The
+    solve starts cold instead, within the same iteration limit, when that
+    basis is singular, inaccurate, or neither dual nor primal feasible.
+    The solve copies the start's inverse and never changes it, so sibling
+    solves can share it.
     """
     if form is None:
         lp.validate()

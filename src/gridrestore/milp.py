@@ -3,13 +3,16 @@
 Node selection is best bound, branching is most-fractional with lowest
 variable index as the tie-break, so the search is fully deterministic.
 The MILP's standard form is built once; a node is its binary fixes. The
-root LP is the only one solved cold: the warm-start incumbent LP starts
-from the root's optimal basis, and each child LP is re-solved under its
-fixes from its parent's optimal basis by the LP core's dual simplex. A
-basis inverts itself once, for the first solve from it, and later solves
-from it copy that inverse: a branching's two children share one, and the
-root's children share the warm-start incumbent LP's. A basis waiting on
-the heap has not been started from, so it holds no inverse.
+root LP starts from the program's ``start`` basis when it has one (an
+ordering MILP carries a primal feasible basis made from a period LP's
+optimum), and cold otherwise. Every other LP is warm: the warm-start
+incumbent LP starts from the root's optimal basis, and each child LP is
+re-solved under its fixes from its parent's optimal basis by the LP
+core's dual simplex. A basis inverts itself once, for the first solve
+from it, and later solves from it copy that inverse: a branching's two
+children share one, and the root's children share the warm-start
+incumbent LP's. A basis waiting on the heap has not been started from,
+so it holds no inverse.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import (INF, LinearProgram, StandardForm, mps_column_name, solve_lp,
+from .lp import (INF, Basis, LinearProgram, StandardForm, mps_column_name, solve_lp,
                  standard_form, write_mps)
 
 INT_TOL = 1e-6
@@ -35,6 +38,8 @@ INT_TOL = 1e-6
 class MixedIntegerProgram:
     base: LinearProgram
     binary_vars: frozenset[int] = frozenset()
+    # a basis of the relaxation's standard form to start the root LP from
+    start: Basis | None = None
 
     def __post_init__(self):
         self.binary_vars = frozenset(self.binary_vars)
@@ -88,7 +93,8 @@ def _with_fixes(form: StandardForm, fixes: dict[int, float]) -> StandardForm:
 def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
-    The warm start, if feasible, becomes the initial incumbent. The time
+    The root LP starts from ``mip.start`` when the program has one. The
+    warm start, if feasible, becomes the initial incumbent. The time
     limit is checked between node solves and is every LP's deadline, so an
     LP that runs past it ends 'iteration_limit'. A time limit with no
     incumbent yields 'failure'. A child whose LP ends neither optimal nor
@@ -108,7 +114,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     incumbent_x = None
     unresolved: list[float] = []  # parent bounds of children left unsolved
 
-    root = solve_lp(mip.base, form=form, deadline=deadline)
+    root = solve_lp(mip.base, form=form, start=mip.start, deadline=deadline)
     nodes_solved = 1
     if root.status == "infeasible":
         return MipSolution(status="infeasible", elapsed=time.monotonic() - start,

@@ -14,7 +14,16 @@ lines that are out away, and each one is re-solved from the optimal
 basis of a base topology, the undamaged lines alone, which inverts itself
 once and is copied by every such solve. ``evaluate_plan`` solves each
 period of a plan that way, and ``build_rop`` its final period, so a
-caller's memo serves both.
+caller's memo serves both. A base missing from the memo is solved warm
+from a memoized topology with fewer lines, so only a memo's first base
+is cold.
+
+A ROP period is written over the shared period LP's columns and rows,
+with the same reference angles, so the base's optimal basis extends to
+it column for column: that extension is a primal feasible start for the
+ordering MILP's root LP. Each switchable line's big-M is ``|b|`` times
+the shortest ``angle_diff_max`` path between its ends through the lines
+that are always in, which keeps the root relaxation tight.
 """
 from __future__ import annotations
 
@@ -23,8 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import line_components
-from .lp import INF, LinearProgram, StandardForm, standard_form
+from .graph import line_components, shortest_path
+from .lp import (_AT_LOWER, _BASIC, INF, Basis, LinearProgram, StandardForm,
+                 standard_form)
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Line, Network, PeriodSchedule, RestorationPlan
 
@@ -87,51 +97,52 @@ def _check_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
 
 
 def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
-                  switchable: frozenset[int] = frozenset(), weight: float = 1.0,
+                  switchable: dict[int, float] | None = None, weight: float = 1.0,
                   tag: str = "") -> tuple[dict, dict]:
     """Append one period's DC dispatch model to ``lp``.
 
     The present lines are the energized ones, ``live``, and the damaged
-    ones whose status a binary picks, ``switchable``. Variables, named
-    with ``tag`` appended: generator outputs PG, line flows PL of the
-    present lines, load fractions XD in [0, 1], voltage angles TH with
-    the lowest bus of each connected component of the present lines
-    pinned at 0, and one status Z in [0, 1] per switchable line. A line's
-    flow limit is the smaller of its thermal limit and ``|b| *
-    angle_diff_max``: where the flow equality holds, the latter is the
-    line's angle-difference limit ``|TH_f - TH_t| <= angle_diff_max``,
-    and a line that is out carries no flow. Rows: a DC flow equality per
-    live line; per switchable line, four big-M rows that enforce the flow
-    equality when Z = 1 (M = |b| times the sum of the present lines'
-    ``angle_diff_max``, valid as every line that carries flow keeps its
-    angle limit) and hold the flow at 0 when Z = 0; then nodal balance.
-    Adds ``p_demand * weight`` per load to the objective. Returns the XD
-    indices by load id and the Z indices by line id.
+    ones whose status a binary picks, the keys of ``switchable``, which
+    maps each to the big-M of its flow rows. Variables, named with
+    ``tag`` appended: generator outputs PG, line flows PL of the present
+    lines, load fractions XD in [0, 1], voltage angles TH with the lowest
+    bus of each connected component of all the network's lines pinned at
+    0 (as in the shared period LP, whatever lines are present), and one
+    status Z in [0, 1] per switchable line. A live line's flow limit is
+    the smaller of its thermal limit and ``|b| * angle_diff_max``: where
+    the flow equality holds, the latter is the line's angle-difference
+    limit ``|TH_f - TH_t| <= angle_diff_max``. A switchable line's flow
+    is free, bounded only by its rows. Rows: a DC flow equality per live
+    line; per switchable line, two big-M rows that enforce the flow
+    equality when Z = 1 and two on/off rows that hold the flow within
+    ``limit * Z``; then nodal balance. Adds ``p_demand * weight`` per load
+    to the objective. Returns the XD indices by load id and the Z indices
+    by line id.
     """
-    present = live | switchable
+    switchable = switchable or {}
+    present = live | switchable.keys()
     lines = [ln for ln in network.lines if ln.id in present]
     pg = {g.id: lp.add_variable(f"PG{g.id}{tag}", 0.0, g.p_max) for g in network.generators}
     limit = {ln.id: min(ln.thermal_limit, abs(ln.susceptance_b) * ln.angle_diff_max)
              for ln in lines}
-    pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", -limit[ln.id], limit[ln.id])
+    pl = {ln.id: lp.add_variable(f"PL{ln.id}{tag}", *((-limit[ln.id], limit[ln.id])
+                                                       if ln.id in live else (-INF, INF)))
           for ln in lines}
     xd = {d.id: lp.add_variable(f"XD{d.id}{tag}", 0.0, 1.0) for d in network.loads}
-    refs = {c[0] for c in line_components(network, present)}
+    refs = {c[0] for c in line_components(network, (ln.id for ln in network.lines))}
     th = {}
     for b in network.buses:
         lo, hi = (0.0, 0.0) if b.id in refs else (-INF, INF)
         th[b.id] = lp.add_variable(f"TH{b.id}{tag}", lo, hi)
     z = {lid: lp.add_variable(f"Z{lid}{tag}", 0.0, 1.0) for lid in sorted(switchable)}
 
-    theta_delta = sum(ln.angle_diff_max for ln in lines)
     for ln in lines:
         b = ln.susceptance_b
         flow = [(pl[ln.id], 1.0), (th[ln.from_bus], b), (th[ln.to_bus], -b)]
         if ln.id in live:
             lp.add_constraint(f"flow{ln.id}{tag}", flow, "=", 0.0)
             continue
-        M = _big_m(ln, theta_delta)
-        zj, lim = z[ln.id], limit[ln.id]
+        M, zj, lim = switchable[ln.id], z[ln.id], limit[ln.id]
         lp.add_constraint(f"flowu{ln.id}{tag}", flow + [(zj, M)], "<=", M)
         lp.add_constraint(f"flowl{ln.id}{tag}", flow + [(zj, -M)], ">=", -M)
         lp.add_constraint(f"onu{ln.id}{tag}", [(pl[ln.id], 1.0), (zj, -lim)], "<=", 0.0)
@@ -163,9 +174,22 @@ def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
     return lp
 
 
-def _big_m(line: Line, theta_delta: float) -> float:
-    """The big-M of a switchable line's flow rows, ``|b| * theta_delta``."""
-    M = abs(line.susceptance_b) * theta_delta
+def _big_m(network: Network, line: Line, live: frozenset[int], theta_delta: float) -> float:
+    """The big-M of a switchable line's flow rows.
+
+    ``|b|`` times the shortest ``angle_diff_max`` path between the line's
+    ends through the ``live`` lines, or times ``theta_delta``, the sum of
+    the present lines' ``angle_diff_max``, when no such path is shorter.
+    Both are valid: every live line keeps ``|TH_f - TH_t| <=
+    angle_diff_max`` in every period, so the ends of a path of live lines
+    differ by at most its length; and with each island of energized lines
+    shifted to put one of its buses at angle 0, the ends of any line differ
+    by at most the sum over the lines present.
+    """
+    path = shortest_path(network, [lid for lid in sorted(live)
+                                   if network.lines_by_id[lid].susceptance_b != 0],
+                         lambda ln: ln.angle_diff_max, line.from_bus, line.to_bus)
+    M = abs(line.susceptance_b) * min(path, theta_delta)
     if not 0 < M < INF:
         raise ValueError(f"degenerate big-M for line {line.id}")
     return M
@@ -177,13 +201,18 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
 
     The present lines are every line but ``out``, the lines that stay out
     in every period. Each period but the last is the ``_period_dcopf``
-    model over them with the damaged lines switchable, led by its repair
-    budget row; the status binaries are monotone across periods. Every
-    present line is back in the final period, so its model would be the
-    same LP at every branch-and-bound node: it is instead that topology of
-    ``evaluate_plan``'s shared period LP (``memo`` as there), and its
-    power times the period's duration enters the objective as one column
-    fixed at 1. It has no binaries: ``z`` maps periods 1..N-1. Raises
+    model over them with the damaged lines switchable, each with its own
+    big-M (``_big_m``), led by its repair budget row; the status binaries
+    are monotone across periods. Every present line is back in the final
+    period, so its model would be the same LP at every branch-and-bound
+    node: it is instead that topology of ``evaluate_plan``'s shared period
+    LP (``memo`` as there), and its power times the period's duration
+    enters the objective as one column fixed at 1. It has no binaries:
+    ``z`` maps periods 1..N-1.
+
+    The program carries a primal feasible start for its root LP
+    (``_rop_start``), made from the optimal basis of the base topology,
+    the present lines that are not damaged, from the same memo. Raises
     ``PlanEvaluationError`` for period N when that LP is not optimal.
     """
     damage.validate(network)
@@ -193,17 +222,18 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
     if damaged & out:
         raise ValueError("a damaged line cannot stay out")
     present = frozenset(l.id for l in network.lines) - out
-    theta_delta = sum(l.angle_diff_max for l in network.lines if l.id in present)
-    for lid in sorted(damaged):  # checked even when no period switches a line
-        _big_m(network.lines_by_id[lid], theta_delta)
-
     live = present - damaged
+    theta_delta = sum(l.angle_diff_max for l in network.lines if l.id in present)
+    # checked even when no period switches a line
+    big_m = {lid: _big_m(network, network.lines_by_id[lid], live, theta_delta)
+             for lid in sorted(damaged)}
+
     lp = LinearProgram()
     art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule, out=out)
     N = schedule.n_periods
     for k in range(1, N):
         first = len(lp.constraints)
-        _, z = _period_dcopf(lp, network, live, damaged,
+        _, z = _period_dcopf(lp, network, live, big_m,
                              weight=schedule.delta[k - 1], tag=f"_{k}")
         # the budget row leads its period: the row order steers the B&B search
         lp.add_constraint(f"budget_{k}", [(j, 1.0) for j in z.values()],
@@ -215,11 +245,48 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
-    final = _served(network, present, live, {} if memo is None else memo, N)
+    memo = {} if memo is None else memo
+    final = _served(network, present, live, memo, N)
     lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
                                final * schedule.delta[N - 1]))
-    art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()))
+    start = _rop_start(lp, _shared_period(network, memo), _base(network, live, memo)) \
+        if N > 1 else None
+    art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()),
+                                      start=start)
     return art
+
+
+def _rop_start(lp: LinearProgram, shared: _SharedPeriod, base: Basis | None) -> Basis | None:
+    """A primal feasible basis of the ordering MILP ``lp``, made from the
+    base topology's optimal basis ``base`` on the shared period LP.
+
+    Each period names its columns and rows as the shared period LP does,
+    with its tag appended, so a column or row that both have takes the
+    base's state: the generator outputs, live flows, load fractions and
+    angles, and the slacks of the live lines' flow rows and of the balance
+    rows. A switchable line's flow, fixed at 0 in the base, is free and
+    nonbasic at 0; Z and the final-energy column sit at their lower
+    bounds; the slacks of the switchable, budget and mono rows are basic.
+    They stand in for the base's slacks of the flow rows of the lines
+    out, which are free and so never leave a basis. Every row then holds
+    at the base's point with Z = 0, a big-M row because its M bounds the
+    angle difference that the live lines allow (``_big_m``). Not dual
+    feasible in general: a switchable flow prices at the difference of
+    its ends' balance duals. None without a base.
+    """
+    if base is None:
+        return None
+    index = {v.name: j for j, v in enumerate(shared.lp.variables)}
+    index.update({c.name: len(shared.lp.variables) + i
+                  for i, c in enumerate(shared.lp.constraints)})
+    names = [v.name for v in lp.variables] + [c.name for c in lp.constraints]
+    status = np.full(len(names), _AT_LOWER, dtype=np.int8)
+    status[len(lp.variables):] = _BASIC
+    for j, name in enumerate(names):
+        s = index.get(name.rpartition("_")[0])
+        if s is not None:
+            status[j] = base.status[s]
+    return Basis(np.flatnonzero(status == _BASIC).astype(np.int32), status)
 
 
 def extract_plan(artifacts: RopArtifacts, solution: MipSolution) -> RestorationPlan:
@@ -330,41 +397,64 @@ def _delivered(network: Network, shared: _SharedPeriod, sol) -> float:
                for d in network.loads)
 
 
+def _solve(network: Network, live: frozenset[int], start: Basis | None, memo: dict):
+    """Solve the topology ``live`` on the network's shared period LP from
+    ``start`` and memoize its basis and, when optimal, its power served."""
+    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
+    # double, a tracing wrapper) sees every period LP, base LPs included
+    from .lp import solve_lp
+
+    shared = _shared_period(network, memo)
+    sol = solve_lp(shared.lp, form=shared.bounds(live), start=start)
+    memo[("basis", live)] = sol.basis
+    if sol.status == "optimal":
+        memo[live] = _delivered(network, shared, sol)
+    return sol
+
+
+def _base(network: Network, undamaged: frozenset[int], memo: dict) -> Basis | None:
+    """The optimal basis of the base topology ``undamaged``, None when its
+    LP is not optimal.
+
+    Read from ``memo``, which holds the basis of every topology solved, or
+    solved: warm from the memoized basis of the topology with the most
+    lines among those with fewer, all of them in ``undamaged`` (restoring
+    lines keeps a basis dual feasible), and cold when there is none, so a
+    memo's first base is its only cold one.
+    """
+    key = ("basis", undamaged)
+    if key not in memo:
+        fewer = [k[1] for k, basis in memo.items() if isinstance(k, tuple)
+                 and basis is not None and k[1] < undamaged]
+        _solve(network, undamaged,
+               memo[("basis", max(fewer, key=len))] if fewer else None, memo)
+    return memo[key]
+
+
 def _served(network: Network, live: frozenset[int], undamaged: frozenset[int],
             memo: dict, k: int) -> float:
     """Power served under the topology ``live``, read from ``memo`` or solved.
 
     A miss is solved on the network's shared period LP from the optimal
-    basis of the base topology ``undamaged``. The base is solved cold once
-    per undamaged set and memo, and memoized with its result like any
-    other topology; its basis inverts itself for the first topology solved
-    from it, and when it is not optimal the topologies solve cold. Raises
-    ``PlanEvaluationError`` for period ``k`` when the topology's LP does
-    not end optimal, and ``ValueError`` when the memo holds another network.
+    basis of the base topology ``undamaged`` (``_base``), which inverts
+    itself for the first topology solved from it; when the base is not
+    optimal the topologies solve cold. Raises ``PlanEvaluationError`` for
+    period ``k`` when the topology's LP does not end optimal, and
+    ``ValueError`` when the memo holds another network.
     """
-    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
-    # double, a tracing wrapper) sees every period LP, base LPs included
-    from .lp import solve_lp
-
     known = memo.setdefault("network", network)
     if known is not network and known != network:
         raise ValueError("the memo holds the evaluations of another network")
     hit = memo.get(live)
     if hit is None:
-        shared = _shared_period(network, memo)
-        base = ("base", undamaged)
-        if base not in memo:
-            sol = solve_lp(shared.lp, form=shared.bounds(undamaged))
-            memo[base] = sol.basis
-            if sol.status == "optimal":
-                memo.setdefault(undamaged, _delivered(network, shared, sol))
+        start = _base(network, undamaged, memo)
         # the base solve is this topology's when live is the base topology
         hit = memo.get(live)
     if hit is None:
-        sol = solve_lp(shared.lp, form=shared.bounds(live), start=memo[base])
+        sol = _solve(network, live, start, memo)
         if sol.status != "optimal":
             raise PlanEvaluationError(k, sol.status)
-        hit = memo[live] = _delivered(network, shared, sol)
+        hit = memo[live]
     return hit
 
 
@@ -376,17 +466,18 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     single-period LP. All of them are one shared LP over every line of
     the network, the period's topology a change of its bounds. Each
     topology is re-solved from the optimal basis of the base topology,
-    the undamaged lines alone, which is solved cold first and inverts
-    itself once. Restoring lines only unfixes flow columns and fixes row
-    slacks, so that basis stays dual feasible, and as the start is the
-    same for every period, a result does not depend on the order of
-    evaluation.
+    the undamaged lines alone, which is solved first (``_base``) and
+    inverts itself once. Restoring lines only unfixes flow columns and
+    fixes row slacks, so that basis stays dual feasible, and as the start
+    is the same for every period, a result does not depend on the order of
+    the periods.
 
     ``memo``, if given, holds that state across calls on one network: the
-    network under ``"network"``, the shared LP under ``"form"``, the base
-    basis under ``("base", undamaged line ids)``, and per topology, keyed
-    by the frozenset of energized line ids, its delivered power. It is
-    read before and filled after each solve. Raises ``ValueError`` when
+    network under ``"network"``, the shared LP under ``"form"``, and per
+    topology solved, keyed by the frozenset of energized line ids, its
+    delivered power and, under ``("basis", line ids)``, its optimal basis
+    (None when not optimal), which the base is one of. It is read before
+    and filled after each solve. Raises ``ValueError`` when
     the memo holds another network.
     """
     _check_plan(network, damage, plan, schedule)

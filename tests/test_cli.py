@@ -179,6 +179,56 @@ class TestSolve:
         assert len(solved) > len(in_rop)
         assert len(set(solved)) == len(solved)
 
+    @pytest.mark.parametrize("algo", ["rrr", "rad"])
+    def test_heuristics_solve_each_topology_once(self, tmp_path, monkeypatch, algo):
+        # rrr and rad take the solve's memo: every topology and every base
+        # is solved once in the run, the final evaluation included, and
+        # only the memo's first base starts cold
+        real_solve = gridrestore.lp.solve_lp
+        solved, starts = [], []
+
+        def counting(lp, *args, **kwargs):
+            form = kwargs["form"]
+            solved.append((form.lower.tobytes(), form.upper.tobytes()))
+            starts.append(kwargs.get("start"))
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(gridrestore.lp, "solve_lp", counting)
+        case = os.path.join(CASES_DIR, "mesh12.m")
+        assert main(["solve", "--case", case, "--damage-fraction", "0.25", "--seed", "3",
+                     "--algo", algo, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(set(solved)) == len(solved) > 2
+        assert starts[0] is None and None not in starts[1:]
+
+    @pytest.mark.parametrize("algo", ["rrr", "rop"])
+    def test_no_cold_lp_inside_solve_mip(self, tmp_path, monkeypatch, algo):
+        # each ordering MILP's root starts from the model's start, its
+        # other LPs from a parent's basis; the one cold LP of the run is
+        # the memo's first base, outside every MILP
+        real_cold = gridrestore.lp._Simplex.solve
+        real_node_lp = gridrestore.milp.solve_lp
+        inside, colds, starts = [False], [], []
+
+        def cold(self):
+            colds.append(inside[0])
+            return real_cold(self)
+
+        def node_lp(lp, *args, **kwargs):
+            starts.append(kwargs.get("start"))
+            inside[0] = True
+            try:
+                return real_node_lp(lp, *args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(gridrestore.lp._Simplex, "solve", cold)
+        monkeypatch.setattr(gridrestore.milp, "solve_lp", node_lp)
+        case = os.path.join(CASES_DIR, "mesh12.m")
+        assert main(["solve", "--case", case, "--damage-fraction", "0.25", "--seed", "3",
+                     "--algo", algo, "--out", str(tmp_path)]) == EXIT_OK
+        assert starts and None not in starts
+        assert colds == [False]
+
     def test_rop_one_period_has_no_free_binary(self, tmp_path, monkeypatch):
         real_solve_mip = gridrestore.cli.solve_mip
         binaries = []

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from gridrestore.graph import line_components
+from gridrestore.graph import line_components, shortest_path
 from gridrestore.network import Bus, Line, Network
 from conftest import meshed_network, random_network, tiny3_network
 
@@ -67,3 +68,34 @@ def test_order_follows_bus_ids_not_input_order():
     assert check(net, [2, 1, 3]) == [[3, 40], [7], [12, 25]]
     assert check(net, [4, 1]) == [[3, 7, 40], [12], [25]]
     assert check(net, []) == [[3], [7], [12], [25], [40]]
+
+
+def floyd_warshall(network, line_ids, weight):
+    """Reference: all-pairs shortest path lengths, infinite when apart."""
+    buses = [b.id for b in network.buses]
+    dist = {(a, b): 0.0 if a == b else math.inf for a in buses for b in buses}
+    for lid in line_ids:
+        ln = network.lines_by_id[lid]
+        for a, b in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus)):
+            dist[a, b] = min(dist[a, b], weight(ln))
+    for k in buses:
+        for a in buses:
+            for b in buses:
+                dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shortest_path_matches_floyd_warshall(seed):
+    # random line subsets, so some bus pairs are apart; parallel lines on
+    # the tree grids, with the angle limits as lengths
+    rng = random.Random(seed)
+    for net in (random_network(seed), meshed_network(seed, 8 + seed % 5)):
+        weight = {ln.id: rng.uniform(0.05, 0.6) for ln in net.lines}
+        ids = [ln.id for ln in net.lines]
+        for size in (0, len(ids) // 2, len(ids)):
+            subset = rng.sample(ids, size)
+            ref = floyd_warshall(net, subset, lambda ln: weight[ln.id])
+            for (a, b), d in ref.items():
+                got = shortest_path(net, subset, lambda ln: weight[ln.id], a, b)
+                assert got == pytest.approx(d, rel=1e-12) if math.isfinite(d) else got == d

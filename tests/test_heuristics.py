@@ -217,14 +217,15 @@ class TestRrr:
         assert min(checked) > 0
 
     def test_one_period_lp_per_call(self, meshed_scenarios, monkeypatch):
-        # every split's final period is a topology of one shared period LP,
-        # built once per call and solved warm from a base
+        # every split's final period and base are topologies of one shared
+        # period LP, built once per call; only the first base solves cold
         real_solve = gridrestore.lp.solve_lp
         real_standard_form = gridrestore.models.standard_form
         lps, forms = [], []
 
         def counting(lp, *args, **kwargs):
-            lps.append((lp, kwargs.get("start")))
+            form = kwargs["form"]
+            lps.append((lp, kwargs.get("start"), (form.lower.tobytes(), form.upper.tobytes())))
             return real_solve(lp, *args, **kwargs)
 
         def counting_forms(lp):
@@ -239,11 +240,13 @@ class TestRrr:
             seam, calls = recorded(real_solver)
             rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
             assert len(forms) == 1 and calls
-            assert {id(lp) for lp, _ in lps} == {id(forms[0])}
-            # at most a base and a final period per split, and no topology twice
+            assert {id(lp) for lp, _, _ in lps} == {id(forms[0])}
+            # at most a base per split and a final period per set of lines
+            # out, and no topology twice
             finals = {art.out for art, _, _ in calls}
-            assert len(lps) <= 2 * len(finals)
-            assert sum(start is not None for _, start in lps) <= len(finals)
+            assert len(lps) <= len(calls) + len(finals)
+            assert len({bounds for _, _, bounds in lps}) == len(lps)
+            assert [start is None for _, start, _ in lps] == [True] + [False] * (len(lps) - 1)
 
 
 def stall_limit(monkeypatch, rounds):

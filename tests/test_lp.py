@@ -290,6 +290,12 @@ def rop_forms(meshed_scenarios):
         yield mip, standard_form(mip.base)
 
 
+def branching(mip, sol, count=3):
+    """The ``count`` binaries nearest 0.5 in ``sol``, lowest index first on
+    ties; a root from the model's start can be integral."""
+    return sorted(sorted(mip.binary_vars), key=lambda j: abs(sol.primal[j] - 0.5))[:count]
+
+
 def sums_and_cancels():
     """min x1 over one row whose terms on x0 cancel and on x1 sum to 5."""
     return simple_lp("minimize", [(1, 1.0)], [("x0", 0.0, 1.0), ("x1", 0.0, 1.0)],
@@ -380,18 +386,18 @@ class TestWarmStart:
         monkeypatch.setattr(lp_module, "basis_inverse", counting)
         pivoted = 0
         for mip, form in rop_forms(meshed_scenarios):
-            parent = solve_lp(mip.base, form=form)
+            # the root as solve_mip solves it, from the model's start
+            parent = solve_lp(mip.base, form=form, start=mip.start)
             assert parent.status == "optimal"
-            fractional = [j for j in sorted(mip.binary_vars)
-                          if 1e-6 < parent.primal[j] < 1 - 1e-6][:3]
+            branched = branching(mip, parent)
             del made[:]
-            for j in fractional:
+            for j in branched:
                 for value in (0.0, 1.0):
                     child = tightened(form, j, value, value)
                     ours = solve_lp(mip.base, form=child, start=parent.basis)
                     # the first child inverts the parent's basis, the rest copy it
                     assert len(made) == 1
-                    if j == fractional[0] and value == 0.0:
+                    if j == branched[0] and value == 0.0:
                         before = made[0].copy()
                     own_basis = Basis(parent.basis.columns, parent.basis.status)
                     own = solve_lp(mip.base, form=child, start=own_basis)
@@ -474,6 +480,113 @@ class TestWarmStart:
         else:
             assert len(cold) == 1  # the cold solve refactorizes too
             assert len(refactorized) >= 2
+
+
+@pytest.fixture
+def warm_paths(monkeypatch):
+    """The path each warm start takes ("dual", "primal" or None) and the
+    number of cold solves, recorded on every ``_Simplex``."""
+    paths, colds = [], []
+    real_warm, real_cold = lp_module._Simplex._warm_start, lp_module._Simplex.solve
+
+    def warm(self, start):
+        paths.append(real_warm(self, start))
+        return paths[-1]
+
+    def cold(self):
+        colds.append(None)
+        return real_cold(self)
+
+    monkeypatch.setattr(lp_module._Simplex, "_warm_start", warm)
+    monkeypatch.setattr(lp_module._Simplex, "solve", cold)
+    return paths, colds
+
+
+def slack_basis(form):
+    """Every slack basic and every other column at its lower bound."""
+    m, nt = form.b.size, form.c.size
+    status = np.full(nt, 1, dtype=np.int8)
+    status[nt - m:] = 0
+    return Basis(np.arange(nt - m, nt), status)
+
+
+def assert_feasible(lp, form, x):
+    """``x`` satisfies the rows of ``lp`` and the bounds of ``form`` within 1e-6."""
+    fixed = [Variable(v.name, lo, hi) for v, lo, hi in zip(lp.variables, form.lower, form.upper)]
+    assert max(violations(replace(lp, variables=fixed), x)) <= 1e-6
+
+
+class TestPrimalStart:
+    def test_generated_lps_from_the_other_optimum(self, warm_paths):
+        # the optimum under the negated objective is primal feasible, and
+        # dual infeasible wherever a nonbasic slack prices the wrong way
+        paths, colds = warm_paths
+        primal = 0
+        for seed in range(40):
+            lp = feasible_lp(seed)
+            form = standard_form(lp)
+            cold = solve_lp(lp, form=form)
+            other = solve_lp(lp, form=replace(form, c=-form.c))
+            assert cold.status == other.status == "optimal"
+            del paths[:], colds[:]
+            sol = solve_lp(lp, form=form, start=other.basis)
+            if paths != ["primal"]:
+                continue
+            primal += 1
+            assert not colds
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(cold.objective_value, rel=0, abs=1e-9)
+            assert_feasible(lp, form, sol.primal)
+        assert primal >= 10
+
+    def test_rop_roots_from_the_model_start(self, warm_paths):
+        # the start is primal feasible; where it is dual feasible too, it
+        # is the root's optimum and the dual path stops at once
+        paths, colds = warm_paths
+        taken = []
+        for n_buses in (6, 8, 10, 12, 14, 16):
+            for seed in (1, 2):
+                mip = full_rop_root(seed, n_buses, 0.25)
+                form = standard_form(mip.base)
+                cold = solve_lp(mip.base, form=form)
+                assert cold.status == "optimal"
+                del paths[:], colds[:]
+                sol = solve_lp(mip.base, form=form, start=mip.start)
+                assert paths in (["primal"], ["dual"]) and not colds
+                taken += paths
+                assert sol.status == "optimal"
+                assert sol.objective_value == pytest.approx(cold.objective_value,
+                                                            rel=0, abs=1e-9)
+                assert_feasible(mip.base, form, sol.primal)
+                assert sol.iterations < cold.iterations
+        assert taken.count("primal") >= 6
+
+    def test_neither_feasible_start_solves_cold(self, warm_paths):
+        # max x + y, x - y >= 1, x + y <= 4: at the slack basis x = y = 0
+        # breaks the first row, and x prices up from its lower bound
+        lp = simple_lp("maximize", [(0, 1.0), (1, 1.0)], [("x", 0.0, INF), ("y", 0.0, INF)],
+                       [([(0, 1.0), (1, -1.0)], ">=", 1.0), ([(0, 1.0), (1, 1.0)], "<=", 4.0)])
+        paths, colds = warm_paths
+        form = standard_form(lp)
+        sol = solve_lp(lp, form=form, start=slack_basis(form))
+        assert (paths, len(colds)) == ([None], 1)
+        assert sol.status == "optimal" and sol.objective_value == pytest.approx(4.0)
+        fallbacks = 0
+        for seed in range(40):
+            lp = random_lp(seed)
+            form = standard_form(lp)
+            cold = solve_lp(lp, form=form)
+            del paths[:], colds[:]
+            sol = solve_lp(lp, form=form, start=slack_basis(form))
+            if paths != [None]:
+                continue
+            fallbacks += 1
+            assert len(colds) == 1
+            assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+            np.testing.assert_array_equal(sol.primal, cold.primal)
+            if cold.status == "optimal":
+                assert sol.objective_value == cold.objective_value
+        assert fallbacks >= 10
 
 
 class TestDeadline:
@@ -701,13 +814,12 @@ def loop_cold_start(lp):
 
 
 def rop_node_bases(mip, form):
-    """The root's optimal basis and those of its children on 3 fractional binaries."""
-    root = solve_lp(mip.base, form=form)
+    """The optimal basis of the root, solved from the model's start, and
+    those of its children on the 3 binaries nearest 0.5."""
+    root = solve_lp(mip.base, form=form, start=mip.start)
     assert root.status == "optimal"
     bases = [root.basis]
-    fractional = [j for j in sorted(mip.binary_vars)
-                  if 1e-6 < root.primal[j] < 1 - 1e-6][:3]
-    for j in fractional:
+    for j in branching(mip, root):
         for value in (0.0, 1.0):
             child = solve_lp(mip.base, form=tightened(form, j, value, value),
                              start=root.basis)

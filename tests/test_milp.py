@@ -348,12 +348,14 @@ class TestBranchAndBound:
         monkeypatch.setattr(gridrestore.lp._Simplex, "solve", counting_cold)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, opts)
-        # a failed inversion is not kept: each child tries its parent's
-        # basis once, then solves cold in the same LP call
+        # a failed inversion is not kept: the root tries the model's start
+        # and each child its parent's basis once, then solves cold in the
+        # same LP call
         assert len(starts) == sol.nodes > 1
-        assert all(start is not None for start in starts[1:])
-        assert len(inverses) == sol.nodes - 1
-        for start, columns in zip(starts[1:], inverses):
+        assert starts[0] is mip.start
+        assert all(start is not None for start in starts)
+        assert len(inverses) == sol.nodes
+        for start, columns in zip(starts, inverses):
             np.testing.assert_array_equal(columns, start.columns)
         assert len(cold) == sol.nodes
         # cold children may reach another optimal vertex, and so another

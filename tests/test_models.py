@@ -7,7 +7,7 @@ import pytest
 
 import gridrestore.lp
 import gridrestore.models
-from gridrestore.lp import LinearProgram, LpSolution, solve_lp
+from gridrestore.lp import LinearProgram, LpSolution, solve_lp, standard_form
 from gridrestore.milp import SolveOptions, solve_mip
 from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
                                 _period_dcopf, build_rip, build_rop,
@@ -23,8 +23,9 @@ from conftest import (energizes_every_line, meshed_network, random_network, rand
 from oracles import fix_plan_in_rop, subnetwork_without
 
 
-def highs_milp(mip):
-    """Optimum of the MILP by SciPy's HiGHS ``milp``."""
+def highs_milp(mip, relax=False):
+    """Optimum of the MILP, or with ``relax`` of its LP relaxation, by
+    SciPy's HiGHS ``milp``."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp = mip.base
@@ -44,7 +45,7 @@ def highs_milp(mip):
         if con.relation != ">=":
             hi[i] = con.rhs
     integrality = np.zeros(n)
-    integrality[sorted(mip.binary_vars)] = 1
+    integrality[sorted(mip.binary_vars)] = 0 if relax else 1
     res = milp(c, constraints=[LinearConstraint(A, lo, hi)] if len(A) else None,
                integrality=integrality,
                bounds=Bounds([v.lower for v in lp.variables], [v.upper for v in lp.variables]),
@@ -317,6 +318,28 @@ def bucketed(order, schedule):
                                        for k in range(schedule.n_periods)])
 
 
+def assert_primal_feasible_start(art):
+    """The ordering MILP's start has one basic column per row, and at its
+    point every row and bound holds: nonbasic columns at the bound their
+    state names (a free one at 0), basic ones solved from the rows, every
+    binary at 0."""
+    start, lp = art.program.start, art.program.base
+    form = standard_form(lp)
+    m, nt = form.b.size, form.c.size
+    assert start.columns.shape == (m,) and len(set(start.columns)) == m
+    assert (np.flatnonzero(start.status == 0) == np.sort(start.columns)).all()
+    A = gridrestore.lp._dense_columns(form, np.arange(nt))
+    x = np.zeros(nt)
+    nonbasic = start.status != 0
+    up = nonbasic & np.isfinite(form.upper) & ((start.status == 2) | ~np.isfinite(form.lower))
+    lo = nonbasic & ~up & np.isfinite(form.lower)
+    x[lo], x[up] = form.lower[lo], form.upper[up]
+    x[start.columns] = np.linalg.solve(A[:, start.columns], form.b - A @ x)
+    tol = 1e-6 * (1 + np.abs(x))
+    assert (x >= form.lower - tol).all() and (x <= form.upper + tol).all()
+    assert x[sorted(art.program.binary_vars)].max(initial=0.0) == 0.0
+
+
 class TestRop:
     def test_binary_count(self):
         # the final period, where every line is back, has no binaries
@@ -339,8 +362,9 @@ class TestRop:
                              Line(3, 1, 3, -5.0, 1.0, 0.7)),
                       generators=(Generator(1, 1, 1.0),),
                       loads=(Load(1, 3, 0.5),))
-        # M = |b| times the sum of the present lines' angle limits: a line
-        # that stays out does not count
+        # bus 2 has no live line, so M falls back to |b| times the sum of
+        # the present lines' angle limits: a line that stays out does not
+        # count
         for out, M in ((frozenset(), 8.736), (frozenset({3}), 5.236)):
             art = build_rop(net, DamageScenario((1, 2)), build_schedule(2, 2), out)
             lp = art.program.base
@@ -349,6 +373,29 @@ class TestRop:
                 row = rows[f"flowu{lid}_1"]
                 assert dict(row.terms)[art.z[(lid, 1)]] == pytest.approx(M)
                 assert row.rhs == pytest.approx(M)
+
+    def test_big_m_per_line(self):
+        # line 3 parallels live line 4 and closes the live path 1-2-3; lines
+        # 5 and 6 are the only links to bus 4, so no live path joins their
+        # ends and M falls back to |b| times the present lines' angle limits
+        lines = (Line(1, 1, 2, -5.0, 1.0, 0.5), Line(2, 2, 3, -5.0, 1.0, 0.4),
+                 Line(3, 1, 3, -10.0, 1.0, 0.7), Line(4, 1, 3, -2.0, 1.0, 0.3),
+                 Line(5, 3, 4, -4.0, 1.0, 0.6), Line(6, 3, 4, -1.0, 1.0, 0.2))
+        net = Network(buses=tuple(Bus(i) for i in range(1, 5)), lines=lines,
+                      generators=(Generator(1, 1, 1.0),), loads=(Load(1, 4, 0.5),))
+        dmg = DamageScenario((3, 5, 6))
+        cases = {frozenset(): {3: 10 * 0.3, 5: 4 * 2.7, 6: 1 * 2.7},   # the parallel line
+                 frozenset({4}): {3: 10 * 0.9, 5: 4 * 2.4, 6: 1 * 2.4},  # the path 1-2-3
+                 frozenset({1, 4}): {3: 10 * 1.9, 5: 4 * 1.9, 6: 1 * 1.9}}  # bus 1 cut off
+        for out, big_m in cases.items():
+            art = build_rop(net, dmg, build_schedule(3, 2), out)
+            rows = {c.name: c for c in art.program.base.constraints}
+            for lid, M in big_m.items():
+                for name, sign in ((f"flowu{lid}_1", 1.0), (f"flowl{lid}_1", -1.0)):
+                    row = rows[name]
+                    assert dict(row.terms)[art.z[(lid, 1)]] == pytest.approx(sign * M)
+                    assert row.rhs == pytest.approx(sign * M)
+            assert art.program.start is not None
 
     def test_degenerate_big_m_rejected(self):
         net = Network(buses=(Bus(1), Bus(2)),
@@ -408,8 +455,11 @@ class TestRop:
 
     def test_out_lines_match_the_network_without_them(self, meshed_scenarios):
         # build_rop with lines out is build_rop on a copy of the network
-        # without them, up to the final constant, which is the power served
-        # with every line but those in
+        # without them, but for the reference angles, which follow all the
+        # network's lines: the same rows and binaries, columns that differ
+        # only in angles pinned in the copy, the same LP optimum (HiGHS),
+        # and the final constant, the power served with every line but
+        # those in
         checked = 0
         for net, dmg in meshed_scenarios:
             ids = sorted(dmg.damaged_lines)
@@ -426,9 +476,11 @@ class TestRop:
                     ref = build_rop(copy, sub_dmg, sched)
                     assert art.out == out and art.z == ref.z
                     lp, ref_lp = art.program.base, ref.program.base
-                    assert lp.variables == ref_lp.variables
                     assert lp.constraints == ref_lp.constraints
                     assert art.program.binary_vars == ref.program.binary_vars
+                    assert [v.name for v in lp.variables] == [v.name for v in ref_lp.variables]
+                    assert all(v == w or v.name.startswith("TH") and (w.lower, w.upper) == (0, 0)
+                               for v, w in zip(lp.variables, ref_lp.variables))
                     (const,) = [j for j, v in enumerate(lp.variables)
                                 if v.name == "final_energy"]
                     terms = [t for t in lp.objective_terms if t[0] != const]
@@ -441,8 +493,42 @@ class TestRop:
                     coef = sum(c for j, c in lp.objective_terms if j == const)
                     assert coef == pytest.approx(served.delivered[0] * sched.delta[-1],
                                                  rel=0, abs=1e-9)
+                    if N > 1:
+                        assert highs_milp(art.program, relax=True) == pytest.approx(
+                            highs_milp(ref.program, relax=True), rel=1e-9, abs=1e-9)
                     checked += 1
         assert checked == 4 * 4 * 3
+
+    def test_start_is_a_primal_feasible_basis(self, meshed_scenarios):
+        checked = 0
+        for net, dmg in meshed_scenarios:
+            ids = sorted(dmg.damaged_lines)
+            undamaged = sorted(l.id for l in net.lines if l.id not in dmg.damaged_lines)
+            half = len(ids) // 2
+            memo: dict = {}
+            for out in (frozenset(), frozenset(ids[half:]), frozenset(ids[half:] + undamaged[:2]),
+                        frozenset(undamaged[-3:])):
+                sub = [lid for lid in ids if lid not in out]
+                for N in sorted({2, max(len(sub), 2)}):  # N = 1 has no period to start
+                    assert_primal_feasible_start(build_rop(
+                        net, DamageScenario(tuple(sub)), build_schedule(len(sub), N), out, memo))
+                    checked += 1
+        assert checked >= 24
+
+    def test_start_holds_where_lines_out_cut_the_grid(self):
+        # undamaged lines out can leave a part of the grid without the
+        # reference bus of its component: the tree grids' first lines are
+        # tree edges. Angles stay pinned per component of all the lines, as
+        # in the base, or the base's angles there break the new pins
+        for seed in range(20):
+            for net, dmg in (random_scenario(seed),
+                             (meshed_network(seed, 10),
+                              random_damage(meshed_network(seed, 10), 0.3, seed))):
+                ids = sorted(dmg.damaged_lines)
+                undamaged = [l.id for l in net.lines if l.id not in ids]
+                for out in (undamaged[:1], undamaged[:2], undamaged[-2:]):
+                    assert_primal_feasible_start(build_rop(
+                        net, dmg, build_schedule(len(ids), 2), frozenset(out)))
 
     def test_out_must_not_hold_a_damaged_line(self):
         net, dmg = tiny3_damage12()
