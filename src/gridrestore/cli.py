@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
 failure (no plan). A plan evaluation LP, or the final-period LP of the
 ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
 otherwise not optimal (iteration limit, numerical failure) exits 3. One
-memo per solve serves the ordering MILPs of ``rop``, ``rrr`` and ``rad``
-and the evaluation, so the final evaluation re-solves no topology the
-algorithm solved.
+memo per solve serves the ordering MILPs of ``rop``, ``rrr`` and ``rad``,
+the enumeration of ``oracle`` and the evaluation, so the final evaluation
+re-solves no topology the algorithm solved.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
@@ -133,7 +132,7 @@ def run_algorithm(network: Network, damage: DamageScenario, config: RunConfig,
         return plan, build_schedule(n, plan.n_periods), None
     if config.algorithm == "oracle":
         try:
-            plan, _ = brute_force_optimal(network, damage, schedule)
+            plan, _ = brute_force_optimal(network, damage, schedule, memo)
         except ValueError as e:
             raise CliError(str(e), EXIT_SOLVER)
         return plan, schedule, None
@@ -287,6 +286,8 @@ def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
     if pending:
         workers = workers or os.cpu_count() or 1
         if workers > 1 and len(pending) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # sweep alone needs it
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_cell, pending))
         else:

@@ -223,13 +223,16 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
 
 
 def brute_force_optimal(network: Network, damage: DamageScenario,
-                        schedule: PeriodSchedule) -> tuple[RestorationPlan, float]:
+                        schedule: PeriodSchedule,
+                        memo: dict | None = None) -> tuple[RestorationPlan, float]:
     """Enumerate all orderings, bucket by the schedule, pick the best.
 
     Each permutation is bucketed so that the cumulative restoration count
     in period k equals the schedule's budget R_k, evaluated, post-processed,
     and scored by total energy. Ties break lexicographically on the
-    post-processed plan. Guarded to at most 7 damaged lines.
+    post-processed plan. Guarded to at most 7 damaged lines. Every
+    evaluation reads and fills one memo (as in ``evaluate_plan``), the
+    caller's ``memo`` when given.
     """
     n = len(damage.damaged_lines)
     if n > 7:
@@ -241,7 +244,7 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     best_plan = None
     best_key = None
     seen: set = set()
-    memo: dict = {}  # this network's shared period LP, base and period results
+    memo = {} if memo is None else memo
     for perm in itertools.permutations(sorted(damage.damaged_lines)):
         periods = []
         prev = 0

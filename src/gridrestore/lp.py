@@ -6,27 +6,31 @@ exactness and determinism matter more than speed. The constraint matrix
 is held only compressed by column, built once by ``standard_form``:
 pricing (the reduced costs and the dual simplex's pivot row) and every
 product ``A x`` sum over its nonzeros, the entering column's image under
-the inverse reads only the inverse's columns on that column's rows, and
-an inversion scatters just the basic columns into a dense block. A cold
-solve is two-phase primal simplex from a slack basis, with Bland's
-anti-cycling rule engaged after a run of degenerate pivots, and ends by
-inverting its final basis afresh. No solve reports "optimal" unless every
-basic value then lies within its bounds. A warm solve starts from a basis
-of the same standard form, on one of two paths. From the optimal basis of
-an earlier solve under other bounds, as a branch-and-bound child starts
+the inverse reads only the inverse's columns on that column's rows, an
+inversion scatters just the basic columns into a dense block, and a
+pivot updates the inverse by one BLAS rank-1 product. A cold solve is
+two-phase primal simplex from a slack basis, with Bland's anti-cycling
+rule engaged after a run of degenerate pivots, and ends by inverting its
+final basis afresh. No solve reports "optimal" unless every basic value
+then lies within its bounds. A warm solve starts from a basis of the
+same standard form, on one of two paths. From the optimal basis of an
+earlier solve under other bounds, as a branch-and-bound child starts
 from its parent, a bound change keeps that basis dual feasible, so a
 bounded dual simplex restores primal feasibility and the primal simplex
-then finishes. A basis that is not dual feasible but whose point is
-primal feasible, as an ordering MILP's root starts from the extended
-optimal basis of a period LP, runs the primal simplex's phase 2 from
-that point. A basis inverts itself once per matrix (``Basis.inverse``,
-by ``basis_inverse``, which peels the basic slack columns off and
-inverts only the block left), and every solve from it copies that
-inverse, so sibling solves share one. At the end the product-updated
-inverse is kept when the basic values it gives pass the residual check,
-and the basis is inverted afresh only when they do not. A warm basis
-that is singular, inaccurate, or neither dual nor primal feasible falls
-back to a cold solve in the same call.
+then finishes; the dual simplex prices its reduced costs once and
+updates them from each pivot row. A basis that is not dual feasible but
+whose point is primal feasible, as an ordering MILP's root starts from
+the extended optimal basis of a period LP, runs the primal simplex's
+phase 2 from that point. An optimal basis carries the inverse its solve
+ended with (``Basis.inverse``): the product-updated inverse when the
+basic values it gives pass the residual check, the fresh one otherwise.
+A basis made by hand inverts itself once per matrix, by
+``basis_inverse``, which peels the basic slack columns off and inverts
+only the block left. Every solve from a basis copies its inverse, so
+sibling solves share one, and a carried inverse that fails the start's
+residual check is replaced once by a fresh one. A warm basis that is
+singular, inaccurate, or neither dual nor primal feasible falls back to
+a cold solve in the same call.
 """
 from __future__ import annotations
 
@@ -236,30 +240,50 @@ def basis_inverse(form: StandardForm, columns: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.outer(u, v)`` as one BLAS product ``[u 0] @ [v; 0]``.
+
+    The zero column and row add exact zeros, so every value is the product
+    ``np.outer`` forms (a zero may differ in sign). At a few hundred rows
+    it is about 3x faster than ``np.outer``, and faster still than a
+    matmul with an inner dimension of 1.
+    """
+    U = np.zeros((u.size, 2))
+    U[:, 0] = u
+    V = np.zeros((2, v.size))
+    V[0] = v
+    return U @ V
+
+
 @dataclass(frozen=True)
 class Basis:
     """A basis of a standard form, to warm-start a later solve from.
 
     ``columns`` holds the basic column of each row; ``status`` the state of
-    every column (basic, at lower, at upper, free). ``inverse`` inverts the
-    basis on first use and keeps that inverse for the matrix it was made
-    for, so every solve from this basis on forms that share the matrix
-    (a branching's children, the period LPs of an evaluation) copies one
-    inverse. A basis that no solve starts from is never inverted.
+    every column (basic, at lower, at upper, free). ``inverse`` gives the
+    basis's inverse for one matrix and keeps it, so every solve from this
+    basis on forms that share the matrix (a branching's children, the
+    period LPs of an evaluation) copies one inverse. The optimal basis of a
+    solve carries the inverse that solve ended with; a basis made by hand
+    inverts itself on first use, and one that no solve starts from is never
+    inverted.
     """
 
     columns: np.ndarray
     status: np.ndarray
+    # [matrix (form.nz_val), inverse, whether a solve carried it]
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def inverse(self, form: StandardForm) -> np.ndarray:
-        """The inverse of ``form``'s ``A[:, columns]``, made by ``basis_inverse``
-        on first use for that matrix (``form.nz_val``) and kept; the caller
+    def inverse(self, form: StandardForm, fresh: bool = False) -> np.ndarray:
+        """The inverse of ``form``'s ``A[:, columns]``: the one kept for that
+        matrix (``form.nz_val``), else one made by ``basis_inverse`` and
+        kept. ``fresh`` replaces a carried inverse by a made one. The caller
         must not change it. Raises ``numpy.linalg.LinAlgError`` when the
         basis is singular."""
-        if not self._kept or self._kept[0] is not form.nz_val:
-            self._kept[:] = form.nz_val, basis_inverse(form, self.columns)
-        return self._kept[1]
+        kept = self._kept
+        if not kept or kept[0] is not form.nz_val or (fresh and kept[2]):
+            kept[:] = form.nz_val, basis_inverse(form, self.columns), False
+        return kept[1]
 
 
 @dataclass
@@ -283,7 +307,8 @@ class _Simplex:
     Artificial column k is ``art_sign[k]`` times the unit vector of row
     ``art_rows[k]``, numbered after the form's ``nf`` columns. It is never
     stored in the form, whose matrix stays shared and read-only. ``basis``
-    holds the basic column of each row and is updated in place.
+    holds the basic column of each row and is updated in place. ``d``
+    holds a warm start's reduced costs, which the dual simplex updates.
     """
 
     def __init__(self, lp: LinearProgram, form: StandardForm, deadline: float | None = None):
@@ -346,30 +371,49 @@ class _Simplex:
         """Install ``start`` and name the phase to run from it: "dual" when
         it is dual feasible, "primal" when it is not but its point is
         primal feasible, None when it does not fit, is inaccurate or is
-        neither.
+        neither. A carried inverse that leaves the start inaccurate is
+        replaced once by a fresh one (``Basis.inverse``) before the start is
+        given up. Raises ``numpy.linalg.LinAlgError`` when the basis is
+        singular.
+        """
+        m, nt = self.m, self.nt
+        cols = np.asarray(start.columns)
+        if (cols.shape != (m,) or start.status.shape != (nt,)
+                or len(set(cols.tolist())) != m):
+            return None
+        self.basis = cols.astype(np.intp)
+        dual = self._enter(start, start.inverse(self.form))
+        accurate = self._accurate()
+        if not accurate and start._kept[2]:
+            dual = self._enter(start, start.inverse(self.form, fresh=True))
+            accurate = self._accurate()
+        if not accurate:
+            return None
+        if dual:
+            return "dual"
+        return "primal" if self._within_bounds() else None
+
+    def _enter(self, start: Basis, inverse: np.ndarray) -> bool:
+        """Place the nonbasic columns of ``start`` and the basic values under
+        a copy of ``inverse``, price the reduced costs ``d``, and tell
+        whether the basis is dual feasible.
 
         Nonbasic columns go to the bound their state names, or the bound
         they have. For the dual start a column with both bounds finite goes
         to the one its reduced cost prefers, which makes the basis dual
         feasible whatever the new bounds are; any other dual infeasibility
         leaves the primal start, which keeps every state as given and needs
-        every basic value within its bounds. Raises
-        ``numpy.linalg.LinAlgError`` when the basis is singular.
+        every basic value within its bounds.
         """
-        m, nt, lo, up = self.m, self.nt, self.lo, self.up
-        cols = np.asarray(start.columns)
-        if (cols.shape != (m,) or start.status.shape != (nt,)
-                or len(set(cols.tolist())) != m):
-            return None
+        nt, lo, up = self.nt, self.lo, self.up
         fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
         stat = np.full(nt, _FREE, dtype=np.int8)
         stat[fin_up] = _AT_UPPER
         stat[fin_lo & ~(fin_up & (start.status == _AT_UPPER))] = _AT_LOWER
-        stat[cols] = _BASIC
-        self.basis = cols.astype(np.intp)
+        stat[self.basis] = _BASIC
         self.x = np.zeros(nt)
-        self.Binv = start.inverse(self.form).copy()
-        d = self._reduced_costs(self.c)
+        self.Binv = inverse.copy()
+        self.d = d = self._reduced_costs(self.c)
         flipped = stat.copy()
         boxed = fin_lo & fin_up & (stat != _BASIC)
         flipped[boxed & (d < -OPT_TOL)] = _AT_UPPER
@@ -383,11 +427,7 @@ class _Simplex:
         x[at_lo] = lo[at_lo]
         x[at_up] = up[at_up]
         self._basic_values()
-        if not self._accurate():
-            return None
-        if dual:
-            return "dual"
-        return "primal" if self._within_bounds() else None
+        return dual
 
     # -- core pivoting -----------------------------------------------------
 
@@ -429,11 +469,11 @@ class _Simplex:
         if 2 * np.count_nonzero(w) + 64 < self.m:
             rows = np.flatnonzero(w)
             rows = rows[rows != pos]
-            Binv[rows] -= np.outer(w[rows], Binv[pos, :])
+            Binv[rows] -= _outer(w[rows], Binv[pos, :])
         else:
             wq = w.copy()
             wq[pos] = 0.0
-            Binv -= np.outer(wq, Binv[pos, :])
+            Binv -= _outer(wq, Binv[pos, :])
 
     def _pivot(self, pos: int, q: int, step: float, w: np.ndarray, to_lower: bool) -> None:
         """Column q enters the basis at row ``pos`` after a step of ``step``
@@ -524,9 +564,11 @@ class _Simplex:
         wins, which keeps the primal step short and most dual-degenerate
         re-solves to a few pivots. After a run of degenerate pivots
         Bland's rule takes over: the lowest basic variable index leaves,
-        the lowest tied column index enters.
+        the lowest tied column index enters. The reduced costs ``d`` are
+        the start's; each pivot updates them from its priced pivot row
+        ``alpha``, the entering column's ``d_q / alpha_q`` times that row.
         """
-        lo, up, x, stat = self.lo, self.up, self.x, self.stat
+        lo, up, x, stat, d = self.lo, self.up, self.x, self.stat, self.d
         fixed = (up - lo) <= 0
         degen_run = 0
         while True:
@@ -553,7 +595,6 @@ class _Simplex:
             if not eligible.any():
                 return "infeasible" if self._row_infeasible(gain, viol[r]) else "unsure"
             cand = np.flatnonzero(eligible)
-            d = self._reduced_costs(self.c)
             ratio = np.abs(d[cand]) / np.abs(alpha[cand])
             tmin = float(ratio.min())
             tied = cand[ratio <= tmin + PIVOT_TOL]
@@ -565,6 +606,8 @@ class _Simplex:
             w = self._ftran(q)
             bound = lo[bvs[r]] if to_lower else up[bvs[r]]
             self._pivot(r, q, (x_b[r] - bound) / w[r], w, to_lower)
+            d -= d[q] / alpha[q] * alpha
+            d[bvs] = 0.0
 
     def _row_infeasible(self, gain: np.ndarray, shortfall: float) -> bool:
         """Whether moving every nonbasic column within its bounds, each the
@@ -674,14 +717,20 @@ class _Simplex:
 
     def _basis(self) -> Basis:
         """The current basis over the standard form, each artificial column
-        replaced by its row's slack (the same column up to sign)."""
+        replaced by its row's slack (the same column up to sign), carrying
+        the current inverse with the rows of those columns signed to
+        match. Ends the solve's use of the inverse."""
         nf = self.nf
         cols = self.basis.astype(np.int32)
         art = cols >= nf
         cols[art] = self.n_struct + self.art_rows[cols[art] - nf]
         stat = self.stat[:nf].copy()
         stat[cols] = _BASIC
-        return Basis(cols, stat)
+        basis = Basis(cols, stat)
+        inverse = self.Binv
+        inverse[art] *= self.art_sign[self.basis[art] - nf][:, None]
+        basis._kept[:] = self.form.nz_val, inverse, True
+        return basis
 
     def _finish(self, status: str) -> LpSolution:
         primal = np.array(self.x[: self.n_struct])
@@ -712,7 +761,8 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
     solve starts cold instead, within the same iteration limit, when that
     basis is singular, inaccurate, or neither dual nor primal feasible.
     The solve copies the start's inverse and never changes it, so sibling
-    solves can share it.
+    solves can share it; an optimal solution's basis carries the inverse
+    the solve ended with, so a solve from it inverts nothing.
     """
     if form is None:
         lp.validate()

@@ -8,11 +8,14 @@ ordering MILP carries a primal feasible basis made from a period LP's
 optimum), and cold otherwise. Every other LP is warm: the warm-start
 incumbent LP starts from the root's optimal basis, and each child LP is
 re-solved under its fixes from its parent's optimal basis by the LP
-core's dual simplex. A basis inverts itself once, for the first solve
-from it, and later solves from it copy that inverse: a branching's two
-children share one, and the root's children share the warm-start
-incumbent LP's. A basis waiting on the heap has not been started from,
-so it holds no inverse.
+core's dual simplex. An optimal basis carries the inverse its solve
+ended with, and every solve from it copies that inverse: a branching's
+two children share their parent's, and the warm-start incumbent LP and
+the root's children share the root's. So the search inverts no basis,
+except the program's ``start``, which is built by hand and inverts
+itself once for the root, and the bases of nodes that wait on the heap
+beyond its budget of inverses (``HEAP_INVERSE_BYTES``): such a node
+waits with its basis alone, and its branching inverts it once.
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """
@@ -20,9 +23,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +32,8 @@ from .lp import (INF, Basis, LinearProgram, StandardForm, mps_column_name, solve
                  standard_form, write_mps)
 
 INT_TOL = 1e-6
+# bytes of carried inverses that the nodes waiting on the heap may hold
+HEAP_INVERSE_BYTES = 16 << 20
 
 
 @dataclass
@@ -140,9 +142,13 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
 
     # heap of (priority, tiebreak, fixes, node LP solution); priority = -bound
     # for max. The solution's basis is where the node's children start. A
-    # fixes dict, not full bound arrays, and bases without inverses keep
-    # large heaps small.
+    # fixes dict, not full bound arrays, keeps large heaps small. A node
+    # pushed while the heap holds fewer than max_held nodes keeps the
+    # m x m inverse its basis carries, so at most HEAP_INVERSE_BYTES of
+    # them wait at once; a node pushed later waits with its basis alone,
+    # which its branching inverts once.
     heap = [((-root.objective_value if sense_max else root.objective_value), 0, {}, root)]
+    max_held = HEAP_INVERSE_BYTES // (8 * form.b.size ** 2 or 1)
     counter = 1
     del root  # the root's inverse goes with its node once that is branched
 
@@ -192,6 +198,8 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             if child.status != "optimal":
                 unresolved.append(bound)
                 continue
+            if len(heap) >= max_held:
+                child.basis = Basis(child.basis.columns, child.basis.status)
             heapq.heappush(heap, ((-child.objective_value if sense_max else child.objective_value),
                                   counter, child_fixes, child))
             counter += 1
@@ -269,6 +277,11 @@ def parse_solution_file(text: str) -> tuple[float | None, dict[str, float]]:
 def solve_external(mip: MixedIntegerProgram, opts: SolveOptions,
                    backend: ExternalBackendConfig) -> MipSolution:
     """Solve via an external command; any failure maps to status 'failure'."""
+    # imported here: solves on the internal solver never load them
+    import shlex
+    import subprocess
+    import tempfile
+
     mip.base.validate()
     start = time.monotonic()
     mps_text = write_mps(mip)

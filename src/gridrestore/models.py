@@ -11,8 +11,8 @@ period, so the ROP carries that period's energy as a constant.
 Both read a period's topology from one shared period LP per network,
 built over every line: a topology is a change of bounds that takes the
 lines that are out away, and each one is re-solved from the optimal
-basis of a base topology, the undamaged lines alone, which inverts itself
-once and is copied by every such solve. ``evaluate_plan`` solves each
+basis of a base topology, the undamaged lines alone, whose inverse, the
+one its solve ended with, is copied by every such solve. ``evaluate_plan`` solves each
 period of a plan that way, and ``build_rop`` its final period, so a
 caller's memo serves both. A base missing from the memo is solved warm
 from a memoized topology with fewer lines, so only a memo's first base
@@ -436,8 +436,8 @@ def _served(network: Network, live: frozenset[int], undamaged: frozenset[int],
     """Power served under the topology ``live``, read from ``memo`` or solved.
 
     A miss is solved on the network's shared period LP from the optimal
-    basis of the base topology ``undamaged`` (``_base``), which inverts
-    itself for the first topology solved from it; when the base is not
+    basis of the base topology ``undamaged`` (``_base``), copying the
+    inverse that basis carries from its solve; when the base is not
     optimal the topologies solve cold. Raises ``PlanEvaluationError`` for
     period ``k`` when the topology's LP does not end optimal, and
     ``ValueError`` when the memo holds another network.
@@ -467,7 +467,7 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     the network, the period's topology a change of its bounds. Each
     topology is re-solved from the optimal basis of the base topology,
     the undamaged lines alone, which is solved first (``_base``) and
-    inverts itself once. Restoring lines only unfixes flow columns and
+    carries its solve's inverse. Restoring lines only unfixes flow columns and
     fixes row slacks, so that basis stays dual feasible, and as the start
     is the same for every period, a result does not depend on the order of
     the periods.

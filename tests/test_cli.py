@@ -179,11 +179,11 @@ class TestSolve:
         assert len(solved) > len(in_rop)
         assert len(set(solved)) == len(solved)
 
-    @pytest.mark.parametrize("algo", ["rrr", "rad"])
+    @pytest.mark.parametrize("algo", ["rrr", "rad", "oracle"])
     def test_heuristics_solve_each_topology_once(self, tmp_path, monkeypatch, algo):
-        # rrr and rad take the solve's memo: every topology and every base
-        # is solved once in the run, the final evaluation included, and
-        # only the memo's first base starts cold
+        # rrr, rad and oracle take the solve's memo: every topology and
+        # every base is solved once in the run, the final evaluation
+        # included, and only the memo's first base starts cold
         real_solve = gridrestore.lp.solve_lp
         solved, starts = [], []
 
@@ -400,3 +400,27 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for algo in ("util", "rrr", "rad", "rop", "oracle"):
         assert (tmp_path / algo / "summary.json").exists()
+
+
+def test_solve_loads_no_sweep_or_backend_module(tmp_path):
+    # a solve on the internal solver imports neither the process pool of
+    # sweep nor the external backend's subprocess and temporary files;
+    # the interpreter's own startup may load some of them, so only the
+    # modules the solve adds count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from gridrestore.cli import main\n"
+        "for algo in ('rrr', 'rop', 'oracle'):\n"
+        "    rc = main(['solve', '--case', sys.argv[1], '--damage-fraction', '1.0',\n"
+        "               '--algo', algo, '--out', sys.argv[2] + '/' + algo])\n"
+        "    if rc:\n"
+        "        sys.exit(f'{algo} exited {rc}')\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.split('.')[0] in\n"
+        "             ('multiprocessing', 'concurrent', 'tempfile', 'subprocess', 'shlex')))\n")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", script, TINY3, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

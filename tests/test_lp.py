@@ -11,7 +11,8 @@ import gridrestore.lp as lp_module
 from gridrestore.lp import (INF, Basis, LinearProgram, Variable, basis_inverse,
                             mps_column_name, mps_row_name, solve_lp, standard_form,
                             write_mps)
-from gridrestore.milp import MixedIntegerProgram
+import gridrestore.milp as milp_module
+from gridrestore.milp import MixedIntegerProgram, SolveOptions, solve_mip
 from gridrestore.models import build_rip, build_rop
 from gridrestore.network import (DamageScenario, RestorationPlan,
                                  build_schedule, random_damage)
@@ -386,36 +387,44 @@ class TestWarmStart:
         monkeypatch.setattr(lp_module, "basis_inverse", counting)
         pivoted = 0
         for mip, form in rop_forms(meshed_scenarios):
-            # the root as solve_mip solves it, from the model's start
+            # the root as solve_mip solves it, from the model's start, which
+            # is built by hand and so inverts itself once
+            del made[:]
             parent = solve_lp(mip.base, form=form, start=mip.start)
             assert parent.status == "optimal"
+            assert len(made) == 1
+            carried = parent.basis.inverse(form)
+            before = carried.copy()
             branched = branching(mip, parent)
             del made[:]
             for j in branched:
                 for value in (0.0, 1.0):
                     child = tightened(form, j, value, value)
                     ours = solve_lp(mip.base, form=child, start=parent.basis)
-                    # the first child inverts the parent's basis, the rest copy it
-                    assert len(made) == 1
-                    if j == branched[0] and value == 0.0:
-                        before = made[0].copy()
+                    # the parent's basis carries its solve's inverse: no
+                    # child inverts it
+                    assert made == []
                     own_basis = Basis(parent.basis.columns, parent.basis.status)
                     own = solve_lp(mip.base, form=child, start=own_basis)
-                    assert len(made) == 2
-                    del made[1:]
+                    # the same basis built by hand inverts itself once
+                    assert len(made) == 1
+                    del made[:]
                     assert ours.status == own.status
                     assert ours.iterations == own.iterations
                     pivoted += own.iterations > 0
                     if own.status == "optimal":
-                        assert ours.objective_value == own.objective_value
+                        # the carried inverse and the fresh one differ by
+                        # rounding: the same pivots reach the same vertex
+                        assert ours.objective_value == pytest.approx(
+                            own.objective_value, rel=1e-12, abs=1e-12)
                         np.testing.assert_array_equal(ours.basis.columns,
                                                       own.basis.columns)
                         np.testing.assert_array_equal(ours.basis.status,
                                                       own.basis.status)
             # kept for the matrix every child shares, and never changed
-            assert parent.basis.inverse(form) is made[0]
-            np.testing.assert_array_equal(made[0], before)
-            assert len(made) == 1
+            assert parent.basis.inverse(form) is carried
+            np.testing.assert_array_equal(carried, before)
+            assert made == []
         assert pivoted >= 6
 
     def test_basis_on_another_matrix_is_inverted_afresh(self):
@@ -587,6 +596,157 @@ class TestPrimalStart:
             if cold.status == "optimal":
                 assert sol.objective_value == cold.objective_value
         assert fallbacks >= 10
+
+
+def assert_carries_fresh_inverse(form, sol):
+    """``sol``'s basis carries its solve's inverse for ``form``'s matrix,
+    equal to a fresh ``basis_inverse`` of its columns within 1e-9 relative."""
+    kept = sol.basis._kept
+    assert kept and kept[0] is form.nz_val and kept[2]
+    fresh = basis_inverse(form, sol.basis.columns)
+    assert np.abs(kept[1] - fresh).max() <= 1e-9 * np.abs(fresh).max()
+
+
+@pytest.fixture
+def made_inverses(monkeypatch):
+    """The columns of every basis ``basis_inverse`` inverts."""
+    made = []
+    real_inverse = lp_module.basis_inverse
+
+    def counting(form, columns):
+        made.append(columns)
+        return real_inverse(form, columns)
+
+    monkeypatch.setattr(lp_module, "basis_inverse", counting)
+    return made
+
+
+class TestCarriedInverse:
+    def test_generated_lps_carry_their_inverse(self, monkeypatch):
+        # cold optima, some with artificials left basic at zero, whose rows
+        # take their slacks' sign, and the warm optima of bound changes
+        real_basis = lp_module._Simplex._basis
+        artificial = []
+
+        def basis(self):
+            artificial.append(bool((self.basis >= self.nf).any()))
+            return real_basis(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_basis", basis)
+        warm = 0
+        for seed in range(40):
+            lp = feasible_lp(seed)
+            form = standard_form(lp)
+            parent = solve_lp(lp, form=form)
+            assert_carries_fresh_inverse(form, parent)
+            rng = random.Random(seed)
+            for _ in range(4):
+                j = rng.randrange(len(lp.variables))
+                v = parent.primal[j]
+                child = tightened(form, j, *((form.lower[j], v - 0.5) if rng.random() < 0.5
+                                             else (v + 0.5, form.upper[j])))
+                sol = solve_lp(lp, form=child, start=parent.basis)
+                if sol.status == "optimal":
+                    assert_carries_fresh_inverse(form, sol)
+                    warm += sol.iterations > 0
+        assert warm >= 20
+        assert sum(artificial) >= 3
+
+    def test_rop_node_lps_carry_their_inverse(self, meshed_scenarios, monkeypatch):
+        nodes = []
+
+        def recording(lp, *args, **kwargs):
+            sol = solve_lp(lp, *args, **kwargs)
+            if sol.status == "optimal":
+                assert_carries_fresh_inverse(kwargs["form"], sol)
+                nodes.append(sol)
+            return sol
+
+        monkeypatch.setattr(milp_module, "solve_lp", recording)
+        for mip, _ in rop_forms(meshed_scenarios):
+            assert solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0)).has_incumbent
+        assert len(nodes) >= 10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_drifted_carried_inverse_is_inverted_afresh(self, made_inverses, warm_paths,
+                                                        seed):
+        # a carried inverse that fails the start's residual check is
+        # replaced once by a fresh one, and the solve stays warm
+        paths, colds = warm_paths
+        lp = feasible_lp(seed)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        drifted = parent.basis.inverse(form)
+        drifted += np.random.default_rng(seed).uniform(0.01, 0.02, drifted.shape)
+        child = tightened(form, 0, form.lower[0], form.lower[0])
+        del paths[:], colds[:]
+        sol = solve_lp(lp, form=child, start=parent.basis)
+        assert paths != [None] and colds == []
+        assert len(made_inverses) == 1
+        np.testing.assert_array_equal(made_inverses[0], parent.basis.columns)
+        assert_same_result(sol, solve_lp(lp, form=child))
+        # the fresh inverse is kept: a sibling copies it
+        assert parent.basis.inverse(form) is not drifted
+        sibling = tightened(form, 0, form.upper[0], form.upper[0])
+        assert_same_result(solve_lp(lp, form=sibling, start=parent.basis),
+                           solve_lp(lp, form=sibling))
+        assert len(made_inverses) == 1
+
+    def test_drifted_made_inverse_solves_cold(self, made_inverses, warm_paths):
+        # an inverse made for a basis built by hand is not made twice
+        paths, colds = warm_paths
+        lp = feasible_lp(3)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        start = Basis(parent.basis.columns, parent.basis.status)
+        start.inverse(form)[:] += 0.01
+        assert len(made_inverses) == 1
+        del paths[:], colds[:]
+        child = tightened(form, 0, form.lower[0], form.lower[0])
+        sol = solve_lp(lp, form=child, start=start)
+        assert (paths, len(colds), len(made_inverses)) == ([None], 1, 1)
+        assert_same_result(sol, solve_lp(lp, form=child))
+
+    def test_dual_reduced_costs_follow_the_pivots(self, meshed_scenarios, monkeypatch):
+        # before each dual pivot and when the dual phase ends, the reduced
+        # costs it updated equal freshly priced ones
+        real_pivot = lp_module._Simplex._pivot
+        real_dual = lp_module._Simplex._dual_phase
+        in_dual, pivots = [False], []
+
+        def check(simplex):
+            fresh = simplex._reduced_costs(simplex.c)
+            np.testing.assert_allclose(simplex.d, fresh, rtol=0,
+                                       atol=1e-9 * (1.0 + np.abs(fresh).max()))
+
+        def pivot(self, *args):
+            if in_dual[0]:
+                check(self)
+                pivots.append(None)
+            real_pivot(self, *args)
+
+        def dual(self):
+            in_dual[0] = True
+            try:
+                return real_dual(self)
+            finally:
+                in_dual[0] = False
+                check(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", pivot)
+        monkeypatch.setattr(lp_module._Simplex, "_dual_phase", dual)
+        for mip, _ in rop_forms(meshed_scenarios):
+            # the child LPs start on the dual phase
+            assert solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0)).has_incumbent
+        for seed in range(40):
+            lp = feasible_lp(seed)
+            form = standard_form(lp)
+            parent = solve_lp(lp, form=form)
+            for j in range(min(4, len(lp.variables))):
+                v = parent.primal[j]
+                solve_lp(lp, form=tightened(form, j, form.lower[j], v - 0.5),
+                         start=parent.basis)
+        assert len(pivots) >= 50
 
 
 class TestDeadline:
@@ -761,6 +921,26 @@ class TestInverseUpdate:
         np.testing.assert_array_equal(simplex.Binv, dense_update(Binv, pos, w))
         B[:, pos] = a
         np.testing.assert_allclose(simplex.Binv @ B, np.eye(m), atol=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_outer_is_np_outer(self, seed):
+        # zeros of both signs, both signs, and magnitudes from subnormal
+        # products to overflow; a zero may come out with the other sign
+        rng = np.random.default_rng(seed)
+        u = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-160, 160, 40)
+        v = rng.choice([-1.0, 1.0], 30) * 10.0 ** rng.uniform(-160, 160, 30)
+        u[::7], v[::5] = 0.0, -0.0
+        u[1::7] = -0.0
+        u[2:4], v[2:4] = (1e-160, 1e160), (-1e-160, 1e160)  # subnormal, inf
+        with np.errstate(over="ignore"):
+            expected, got = np.outer(u, v), lp_module._outer(u, v)
+        assert np.isinf(expected).any() and (expected == 0.0).any()
+        assert ((expected != 0.0) & (np.abs(expected) < np.finfo(float).tiny)).any()
+        nonzero = expected != 0.0
+        np.testing.assert_array_equal(got.view(np.uint64)[nonzero],
+                                      expected.view(np.uint64)[nonzero])
+        assert (got[~nonzero] == 0.0).all()
 
 
 def check_compressed(lp, form):

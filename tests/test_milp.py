@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import time
@@ -10,13 +11,14 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import gridrestore.lp
 import gridrestore.milp
-from gridrestore.lp import (INF, LinearProgram, LpSolution, mps_column_name, solve_lp,
+from gridrestore.lp import (INF, Basis, LinearProgram, LpSolution, mps_column_name, solve_lp,
                             standard_form)
 from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
                               SolveOptions, parse_solution_file, solve_external,
                               solve_mip)
 from gridrestore.models import build_rop
-from gridrestore.network import build_schedule
+from gridrestore.network import build_schedule, random_damage
+from conftest import meshed_network
 from oracles import enumerate_binaries
 
 
@@ -75,6 +77,16 @@ def solve_with_highs(mip):
                options={"mip_rel_gap": 0.0})
     assert res.status == 0
     return sense * res.fun
+
+
+def slack_start(mip):
+    """The slack basis of ``mip``'s relaxation, every other column at its
+    lower bound: a root start built by hand."""
+    form = standard_form(mip.base)
+    m, nt = form.b.size, form.c.size
+    status = np.full(nt, 1, dtype=np.int8)
+    status[nt - m:] = 0
+    return Basis(np.arange(nt - m, nt), status)
 
 
 class TestBranchAndBound:
@@ -226,55 +238,54 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_node_is_one_lp_call(self, monkeypatch, seed):
         mip, _, assign = self._feasible_seed(self.BRANCHING_STARTS[seed])
-        calls, made = [], []
+        calls, made, carried = [], [], []
         real_inverse = gridrestore.lp.basis_inverse
 
         def counting_inverse(form, columns):
-            inverse = real_inverse(form, columns)
-            made.append((inverse, inverse.copy()))
-            return inverse
+            made.append(None)
+            return real_inverse(form, columns)
 
         def recording(lp, *args, **kwargs):
-            before = len(made)
             sol = solve_lp(lp, *args, **kwargs)
-            calls.append((lp, kwargs.get("start"), sol, len(made) - before))
+            calls.append((lp, kwargs.get("start"), sol))
+            if sol.status == "optimal":
+                # the inverse the solve ended with, which its basis carries
+                inverse = sol.basis.inverse(kwargs["form"])
+                carried.append((inverse, inverse.copy()))
             return sol
 
         monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting_inverse)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
         assert sol.nodes == len(calls)
-        assert all(lp is mip.base for lp, _, _, _ in calls)
+        assert all(lp is mip.base for lp, _, _ in calls)
         # the root is cold; the warm-start LP and every child start warm
         root, incumbent = calls[0], calls[1]
-        assert root[1] is None and root[3] == 0
-        assert all(start is not None for _, start, _, _ in calls[1:])
-        # the warm-start LP starts from the root's basis and inverts it
+        assert root[1] is None
+        assert all(start is not None for _, start, _ in calls[1:])
+        # the warm-start LP starts from the root's basis
         assert incumbent[1] is root[2].basis
-        assert incumbent[3] == 1
         children = calls[2:]
         assert len(children) % 2 == 0
         assert children, "the root must branch for the checks below to bite"
         for i in range(2, len(calls), 2):
             first, second = calls[i], calls[i + 1]
-            # siblings start from their parent's basis, which a solved node's
-            # solution holds: one that waited on the heap without an inverse,
-            # so the first sibling makes it and the second copies it. The
-            # root's children copy the warm-start LP's.
+            # siblings start from their parent's basis, which a solved
+            # node's solution holds
             assert first[1] is second[1]
             assert any(first[1] is c[2].basis for c in calls[:i])
-            assert first[3] == (0 if first[1] is root[2].basis else 1)
-            assert second[3] == 0
-        # one inversion per branching, the root's included
-        assert len(made) == len(children) // 2
+        # every start is a solve's optimal basis, carrying the inverse that
+        # solve ended with: no LP inverts a basis, the root's included
+        assert made == []
         # no solve changed an inverse it copied
-        for inverse, copy in made:
+        for inverse, copy in carried:
             np.testing.assert_array_equal(inverse, copy)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_inverse_per_branching(self, monkeypatch, seed):
-        # the root's inverse, made for the warm-start LP, serves the root's
-        # children too: k > 0 branchings take k inversions, none take that one
+        # branching inverts nothing: without a start the search inverts no
+        # basis, and with a root start built by hand it inverts that one
+        # once, however many branchings follow
         mip, _, assign = self._feasible_seed(20 + 10 * seed)
         inverses = []
         real_inverse = gridrestore.lp.basis_inverse
@@ -284,11 +295,67 @@ class TestBranchAndBound:
             return real_inverse(form, columns)
 
         monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
-        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
+        opts = SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign)
+        sol = solve_mip(mip, opts)
         # the root, the warm-start LP, then two children per branching
         branchings = (sol.nodes - 2) // 2
         assert sol.nodes == 2 + 2 * branchings
-        assert len(inverses) == max(branchings, 1)
+        assert inverses == []
+        started = solve_mip(replace(mip, start=slack_start(mip)), opts)
+        assert len(inverses) == 1
+        assert started.status == sol.status == "optimal_within_gap"
+        assert started.objective_value == pytest.approx(sol.objective_value,
+                                                        rel=1e-9, abs=1e-9)
+
+    def test_heap_holds_a_bounded_number_of_inverses(self, monkeypatch):
+        # with room for k inverses, at most k nodes waiting on the heap hold
+        # one; the rest wait with their basis alone, which their branching
+        # inverts once. With room for none, every branching but the root's
+        # (whose children copy the inverse of the root's solve) inverts once.
+        inverses, held = [], []
+        real_inverse = gridrestore.lp.basis_inverse
+        real_push = gridrestore.milp.heapq.heappush
+
+        def counting(form, columns):
+            inverses.append(None)
+            return real_inverse(form, columns)
+
+        def push(heap, item):
+            real_push(heap, item)
+            held.append(sum(bool(entry[3].basis._kept) for entry in heap))
+
+        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
+        monkeypatch.setattr(gridrestore.milp, "heapq",
+                            SimpleNamespace(heappush=push, heappop=heapq.heappop))
+        # a full ROP of a meshed 14-bus grid whose search takes 57 nodes
+        net = meshed_network(4, 14)
+        dmg = random_damage(net, 0.3, 4)
+        n = len(dmg.damaged_lines)
+        mip = build_rop(net, dmg, build_schedule(n, n)).program
+        m = len(mip.base.constraints)
+        opts = SolveOptions(time_limit=30, rel_gap=0.0)
+        expected = solve_mip(mip, opts)
+        assert expected.nodes > 20
+        for k in (0, 1, 5, 10 ** 6):
+            monkeypatch.setattr(gridrestore.milp, "HEAP_INVERSE_BYTES", k * 8 * m * m)
+            del inverses[:], held[:]
+            sol = solve_mip(mip, opts)
+            assert sol.status == expected.status == "optimal_within_gap"
+            assert sol.objective_value == pytest.approx(expected.objective_value,
+                                                        rel=1e-9, abs=1e-9)
+            # node counts differ between budgets: a fresh inverse and a
+            # carried one differ by rounding, which moves picks among nodes
+            # of equal bound
+            assert max(held) <= k
+            # the model's start, built by hand, inverts once for the root,
+            # whose children copy the inverse of the root's solve
+            if k == 0:
+                # every later branching inverts its node's basis once
+                assert len(inverses) == (sol.nodes - 1) // 2
+            elif k == 10 ** 6:
+                assert len(inverses) == 1
+            else:
+                assert max(held) == k  # the budget binds
 
     def test_long_child_lp_keeps_the_deadline(self, monkeypatch):
         # the LP core's clock jumps past the deadline as each child LP starts,
@@ -348,17 +415,17 @@ class TestBranchAndBound:
         monkeypatch.setattr(gridrestore.lp._Simplex, "solve", counting_cold)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, opts)
-        # a failed inversion is not kept: the root tries the model's start
-        # and each child its parent's basis once, then solves cold in the
-        # same LP call
+        # only the model's start, built by hand, has an inverse to make: the
+        # root tries it once and solves cold in the same LP call, and the
+        # cold root's basis carries the inverse that solve ended with, so
+        # its children, and theirs, start warm and invert nothing
         assert len(starts) == sol.nodes > 1
         assert starts[0] is mip.start
         assert all(start is not None for start in starts)
-        assert len(inverses) == sol.nodes
-        for start, columns in zip(starts, inverses):
-            np.testing.assert_array_equal(columns, start.columns)
-        assert len(cold) == sol.nodes
-        # cold children may reach another optimal vertex, and so another
+        assert len(inverses) == 1
+        np.testing.assert_array_equal(inverses[0], mip.start.columns)
+        assert len(cold) == 1
+        # a cold root may reach another optimal vertex, and so another
         # optimal assignment, but the optimum is the same
         assert sol.status == expected.status == "optimal_within_gap"
         assert sol.objective_value == pytest.approx(expected.objective_value,
