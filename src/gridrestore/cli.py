@@ -1,8 +1,8 @@
 """Command-line front end: single solves, algorithm comparisons, and sweeps.
 
-Exit codes: 0 success, 1 case parse error, 2 infeasible model, 3 solver
-failure (no plan). A plan evaluation LP, or the final-period LP of the
-``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
+Exit codes: 0 success, 1 usage or case parse error, 2 infeasible model,
+3 solver failure (no plan). A plan evaluation LP, or the final-period LP
+of the ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
 otherwise not optimal (iteration limit, numerical failure) exits 3. One
 memo per solve serves the ordering MILPs of ``rop``, ``rrr`` and ``rad``,
 the enumeration of ``oracle`` and the evaluation, so the final evaluation
@@ -357,10 +357,17 @@ def _base_config(args, algorithm: str) -> RunConfig:
         raise CliError(str(e), EXIT_PARSE)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit ``EXIT_PARSE``, not
+    argparse's 2, which here means an infeasible model."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", EXIT_PARSE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gridrestore",
-                                     description="Transmission grid restoration "
-                                                 "prioritization toolkit")
+    parser = _Parser(prog="gridrestore",
+                     description="Transmission grid restoration prioritization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one algorithm on one scenario")
@@ -383,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             return cmd_solve(_base_config(args, args.algo))
         if args.command == "compare":

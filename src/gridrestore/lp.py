@@ -11,14 +11,17 @@ inversion scatters just the basic columns into a dense block, and a
 pivot updates the inverse by one BLAS rank-1 product. A cold solve is
 two-phase primal simplex from a slack basis, with Bland's anti-cycling
 rule engaged after a run of degenerate pivots, and ends by inverting its
-final basis afresh. No solve reports "optimal" unless every basic value
-then lies within its bounds. A warm solve starts from a basis of the
-same standard form, on one of two paths. From the optimal basis of an
-earlier solve under other bounds, as a branch-and-bound child starts
-from its parent, a bound change keeps that basis dual feasible, so a
-bounded dual simplex restores primal feasibility and the primal simplex
-then finishes; the dual simplex prices its reduced costs once and
-updates them from each pivot row. A basis that is not dual feasible but
+final basis afresh; the restoration models start every LP from a basis,
+so it serves general callers and warm starts that fail. No solve reports
+"optimal" unless every basic value then lies within its bounds. A warm
+solve starts from a basis of the same standard form, on one of two
+paths. From the optimal basis of an earlier solve under other bounds, as
+a branch-and-bound child starts from its parent, a bound change keeps
+that basis dual feasible, so a bounded dual simplex restores primal
+feasibility and the primal simplex then finishes; the dual simplex
+prices its reduced costs once and updates them from each pivot row. A
+row that proves the LP infeasible proves it again under an inverse made
+afresh, or the solve falls back cold. A basis that is not dual feasible but
 whose point is primal feasible, as an ordering MILP's root starts from
 the extended optimal basis of a period LP, runs the primal simplex's
 phase 2 from that point. An optimal basis carries the inverse its solve
@@ -556,9 +559,10 @@ class _Simplex:
         """Bounded dual simplex from a dual-feasible basis.
 
         Returns 'optimal' once every basic value is within its bounds,
-        'infeasible' when the leaving row proves no point is, 'unsure' when
-        that row can neither pivot nor prove it, and 'limit' when the
-        iteration limit or the deadline leaves no pivot. The leaving
+        'infeasible' when the leaving row proves no point is, under the
+        current inverse and again under a fresh one (``_still_infeasible``),
+        'unsure' when that row can neither pivot nor prove it, and 'limit'
+        when the iteration limit or the deadline leaves no pivot. The leaving
         row has the largest bound violation and the entering column the
         smallest |d_j / alpha_rj|; among tied columns the largest |alpha_rj|
         wins, which keeps the primal step short and most dual-degenerate
@@ -586,14 +590,16 @@ class _Simplex:
             else:
                 r = int(rows[np.argmax(viol[rows])])
             to_lower = x_b[r] < lo[bvs[r]]
-            alpha = self._price(self.Binv[r])
+            alpha = self._pivot_row(r)
             # gain: how much x_B[r] moves toward its bound per unit rise of x_j
             gain = -alpha if to_lower else alpha
             can_rise = (stat == _AT_LOWER) | (stat == _FREE)
             can_fall = (stat == _AT_UPPER) | (stat == _FREE)
             eligible = ~fixed & ((can_rise & (gain > PIVOT_TOL)) | (can_fall & (gain < -PIVOT_TOL)))
             if not eligible.any():
-                return "infeasible" if self._row_infeasible(gain, viol[r]) else "unsure"
+                if not self._row_infeasible(gain, viol[r]):
+                    return "unsure"
+                return "infeasible" if self._still_infeasible(r) else "unsure"
             cand = np.flatnonzero(eligible)
             ratio = np.abs(d[cand]) / np.abs(alpha[cand])
             tmin = float(ratio.min())
@@ -608,6 +614,21 @@ class _Simplex:
             self._pivot(r, q, (x_b[r] - bound) / w[r], w, to_lower)
             d -= d[q] / alpha[q] * alpha
             d[bvs] = 0.0
+
+    def _pivot_row(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``Binv A``, over every column."""
+        return self._price(self.Binv[r])
+
+    def _still_infeasible(self, r: int) -> bool:
+        """Whether row ``r`` proves the LP infeasible again once the basis is
+        inverted afresh: a proof made with an inverse that product updates
+        have drifted can be false, so it stands only if the basic value and
+        pivot row under a fresh inverse make it too."""
+        self._refactorize()
+        j = self.basis[r]
+        x, lo, up = self.x[j], self.lo[j], self.up[j]
+        alpha = self._pivot_row(r)
+        return self._row_infeasible(-alpha if x < lo else alpha, max(lo - x, x - up))
 
     def _row_infeasible(self, gain: np.ndarray, shortfall: float) -> bool:
         """Whether moving every nonbasic column within its bounds, each the

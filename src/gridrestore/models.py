@@ -12,11 +12,12 @@ Both read a period's topology from one shared period LP per network,
 built over every line: a topology is a change of bounds that takes the
 lines that are out away, and each one is re-solved from the optimal
 basis of a base topology, the undamaged lines alone, whose inverse, the
-one its solve ended with, is copied by every such solve. ``evaluate_plan`` solves each
-period of a plan that way, and ``build_rop`` its final period, so a
-caller's memo serves both. A base missing from the memo is solved warm
-from a memoized topology with fewer lines, so only a memo's first base
-is cold.
+one its solve ended with, is copied by every such solve. ``evaluate_plan``
+solves each period of a plan that way, and ``build_rop`` its final
+period, so a caller's memo serves both. A base missing from the memo is
+solved from the basis that holds its zero dispatch (``_crash``), which
+every topology has, so no period LP is solved cold and a base's result
+does not depend on what the memo holds.
 
 A ROP period is written over the shared period LP's columns and rows,
 with the same reference angles, so the base's optimal basis extends to
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import line_components, shortest_path
-from .lp import (_AT_LOWER, _BASIC, INF, Basis, LinearProgram, StandardForm,
+from .lp import (_AT_LOWER, _BASIC, _FREE, INF, Basis, LinearProgram, StandardForm,
                  standard_form)
 from .milp import MipSolution, MixedIntegerProgram
 from .network import DamageScenario, Line, Network, PeriodSchedule, RestorationPlan
@@ -347,8 +348,10 @@ class _SharedPeriod:
     """One network's period LP over every line, shared by all its topologies.
 
     Line ``ids[i]`` has its flow in column ``flow_cols[i]`` and the
-    slack of its flow row in column ``row_slacks[i]`` of ``form``. ``xd``
-    maps each load id to its load-fraction column.
+    slack of its flow row in column ``row_slacks[i]`` of ``form``; bus
+    ``buses[i]`` has its angle in column ``angle_cols[i]`` and the slack of
+    its balance row in column ``bal_slacks[i]``. ``xd`` maps each load id
+    to its load-fraction column.
     """
 
     lp: LinearProgram
@@ -357,6 +360,9 @@ class _SharedPeriod:
     ids: tuple[int, ...]
     flow_cols: np.ndarray
     row_slacks: np.ndarray
+    buses: tuple[int, ...]
+    angle_cols: np.ndarray
+    bal_slacks: np.ndarray
 
     def bounds(self, live: frozenset[int]) -> StandardForm:
         """``form`` with only the lines in ``live`` present.
@@ -379,6 +385,7 @@ def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
     shared = memo.get("form")
     if shared is None:
         ids = tuple(ln.id for ln in network.lines)
+        buses = tuple(b.id for b in network.buses)
         lp = LinearProgram()
         xd, _ = _period_dcopf(lp, network, frozenset(ids))
         lp.validate()
@@ -386,9 +393,46 @@ def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
         row = {c.name: len(lp.variables) + i for i, c in enumerate(lp.constraints)}
         shared = _SharedPeriod(lp, standard_form(lp), xd, ids,
                                np.array([col[f"PL{lid}"] for lid in ids], dtype=int),
-                               np.array([row[f"flow{lid}"] for lid in ids], dtype=int))
+                               np.array([row[f"flow{lid}"] for lid in ids], dtype=int),
+                               buses,
+                               np.array([col[f"TH{bus}"] for bus in buses], dtype=int),
+                               np.array([row[f"bal{bus}"] for bus in buses], dtype=int))
         memo["form"] = shared
     return shared
+
+
+def _crash(network: Network, shared: _SharedPeriod, live: frozenset[int]) -> Basis:
+    """The basis of the topology ``live`` that holds its zero dispatch.
+
+    Basic: the flow of each live line, the free slack of each flow row of
+    a line out, and the angle of every bus but the pinned reference buses
+    and the lowest bus of each island, over the live lines with nonzero
+    susceptance, that has none; those buses' balance slacks are basic
+    instead. With every other column at 0 the basic values are 0 too, and
+    the point (no generation, no load, no flow) is feasible in every
+    topology. Per island the basis is the weighted Laplacian with one bus
+    removed, so it is nonsingular (Bixby, "Implementing the simplex
+    method: the initial basis", ORSA J. Computing 1992). No basic column
+    has a cost, so each reduced cost is the objective's own: with the
+    load fractions moved to their upper bounds the basis is dual feasible
+    too, and ``solve_lp`` runs the dual simplex from it.
+    """
+    form = shared.form
+    is_live = np.array([lid in live for lid in shared.ids], dtype=bool)
+    pinned = form.lower[shared.angle_cols] == form.upper[shared.angle_cols]
+    held = pinned.copy()  # buses whose balance slack is basic
+    position = {bus: i for i, bus in enumerate(shared.buses)}
+    for island in line_components(network, (lid for lid in live
+                                            if network.lines_by_id[lid].susceptance_b != 0)):
+        at = [position[bus] for bus in island]
+        if not pinned[at].any():
+            held[at[0]] = True
+    status = np.full(form.c.size, _AT_LOWER, dtype=np.int8)
+    status[shared.angle_cols[held & ~pinned]] = _FREE
+    for cols in (shared.flow_cols[is_live], shared.row_slacks[~is_live],
+                 shared.angle_cols[~held], shared.bal_slacks[held]):
+        status[cols] = _BASIC
+    return Basis(np.flatnonzero(status == _BASIC).astype(np.int32), status)
 
 
 def _delivered(network: Network, shared: _SharedPeriod, sol) -> float:
@@ -417,17 +461,12 @@ def _base(network: Network, undamaged: frozenset[int], memo: dict) -> Basis | No
     LP is not optimal.
 
     Read from ``memo``, which holds the basis of every topology solved, or
-    solved: warm from the memoized basis of the topology with the most
-    lines among those with fewer, all of them in ``undamaged`` (restoring
-    lines keeps a basis dual feasible), and cold when there is none, so a
-    memo's first base is its only cold one.
+    solved from the topology's zero-dispatch basis (``_crash``).
     """
     key = ("basis", undamaged)
     if key not in memo:
-        fewer = [k[1] for k, basis in memo.items() if isinstance(k, tuple)
-                 and basis is not None and k[1] < undamaged]
-        _solve(network, undamaged,
-               memo[("basis", max(fewer, key=len))] if fewer else None, memo)
+        _solve(network, undamaged, _crash(network, _shared_period(network, memo), undamaged),
+               memo)
     return memo[key]
 
 

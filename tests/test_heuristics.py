@@ -218,7 +218,7 @@ class TestRrr:
 
     def test_one_period_lp_per_call(self, meshed_scenarios, monkeypatch):
         # every split's final period and base are topologies of one shared
-        # period LP, built once per call; only the first base solves cold
+        # period LP, built once per call; none solves cold
         real_solve = gridrestore.lp.solve_lp
         real_standard_form = gridrestore.models.standard_form
         lps, forms = [], []
@@ -246,7 +246,7 @@ class TestRrr:
             finals = {art.out for art, _, _ in calls}
             assert len(lps) <= len(calls) + len(finals)
             assert len({bounds for _, _, bounds in lps}) == len(lps)
-            assert [start is None for _, start, _ in lps] == [True] + [False] * (len(lps) - 1)
+            assert all(start is not None for _, start, _ in lps)
 
 
 def stall_limit(monkeypatch, rounds):
@@ -321,14 +321,15 @@ class TestRad:
         monkeypatch.setattr(gridrestore.heuristics, "solve_mip", counting_mips)
         plan = run()
         # one shared LP and one base, the undamaged lines alone, which no
-        # period has; every other LP solves one topology from that base.
+        # period has and which solves from its crash basis; every other LP
+        # solves one topology from that base.
         # A sub-solve's final period is a period the evaluation of the
         # current ordering has solved, so its ordering MILP adds no LP.
         base = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         assert base not in topologies
         assert len(forms) == 1
         assert mips
-        assert calls.count(None) == 1
+        assert None not in calls
         assert len(calls) == len(topologies) + 1
 
         def no_memo(*args, memo=None):

@@ -346,6 +346,40 @@ class TestWarmStart:
         assert child.status == "infeasible"
         assert child.basis is None
 
+    def test_false_infeasibility_proof_solves_cold(self, monkeypatch):
+        # the child of test_infeasible_child_from_the_dual_simplex with
+        # x <= 0.3, which is feasible. A zero first pivot row, as a drifted
+        # inverse could give, lets the first proof claim infeasibility; the
+        # fresh inverse's row refutes it and the solve falls back cold
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+                       [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(1, 1.0)], ">=", 0.6)])
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        simplex = lp_module._Simplex
+        real_row, real_proof, real_cold = simplex._pivot_row, simplex._row_infeasible, simplex.solve
+        rows, proofs, colds = [], [], []
+
+        def drifted_row(self, r):
+            alpha = real_row(self, r)
+            rows.append(r)
+            return np.zeros_like(alpha) if len(rows) == 1 else alpha
+
+        def proof(self, gain, shortfall):
+            proofs.append(real_proof(self, gain, shortfall))
+            return proofs[-1]
+
+        def cold(self):
+            colds.append(None)
+            return real_cold(self)
+
+        monkeypatch.setattr(simplex, "_pivot_row", drifted_row)
+        monkeypatch.setattr(simplex, "_row_infeasible", proof)
+        monkeypatch.setattr(simplex, "solve", cold)
+        child = solve_lp(lp, form=tightened(form, 0, 0.0, 0.3), start=parent.basis)
+        assert proofs == [True, False] and len(colds) == 1
+        assert child.status == "optimal"
+        assert child.objective_value == pytest.approx(0.3)
+
     def test_singular_start_falls_back_to_cold(self):
         # x and y have identical columns, so a basis holding both is singular
         lp = simple_lp("maximize", [(0, 1.0), (1, 2.0)],
@@ -798,6 +832,33 @@ class TestResidualCheck:
             assert simplex._accurate() == bool(dense <= scale)
         simplex.x = np.full(x.size, np.nan)
         assert not simplex._accurate()
+
+
+class TestWarmInfeasible:
+    @pytest.mark.parametrize("seed, n_buses, fraction",
+                             [(1, 6, 0.4), (2, 8, 0.4), (3, 10, 0.4), (4, 12, 0.4),
+                              (5, 14, 0.25), (6, 16, 0.25)])
+    def test_warm_infeasible_is_infeasible_for_highs(self, seed, n_buses, fraction):
+        # the full-ROP root from the model's start, then children that fix
+        # up to half the binaries at 0 or 1, each solved from the
+        # root's basis as branch and bound solves its nodes: an infeasible
+        # child is infeasible for HiGHS too, and an optimal one is feasible
+        mip = full_rop_root(seed, n_buses, fraction)
+        form = standard_form(mip.base)
+        root = solve_lp(mip.base, form=form, start=mip.start)
+        assert root.status == "optimal"
+        rng = random.Random(seed)
+        binaries = sorted(mip.binary_vars)
+        statuses = []
+        for _ in range(12):
+            lo, up = form.lower.copy(), form.upper.copy()
+            for j in rng.sample(binaries, rng.randint(2, len(binaries) // 2)):
+                lo[j] = up[j] = rng.choice((0.0, 1.0))
+            sol = solve_lp(mip.base, form=replace(form, lower=lo, upper=up), start=root.basis)
+            fixed = [Variable(v.name, a, b) for v, a, b in zip(mip.base.variables, lo, up)]
+            highs = solve_with_scipy(replace(mip.base, variables=fixed))
+            statuses.append((sol.status, highs.status))
+        assert set(statuses) == {("optimal", 0), ("infeasible", 2)}
 
 
 def violations(lp, x):

@@ -7,10 +7,11 @@ import pytest
 
 import gridrestore.lp
 import gridrestore.models
-from gridrestore.lp import LinearProgram, LpSolution, solve_lp, standard_form
+from gridrestore.lp import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, LinearProgram, LpSolution,
+                            _dense_columns, _times, basis_inverse, solve_lp, standard_form)
 from gridrestore.milp import SolveOptions, solve_mip
-from gridrestore.models import (PlanEvaluationError, PlanExtractionError,
-                                _period_dcopf, build_rip, build_rop,
+from gridrestore.models import (PlanEvaluationError, PlanExtractionError, _crash,
+                                _period_dcopf, _shared_period, build_rip, build_rop,
                                 energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
@@ -233,7 +234,14 @@ class TestRip:
         for plan, sched in order_plans(dmg):
             evaluate_plan(net, dmg, plan, sched, memo=memo)
         (base_start, base), misses = calls[0], calls[1:]
-        assert base_start is None and base.status == "optimal"
+        undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
+        # the base solves from its crash basis, which inverts itself once
+        crash = _crash(net, memo["form"], undamaged)
+        np.testing.assert_array_equal(base_start.columns, crash.columns)
+        np.testing.assert_array_equal(base_start.status, crash.status)
+        assert base.status == "optimal"
+        assert len(inverses) == 1
+        np.testing.assert_array_equal(inverses[0], crash.columns)
         assert len(misses) == 2 * len(dmg.damaged_lines) - 1
         # one start, the base's basis, which carries the inverse of the
         # base's solve for the shared matrix: no miss inverts a basis
@@ -241,9 +249,8 @@ class TestRip:
         assert all(s is start for s, _ in misses)
         assert start is base.basis
         start.inverse(memo["form"].form)
-        assert inverses == []
+        assert len(inverses) == 1
         # the base solve is memoized as the base topology's result
-        undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         assert memo[undamaged] == pytest.approx(base.objective_value, rel=1e-12)
 
     def test_one_form_per_line_set_and_memo(self, meshed_scenarios, monkeypatch):
@@ -295,6 +302,71 @@ class TestRip:
             with pytest.raises(ValueError, match="length"):
                 build(net, dmg, RestorationPlan.from_lists([[1], [2]]),
                       build_schedule(2, 3))
+
+
+def topologies(network, damage):
+    """Every topology of a damage scenario: the undamaged lines with each
+    subset of the damaged ones back."""
+    damaged = damage.damaged_lines
+    undamaged = frozenset(ln.id for ln in network.lines) - set(damaged)
+    return [undamaged | set(back) for r in range(len(damaged) + 1)
+            for back in itertools.combinations(damaged, r)]
+
+
+class TestCrash:
+    @pytest.fixture
+    def grids(self, meshed_scenarios):
+        # tree grids, meshed grids, and tiny3 at damage 1.0, where the
+        # topology with no line makes every bus an island
+        return ([random_scenario(seed) for seed in range(6)] + meshed_scenarios
+                + [(tiny3_network(), DamageScenario((1, 2, 3)))])
+
+    def test_nonsingular_and_primal_feasible(self, grids):
+        for net, dmg in grids:
+            shared = _shared_period(net, {})
+            for live in topologies(net, dmg):
+                form = shared.bounds(live)
+                crash = _crash(net, shared, live)
+                m = form.b.size
+                assert len(set(crash.columns.tolist())) == len(crash.columns) == m
+                assert (crash.status[crash.columns] == _BASIC).all()
+                assert (crash.status == _BASIC).sum() == m
+                B = _dense_columns(form, crash.columns)
+                Binv = basis_inverse(form, crash.columns)
+                np.testing.assert_allclose(Binv @ B, np.eye(m), atol=1e-9)
+                # nonbasic columns at the bound their state names, free ones at 0
+                x = np.zeros(form.c.size)
+                x[crash.status == _AT_LOWER] = form.lower[crash.status == _AT_LOWER]
+                assert not (crash.status == _AT_UPPER).any()
+                assert np.isinf(form.lower[crash.status == _FREE]).all()
+                x[crash.columns] = 0.0
+                x[crash.columns] = Binv @ (form.b - _times(form, x))
+                assert np.isfinite(x).all()
+                assert (form.lower - 1e-12 <= x).all() and (x <= form.upper + 1e-12).all()
+                assert np.abs(_times(form, x) - form.b).max() <= 1e-12
+
+    def test_optimum_is_the_cold_optimum(self, grids, monkeypatch):
+        real_cold = gridrestore.lp._Simplex.solve
+        colds = []
+
+        def cold(self):
+            colds.append(None)
+            return real_cold(self)
+
+        monkeypatch.setattr(gridrestore.lp._Simplex, "solve", cold)
+        for net, dmg in grids:
+            shared = _shared_period(net, {})
+            for live in topologies(net, dmg):
+                form = shared.bounds(live)
+                sol = solve_lp(shared.lp, form=form, start=_crash(net, shared, live))
+                assert (sol.status, colds) == ("optimal", [])
+                reference = solve_lp(shared.lp, form=form)
+                assert reference.status == "optimal"
+                assert sol.objective_value == pytest.approx(reference.objective_value,
+                                                            rel=0, abs=1e-9)
+                assert sol.objective_value == pytest.approx(cold_period(net, live),
+                                                            rel=0, abs=1e-9)
+                colds.clear()
 
 
 def lumped_schedule(n):
