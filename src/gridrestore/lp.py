@@ -8,32 +8,30 @@ pricing (the reduced costs and the dual simplex's pivot row) and every
 product ``A x`` sum over its nonzeros, the entering column's image under
 the inverse reads only the inverse's columns on that column's rows, an
 inversion scatters just the basic columns into a dense block, and a
-pivot updates the inverse by one BLAS rank-1 product. A cold solve is
-two-phase primal simplex from a slack basis, with Bland's anti-cycling
-rule engaged after a run of degenerate pivots, and ends by inverting its
-final basis afresh; the restoration models start every LP from a basis,
-so it serves general callers and warm starts that fail. No solve reports
-"optimal" unless every basic value then lies within its bounds. A warm
-solve starts from a basis of the same standard form, on one of two
-paths. From the optimal basis of an earlier solve under other bounds, as
-a branch-and-bound child starts from its parent, a bound change keeps
-that basis dual feasible, so a bounded dual simplex restores primal
-feasibility and the primal simplex then finishes; the dual simplex
-prices its reduced costs once and updates them from each pivot row. A
-row that proves the LP infeasible proves it again under an inverse made
-afresh, or the solve falls back cold. A basis that is not dual feasible but
-whose point is primal feasible, as an ordering MILP's root starts from
-the extended optimal basis of a period LP, runs the primal simplex's
-phase 2 from that point. An optimal basis carries the inverse its solve
-ended with (``Basis.inverse``): the product-updated inverse when the
-basic values it gives pass the residual check, the fresh one otherwise.
-A basis made by hand inverts itself once per matrix, by
-``basis_inverse``, which peels the basic slack columns off and inverts
-only the block left. Every solve from a basis copies its inverse, so
-sibling solves share one, and a carried inverse that fails the start's
-residual check is replaced once by a fresh one. A warm basis that is
-singular, inaccurate, or neither dual nor primal feasible falls back to
-a cold solve in the same call.
+pivot updates the inverse by one BLAS rank-1 product. Every solve is a
+run from a basis of the standard form. A dual feasible start, such as
+the optimal basis of an earlier solve under other bounds, as a
+branch-and-bound child starts from its parent, runs a bounded dual
+simplex, which prices its reduced costs once and updates them from each
+pivot row; a row that proves the LP infeasible proves it again under an
+inverse made afresh. Then the primal simplex runs: phase 1 minimizes the
+basic values' bound violations and does nothing from a primal feasible
+point, such as an ordering MILP's root start, and phase 2 minimizes the
+objective, from an inverse made afresh when phase 1 pivoted. Bland's
+anti-cycling rule engages after a run of degenerate pivots. A cold solve
+is the same run from the slack basis, which carries the identity as its
+inverse and never takes the dual path. No solve reports "optimal" unless
+every basic value then lies within its bounds. An optimal basis carries
+the inverse its solve ended with (``Basis.inverse``): the
+product-updated inverse when the basic values it gives pass the residual
+check, the fresh one otherwise. A basis made by hand inverts itself once
+per matrix, by ``basis_inverse``, which peels the basic slack columns
+off and inverts only the block left. Every solve from a basis copies its
+inverse, so sibling solves share one, and a carried inverse that fails
+the start's residual check is replaced once by a fresh one. A run from a
+caller's start that is singular or inaccurate, ends unbounded, or can
+settle infeasibility neither way is run again from the slack basis in
+the same call.
 """
 from __future__ import annotations
 
@@ -299,19 +297,21 @@ class LpSolution:
     basis: Basis | None = None  # the optimal basis, for an optimal solve
 
 
+# the status a slack-basis run ends with, per outcome that retries a start
+_SLACK_STATUS = {"unsure": "infeasible", "unbounded": "unbounded",
+                 "inaccurate": "numerical_failure"}
+
+
 class _Simplex:
     """Simplex over a standard form with general bounds and a dense inverse.
 
-    Internally minimizes. ``solve`` is the cold two-phase primal simplex:
-    the slack basis plus, where a slack's bound is violated, an artificial
-    column driven out in phase 1. ``solve_from`` is the warm dual-then-
-    primal simplex from a given basis.
-
-    Artificial column k is ``art_sign[k]`` times the unit vector of row
-    ``art_rows[k]``, numbered after the form's ``nf`` columns. It is never
-    stored in the form, whose matrix stays shared and read-only. ``basis``
-    holds the basic column of each row and is updated in place. ``d``
-    holds a warm start's reduced costs, which the dual simplex updates.
+    Internally minimizes. ``solve_from`` runs from a basis: the dual simplex
+    when the basis is dual feasible, then the primal simplex, whose phase 1
+    minimizes the basic values' bound violations and whose phase 2 the
+    objective. A cold solve is a run from ``slack_basis``, which never
+    takes the dual path. ``basis`` holds the basic column of each row and is
+    updated in place. ``d`` holds a dual start's reduced costs, which the
+    dual simplex updates.
     """
 
     def __init__(self, lp: LinearProgram, form: StandardForm, deadline: float | None = None):
@@ -319,65 +319,29 @@ class _Simplex:
         self.form = form
         self.deadline = deadline
         self.iterations = 0
-        self.m, self.nf = form.b.size, form.c.size
-        self.nt = self.nf
-        self.n_struct = self.nf - self.m
+        self.m, self.nt = form.b.size, form.c.size
+        self.n_struct = self.nt - self.m
         self.b, self.c = form.b, form.c
         self.lo, self.up = form.lower, form.upper
-        self.art_rows = np.zeros(0, dtype=int)
-        self.art_sign = np.zeros(0)
 
-    def _cold_start(self) -> None:
-        n, nt = self.n_struct, self.nt
-        b, lo, up = self.b, self.lo, self.up
-        # structural columns start at their lower bound, else their upper
-        # bound, else (free) at 0
-        at_lo = np.isfinite(lo[:n])
-        at_up = ~at_lo & np.isfinite(up[:n])
-        x = np.zeros(nt)
-        x[:n][at_lo] = lo[:n][at_lo]
-        x[:n][at_up] = up[:n][at_up]
-        stat = np.full(nt, _FREE, dtype=np.int8)
-        stat[:n][at_lo] = _AT_LOWER
-        stat[:n][at_up] = _AT_UPPER
-        # slack basis, with an artificial on each row whose slack value
-        # breaks its bounds: that slack is parked at its nearest bound and
-        # the artificial covers the gap
-        resid = b - _times(self.form, x)
-        inside = (lo[n:] - FEAS_TOL <= resid) & (resid <= up[n:] + FEAS_TOL)
-        x[n:] = np.where(inside, resid, np.clip(resid, lo[n:], up[n:]))
-        stat[n:] = np.where(inside, _BASIC, np.where(x[n:] == lo[n:], _AT_LOWER, _AT_UPPER))
-        art_rows = np.flatnonzero(~inside)
-        k = art_rows.size
-        self.art_rows = art_rows
-        gap = resid[art_rows] - x[n:][art_rows]
-        self.art_sign = np.where(gap >= 0, 1.0, -1.0)
-        basis = np.arange(n, nt, dtype=np.intp)
-        basis[art_rows] = nt + np.arange(k)
-        if k:
-            self.lo = np.concatenate([lo, np.zeros(k)])
-            self.up = np.concatenate([up, np.full(k, INF)])
-            self.c = np.concatenate([self.c, np.zeros(k)])
-            stat = np.concatenate([stat, np.zeros(k, dtype=np.int8)])
-            # artificial values make Ax = b hold exactly at the start
-            x = np.concatenate([x, (b - _times(self.form, x))[art_rows] / self.art_sign])
-        self.x = x
-        self.stat = stat
-        self.basis = basis
-        self.nt = nt + k
-        # every basic column is +-e_pos, so the inverse is that same diagonal
-        diag = np.ones(self.m)
-        diag[art_rows] = self.art_sign
-        self.Binv = np.diag(diag)
+    def slack_basis(self) -> Basis:
+        """Every slack basic and every structural column at its lower bound,
+        else its upper bound, else free at 0; it carries the identity as its
+        inverse."""
+        m, nt = self.m, self.nt
+        status = np.full(nt, _AT_LOWER, dtype=np.int8)
+        status[nt - m:] = _BASIC
+        basis = Basis(np.arange(nt - m, nt), status)
+        basis._kept[:] = self.form.nz_val, np.eye(m), False
+        return basis
 
-    def _warm_start(self, start: Basis) -> str | None:
-        """Install ``start`` and name the phase to run from it: "dual" when
-        it is dual feasible, "primal" when it is not but its point is
-        primal feasible, None when it does not fit, is inaccurate or is
-        neither. A carried inverse that leaves the start inaccurate is
-        replaced once by a fresh one (``Basis.inverse``) before the start is
-        given up. Raises ``numpy.linalg.LinAlgError`` when the basis is
-        singular.
+    def _warm_start(self, start: Basis, dual: bool) -> str | None:
+        """Install ``start`` and name the phase to run first: "dual" when
+        ``dual`` allows it and the start is dual feasible, else "primal";
+        None when it does not fit or is inaccurate. A carried inverse that
+        leaves the start inaccurate is replaced once by a fresh one
+        (``Basis.inverse``) before the start is given up. Raises
+        ``numpy.linalg.LinAlgError`` when the basis is singular.
         """
         m, nt = self.m, self.nt
         cols = np.asarray(start.columns)
@@ -385,16 +349,14 @@ class _Simplex:
                 or len(set(cols.tolist())) != m):
             return None
         self.basis = cols.astype(np.intp)
-        dual = self._enter(start, start.inverse(self.form))
+        feasible = self._enter(start, start.inverse(self.form))
         accurate = self._accurate()
         if not accurate and start._kept[2]:
-            dual = self._enter(start, start.inverse(self.form, fresh=True))
+            feasible = self._enter(start, start.inverse(self.form, fresh=True))
             accurate = self._accurate()
         if not accurate:
             return None
-        if dual:
-            return "dual"
-        return "primal" if self._within_bounds() else None
+        return "dual" if dual and feasible else "primal"
 
     def _enter(self, start: Basis, inverse: np.ndarray) -> bool:
         """Place the nonbasic columns of ``start`` and the basic values under
@@ -402,11 +364,10 @@ class _Simplex:
         whether the basis is dual feasible.
 
         Nonbasic columns go to the bound their state names, or the bound
-        they have. For the dual start a column with both bounds finite goes
-        to the one its reduced cost prefers, which makes the basis dual
-        feasible whatever the new bounds are; any other dual infeasibility
-        leaves the primal start, which keeps every state as given and needs
-        every basic value within its bounds.
+        they have. A column with both bounds finite then goes to the one
+        its reduced cost prefers, which makes the basis dual feasible
+        whatever the new bounds are, unless another dual infeasibility
+        remains; then every state stays as given.
         """
         nt, lo, up = self.nt, self.lo, self.up
         fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
@@ -435,23 +396,16 @@ class _Simplex:
     # -- core pivoting -----------------------------------------------------
 
     def _price(self, y: np.ndarray) -> np.ndarray:
-        """``y`` times every column, artificial ones included, summed over
-        the nonzeros of ``A`` only."""
+        """``y`` times every column, summed over the nonzeros of ``A`` only."""
         f = self.form
-        yA = np.bincount(f.nz_col, weights=y[f.nz_row] * f.nz_val, minlength=self.nf)
-        if self.art_rows.size:
-            yA = np.concatenate([yA, y[self.art_rows] * self.art_sign])
-        return yA
+        return np.bincount(f.nz_col, weights=y[f.nz_row] * f.nz_val, minlength=self.nt)
 
     def _ftran(self, q: int) -> np.ndarray:
         """``Binv`` times column q, read from the columns of ``Binv`` on the
         rows where column q is nonzero."""
         f = self.form
-        if q < self.nf:
-            k = slice(f.col_ptr[q], f.col_ptr[q + 1])
-            return self.Binv[:, f.nz_row[k]] @ f.nz_val[k]
-        k = q - self.nf
-        return self.art_sign[k] * self.Binv[:, self.art_rows[k]]
+        k = slice(f.col_ptr[q], f.col_ptr[q + 1])
+        return self.Binv[:, f.nz_row[k]] @ f.nz_val[k]
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = c[self.basis] @ self.Binv
@@ -497,13 +451,33 @@ class _Simplex:
         return self.iterations >= ITERATION_LIMIT or (
             self.deadline is not None and time.monotonic() > self.deadline)
 
-    def _solve_phase(self, c: np.ndarray) -> str:
-        """Minimize c over the current basis; returns 'optimal'/'unbounded'/'limit'."""
+    def _solve_phase(self, feasibility: bool = False) -> str:
+        """Primal simplex from the current basis.
+
+        Phase 2 minimizes ``c`` from a primal feasible basis and returns
+        'optimal', 'unbounded' or 'limit'. Phase 1 (``feasibility``) costs
+        -1 on each basic value below its bounds and +1 on each above them,
+        re-priced every pivot, so it minimizes their total violation; in its
+        ratio test a violated value blocks only at the bound it moves back
+        to, where it leaves. It returns 'optimal' once no value is violated
+        (at once, with no pivot, from a primal feasible basis) or no column
+        reduces a total violation of at most INFEAS_TOL, 'infeasible' when
+        no column reduces a larger one, and 'limit'.
+        """
         m = self.m
         lo, up, x, stat = self.lo, self.up, self.x, self.stat
+        c = self.c
         degen_run = 0
         fixed = (up - lo) <= 0  # cannot move; never eligible to enter
         while True:
+            if feasibility:
+                below, above = self._violated()
+                if not (below.any() or above.any()):
+                    return "optimal"
+                bvs = self.basis
+                c = np.zeros(self.nt)
+                c[bvs[below]] = -1.0
+                c[bvs[above]] = 1.0
             if self._out_of_pivots():
                 return "limit"
             self.iterations += 1
@@ -512,6 +486,9 @@ class _Simplex:
             lo_ok = (stat == _AT_LOWER) | (stat == _FREE)
             improving = (~fixed) & (((d < -OPT_TOL) & lo_ok) | ((d > OPT_TOL) & up_ok))
             if not improving.any():
+                if feasibility and ((lo - x)[bvs[below]].sum()
+                                    + (x - up)[bvs[above]].sum() > INFEAS_TOL):
+                    return "infeasible"
                 return "optimal"
             cand = np.flatnonzero(improving)
             if degen_run >= DEGEN_THRESHOLD:
@@ -526,6 +503,9 @@ class _Simplex:
                 bvs = self.basis
                 delta = -sigma * w
                 lo_b, up_b, x_b = lo[bvs], up[bvs], x[bvs]
+                if feasibility:
+                    lo_b, up_b = (np.where(above, up_b, np.where(below, -INF, lo_b)),
+                                  np.where(below, lo_b, np.where(above, INF, up_b)))
                 t_arr = np.full(m, INF)
                 dec = (delta < -PIVOT_TOL) & np.isfinite(lo_b)
                 inc = (delta > PIVOT_TOL) & np.isfinite(up_b)
@@ -536,7 +516,8 @@ class _Simplex:
             else:
                 tmin = INF
             if not np.isfinite(tmin) and not np.isfinite(gap):
-                return "unbounded"
+                # phase 1 has no unbounded ray: a violated value always blocks
+                return "infeasible" if feasibility else "unbounded"
             if tmin <= gap + PIVOT_TOL and np.isfinite(tmin):
                 # pivot: among tied rows pick the lowest variable index
                 tied = np.flatnonzero(t_arr <= tmin + PIVOT_TOL)
@@ -552,8 +533,11 @@ class _Simplex:
                     x[bvs] = x_b - sigma * t * w
                 continue
             degen_run = degen_run + 1 if t <= PIVOT_TOL else 0
+            to_lower = bool(delta[leave_pos] < 0)
+            if feasibility and (below[leave_pos] or above[leave_pos]):
+                to_lower = bool(below[leave_pos])  # back at the bound it broke
             # the ratio test only selects rows with |w_i| > PIVOT_TOL
-            self._pivot(leave_pos, q, sigma * t, w, bool(delta[leave_pos] < 0))
+            self._pivot(leave_pos, q, sigma * t, w, to_lower)
 
     def _dual_phase(self) -> str:
         """Bounded dual simplex from a dual-feasible basis.
@@ -632,24 +616,33 @@ class _Simplex:
 
     def _row_infeasible(self, gain: np.ndarray, shortfall: float) -> bool:
         """Whether moving every nonbasic column within its bounds, each the
-        way that helps, still leaves the row's basic value INFEAS_TOL short."""
+        way that helps, still leaves the row's basic value INFEAS_TOL short.
+        A gain within PIVOT_TOL of zero is noise, as in the dual ratio test,
+        and counts for nothing: on a column with an infinite range it would
+        otherwise refute every proof."""
         x, lo, up = self.x, self.lo, self.up
         nonbasic = self.stat != _BASIC
-        rise = nonbasic & (gain > 0)
-        fall = nonbasic & (gain < 0)
+        rise = nonbasic & (gain > PIVOT_TOL)
+        fall = nonbasic & (gain < -PIVOT_TOL)
         most = (gain[rise] * (up[rise] - x[rise])).sum() + \
             (gain[fall] * (lo[fall] - x[fall])).sum()
         return bool(most < shortfall - INFEAS_TOL)
 
-    def _within_bounds(self) -> bool:
-        """Whether every basic value is finite and lies within its bounds, to
-        FEAS_TOL scaled by ``1 + |bound|``. A basic slack outside its bounds
-        is a broken row."""
+    def _violated(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which basic values lie below their bounds and which above them,
+        by more than FEAS_TOL scaled by ``1 + |bound|``."""
         bvs = self.basis
         x, lo, up = self.x[bvs], self.lo[bvs], self.up[bvs]
-        return bool(np.isfinite(x).all()
-                    and not (lo - x > FEAS_TOL * (1.0 + np.abs(lo))).any()
-                    and not (x - up > FEAS_TOL * (1.0 + np.abs(up))).any())
+        return (lo - x > FEAS_TOL * (1.0 + np.abs(lo)),
+                x - up > FEAS_TOL * (1.0 + np.abs(up)))
+
+    def _within_bounds(self) -> bool:
+        """Whether every basic value is finite and none is violated. A basic
+        slack outside its bounds is a broken row."""
+        if not np.isfinite(self.x[self.basis]).all():
+            return False
+        below, above = self._violated()
+        return not (below.any() or above.any())
 
     def _accurate(self) -> bool:
         """Whether ``x`` is finite and ``|Ax - b|`` passes the residual check."""
@@ -660,97 +653,70 @@ class _Simplex:
 
     def _basic_values(self) -> None:
         """Recompute the basic values from the nonbasic ones with the current
-        inverse. Runs only while the artificial columns are pinned at zero
-        (or absent), so only the form's nonbasic columns contribute."""
-        cols = self.basis
-        x_n = self.x[:self.nf].copy()
-        x_n[cols[cols < self.nf]] = 0.0
-        self.x[cols] = self.Binv @ (self.b - _times(self.form, x_n))
+        inverse."""
+        x_n = self.x.copy()
+        x_n[self.basis] = 0.0
+        self.x[self.basis] = self.Binv @ (self.b - _times(self.form, x_n))
 
     def _refactorize(self) -> None:
-        """Invert the basis afresh and recompute the basic values, clearing
-        accumulated drift."""
-        nf, cols = self.nf, self.basis
-        art = cols >= nf
-        B = np.zeros((self.m, self.m))
-        B[:, ~art] = _dense_columns(self.form, cols[~art])
-        B[self.art_rows[cols[art] - nf], np.flatnonzero(art)] = self.art_sign[cols[art] - nf]
-        self.Binv = np.linalg.inv(B)
+        """Invert the basis afresh (``basis_inverse``) and recompute the
+        basic values, clearing accumulated drift."""
+        self.Binv = basis_inverse(self.form, self.basis)
         self._basic_values()
 
-    def solve(self) -> LpSolution:
-        """Cold two-phase primal simplex from the slack basis."""
-        self._cold_start()
-        if self.art_rows.size:
-            nf = self.nf
-            c1 = np.zeros(self.nt)
-            c1[nf:] = 1.0
-            res = self._solve_phase(c1)
-            if res == "limit":
-                return self._finish("iteration_limit")
-            if res == "unbounded" or float(c1 @ self.x) > INFEAS_TOL:
-                return self._finish("infeasible")
-            # pin artificials at zero for phase 2
-            self.lo[nf:] = 0.0
-            self.up[nf:] = 0.0
-            self.x[nf:] = 0.0
-            self._refactorize()
-        res = self._solve_phase(self.c)
-        if res == "limit":
-            return self._finish("iteration_limit")
-        if res == "unbounded":
-            return self._finish("unbounded")
-        self._refactorize()
-        # the fresh inverse can move drifted basic values out of their bounds
-        return self._finish("optimal" if self._within_bounds() else "numerical_failure")
-
-    def solve_from(self, start: Basis) -> LpSolution | None:
-        """Warm simplex from ``start``: dual then primal from a dual feasible
-        start, primal phase 2 alone from a primal feasible one.
+    def solve_from(self, start: Basis, dual: bool = True) -> LpSolution | str:
+        """Simplex from ``start``: the dual simplex when ``dual`` allows it
+        and the start is dual feasible, then phase 1, which does nothing
+        from a primal feasible point, then phase 2, from a fresh inverse
+        when phase 1 pivoted.
 
         The optimum keeps the product-updated inverse when the basic values
         it gives pass the residual check; otherwise the basis is inverted
-        afresh and checked again. None when the basis cannot be used, the
-        dual simplex cannot settle infeasibility, the primal simplex finds
-        the LP unbounded, or the optimum stays inaccurate or has a basic
-        value outside its bounds; the caller then solves cold.
+        afresh and checked again. Returns the solution, or why the run
+        settles nothing: 'unsure' when the dual simplex can neither pivot
+        nor prove infeasibility, or phase 1 stops short of a feasible point;
+        'unbounded' when phase 2 finds no bound; 'inaccurate' when the basis
+        does not fit or is singular, or leaves the start or the optimum
+        inaccurate or outside its bounds.
         """
-        phase = self._warm_start(start)
-        if phase is None:
-            return None
-        if phase == "dual":
-            res = self._dual_phase()
-            if res == "unsure":
-                return None
-            if res != "optimal":
-                return self._finish("iteration_limit" if res == "limit" else "infeasible")
-        res = self._solve_phase(self.c)
-        if res == "limit":
-            return self._finish("iteration_limit")
-        if res == "unbounded":
-            return None
-        self._basic_values()
-        if not self._accurate():
-            self._refactorize()
+        try:
+            phase = self._warm_start(start, dual)
+            if phase is None:
+                return "inaccurate"
+            if phase == "dual":
+                res = self._dual_phase()
+                if res == "unsure":
+                    return res
+                if res != "optimal":
+                    return self._finish("iteration_limit" if res == "limit" else "infeasible")
+            pivots = self.iterations
+            res = self._solve_phase(feasibility=True)
+            if res == "infeasible":
+                return "unsure"
+            if res == "optimal":
+                if self.iterations > pivots:
+                    # without it, phase 1's drift leaves some cold 16-bus
+                    # full-ROP roots on inaccurate, singular bases
+                    self._refactorize()
+                res = self._solve_phase()
+            if res == "limit":
+                return self._finish("iteration_limit")
+            if res == "unbounded":
+                return res
+            self._basic_values()
             if not self._accurate():
-                return None
-        return self._finish("optimal") if self._within_bounds() else None
+                self._refactorize()
+                if not self._accurate():
+                    return "inaccurate"
+            return self._finish("optimal") if self._within_bounds() else "inaccurate"
+        except np.linalg.LinAlgError:
+            return "inaccurate"
 
     def _basis(self) -> Basis:
-        """The current basis over the standard form, each artificial column
-        replaced by its row's slack (the same column up to sign), carrying
-        the current inverse with the rows of those columns signed to
-        match. Ends the solve's use of the inverse."""
-        nf = self.nf
-        cols = self.basis.astype(np.int32)
-        art = cols >= nf
-        cols[art] = self.n_struct + self.art_rows[cols[art] - nf]
-        stat = self.stat[:nf].copy()
-        stat[cols] = _BASIC
-        basis = Basis(cols, stat)
-        inverse = self.Binv
-        inverse[art] *= self.art_sign[self.basis[art] - nf][:, None]
-        basis._kept[:] = self.form.nz_val, inverse, True
+        """The current basis, carrying the current inverse. Ends the solve's
+        use of the inverse."""
+        basis = Basis(self.basis.astype(np.int32), self.stat.copy())
+        basis._kept[:] = self.form.nz_val, self.Binv, True
         return basis
 
     def _finish(self, status: str) -> LpSolution:
@@ -769,21 +735,23 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
     ``ITERATION_LIMIT`` pivots are made the best point found is returned
     with status 'iteration_limit'. ``deadline``, a ``time.monotonic()``
     value, ends the solve the same way once it has passed; without one
-    only the iteration limit bounds the solve. A singular basis, or a
-    cold optimum whose freshly inverted basis puts a basic value outside
-    its bounds, ends the solve with status 'numerical_failure', which
+    only the iteration limit bounds the solve. A singular basis, or an
+    optimum that stays inaccurate or puts a basic value outside its
+    bounds, ends a cold solve with status 'numerical_failure', which
     reports the pivots made up to then.
 
     ``form`` is ``standard_form(lp)``, possibly with other bounds; the LP
     is then neither validated nor rebuilt, and its variables' bounds are
     ignored. ``start`` is a basis of the same form: the optimal basis of
     an earlier solve under any bounds, which the dual simplex starts from,
-    or a primal feasible basis, which the primal simplex starts from. The
-    solve starts cold instead, within the same iteration limit, when that
-    basis is singular, inaccurate, or neither dual nor primal feasible.
-    The solve copies the start's inverse and never changes it, so sibling
-    solves can share it; an optimal solution's basis carries the inverse
-    the solve ended with, so a solve from it inverts nothing.
+    or any other basis, which the primal simplex starts from, with phase 1
+    when its point is not primal feasible. Without one the solve is cold:
+    the same run from the slack basis. A run from ``start`` that is
+    singular, inaccurate, unbounded or unsure of infeasibility is run again
+    from the slack basis within the same iteration limit. The solve copies
+    the start's inverse and never changes it, so sibling solves can share
+    it; an optimal solution's basis carries the inverse the solve ended
+    with, so a solve from it inverts nothing.
     """
     if form is None:
         lp.validate()
@@ -791,18 +759,10 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
     if (form.lower > form.upper).any():
         return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
     simplex = _Simplex(lp, form, deadline)
-    if start is not None:
-        try:
-            sol = simplex.solve_from(start)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None:
-            return sol
-    try:
-        return simplex.solve()
-    except np.linalg.LinAlgError:
-        return LpSolution("numerical_failure", float("nan"), np.zeros(len(lp.variables)),
-                          iterations=simplex.iterations)
+    sol = simplex.solve_from(start) if start is not None else None
+    if not isinstance(sol, LpSolution):
+        sol = simplex.solve_from(simplex.slack_basis(), dual=False)
+    return sol if isinstance(sol, LpSolution) else simplex._finish(_SLACK_STATUS[sol])
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,19 @@ variable index as the tie-break, so the search is fully deterministic.
 The MILP's standard form is built once; a node is its binary fixes. The
 root LP starts from the program's ``start`` basis when it has one (an
 ordering MILP carries a primal feasible basis made from a period LP's
-optimum), and cold otherwise. Every other LP is warm: the warm-start
-incumbent LP starts from the root's optimal basis, and each child LP is
-re-solved under its fixes from its parent's optimal basis by the LP
-core's dual simplex. An optimal basis carries the inverse its solve
-ended with, and every solve from it copies that inverse: a branching's
-two children share their parent's, and the warm-start incumbent LP and
-the root's children share the root's. So the search inverts no basis,
-except the program's ``start``, which is built by hand and inverts
-itself once for the root, and the bases of nodes that wait on the heap
-beyond its budget of inverses (``HEAP_INVERSE_BYTES``): such a node
-waits with its basis alone, and its branching inverts it once.
+optimum), and cold, from the LP core's slack basis, otherwise. Every
+other LP is warm: the warm-start incumbent LP starts from the root's
+optimal basis, and each child LP is re-solved under its fixes from its
+parent's optimal basis by the LP core's dual simplex. An optimal basis
+carries the inverse its solve ended with, and every solve from it copies
+that inverse: a branching's two children share their parent's, and the
+warm-start incumbent LP and the root's children share the root's. So
+the search inverts no start basis, except the program's ``start``, which
+is built by hand and inverts itself once for the root, and the bases of
+nodes that wait on the heap beyond its budget of inverses
+(``HEAP_INVERSE_BYTES``): such a node waits with its basis alone, and
+its branching inverts it once. (An LP may still invert its own basis
+afresh to check a result.)
 An optional external backend drives a command-line solver through MPS
 and a simple solution-file format.
 """

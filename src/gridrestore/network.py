@@ -234,7 +234,7 @@ def random_damage(network: Network, fraction: float, seed: int) -> DamageScenari
 # MATPOWER-subset case parsing
 # ---------------------------------------------------------------------------
 
-_ASSIGN_SCALAR = re.compile(r"mpc\.(\w+)\s*=\s*([-\d.eE+]+)\s*;")
+_ASSIGN_SCALAR = re.compile(r"mpc\.(\w+)\s*=\s*([^;\[\]'\s]+)\s*;")
 _ASSIGN_MATRIX = re.compile(r"mpc\.(\w+)\s*=\s*\[")
 
 
@@ -253,6 +253,14 @@ def _parse_row(text: str, line_no: int, table: str) -> list[float]:
     return vals
 
 
+def _finite(value: float, line_no: int, field: str) -> float:
+    """``value``, checked: a number that is not finite is a parse error
+    naming its line and field."""
+    if not math.isfinite(value):
+        raise CaseParseError(f"{field} is not finite ({value})", line_no, field)
+    return value
+
+
 def parse_case(text: str) -> Network:
     """Parse a MATPOWER-format case file (``.m`` subset) into a Network.
 
@@ -261,6 +269,8 @@ def parse_case(text: str) -> Network:
     ``%`` comments. AC parameters, areas, gencost etc. are parsed over
     and ignored. Branch rows with status 0 are dropped; reactance is
     converted to susceptance b = -1/x; rateA is converted to per-unit.
+    Every number read (baseMVA, bus id, Pd, Pmax, x, rateA, status,
+    angmin, angmax) must be finite.
     """
     base_mva = 100.0
     tables: dict[str, list[tuple[int, list[float]]]] = {}
@@ -285,7 +295,10 @@ def parse_case(text: str) -> Network:
             continue
         m = _ASSIGN_SCALAR.match(line)
         if m and m.group(1) == "baseMVA":
-            base_mva = float(m.group(2))
+            value = _parse_row(m.group(2), line_no, "baseMVA")[0]
+            base_mva = _finite(value, line_no, "baseMVA")
+            if base_mva <= 0:
+                raise CaseParseError("baseMVA must be positive", line_no, "baseMVA")
             continue
         m = _ASSIGN_MATRIX.match(line)
         if m:
@@ -308,8 +321,6 @@ def parse_case(text: str) -> Network:
         raise CaseParseError("missing or empty bus table", field="bus")
     if "branch" not in tables:
         raise CaseParseError("missing branch table", field="branch")
-    if base_mva <= 0:
-        raise CaseParseError("baseMVA must be positive", field="baseMVA")
 
     buses: list[Bus] = []
     loads: list[Load] = []
@@ -317,12 +328,12 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables["bus"]:
         if len(row) < 3:
             raise CaseParseError("bus row too short", line_no, "bus")
-        bid = int(row[0])
+        bid = int(_finite(row[0], line_no, "bus id"))
         if bid in bus_ids:
             raise CaseParseError(f"duplicate bus id {bid}", line_no, "bus")
         bus_ids.add(bid)
         buses.append(Bus(id=bid, name=f"bus{bid}"))
-        pd = row[2]
+        pd = _finite(row[2], line_no, "Pd")
         if pd > 0:
             loads.append(Load(id=len(loads) + 1, bus=bid, p_demand=pd / base_mva))
 
@@ -331,10 +342,10 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables.get("gen", []):
         if len(row) < 9:
             raise CaseParseError("gen row too short", line_no, "gen")
-        gbus = int(row[0])
+        gbus = int(_finite(row[0], line_no, "bus id"))
         if gbus not in bus_ids:
             raise CaseParseError(f"unknown bus {gbus} in gen table", line_no, "gen")
-        pmax = max(row[8], 0.0) / base_mva
+        pmax = max(_finite(row[8], line_no, "Pmax"), 0.0) / base_mva
         total_gen_pu += pmax
         gens.append(Generator(id=len(gens) + 1, bus=gbus, p_max=pmax))
 
@@ -344,21 +355,22 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables["branch"]:
         if len(row) < 4:
             raise CaseParseError("branch row too short", line_no, "branch")
-        fbus, tbus = int(row[0]), int(row[1])
+        fbus = int(_finite(row[0], line_no, "bus id"))
+        tbus = int(_finite(row[1], line_no, "bus id"))
         if fbus not in bus_ids:
             raise CaseParseError(f"unknown bus {fbus} in branch table", line_no, "branch")
         if tbus not in bus_ids:
             raise CaseParseError(f"unknown bus {tbus} in branch table", line_no, "branch")
-        x = row[3]
-        status = row[10] if len(row) > 10 else 1.0
+        status = _finite(row[10], line_no, "status") if len(row) > 10 else 1.0
         if status == 0:
             continue
+        x = _finite(row[3], line_no, "x")
         if x == 0:
             raise CaseParseError("zero reactance", line_no, "x")
-        rate_a = row[5] if len(row) > 5 else 0.0
+        rate_a = _finite(row[5], line_no, "rateA") if len(row) > 5 else 0.0
         limit = rate_a / base_mva if rate_a > 0 else unlimited_cap
-        angmin = row[11] if len(row) > 11 else 0.0
-        angmax = row[12] if len(row) > 12 else 0.0
+        angmin = _finite(row[11], line_no, "angmin") if len(row) > 11 else 0.0
+        angmax = _finite(row[12], line_no, "angmax") if len(row) > 12 else 0.0
         adm = _angle_diff_max(angmin, angmax)
         lines.append(Line(id=len(lines) + 1, from_bus=fbus, to_bus=tbus,
                           susceptance_b=-1.0 / x, thermal_limit=limit,

@@ -113,6 +113,33 @@ def energizes_every_line(lp, form) -> bool:
     return form is not None and not np.isinf(form.lower[len(lp.variables):]).any()
 
 
+def start_inversions(monkeypatch, inverse=None) -> list:
+    """Record the columns of every basis that ``lp.basis_inverse`` inverts
+    for a start (``Basis.inverse``), leaving out the fresh inversions of
+    ``_Simplex._refactorize``; ``inverse``, when given, stands in for
+    ``basis_inverse`` at those starts."""
+    import gridrestore.lp as lp_module
+    made, refactorizing = [], [False]
+    real_inverse, real_refactorize = lp_module.basis_inverse, lp_module._Simplex._refactorize
+
+    def counting(form, columns):
+        if refactorizing[0]:
+            return real_inverse(form, columns)
+        made.append(columns)
+        return (inverse or real_inverse)(form, columns)
+
+    def refactorize(self):
+        refactorizing[0] = True
+        try:
+            real_refactorize(self)
+        finally:
+            refactorizing[0] = False
+
+    monkeypatch.setattr(lp_module, "basis_inverse", counting)
+    monkeypatch.setattr(lp_module._Simplex, "_refactorize", refactorize)
+    return made
+
+
 @pytest.fixture
 def meshed_scenarios():
     """(network, damage) pairs on meshed grids, 25% of lines damaged."""

@@ -204,14 +204,14 @@ class TestSolve:
     def test_no_cold_lp_inside_solve_mip(self, tmp_path, monkeypatch, algo):
         # each ordering MILP's root starts from the model's start, its
         # other LPs from a parent's basis, and every base from its crash
-        # basis: no LP of the run is cold
-        real_cold = gridrestore.lp._Simplex.solve
+        # basis: no LP of the run is cold, that is, runs from the slack basis
+        real_slack = gridrestore.lp._Simplex.slack_basis
         real_node_lp = gridrestore.milp.solve_lp
         inside, colds, starts = [False], [], []
 
         def cold(self):
             colds.append(inside[0])
-            return real_cold(self)
+            return real_slack(self)
 
         def node_lp(lp, *args, **kwargs):
             starts.append(kwargs.get("start"))
@@ -221,7 +221,7 @@ class TestSolve:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(gridrestore.lp._Simplex, "solve", cold)
+        monkeypatch.setattr(gridrestore.lp._Simplex, "slack_basis", cold)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", node_lp)
         case = os.path.join(CASES_DIR, "mesh12.m")
         assert main(["solve", "--case", case, "--damage-fraction", "0.25", "--seed", "3",
@@ -252,6 +252,20 @@ class TestSolve:
         rc = main(["solve", "--case", str(bad), "--damage-fraction", "1.0",
                    "--algo", "util", "--out", str(tmp_path)])
         assert rc == EXIT_PARSE
+
+    def test_non_finite_case_number_is_a_parse_error(self, tmp_path, capsys):
+        # tiny3 with a NaN reactance on its first branch
+        with open(TINY3) as f:
+            text = f.read()
+        bad = tmp_path / "nan.m"
+        bad.write_text(text.replace("1\t2\t0\t0.1\t", "1\t2\t0\tNaN\t"))
+        out_dir = tmp_path / "out"
+        rc = main(["solve", "--case", str(bad), "--damage-fraction", "1.0",
+                   "--algo", "util", "--out", str(out_dir)])
+        assert rc == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert err.startswith("error: parse error") and "field 'x'" in err
+        assert out == "" and not out_dir.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["solve", "--case", str(tmp_path / "nope.m"),

@@ -18,7 +18,7 @@ from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
                               solve_mip)
 from gridrestore.models import build_rop
 from gridrestore.network import build_schedule, random_damage
-from conftest import meshed_network
+from conftest import meshed_network, start_inversions
 from oracles import enumerate_binaries
 
 
@@ -238,12 +238,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_node_is_one_lp_call(self, monkeypatch, seed):
         mip, _, assign = self._feasible_seed(self.BRANCHING_STARTS[seed])
-        calls, made, carried = [], [], []
-        real_inverse = gridrestore.lp.basis_inverse
-
-        def counting_inverse(form, columns):
-            made.append(None)
-            return real_inverse(form, columns)
+        calls, carried = [], []
 
         def recording(lp, *args, **kwargs):
             sol = solve_lp(lp, *args, **kwargs)
@@ -254,7 +249,7 @@ class TestBranchAndBound:
                 carried.append((inverse, inverse.copy()))
             return sol
 
-        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting_inverse)
+        made = start_inversions(monkeypatch)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
         assert sol.nodes == len(calls)
@@ -275,7 +270,8 @@ class TestBranchAndBound:
             assert first[1] is second[1]
             assert any(first[1] is c[2].basis for c in calls[:i])
         # every start is a solve's optimal basis, carrying the inverse that
-        # solve ended with: no LP inverts a basis, the root's included
+        # solve ended with: no LP inverts a start, the root's included (a
+        # solve may still invert its own basis afresh to check a result)
         assert made == []
         # no solve changed an inverse it copied
         for inverse, copy in carried:
@@ -283,18 +279,11 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_inverse_per_branching(self, monkeypatch, seed):
-        # branching inverts nothing: without a start the search inverts no
-        # basis, and with a root start built by hand it inverts that one
+        # branching inverts no start: without a start the search inverts
+        # none, and with a root start built by hand it inverts that one
         # once, however many branchings follow
         mip, _, assign = self._feasible_seed(20 + 10 * seed)
-        inverses = []
-        real_inverse = gridrestore.lp.basis_inverse
-
-        def counting(form, columns):
-            inverses.append(None)
-            return real_inverse(form, columns)
-
-        monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
+        inverses = start_inversions(monkeypatch)
         opts = SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign)
         sol = solve_mip(mip, opts)
         # the root, the warm-start LP, then two children per branching
@@ -396,23 +385,22 @@ class TestBranchAndBound:
         mip = build_rop(net, dmg, build_schedule(n, n)).program
         opts = SolveOptions(time_limit=30, rel_gap=0.0)
         expected = solve_mip(mip, opts)
-        starts, inverses, cold = [], [], []
-        real_solve = gridrestore.lp._Simplex.solve
+        starts, cold = [], []
+        real_slack = gridrestore.lp._Simplex.slack_basis
 
         def singular(form, columns):
-            inverses.append(columns)
             raise np.linalg.LinAlgError("Singular matrix")
 
         def counting_cold(self):
             cold.append(None)
-            return real_solve(self)
+            return real_slack(self)
 
         def recording(lp, *args, **kwargs):
             starts.append(kwargs.get("start"))
             return solve_lp(lp, *args, **kwargs)
 
-        monkeypatch.setattr(gridrestore.lp, "basis_inverse", singular)
-        monkeypatch.setattr(gridrestore.lp._Simplex, "solve", counting_cold)
+        inverses = start_inversions(monkeypatch, singular)
+        monkeypatch.setattr(gridrestore.lp._Simplex, "slack_basis", counting_cold)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
         sol = solve_mip(mip, opts)
         # only the model's start, built by hand, has an inverse to make: the

@@ -84,6 +84,25 @@ class TestGoldenCases:
         with pytest.raises(CaseParseError, match="zero reactance"):
             parse_case(text)
 
+    # (field, line of tiny3.m, index of the number on that line, value)
+    NON_FINITE = [("baseMVA", 4, 2, "NaN;"), ("bus id", 8, 0, "Inf"), ("Pd", 9, 2, "NaN"), ("Pmax", 15, 8, "NaN"),
+                  ("x", 20, 3, "NaN"), ("rateA", 20, 5, "NaN"), ("status", 20, 10, "NaN"),
+                  ("angmin", 20, 11, "-Inf"), ("angmax", 20, 12, "Inf")]
+
+    @pytest.mark.parametrize("field, line_no, k, value", NON_FINITE)
+    def test_non_finite_number_rejected(self, field, line_no, k, value):
+        # unchecked, a NaN baseMVA was read as the default 100, an infinite
+        # bus id overflowed int(), a NaN reactance reached the LP, a NaN Pd
+        # dropped its load and a NaN rateA made the line unlimited
+        with open(os.path.join(CASES_DIR, "tiny3.m")) as f:
+            lines = f.read().splitlines()
+        tokens = lines[line_no - 1].split()
+        tokens[k] = value
+        lines[line_no - 1] = " ".join(tokens)
+        with pytest.raises(CaseParseError, match="not finite") as err:
+            parse_case("\n".join(lines))
+        assert (err.value.line_no, err.value.field) == (line_no, field)
+
     def test_missing_bus_table(self):
         with pytest.raises(CaseParseError, match="bus"):
             parse_case("mpc.baseMVA = 100;\nmpc.branch = [\n];\n")
