@@ -9,8 +9,8 @@ from .network import (Bus, CaseParseError, DamageScenario, Generator, Line,
                       Load, Network, PeriodSchedule, RestorationPlan,
                       build_schedule, parse_case, random_damage)
 from .lp import Constraint, LinearProgram, LpSolution, Variable, solve_lp, write_mps
-from .milp import (ExternalBackendConfig, MipSolution, MixedIntegerProgram,
-                   SolveOptions, solve_external, solve_mip)
+from .milp import (MipSolution, MixedIntegerProgram, SolveOptions, solve_external,
+                   solve_mip)
 from .models import (PlanExtractionError, PowerServedSeries, RopArtifacts,
                      build_rip, build_rop, evaluate_plan, extract_plan,
                      plan_to_assignment)
@@ -26,7 +26,7 @@ __all__ = [
     "build_schedule", "random_damage", "Variable", "Constraint",
     "LinearProgram", "LpSolution", "solve_lp", "write_mps",
     "MixedIntegerProgram", "SolveOptions", "MipSolution", "solve_mip",
-    "solve_external", "ExternalBackendConfig", "PowerServedSeries",
+    "solve_external", "PowerServedSeries",
     "RopArtifacts", "PlanExtractionError", "build_rip", "build_rop",
     "evaluate_plan", "extract_plan", "plan_to_assignment", "AlgoBudget",
     "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
-from .milp import ExternalBackendConfig, SolveOptions, solve_external, solve_mip
+from .milp import SolveOptions, solve_external, solve_mip
 from .models import (PlanEvaluationError, build_rop, evaluate_plan, extract_plan,
                      plan_to_assignment)
 from .network import (CaseParseError, DamageScenario, Network, RestorationPlan,
@@ -103,8 +103,7 @@ def _make_damage(network: Network, config: RunConfig) -> DamageScenario:
 def _mip_solver(config: RunConfig):
     cmd = config.backend_cmd or os.environ.get(BACKEND_ENV)
     if cmd:
-        backend = ExternalBackendConfig(command_template=cmd)
-        return lambda prog, opts: solve_external(prog, opts, backend)
+        return lambda prog, opts: solve_external(prog, opts, cmd)
     return solve_mip
 
 

@@ -28,8 +28,10 @@ class AlgoBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
+        if not 0 <= self.rel_gap < 1:
+            raise ValueError("rel_gap must be in [0, 1)")
 
 
 # rad's search settings, read at each call
@@ -147,8 +149,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     constant costs no LP. One memo serves the run, the caller's ``memo``
     (as in ``evaluate_plan``) when given. When most blocks of a round
     fail, the MILP time limit doubles if most solves hit it or failed,
-    else the block-size cap grows. Never worse than ``initial``. The
-    module constants above set the search.
+    else the block-size cap grows; a MILP never gets more than the time
+    left. Never worse than ``initial``. The module constants above set
+    the search.
     """
     solver = rop_solver or _default_rop_solver
     initial_plan = initial or util_order(network, damage)
@@ -189,7 +192,8 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
             n_blocks += 1
             cur_energy = energy(order, a, b)
             plan, status = _sub_solve(solver, network, block, frozenset(order[b:]), memo,
-                                      len(block), sub_time, budget.rel_gap)
+                                      len(block), min(sub_time, deadline - time.monotonic()),
+                                      budget.rel_gap)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:
                 new_order = plan.ordered_lines()

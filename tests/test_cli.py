@@ -16,8 +16,9 @@ from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_co
 from gridrestore.heuristics import brute_force_optimal
 from gridrestore.network import (DamageScenario, build_schedule, parse_case,
                                  random_damage)
-from gridrestore.lp import LpSolution
-from gridrestore.models import PlanEvaluationError
+from gridrestore.lp import LpSolution, mps_column_name
+from gridrestore.milp import SolveOptions, solve_mip
+from gridrestore.models import PlanEvaluationError, build_rop, extract_plan
 from conftest import CASES_DIR, energizes_every_line
 
 TINY3 = os.path.join(CASES_DIR, "tiny3.m")
@@ -284,6 +285,51 @@ class TestSolve:
             assert main(args + ["--out", str(out2)]) == EXIT_OK
             for name in ("summary.json", "report.csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+FAILING_BACKEND = "false {mps} {solfile}"
+
+
+class TestExternalBackend:
+    @pytest.mark.parametrize("time_limit", ["300", "inf"])
+    @pytest.mark.parametrize("algo, code", [("rrr", EXIT_OK), ("rad", EXIT_OK),
+                                            ("rop", EXIT_SOLVER)])
+    def test_failing_backend(self, tmp_path, monkeypatch, capsys, algo, code, time_limit):
+        # rrr and rad fall back to capacity order; rop has no plan
+        monkeypatch.delenv(gridrestore.cli.BACKEND_ENV, raising=False)
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", algo,
+                   "--time-limit", time_limit, "--backend-cmd", FAILING_BACKEND,
+                   "--out", str(tmp_path)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == EXIT_SOLVER:
+            assert err == "error: solver failed with no incumbent plan\n"
+
+    def test_environment_variable_without_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(gridrestore.cli.BACKEND_ENV, FAILING_BACKEND)
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", "rop",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+
+    def test_flag_wins_over_environment_variable(self, tmp_path, monkeypatch):
+        # the flag's command copies the internal solver's solution of the
+        # same ordering MILP; the variable's command fails
+        with open(TINY3) as f:
+            net = parse_case(f.read())
+        dmg = random_damage(net, 1.0, 0)
+        n = len(dmg.damaged_lines)
+        art = build_rop(net, dmg, build_schedule(n, n))
+        sol = solve_mip(art.program, SolveOptions(time_limit=30))
+        prepared = tmp_path / "ready.sol"
+        prepared.write_text("".join(f"{mps_column_name(j)} {float(v)!r}\n"
+                                    for j, v in enumerate(sol.primal)))
+        monkeypatch.setenv(gridrestore.cli.BACKEND_ENV, FAILING_BACKEND)
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", "rop",
+                   "--backend-cmd", f"cp {prepared} {{solfile}}", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert read_summary(tmp_path)["plan"] == \
+            [sorted(p) for p in extract_plan(art, sol).periods]
 
 
 class TestCompare:

@@ -1,4 +1,6 @@
 import itertools
+import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +13,11 @@ from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
                                 extract_plan, plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network, RestorationPlan, build_schedule, random_damage)
+                                 Network, RestorationPlan, build_schedule, parse_case,
+                                 random_damage)
 from gridrestore.postprocess import monotonize, total_energy
-from conftest import meshed_network, random_network, random_scenario, tiny3_network
+from conftest import (CASES_DIR, meshed_network, random_network, random_scenario,
+                      tiny3_network)
 
 
 def plan_energy(net, dmg, plan):
@@ -253,6 +257,18 @@ def stall_limit(monkeypatch, rounds):
     monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", rounds)
 
 
+class TestAlgoBudget:
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", 0.0), ("time_limit", -1.0), ("time_limit", float("nan")),
+        ("rel_gap", 1.0), ("rel_gap", 1.5), ("rel_gap", -0.5), ("rel_gap", float("nan"))])
+    def test_rejects_bad_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlgoBudget(**{field: value})
+
+    def test_accepts_the_range_ends(self):
+        AlgoBudget(time_limit=float("inf"), rel_gap=0.0)
+
+
 class TestRad:
     def test_stall_limit_zero_is_identity(self, tiny3, monkeypatch):
         dmg = DamageScenario((1, 2, 3))
@@ -347,6 +363,32 @@ class TestRad:
         rad(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
         limits = [opts.time_limit for _, _, opts in calls]
         assert max(limits[1:]) >= 2 * limits[0]
+
+    def test_limits_stay_within_the_budget(self, monkeypatch):
+        # every sub-MILP fails, so the limit doubles each round; it must
+        # still never exceed the time left. The clock advances 10 ms a read.
+        with open(os.path.join(CASES_DIR, "mesh12.m")) as f:
+            net = parse_case(f.read())
+        dmg = random_damage(net, 0.5, 0)
+        reads = [1000.0]
+
+        def clock():
+            reads.append(reads[-1] + 0.01)
+            return reads[-1]
+
+        monkeypatch.setattr(gridrestore.heuristics, "time", SimpleNamespace(monotonic=clock))
+        seen = []
+
+        def seam(art, opts):
+            seen.append((opts.time_limit, reads[-1]))
+            return failing_solver(art, opts)
+
+        rad(net, dmg, AlgoBudget(time_limit=2), rop_solver=seam)
+        deadline = reads[1] + 2  # rad's first read plus its budget
+        assert len(seen) > 10
+        assert max(limit for limit, _ in seen) > 0.1  # the limit has doubled
+        for limit, now in seen:
+            assert 0 < limit <= deadline - now
 
     def test_partition_size_growth_adaptation(self, monkeypatch):
         # 12 lines, so the block-size cap can grow past 5 up to n // 2 = 6;

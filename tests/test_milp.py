@@ -13,10 +13,10 @@ import gridrestore.lp
 import gridrestore.milp
 from gridrestore.lp import (INF, Basis, LinearProgram, LpSolution, mps_column_name, solve_lp,
                             standard_form)
-from gridrestore.milp import (ExternalBackendConfig, MixedIntegerProgram,
-                              SolveOptions, parse_solution_file, solve_external,
-                              solve_mip)
-from gridrestore.models import build_rop
+from gridrestore.milp import (MixedIntegerProgram, SolveOptions, parse_solution_file,
+                              solve_external, solve_mip)
+from gridrestore.heuristics import util_order
+from gridrestore.models import build_rop, plan_to_assignment
 from gridrestore.network import build_schedule, random_damage
 from conftest import meshed_network, start_inversions
 from oracles import enumerate_binaries
@@ -50,6 +50,14 @@ def knapsack():
     lp.add_constraint("cap", [(0, 1.0), (1, 2.0), (2, 2.0)], "<=", 2.0)
     lp.set_objective("maximize", [(0, 2.0), (1, 2.0), (2, 1.5)])
     return MixedIntegerProgram(base=lp, binary_vars=frozenset(range(3)))
+
+
+def minimizing(mip):
+    """The minimizing twin of ``mip``: the same program, objective negated."""
+    lp = replace(mip.base)
+    lp.set_objective("minimize" if lp.objective_sense == "maximize" else "maximize",
+                     [(j, -coef) for j, coef in mip.base.objective_terms])
+    return replace(mip, base=lp)
 
 
 def solve_with_highs(mip):
@@ -103,6 +111,40 @@ class TestBranchAndBound:
             assert mip.base.constraint_violation(sol.primal) <= 1e-6
             for j in mip.binary_vars:
                 assert abs(sol.primal[j] - round(sol.primal[j])) <= 1e-6
+
+    # every random_mip seed of this file, the knapsack, and a full ROP of a
+    # meshed 14-bus grid whose search takes 57 nodes
+    @pytest.mark.parametrize("case", [*range(20), *range(300, 310), 40, 50, 60, 71, 100, 181,
+                                      "knapsack", "rop"])
+    def test_minimizing_twin_is_the_same_search(self, case):
+        # one sense: the twin's standard form is the program's, so its search
+        # takes the same nodes to the same assignment, objective negated
+        if case == "rop":
+            net = meshed_network(4, 14)
+            dmg = random_damage(net, 0.3, 4)
+            n = len(dmg.damaged_lines)
+            art = build_rop(net, dmg, build_schedule(n, n))
+            mip, warm = art.program, plan_to_assignment(art, util_order(net, dmg))
+        elif case == "knapsack":
+            mip, warm = knapsack(), {0: 0, 1: 0, 2: 1}
+        else:
+            mip = random_mip(case)
+            # the optimum's assignment, if any, as the warm start
+            warm = solve_mip(mip, SolveOptions(rel_gap=0.0)).assignment or None
+        twin = minimizing(mip)
+        assert (mip.base.objective_sense, twin.base.objective_sense) == ("maximize", "minimize")
+        for opts in (SolveOptions(rel_gap=0.0), SolveOptions(),
+                     SolveOptions(rel_gap=0.0, warm_start=warm)):
+            sol, mirrored = solve_mip(mip, opts), solve_mip(twin, opts)
+            assert (mirrored.status, mirrored.nodes, mirrored.assignment) == \
+                (sol.status, sol.nodes, sol.assignment)
+            np.testing.assert_array_equal(mirrored.objective_value, -sol.objective_value)
+            np.testing.assert_array_equal(mirrored.best_bound, -sol.best_bound)
+            np.testing.assert_array_equal(mirrored.gap, sol.gap)
+            if sol.has_incumbent:
+                np.testing.assert_array_equal(mirrored.primal, sol.primal)
+                assert sol.best_bound >= sol.objective_value
+                assert mirrored.best_bound <= mirrored.objective_value
 
     def test_enumeration_respects_binary_bounds(self):
         # z0 is a binary bounded [1, 1]: an enumeration that set it to 0
@@ -180,6 +222,13 @@ class TestBranchAndBound:
         assert sol.status == "infeasible"
         assert not sol.has_incumbent
 
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", 0.0), ("time_limit", -1.0), ("time_limit", float("nan")),
+        ("rel_gap", 1.0), ("rel_gap", 1.5), ("rel_gap", -0.5), ("rel_gap", float("nan"))])
+    def test_options_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
     def test_binary_bound_validation(self):
         lp = LinearProgram()
         lp.add_variable("z", 0.0, 2.0)
@@ -210,8 +259,10 @@ class TestBranchAndBound:
             assert sol.best_bound == pytest.approx(3.0)  # the root's bound
             assert sol.objective_value <= sol.best_bound
 
-    def test_failed_root_leaves_the_bound_unknown(self, monkeypatch):
-        mip = knapsack()
+    @pytest.mark.parametrize("sense", ["maximize", "minimize"])
+    def test_failed_root_leaves_the_bound_unknown(self, monkeypatch, sense):
+        mip = knapsack() if sense == "maximize" else minimizing(knapsack())
+        sign = 1.0 if sense == "maximize" else -1.0
         calls = []
 
         def root_fails(lp, *args, **kwargs):
@@ -228,8 +279,8 @@ class TestBranchAndBound:
         assert calls == [None, None]
         assert sol.nodes == 2
         assert sol.status == "feasible_time_limit"
-        assert sol.objective_value == pytest.approx(1.5)
-        assert sol.best_bound == INF
+        assert sol.objective_value == pytest.approx(sign * 1.5)
+        assert sol.best_bound == sign * INF
         assert sol.gap == INF
 
     # instances whose root branches under their optimal warm start
@@ -478,39 +529,90 @@ class TestExternalBackend:
         prepared = tmp_path / "ready.sol"
         prepared.write_text(f"objective 3\n{mps_column_name(0)} 1\n"
                             f"{mps_column_name(1)} 0\n")
-        backend = ExternalBackendConfig(command_template=f"cp {prepared} {{solfile}}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
         assert sol.status == "optimal_within_gap"
         assert sol.assignment == {0: 1, 1: 0}
         assert sol.objective_value == pytest.approx(3.0)
 
     def test_nonzero_exit(self, simple_binary_mip):
-        backend = ExternalBackendConfig(command_template="false {mps} {solfile}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             "false {mps} {solfile}")
         assert sol.status == "failure"
 
     def test_missing_solution_file(self, simple_binary_mip):
-        backend = ExternalBackendConfig(command_template="true {mps} {solfile}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             "true {mps} {solfile}")
         assert sol.status == "failure"
 
     def test_unparseable_solution(self, simple_binary_mip, tmp_path):
         prepared = tmp_path / "junk.sol"
         prepared.write_text("garbage line with words\n")
-        backend = ExternalBackendConfig(command_template=f"cp {prepared} {{solfile}}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
         assert sol.status == "failure"
 
     def test_infeasible_solution_rejected(self, simple_binary_mip, tmp_path):
         prepared = tmp_path / "bad.sol"
         prepared.write_text(f"{mps_column_name(0)} 1\n{mps_column_name(1)} 1\n")
-        backend = ExternalBackendConfig(command_template=f"cp {prepared} {{solfile}}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
         assert sol.status == "failure"
 
     def test_fractional_binary_rejected(self, simple_binary_mip, tmp_path):
         prepared = tmp_path / "frac.sol"
         prepared.write_text(f"{mps_column_name(0)} 0.4\n")
-        backend = ExternalBackendConfig(command_template=f"cp {prepared} {{solfile}}")
-        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10), backend)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
         assert sol.status == "failure"
+
+    @pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (1, "-inf")])
+    def test_non_finite_value_rejected(self, simple_binary_mip, tmp_path, column, value):
+        prepared = tmp_path / "nan.sol"
+        prepared.write_text(f"{mps_column_name(column)} {value}\n")
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
+        assert sol.status == "failure"
+
+    @pytest.mark.parametrize("time_limit", [10.0, INF])
+    def test_no_time_limit_sets_no_timeout(self, simple_binary_mip, tmp_path, monkeypatch,
+                                           time_limit):
+        import subprocess
+
+        prepared = tmp_path / "ready.sol"
+        prepared.write_text(f"{mps_column_name(0)} 1\n{mps_column_name(1)} 0\n")
+        timeouts = []
+        real_run = subprocess.run
+
+        def recording(*args, **kwargs):
+            timeouts.append(kwargs["timeout"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recording)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=time_limit),
+                             f"cp {prepared} {{solfile}}")
+        assert sol.status == "optimal_within_gap"
+        assert timeouts == [40.0 if time_limit == 10.0 else None]
+
+    def test_limit_beyond_the_os_wait_is_a_failure(self, simple_binary_mip, tmp_path):
+        prepared = tmp_path / "ready.sol"
+        prepared.write_text(f"{mps_column_name(0)} 1\n{mps_column_name(1)} 0\n")
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=1e300),
+                             f"cp {prepared} {{solfile}}")
+        assert sol.status == "failure"
+
+    def test_validates_once(self, simple_binary_mip, tmp_path, monkeypatch):
+        prepared = tmp_path / "ready.sol"
+        prepared.write_text(f"{mps_column_name(0)} 1\n{mps_column_name(1)} 0\n")
+        calls = []
+        real_validate = LinearProgram.validate
+
+        def counting(lp):
+            calls.append(lp)
+            return real_validate(lp)
+
+        monkeypatch.setattr(LinearProgram, "validate", counting)
+        sol = solve_external(simple_binary_mip, SolveOptions(time_limit=10),
+                             f"cp {prepared} {{solfile}}")
+        assert sol.status == "optimal_within_gap"
+        assert calls == [simple_binary_mip.base]
