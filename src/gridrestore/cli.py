@@ -87,15 +87,12 @@ def _load_network(path: str) -> Network:
 
 
 def _make_damage(network: Network, config: RunConfig) -> DamageScenario:
-    if config.damage_lines is not None:
-        dmg = DamageScenario(tuple(sorted(config.damage_lines)), seed=config.seed)
-        try:
-            dmg.validate(network)
-        except ValueError as e:
-            raise CliError(str(e), EXIT_PARSE)
-        return dmg
     try:
-        return random_damage(network, config.damage_fraction, config.seed)
+        if config.damage_lines is None:
+            return random_damage(network, config.damage_fraction, config.seed)
+        dmg = DamageScenario(tuple(sorted(config.damage_lines)), seed=config.seed)
+        dmg.validate(network)
+        return dmg
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE)
 

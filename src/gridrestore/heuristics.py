@@ -150,8 +150,10 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     (as in ``evaluate_plan``) when given. When most blocks of a round
     fail, the MILP time limit doubles if most solves hit it or failed,
     else the block-size cap grows; a MILP never gets more than the time
-    left. Never worse than ``initial``. The module constants above set
-    the search.
+    left. A round in which no block gets a plan, with a time limit that
+    already covers the time left, ends the search: later rounds could
+    only give their MILPs less. Never worse than ``initial``. The module
+    constants above set the search.
     """
     solver = rop_solver or _default_rop_solver
     initial_plan = initial or util_order(network, damage)
@@ -182,7 +184,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
             size = rng.randint(s_lo, s_hi)
             cuts.append((pos, min(pos + size, n)))
             pos += size
-        n_blocks = n_fail = n_hit = 0
+        n_blocks = n_fail = n_hit = n_planned = 0
         for a, b in cuts:
             if time.monotonic() >= deadline:
                 break
@@ -196,12 +198,15 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
                                       budget.rel_gap)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:
+                n_planned += 1
                 new_order = plan.ordered_lines()
                 new_energy = energy(order[:a] + new_order + order[b:], a, b)
                 if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
                     order[a:b] = new_order
                     continue
             n_fail += 1
+        if n_blocks > 0 and n_planned == 0 and sub_time >= deadline - time.monotonic():
+            break  # no block got a plan with all the time there is left
         stall = 0 if n_fail < n_blocks else stall + 1
         if n_blocks > 0 and n_fail >= ADAPT_THRESHOLD * n_blocks:
             if n_hit >= ADAPT_THRESHOLD * n_blocks:

@@ -99,7 +99,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
     The root LP starts from ``mip.start`` when the program has one. The
-    warm start, if feasible, becomes the initial incumbent. The time
+    warm start, if feasible, becomes the initial incumbent. The search
+    stops when the best waiting node cannot improve the incumbent by more
+    than ``rel_gap``; that node stays in the reported bound, so the gap
+    reported is the one proven. The time
     limit is checked between node solves and is every LP's deadline, so an
     LP that runs past it ends 'iteration_limit'. A time limit with no
     incumbent yields 'failure'. A node whose LP ends neither optimal nor
@@ -160,11 +163,12 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     while heap:
         if time.monotonic() > deadline:
             return result(False)
-        key, _, fixes, relax = heapq.heappop(heap)
         if incumbent is not None:
             best = sign * incumbent.objective_value
-            if key >= best - max(opts.rel_gap * abs(best), 1e-9):
-                continue  # cannot improve enough
+            if heap[0][0] >= best - max(opts.rel_gap * abs(best), 1e-9):
+                # no waiting node can improve enough; the best one stays in the bound
+                return result(True)
+        key, _, fixes, relax = heapq.heappop(heap)
         # choose the most fractional binary
         frac_j = -1
         frac_best = -1.0
@@ -192,9 +196,6 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
             if len(heap) >= max_held:
                 child.basis = Basis(child.basis.columns, child.basis.status)
             heapq.heappush(heap, (sign * child.objective_value, nodes, child_fixes, child))
-        if incumbent is not None and _relative_gap(
-                sign * incumbent.objective_value, bound_key()) <= opts.rel_gap:
-            return result(True)
     return result(True)
 
 

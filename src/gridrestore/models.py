@@ -14,10 +14,13 @@ lines that are out away, and each one is re-solved from the optimal
 basis of a base topology, the undamaged lines alone, whose inverse, the
 one its solve ended with, is copied by every such solve. ``evaluate_plan``
 solves each period of a plan that way, and ``build_rop`` its final
-period, so a caller's memo serves both. A base missing from the memo is
-solved from the basis that holds its zero dispatch (``_crash``), which
-every topology has, so no period LP is solved cold and a base's result
-does not depend on what the memo holds.
+period. One object per network, ``_Periods``, owns that LP and the basis
+and power served of each topology solved; a caller's memo holds it, so
+the memo serves both. A base not yet solved is solved from the basis that
+holds its zero dispatch (``_Periods.crash``), which every topology has,
+so no period LP is solved cold and a base's power served does not depend
+on what the memo holds; its basis may, as a topology first solved as a
+period is later read back as a base.
 
 A ROP period is written over the shared period LP's columns and rows,
 with the same reference angles, so the base's optimal basis extends to
@@ -246,18 +249,17 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
-    memo = {} if memo is None else memo
-    final = _served(network, present, live, memo, N)
+    periods = _Periods.of(network, memo)
+    final = periods.power(present, live, N)
     lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
                                final * schedule.delta[N - 1]))
-    start = _rop_start(lp, _shared_period(network, memo), _base(network, live, memo)) \
-        if N > 1 else None
+    start = _rop_start(lp, periods, periods.base(live)) if N > 1 else None
     art.program = MixedIntegerProgram(base=lp, binary_vars=frozenset(art.z.values()),
                                       start=start)
     return art
 
 
-def _rop_start(lp: LinearProgram, shared: _SharedPeriod, base: Basis | None) -> Basis | None:
+def _rop_start(lp: LinearProgram, periods: _Periods, base: Basis | None) -> Basis | None:
     """A primal feasible basis of the ordering MILP ``lp``, made from the
     base topology's optimal basis ``base`` on the shared period LP.
 
@@ -277,14 +279,11 @@ def _rop_start(lp: LinearProgram, shared: _SharedPeriod, base: Basis | None) -> 
     """
     if base is None:
         return None
-    index = {v.name: j for j, v in enumerate(shared.lp.variables)}
-    index.update({c.name: len(shared.lp.variables) + i
-                  for i, c in enumerate(shared.lp.constraints)})
     names = [v.name for v in lp.variables] + [c.name for c in lp.constraints]
     status = np.full(len(names), _AT_LOWER, dtype=np.int8)
     status[len(lp.variables):] = _BASIC
     for j, name in enumerate(names):
-        s = index.get(name.rpartition("_")[0])
+        s = periods.index.get(name.rpartition("_")[0])
         if s is not None:
             status[j] = base.status[s]
     return Basis(np.flatnonzero(status == _BASIC).astype(np.int32), status)
@@ -305,10 +304,7 @@ def extract_plan(artifacts: RopArtifacts, solution: MipSolution) -> RestorationP
             v = 1
             if k < N:
                 j = artifacts.z[(lid, k)]
-                raw = solution.assignment.get(j)
-                if raw is None and solution.primal is not None:
-                    raw = solution.primal[j]
-                v = 1 if raw >= 0.5 else 0
+                v = solution.assignment[j]
             if v < prev:
                 raise PlanExtractionError(
                     f"line {lid}: status drops from period {k - 1} to {k}")
@@ -343,26 +339,51 @@ def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[i
             for k in range(1, schedule.n_periods)}
 
 
-@dataclass(frozen=True)
-class _SharedPeriod:
-    """One network's period LP over every line, shared by all its topologies.
+class _Periods:
+    """One network's period LPs: the shared period LP over every line,
+    and the optimal basis and power served of each topology solved.
 
     Line ``ids[i]`` has its flow in column ``flow_cols[i]`` and the
     slack of its flow row in column ``row_slacks[i]`` of ``form``; bus
     ``buses[i]`` has its angle in column ``angle_cols[i]`` and the slack of
-    its balance row in column ``bal_slacks[i]``. ``xd`` maps each load id
-    to its load-fraction column.
+    its balance row in column ``bal_slacks[i]``. ``index`` maps each
+    column's and row's name to its column of ``form``, the row's slack for
+    a row, and ``xd`` each load id to its load-fraction column. ``bases``
+    holds the basis of every topology solved, keyed by the frozenset of its
+    energized line ids (None when not optimal), and ``served`` the power
+    served of every one that ended optimal.
     """
 
-    lp: LinearProgram
-    form: StandardForm
-    xd: dict
-    ids: tuple[int, ...]
-    flow_cols: np.ndarray
-    row_slacks: np.ndarray
-    buses: tuple[int, ...]
-    angle_cols: np.ndarray
-    bal_slacks: np.ndarray
+    def __init__(self, network: Network):
+        self.network = network
+        self.ids = tuple(ln.id for ln in network.lines)
+        self.buses = tuple(b.id for b in network.buses)
+        self.lp = LinearProgram()
+        self.xd, _ = _period_dcopf(self.lp, network, frozenset(self.ids))
+        self.lp.validate()
+        self.form = standard_form(self.lp)
+        names = [v.name for v in self.lp.variables] + [c.name for c in self.lp.constraints]
+        self.index = {name: j for j, name in enumerate(names)}
+
+        def cols(fmt, keys):
+            return np.array([self.index[fmt.format(key)] for key in keys], dtype=int)
+
+        self.flow_cols, self.row_slacks = cols("PL{}", self.ids), cols("flow{}", self.ids)
+        self.angle_cols, self.bal_slacks = cols("TH{}", self.buses), cols("bal{}", self.buses)
+        self.bases, self.served = {}, {}
+
+    @classmethod
+    def of(cls, network: Network, memo: dict | None) -> _Periods:
+        """The network's period LPs, held by ``memo`` (made on first use
+        when given). Raises ``ValueError`` when the memo holds another
+        network's."""
+        if memo is None:
+            return cls(network)
+        if "periods" not in memo:
+            memo["periods"] = cls(network)
+        elif memo["periods"].network != network:
+            raise ValueError("the memo holds the evaluations of another network")
+        return memo["periods"]
 
     def bounds(self, live: frozenset[int]) -> StandardForm:
         """``form`` with only the lines in ``live`` present.
@@ -379,122 +400,79 @@ class _SharedPeriod:
         lower[self.row_slacks[out]], upper[self.row_slacks[out]] = -INF, INF
         return replace(self.form, lower=lower, upper=upper)
 
+    def crash(self, live: frozenset[int]) -> Basis:
+        """The basis of the topology ``live`` that holds its zero dispatch.
 
-def _shared_period(network: Network, memo: dict) -> _SharedPeriod:
-    """The network's shared period LP, built once per memo."""
-    shared = memo.get("form")
-    if shared is None:
-        ids = tuple(ln.id for ln in network.lines)
-        buses = tuple(b.id for b in network.buses)
-        lp = LinearProgram()
-        xd, _ = _period_dcopf(lp, network, frozenset(ids))
-        lp.validate()
-        col = {v.name: j for j, v in enumerate(lp.variables)}
-        row = {c.name: len(lp.variables) + i for i, c in enumerate(lp.constraints)}
-        shared = _SharedPeriod(lp, standard_form(lp), xd, ids,
-                               np.array([col[f"PL{lid}"] for lid in ids], dtype=int),
-                               np.array([row[f"flow{lid}"] for lid in ids], dtype=int),
-                               buses,
-                               np.array([col[f"TH{bus}"] for bus in buses], dtype=int),
-                               np.array([row[f"bal{bus}"] for bus in buses], dtype=int))
-        memo["form"] = shared
-    return shared
+        Basic: the flow of each live line, the free slack of each flow row of
+        a line out, and the angle of every bus but the pinned reference buses
+        and the lowest bus of each island, over the live lines with nonzero
+        susceptance, that has none; those buses' balance slacks are basic
+        instead. With every other column at 0 the basic values are 0 too, and
+        the point (no generation, no load, no flow) is feasible in every
+        topology. Per island the basis is the weighted Laplacian with one bus
+        removed, so it is nonsingular (Bixby, "Implementing the simplex
+        method: the initial basis", ORSA J. Computing 1992). No basic column
+        has a cost, so each reduced cost is the objective's own: with the
+        load fractions moved to their upper bounds the basis is dual feasible
+        too, and ``solve_lp`` runs the dual simplex from it.
+        """
+        network, form = self.network, self.form
+        is_live = np.array([lid in live for lid in self.ids], dtype=bool)
+        pinned = form.lower[self.angle_cols] == form.upper[self.angle_cols]
+        held = pinned.copy()  # buses whose balance slack is basic
+        position = {bus: i for i, bus in enumerate(self.buses)}
+        for island in line_components(network, (lid for lid in live
+                                                if network.lines_by_id[lid].susceptance_b != 0)):
+            at = [position[bus] for bus in island]
+            if not pinned[at].any():
+                held[at[0]] = True
+        status = np.full(form.c.size, _AT_LOWER, dtype=np.int8)
+        status[self.angle_cols[held & ~pinned]] = _FREE
+        for cols in (self.flow_cols[is_live], self.row_slacks[~is_live],
+                     self.angle_cols[~held], self.bal_slacks[held]):
+            status[cols] = _BASIC
+        return Basis(np.flatnonzero(status == _BASIC).astype(np.int32), status)
 
+    def _solve(self, live: frozenset[int], start: Basis | None):
+        """Solve the topology ``live`` from ``start`` and keep its basis
+        and, when optimal, its power served, load fractions clipped to
+        [0, 1]."""
+        # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
+        # double, a tracing wrapper) sees every period LP, base LPs included
+        from .lp import solve_lp
 
-def _crash(network: Network, shared: _SharedPeriod, live: frozenset[int]) -> Basis:
-    """The basis of the topology ``live`` that holds its zero dispatch.
+        sol = solve_lp(self.lp, form=self.bounds(live), start=start)
+        self.bases[live] = sol.basis
+        if sol.status == "optimal":
+            self.served[live] = sum(min(max(float(sol.primal[self.xd[d.id]]), 0.0), 1.0)
+                                    * d.p_demand for d in self.network.loads)
+        return sol
 
-    Basic: the flow of each live line, the free slack of each flow row of
-    a line out, and the angle of every bus but the pinned reference buses
-    and the lowest bus of each island, over the live lines with nonzero
-    susceptance, that has none; those buses' balance slacks are basic
-    instead. With every other column at 0 the basic values are 0 too, and
-    the point (no generation, no load, no flow) is feasible in every
-    topology. Per island the basis is the weighted Laplacian with one bus
-    removed, so it is nonsingular (Bixby, "Implementing the simplex
-    method: the initial basis", ORSA J. Computing 1992). No basic column
-    has a cost, so each reduced cost is the objective's own: with the
-    load fractions moved to their upper bounds the basis is dual feasible
-    too, and ``solve_lp`` runs the dual simplex from it.
-    """
-    form = shared.form
-    is_live = np.array([lid in live for lid in shared.ids], dtype=bool)
-    pinned = form.lower[shared.angle_cols] == form.upper[shared.angle_cols]
-    held = pinned.copy()  # buses whose balance slack is basic
-    position = {bus: i for i, bus in enumerate(shared.buses)}
-    for island in line_components(network, (lid for lid in live
-                                            if network.lines_by_id[lid].susceptance_b != 0)):
-        at = [position[bus] for bus in island]
-        if not pinned[at].any():
-            held[at[0]] = True
-    status = np.full(form.c.size, _AT_LOWER, dtype=np.int8)
-    status[shared.angle_cols[held & ~pinned]] = _FREE
-    for cols in (shared.flow_cols[is_live], shared.row_slacks[~is_live],
-                 shared.angle_cols[~held], shared.bal_slacks[held]):
-        status[cols] = _BASIC
-    return Basis(np.flatnonzero(status == _BASIC).astype(np.int32), status)
+    def base(self, undamaged: frozenset[int]) -> Basis | None:
+        """The optimal basis of the base topology ``undamaged``, None when
+        its LP is not optimal: kept, or solved from its zero-dispatch
+        basis (``crash``)."""
+        if undamaged not in self.bases:
+            self._solve(undamaged, self.crash(undamaged))
+        return self.bases[undamaged]
 
+    def power(self, live: frozenset[int], undamaged: frozenset[int], k: int) -> float:
+        """Power served under the topology ``live``, kept or solved.
 
-def _delivered(network: Network, shared: _SharedPeriod, sol) -> float:
-    """Power served at the period LP's optimum, load fractions clipped to [0, 1]."""
-    return sum(min(max(float(sol.primal[shared.xd[d.id]]), 0.0), 1.0) * d.p_demand
-               for d in network.loads)
-
-
-def _solve(network: Network, live: frozenset[int], start: Basis | None, memo: dict):
-    """Solve the topology ``live`` on the network's shared period LP from
-    ``start`` and memoize its basis and, when optimal, its power served."""
-    # looked up per call, so a replaced gridrestore.lp.solve_lp (a test
-    # double, a tracing wrapper) sees every period LP, base LPs included
-    from .lp import solve_lp
-
-    shared = _shared_period(network, memo)
-    sol = solve_lp(shared.lp, form=shared.bounds(live), start=start)
-    memo[("basis", live)] = sol.basis
-    if sol.status == "optimal":
-        memo[live] = _delivered(network, shared, sol)
-    return sol
-
-
-def _base(network: Network, undamaged: frozenset[int], memo: dict) -> Basis | None:
-    """The optimal basis of the base topology ``undamaged``, None when its
-    LP is not optimal.
-
-    Read from ``memo``, which holds the basis of every topology solved, or
-    solved from the topology's zero-dispatch basis (``_crash``).
-    """
-    key = ("basis", undamaged)
-    if key not in memo:
-        _solve(network, undamaged, _crash(network, _shared_period(network, memo), undamaged),
-               memo)
-    return memo[key]
-
-
-def _served(network: Network, live: frozenset[int], undamaged: frozenset[int],
-            memo: dict, k: int) -> float:
-    """Power served under the topology ``live``, read from ``memo`` or solved.
-
-    A miss is solved on the network's shared period LP from the optimal
-    basis of the base topology ``undamaged`` (``_base``), copying the
-    inverse that basis carries from its solve; when the base is not
-    optimal the topologies solve cold. Raises ``PlanEvaluationError`` for
-    period ``k`` when the topology's LP does not end optimal, and
-    ``ValueError`` when the memo holds another network.
-    """
-    known = memo.setdefault("network", network)
-    if known is not network and known != network:
-        raise ValueError("the memo holds the evaluations of another network")
-    hit = memo.get(live)
-    if hit is None:
-        start = _base(network, undamaged, memo)
-        # the base solve is this topology's when live is the base topology
-        hit = memo.get(live)
-    if hit is None:
-        sol = _solve(network, live, start, memo)
-        if sol.status != "optimal":
-            raise PlanEvaluationError(k, sol.status)
-        hit = memo[live]
-    return hit
+        A topology not yet solved is solved from the optimal basis of the
+        base topology ``undamaged`` (``base``), copying the inverse that
+        basis carries from its solve; when the base is not optimal the
+        topologies solve cold. Raises ``PlanEvaluationError`` for period
+        ``k`` when the topology's LP does not end optimal.
+        """
+        if live not in self.served:
+            start = self.base(undamaged)
+            # the base solve is this topology's when live is the base topology
+            if live not in self.served:
+                sol = self._solve(live, start)
+                if sol.status != "optimal":
+                    raise PlanEvaluationError(k, sol.status)
+        return self.served[live]
 
 
 def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
@@ -505,24 +483,21 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     single-period LP. All of them are one shared LP over every line of
     the network, the period's topology a change of its bounds. Each
     topology is re-solved from the optimal basis of the base topology,
-    the undamaged lines alone, which is solved first (``_base``) and
+    the undamaged lines alone, which is solved first (``_Periods.base``) and
     carries its solve's inverse. Restoring lines only unfixes flow columns and
     fixes row slacks, so that basis stays dual feasible, and as the start
     is the same for every period, a result does not depend on the order of
     the periods.
 
-    ``memo``, if given, holds that state across calls on one network: the
-    network under ``"network"``, the shared LP under ``"form"``, and per
-    topology solved, keyed by the frozenset of energized line ids, its
-    delivered power and, under ``("basis", line ids)``, its optimal basis
-    (None when not optimal), which the base is one of. It is read before
-    and filled after each solve. Raises ``ValueError`` when
-    the memo holds another network.
+    ``memo``, if given, holds that state across calls on one network:
+    one ``_Periods`` object, the shared LP and the basis and power served
+    of every topology solved, which the base is one of. It is read before
+    and filled after each solve. Raises ``ValueError`` when the memo holds
+    another network's.
     """
     _check_plan(network, damage, plan, schedule)
-    memo = {} if memo is None else memo
+    periods = _Periods.of(network, memo)
     undamaged = energized_lines(network, damage, plan, 0)
-    delivered = tuple(_served(network, energized_lines(network, damage, plan, k),
-                              undamaged, memo, k)
+    delivered = tuple(periods.power(energized_lines(network, damage, plan, k), undamaged, k)
                       for k in range(1, schedule.n_periods + 1))
     return PowerServedSeries(delivered, tuple(schedule.delta))

@@ -267,9 +267,12 @@ def parse_case(text: str) -> Network:
     Supported: ``mpc.baseMVA`` plus the ``mpc.bus``, ``mpc.gen`` and
     ``mpc.branch`` matrices with whitespace-separated numeric rows and
     ``%`` comments. AC parameters, areas, gencost etc. are parsed over
-    and ignored. Branch rows with status 0 are dropped; reactance is
-    converted to susceptance b = -1/x; rateA is converted to per-unit.
-    Every number read (baseMVA, bus id, Pd, Pmax, x, rateA, status,
+    and ignored. Generator and branch rows with status 0 are out of
+    service and dropped, so an out-of-service generator's Pmax is not in
+    the cap that stands in for an unlimited rateA; reactance is converted
+    to susceptance b = -1/x; rateA is converted to per-unit. A branch in
+    service that joins a bus to itself is an error. Every number read
+    (baseMVA, bus id, Pd, gen status, Pmax, x, rateA, branch status,
     angmin, angmax) must be finite.
     """
     base_mva = 100.0
@@ -345,6 +348,8 @@ def parse_case(text: str) -> Network:
         gbus = int(_finite(row[0], line_no, "bus id"))
         if gbus not in bus_ids:
             raise CaseParseError(f"unknown bus {gbus} in gen table", line_no, "gen")
+        if _finite(row[7], line_no, "status") == 0:
+            continue
         pmax = max(_finite(row[8], line_no, "Pmax"), 0.0) / base_mva
         total_gen_pu += pmax
         gens.append(Generator(id=len(gens) + 1, bus=gbus, p_max=pmax))
@@ -364,6 +369,8 @@ def parse_case(text: str) -> Network:
         status = _finite(row[10], line_no, "status") if len(row) > 10 else 1.0
         if status == 0:
             continue
+        if fbus == tbus:
+            raise CaseParseError(f"branch joins bus {fbus} to itself", line_no, "branch")
         x = _finite(row[3], line_no, "x")
         if x == 0:
             raise CaseParseError("zero reactance", line_no, "x")

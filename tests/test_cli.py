@@ -268,6 +268,25 @@ class TestSolve:
         assert err.startswith("error: parse error") and "field 'x'" in err
         assert out == "" and not out_dir.exists()
 
+    def test_self_loop_branch_is_a_parse_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["solve", "--case", os.path.join(CASES_DIR, "selfloop.m"),
+                   "--damage-fraction", "1.0", "--algo", "util", "--out", str(out_dir)])
+        assert rc == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: parse error") and "(line 22, field 'branch')" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_repeated_damage_line_is_one_error_line(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "1", "--algo", "util",
+                   "--out", str(out_dir)])
+        assert rc == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert err == "error: duplicate damaged line ids\n"
+        assert out == "" and not out_dir.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["solve", "--case", str(tmp_path / "nope.m"),
                    "--damage-fraction", "1.0", "--algo", "util",
@@ -305,6 +324,27 @@ class TestExternalBackend:
         assert "Traceback" not in err
         if code == EXIT_SOLVER:
             assert err == "error: solver failed with no incumbent plan\n"
+
+    @pytest.mark.parametrize("time_limit, rounds", [("300", 8), ("inf", 1)])
+    def test_rad_stops_when_no_block_gets_a_plan(self, tmp_path, monkeypatch, time_limit,
+                                                 rounds):
+        # tiny3's three lines make one block per round. Each round doubles
+        # the MILP time limit from 1% of the budget, 3 s, ..., 384 s; the
+        # first round whose limit covers the time left ends the search
+        monkeypatch.delenv(gridrestore.cli.BACKEND_ENV, raising=False)
+        real_solve_external = gridrestore.cli.solve_external
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real_solve_external(*args)
+
+        monkeypatch.setattr(gridrestore.cli, "solve_external", counting)
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", "rad",
+                   "--time-limit", time_limit, "--backend-cmd", FAILING_BACKEND,
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert len(calls) == rounds
 
     def test_environment_variable_without_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv(gridrestore.cli.BACKEND_ENV, FAILING_BACKEND)

@@ -492,6 +492,24 @@ class TestBranchAndBound:
                         assert warm.objective_value == pytest.approx(
                             cold.objective_value, rel=1e-9, abs=1e-9)
 
+    def test_stop_within_gap_reports_the_proven_bound(self):
+        # rop's setup: the full ordering MILP warm-started from util. At 1%
+        # the root's bound lies within the gap of the warm start, and the
+        # search stops on it: that bound, not the incumbent, is proven
+        net = meshed_network(5, 12)
+        dmg = random_damage(net, 0.25, 5)
+        n = len(dmg.damaged_lines)
+        art = build_rop(net, dmg, build_schedule(n, n))
+        warm = plan_to_assignment(art, util_order(net, dmg))
+        exact = solve_mip(art.program, SolveOptions(rel_gap=0.0, warm_start=warm))
+        sol = solve_mip(art.program, SolveOptions(rel_gap=0.01, warm_start=warm))
+        assert exact.status == sol.status == "optimal_within_gap"
+        assert sol.objective_value < exact.objective_value
+        assert sol.best_bound >= exact.objective_value - 1e-9
+        assert sol.gap == pytest.approx(
+            (sol.best_bound - sol.objective_value) / sol.objective_value, rel=1e-12)
+        assert 0 < sol.gap <= 0.01
+
     def test_determinism(self):
         mip, _, _ = self._feasible_seed(11)
         opts = SolveOptions(time_limit=30, rel_gap=0.0)

@@ -10,8 +10,8 @@ import gridrestore.models
 from gridrestore.lp import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, LinearProgram, LpSolution,
                             _dense_columns, _times, basis_inverse, solve_lp, standard_form)
 from gridrestore.milp import SolveOptions, solve_mip
-from gridrestore.models import (PlanEvaluationError, PlanExtractionError, _crash,
-                                _period_dcopf, _shared_period, build_rip, build_rop,
+from gridrestore.models import (PlanEvaluationError, PlanExtractionError, _period_dcopf,
+                                _Periods, build_rip, build_rop,
                                 energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
@@ -173,7 +173,7 @@ class TestRip:
         # the base topology, the undamaged lines alone, is no period here
         base = energized_lines(net, dmg, plans[0], 0)
         assert base not in topologies
-        assert {key for key in memo if isinstance(key, frozenset)} == topologies | {base}
+        assert set(memo["periods"].served) == topologies | {base}
         # one LP per topology and one for the base; each call without a memo
         # solves its n periods and a base of its own
         assert len(lps) == len(topologies) + 1 + (n + 1) * len(plans)
@@ -236,7 +236,7 @@ class TestRip:
         (base_start, base), misses = calls[0], calls[1:]
         undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
         # the base solves from its crash basis, which inverts itself once
-        crash = _crash(net, memo["form"], undamaged)
+        crash = memo["periods"].crash(undamaged)
         np.testing.assert_array_equal(base_start.columns, crash.columns)
         np.testing.assert_array_equal(base_start.status, crash.status)
         assert base.status == "optimal"
@@ -248,10 +248,10 @@ class TestRip:
         start = misses[0][0]
         assert all(s is start for s, _ in misses)
         assert start is base.basis
-        start.inverse(memo["form"].form)
+        start.inverse(memo["periods"].form)
         assert len(inverses) == 1
         # the base solve is memoized as the base topology's result
-        assert memo[undamaged] == pytest.approx(base.objective_value, rel=1e-12)
+        assert memo["periods"].served[undamaged] == pytest.approx(base.objective_value, rel=1e-12)
 
     def test_one_form_per_line_set_and_memo(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[2]
@@ -323,10 +323,10 @@ class TestCrash:
 
     def test_nonsingular_and_primal_feasible(self, grids):
         for net, dmg in grids:
-            shared = _shared_period(net, {})
+            shared = _Periods(net)
             for live in topologies(net, dmg):
                 form = shared.bounds(live)
-                crash = _crash(net, shared, live)
+                crash = shared.crash(live)
                 m = form.b.size
                 assert len(set(crash.columns.tolist())) == len(crash.columns) == m
                 assert (crash.status[crash.columns] == _BASIC).all()
@@ -355,10 +355,10 @@ class TestCrash:
 
         monkeypatch.setattr(gridrestore.lp._Simplex, "slack_basis", cold)
         for net, dmg in grids:
-            shared = _shared_period(net, {})
+            shared = _Periods(net)
             for live in topologies(net, dmg):
                 form = shared.bounds(live)
-                sol = solve_lp(shared.lp, form=form, start=_crash(net, shared, live))
+                sol = solve_lp(shared.lp, form=form, start=shared.crash(live))
                 assert (sol.status, colds) == ("optimal", [])
                 reference = solve_lp(shared.lp, form=form)
                 assert reference.status == "optimal"

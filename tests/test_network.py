@@ -51,6 +51,23 @@ class TestGoldenCases:
         assert [(g.bus, g.p_max) for g in net.generators] == [(1, 1.2), (3, 0.8)]
         assert [(d.bus, d.p_demand) for d in net.loads] == [(2, 0.5), (4, 0.3)]
 
+    def test_status0_generator_dropped(self):
+        # the second generator out of service, and the 3-4 branch unlimited
+        with open(os.path.join(CASES_DIR, "status0.m")) as f:
+            text = f.read()
+        text = text.replace("\t3\t0\t0\t100\t-100\t1\t100\t1\t80",
+                            "\t3\t0\t0\t100\t-100\t1\t100\t0\t80")
+        text = text.replace("\t3\t4\t0\t0.4\t0\t90", "\t3\t4\t0\t0.4\t0\t0")
+        net = parse_case(text)
+        assert [(g.id, g.bus, g.p_max) for g in net.generators] == [(1, 1, 1.2)]
+        # the cap for an unlimited rateA counts the generators in service only
+        assert net.lines_by_id[2].thermal_limit == pytest.approx(1.2)
+
+    def test_self_loop_branch_reports_location(self):
+        with pytest.raises(CaseParseError, match="joins bus 3 to itself") as err:
+            read_case("selfloop.m")
+        assert (err.value.line_no, err.value.field) == (22, "branch")
+
     def test_default_angle_and_unlimited_rating(self):
         net = read_case("defaultangle.m")
         assert net.base_mva == 50.0
@@ -86,6 +103,7 @@ class TestGoldenCases:
 
     # (field, line of tiny3.m, index of the number on that line, value)
     NON_FINITE = [("baseMVA", 4, 2, "NaN;"), ("bus id", 8, 0, "Inf"), ("Pd", 9, 2, "NaN"), ("Pmax", 15, 8, "NaN"),
+                  ("status", 15, 7, "NaN"),
                   ("x", 20, 3, "NaN"), ("rateA", 20, 5, "NaN"), ("status", 20, 10, "NaN"),
                   ("angmin", 20, 11, "-Inf"), ("angmax", 20, 12, "Inf")]
 
