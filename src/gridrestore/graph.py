@@ -27,15 +27,22 @@ def line_components(network, line_ids) -> list[list[int]]:
     return list(groups.values())
 
 
-def shortest_path(network, line_ids, weight, source: int, target: int) -> float:
-    """Length of the shortest path from bus ``source`` to bus ``target``
-    over the lines ``line_ids``, a line's length ``weight(line)`` (at least
-    0); infinite when no path joins them (Dijkstra)."""
+def adjacency(network, line_ids, weight) -> dict[int, list[tuple[int, float]]]:
+    """The neighbours of each bus over the lines ``line_ids``, each with
+    the length ``weight(line)`` of the line that joins them, in line order."""
     adjacent: dict[int, list[tuple[int, float]]] = {}
     for lid in line_ids:
         ln = network.lines_by_id[lid]
         adjacent.setdefault(ln.from_bus, []).append((ln.to_bus, weight(ln)))
         adjacent.setdefault(ln.to_bus, []).append((ln.from_bus, weight(ln)))
+    return adjacent
+
+
+def shortest_path(adjacent, source: int, target: int) -> float:
+    """Length of the shortest path from bus ``source`` to bus ``target``
+    over ``adjacent`` (``adjacency``), whose lengths are at least 0;
+    infinite when no path joins them (Dijkstra, stopped once ``target``
+    is settled)."""
     dist = {source: 0.0}
     heap = [(0.0, source)]
     while heap:

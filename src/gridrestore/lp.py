@@ -3,41 +3,53 @@
 The solver is a simplex over general bounds with a dense basis inverse,
 meant for desk-scale problems (a few thousand variables at most) where
 exactness and determinism matter more than speed. The constraint matrix
-is held only compressed by column, built once by ``standard_form``:
-pricing (the reduced costs and the dual simplex's pivot row) and every
-product ``A x`` sum over its nonzeros, the entering column's image under
-the inverse reads only the inverse's columns on that column's rows, an
-inversion scatters just the basic columns into a dense block, and a
-pivot updates the inverse by one BLAS rank-1 product. Every solve is a
-run from a basis of the standard form. A dual feasible start, such as
-the optimal basis of an earlier solve under other bounds, as a
-branch-and-bound child starts from its parent, runs a bounded dual
+is held only compressed by column, built once by ``standard_form`` with
+array operations: pricing (the reduced costs and the dual simplex's
+pivot row) and every product ``A x`` sum over its nonzeros, the entering
+column's image under the inverse reads only the inverse's columns on
+that column's rows, an inversion scatters just the basic columns into a
+dense block, and a pivot updates the inverse by one BLAS rank-1 product.
+A run keeps its working state from pivot to pivot: the bounds of the
+basic columns in basis order, and which nonbasic columns may rise and
+which may fall, built once and updated for the columns each pivot or
+bound flip moves.
+
+Every solve is a run from a basis of the standard form. A dual feasible
+start, such as the optimal basis of an earlier solve under other bounds,
+as a branch-and-bound child starts from its parent, runs a bounded dual
 simplex, which prices its reduced costs once and updates them from each
 pivot row; a row that proves the LP infeasible proves it again under an
 inverse made afresh. Then the primal simplex runs: phase 1 minimizes the
 basic values' bound violations and does nothing from a primal feasible
 point, such as an ordering MILP's root start, and phase 2 minimizes the
-objective, from an inverse made afresh when phase 1 pivoted. Bland's
-anti-cycling rule engages after a run of degenerate pivots. A cold solve
-is the same run from the slack basis, which carries the identity as its
-inverse and never takes the dual path. No solve reports "optimal" unless
-every basic value then lies within its bounds. An optimal basis carries
-the inverse its solve ended with (``Basis.inverse``): the
-product-updated inverse when the basic values it gives pass the residual
-check, the fresh one otherwise. A basis made by hand inverts itself once
-per matrix, by ``basis_inverse``, which peels the basic slack columns
-off and inverts only the block left. Every solve from a basis copies its
-inverse, so sibling solves share one, and a carried inverse that fails
-the start's residual check is replaced once by a fresh one. A run from a
-caller's start that is singular or inaccurate, ends unbounded, or can
-settle infeasibility neither way is run again from the slack basis in
-the same call.
+objective, from an inverse made afresh when phase 1 pivoted. A dual
+optimum skips phase 1: its basic values lie within FEAS_TOL of their
+bounds, inside phase 1's tolerance. Bland's anti-cycling rule engages
+after a run of degenerate pivots. A cold solve is the same run from the
+slack basis, which carries the identity as its inverse and never takes
+the dual path. No solve reports "optimal" unless every basic value then
+lies within its bounds.
+
+An optimal basis carries the inverse its solve ended with
+(``Basis.inverse``): the product-updated inverse when the basic values it
+gives pass the residual check, the fresh one otherwise. Beside it, the
+basis carries the reduced costs of the closing pricing, the one that
+proved it optimal under that inverse; a solve from it that copies that
+inverse under the same cost vector takes them instead of pricing. A
+basis made by hand inverts itself once per matrix, by ``basis_inverse``,
+which peels the basic slack columns off and inverts only the block left.
+Every solve from a basis copies its inverse, so sibling solves share one,
+and a carried inverse that fails the start's residual check is replaced
+once by a fresh one. A run from a caller's start that is singular or
+inaccurate, ends unbounded, or can settle infeasibility neither way is
+run again from the slack basis in the same call.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -49,7 +61,7 @@ PIVOT_TOL = 1e-10    # zero-pivot threshold
 DEGEN_THRESHOLD = 40  # consecutive degenerate pivots before Bland's rule
 INFEAS_TOL = 1e-6    # phase-1 residual above which an LP is infeasible
 RESID_TOL = 1e-6     # warm basis: largest |Ax - b| relative to 1 + max|b|
-ITERATION_LIMIT = 50000  # pivots per solve_lp call, warm and cold together
+ITERATION_LIMIT = 50000  # pivots and flips per solve_lp call, warm and cold together
 
 # nonbasic variable states
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
@@ -163,29 +175,45 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     """Build the standard form of a validated LP.
 
     The one place an LP's terms become a matrix: the terms of one column
-    in one row are summed in term order and a zero sum is dropped.
+    in one row are summed in term order and a zero sum is dropped. The
+    terms, flattened row by row with each row's slack after them, are
+    sorted stably by (column, row), so the terms of one entry stay in
+    their order, and each run of equal keys is summed from its first
+    term on, one term at a time.
     """
     n, m = len(lp.variables), len(lp.constraints)
-    b = np.zeros(m)
-    c = np.zeros(n + m)
+    cons = lp.constraints
+    b = np.array([con.rhs for con in cons], dtype=float)
     lower = np.empty(n + m)
     upper = np.empty(n + m)
-    for j, v in enumerate(lp.variables):
-        lower[j], upper[j] = v.lower, v.upper
-    entries: dict[tuple[int, int], float] = {}  # (column, row) -> coefficient
-    for i, con in enumerate(lp.constraints):
-        for idx, coef in con.terms:
-            entries[idx, i] = entries.get((idx, i), 0.0) + coef
-        entries[n + i, i] = 1.0
-        b[i] = con.rhs
-        lower[n + i], upper[n + i] = _SLACK_BOUNDS[con.relation]
-    sense = 1.0 if lp.objective_sense == "minimize" else -1.0
-    for idx, coef in lp.objective_terms:
-        c[idx] += sense * coef
-    keys = sorted(key for key, v in entries.items() if v != 0.0)
-    nz_col = np.array([col for col, _ in keys], dtype=np.intp)
-    nz_row = np.array([row for _, row in keys], dtype=np.intp)
-    nz_val = np.array([entries[key] for key in keys], dtype=float)
+    lower[:n] = [v.lower for v in lp.variables]
+    upper[:n] = [v.upper for v in lp.variables]
+    lower[n:] = [_SLACK_BOUNDS[con.relation][0] for con in cons]
+    upper[n:] = [_SLACK_BOUNDS[con.relation][1] for con in cons]
+    c = np.zeros(n + m)
+    if lp.objective_terms:
+        idx, coef = np.array(lp.objective_terms, dtype=float).T
+        sense = 1.0 if lp.objective_sense == "minimize" else -1.0
+        np.add.at(c, idx.astype(np.intp), sense * coef)  # in term order
+    counts = np.array([len(con.terms) for con in cons], dtype=np.intp)
+    terms = np.fromiter(chain.from_iterable(chain.from_iterable(con.terms for con in cons)),
+                        dtype=float).reshape(-1, 2)  # (column, coefficient) rows
+    row_ids = np.arange(m)
+    cols = np.concatenate((terms[:, 0].astype(np.intp), n + row_ids))
+    rows = np.concatenate((np.repeat(row_ids, counts), row_ids))
+    vals = np.concatenate((terms[:, 1], np.ones(m)))
+    order = np.lexsort((rows, cols))
+    cols, rows, vals = cols[order], rows[order], vals[order]
+    first = np.ones(cols.size, dtype=bool)
+    first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+    starts = np.flatnonzero(first)
+    run = np.diff(starts, append=cols.size)
+    sums = vals[starts]
+    for k in range(1, run.max(initial=1)):
+        more = run > k
+        sums[more] += vals[starts[more] + k]
+    keep = sums != 0.0
+    nz_col, nz_row, nz_val = cols[starts][keep], rows[starts][keep], sums[keep]
     col_ptr = np.zeros(n + m + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_col, minlength=n + m), out=col_ptr[1:])
     arrays = (b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)
@@ -265,14 +293,15 @@ class Basis:
     basis's inverse for one matrix and keeps it, so every solve from this
     basis on forms that share the matrix (a branching's children, the
     period LPs of an evaluation) copies one inverse. The optimal basis of a
-    solve carries the inverse that solve ended with; a basis made by hand
-    inverts itself on first use, and one that no solve starts from is never
-    inverted.
+    solve carries the inverse that solve ended with, and the reduced costs
+    priced under it when they were; a basis made by hand inverts itself on
+    first use, and one that no solve starts from is never inverted.
     """
 
     columns: np.ndarray
     status: np.ndarray
-    # [matrix (form.nz_val), inverse, whether a solve carried it]
+    # [matrix (form.nz_val), inverse, whether a solve carried it,
+    #  (c, reduced costs under c and that inverse) or None]
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def inverse(self, form: StandardForm, fresh: bool = False) -> np.ndarray:
@@ -283,7 +312,7 @@ class Basis:
         basis is singular."""
         kept = self._kept
         if not kept or kept[0] is not form.nz_val or (fresh and kept[2]):
-            kept[:] = form.nz_val, basis_inverse(form, self.columns), False
+            kept[:] = form.nz_val, basis_inverse(form, self.columns), False, None
         return kept[1]
 
 
@@ -293,7 +322,7 @@ class LpSolution:
     status: str
     objective_value: float
     primal: np.ndarray
-    iterations: int = 0
+    iterations: int = 0  # pivots and bound flips, not pricing passes
     basis: Basis | None = None  # the optimal basis, for an optimal solve
 
 
@@ -312,6 +341,14 @@ class _Simplex:
     takes the dual path. ``basis`` holds the basic column of each row and is
     updated in place. ``d`` holds a dual start's reduced costs, which the
     dual simplex updates.
+
+    A run keeps its working state from pivot to pivot instead of gathering
+    it again: ``lo_b`` and ``up_b`` hold the bounds of the basic columns in
+    basis order, and ``rise`` and ``fall`` tell which nonbasic columns may
+    increase (at lower or free) and which may decrease (at upper or free);
+    a fixed column does neither. ``_track`` builds them once per run, and
+    ``_pivot`` and ``_flip`` update them for the columns that move.
+    ``iterations`` counts pivots and bound flips.
     """
 
     def __init__(self, lp: LinearProgram, form: StandardForm, deadline: float | None = None):
@@ -323,6 +360,9 @@ class _Simplex:
         self.n_struct = self.nt - self.m
         self.b, self.c = form.b, form.c
         self.lo, self.up = form.lower, form.upper
+        self.fixed = (self.up - self.lo) <= 0  # cannot move; never eligible to enter
+        # the inverse the last closing pricing ran under, and its reduced costs
+        self.priced: tuple[np.ndarray, np.ndarray] | None = None
 
     def slack_basis(self) -> Basis:
         """Every slack basic and every structural column at its lower bound,
@@ -332,7 +372,7 @@ class _Simplex:
         status = np.full(nt, _AT_LOWER, dtype=np.int8)
         status[nt - m:] = _BASIC
         basis = Basis(np.arange(nt - m, nt), status)
-        basis._kept[:] = self.form.nz_val, np.eye(m), False
+        basis._kept[:] = self.form.nz_val, np.eye(m), False, None
         return basis
 
     def _warm_start(self, start: Basis, dual: bool) -> str | None:
@@ -363,11 +403,14 @@ class _Simplex:
         a copy of ``inverse``, price the reduced costs ``d``, and tell
         whether the basis is dual feasible.
 
-        Nonbasic columns go to the bound their state names, or the bound
-        they have. A column with both bounds finite then goes to the one
-        its reduced cost prefers, which makes the basis dual feasible
-        whatever the new bounds are, unless another dual infeasibility
-        remains; then every state stays as given.
+        A basis that a solve ended optimal under this cost vector ``c``
+        carries the reduced costs of its closing pricing beside its
+        inverse; they are ``d`` when ``inverse`` is that inverse, and are
+        not priced again. Nonbasic columns go to the bound their state
+        names, or the bound they have. A column with both bounds finite
+        then goes to the one its reduced cost prefers, which makes the
+        basis dual feasible whatever the new bounds are, unless another
+        dual infeasibility remains; then every state stays as given.
         """
         nt, lo, up = self.nt, self.lo, self.up
         fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
@@ -377,21 +420,41 @@ class _Simplex:
         stat[self.basis] = _BASIC
         self.x = np.zeros(nt)
         self.Binv = inverse.copy()
-        self.d = d = self._reduced_costs(self.c)
+        kept = start._kept
+        if kept[1] is inverse and kept[3] is not None and kept[3][0] is self.c:
+            self.d = d = kept[3][1].copy()
+        else:
+            self.d = d = self._reduced_costs(self.c)
+        neg, pos = d < -OPT_TOL, d > OPT_TOL
         flipped = stat.copy()
         boxed = fin_lo & fin_up & (stat != _BASIC)
-        flipped[boxed & (d < -OPT_TOL)] = _AT_UPPER
-        flipped[boxed & (d > OPT_TOL)] = _AT_LOWER
-        dual = not ((flipped == _AT_LOWER) & (d < -OPT_TOL)
-                    | (flipped == _AT_UPPER) & (d > OPT_TOL)
-                    | (flipped == _FREE) & (np.abs(d) > OPT_TOL)).any()
+        flipped[boxed & neg] = _AT_UPPER
+        flipped[boxed & pos] = _AT_LOWER
+        dual = not ((flipped == _AT_LOWER) & neg | (flipped == _AT_UPPER) & pos
+                    | (flipped == _FREE) & (neg | pos)).any()
         self.stat = stat = flipped if dual else stat
         at_lo, at_up = stat == _AT_LOWER, stat == _AT_UPPER
         x = self.x
         x[at_lo] = lo[at_lo]
         x[at_up] = up[at_up]
         self._basic_values()
+        self._track()
         return dual
+
+    def _track(self) -> None:
+        """Build the run's kept state from ``basis`` and ``stat``."""
+        bvs, stat, movable = self.basis, self.stat, ~self.fixed
+        self.lo_b, self.up_b = self.lo[bvs], self.up[bvs]
+        free = stat == _FREE
+        self.rise = movable & ((stat == _AT_LOWER) | free)
+        self.fall = movable & ((stat == _AT_UPPER) | free)
+
+    def _place(self, j: int, state: int) -> None:
+        """Give column j the state ``state``, and its rise and fall."""
+        self.stat[j] = state
+        movable = not self.fixed[j]
+        self.rise[j] = movable and state in (_AT_LOWER, _FREE)
+        self.fall[j] = movable and state in (_AT_UPPER, _FREE)
 
     # -- core pivoting -----------------------------------------------------
 
@@ -441,10 +504,20 @@ class _Simplex:
         x[q] += step
         x[bvs] -= step * w
         x[leaving] = self.lo[leaving] if to_lower else self.up[leaving]
-        self.stat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
-        self.stat[q] = _BASIC
+        self._place(leaving, _AT_LOWER if to_lower else _AT_UPPER)
+        self._place(q, _BASIC)
         bvs[pos] = q
+        self.lo_b[pos], self.up_b[pos] = self.lo[q], self.up[q]
         self._update_inverse(pos, w)
+        self.iterations += 1
+
+    def _flip(self, q: int, to_upper: bool, step: float, w: np.ndarray) -> None:
+        """Nonbasic column q moves ``step`` to its other bound, the upper one
+        if ``to_upper``, ``w = Binv a_q``; the basis stays."""
+        self.x[q] = self.up[q] if to_upper else self.lo[q]
+        self._place(q, _AT_UPPER if to_upper else _AT_LOWER)
+        self.x[self.basis] -= step * w
+        self.iterations += 1
 
     def _out_of_pivots(self) -> bool:
         """The iteration limit is used up or the deadline has passed."""
@@ -455,20 +528,22 @@ class _Simplex:
         """Primal simplex from the current basis.
 
         Phase 2 minimizes ``c`` from a primal feasible basis and returns
-        'optimal', 'unbounded' or 'limit'. Phase 1 (``feasibility``) costs
-        -1 on each basic value below its bounds and +1 on each above them,
-        re-priced every pivot, so it minimizes their total violation; in its
-        ratio test a violated value blocks only at the bound it moves back
-        to, where it leaves. It returns 'optimal' once no value is violated
-        (at once, with no pivot, from a primal feasible basis) or no column
+        'optimal', 'unbounded' or 'limit'. Its closing pricing, the one
+        that finds no improving column, is kept in ``priced`` with the
+        inverse it ran under. Phase 1 (``feasibility``) costs -1 on each
+        basic value below its bounds and +1 on each above them, re-priced
+        every pivot, so it minimizes their total violation; in its ratio
+        test a violated value blocks only at the bound it moves back to,
+        where it leaves. It returns 'optimal' once no value is violated (at
+        once, with no pivot, from a primal feasible basis) or no column
         reduces a total violation of at most INFEAS_TOL, 'infeasible' when
         no column reduces a larger one, and 'limit'.
         """
         m = self.m
-        lo, up, x, stat = self.lo, self.up, self.x, self.stat
+        lo, up, x = self.lo, self.up, self.x
+        rise, fall = self.rise, self.fall
         c = self.c
         degen_run = 0
-        fixed = (up - lo) <= 0  # cannot move; never eligible to enter
         while True:
             if feasibility:
                 below, above = self._violated()
@@ -480,37 +555,36 @@ class _Simplex:
                 c[bvs[above]] = 1.0
             if self._out_of_pivots():
                 return "limit"
-            self.iterations += 1
             d = self._reduced_costs(c)
-            up_ok = (stat == _AT_UPPER) | (stat == _FREE)
-            lo_ok = (stat == _AT_LOWER) | (stat == _FREE)
-            improving = (~fixed) & (((d < -OPT_TOL) & lo_ok) | ((d > OPT_TOL) & up_ok))
+            improving = (rise & (d < -OPT_TOL)) | (fall & (d > OPT_TOL))
             if not improving.any():
                 if feasibility and ((lo - x)[bvs[below]].sum()
                                     + (x - up)[bvs[above]].sum() > INFEAS_TOL):
                     return "infeasible"
+                if not feasibility:
+                    self.priced = self.Binv, d
                 return "optimal"
-            cand = np.flatnonzero(improving)
+            cand = improving.nonzero()[0]
             if degen_run >= DEGEN_THRESHOLD:
                 q = int(cand[0])  # Bland: lowest index
             else:
-                q = int(cand[np.argmax(np.abs(d[cand]))])
+                q = int(cand[np.abs(d[cand]).argmax()])
             sigma = 1.0 if d[q] < 0 else -1.0
             w = self._ftran(q)
             # ratio test; ties go to the lowest leaving variable index
             gap = up[q] - lo[q] if np.isfinite(up[q]) and np.isfinite(lo[q]) else INF
             if m:
                 bvs = self.basis
-                delta = -sigma * w
-                lo_b, up_b, x_b = lo[bvs], up[bvs], x[bvs]
+                lo_b, up_b, x_b = self.lo_b, self.up_b, x[bvs]
                 if feasibility:
                     lo_b, up_b = (np.where(above, up_b, np.where(below, -INF, lo_b)),
                                   np.where(below, lo_b, np.where(above, INF, up_b)))
-                t_arr = np.full(m, INF)
-                dec = (delta < -PIVOT_TOL) & np.isfinite(lo_b)
-                inc = (delta > PIVOT_TOL) & np.isfinite(up_b)
-                t_arr[dec] = (x_b[dec] - lo_b[dec]) / (-delta[dec])
-                t_arr[inc] = (up_b[inc] - x_b[inc]) / delta[inc]
+                # a basic value falls toward its lower bound where
+                # -sigma * w < 0, else rises toward its upper one; an
+                # infinite bound leaves infinite room
+                room = np.where(w > 0 if sigma > 0 else w < 0, x_b - lo_b, up_b - x_b)
+                size = np.abs(w)
+                t_arr = np.divide(room, size, out=np.full(m, INF), where=size > PIVOT_TOL)
                 np.maximum(t_arr, 0.0, out=t_arr)
                 tmin = float(t_arr.min())
             else:
@@ -520,20 +594,17 @@ class _Simplex:
                 return "infeasible" if feasibility else "unbounded"
             if tmin <= gap + PIVOT_TOL and np.isfinite(tmin):
                 # pivot: among tied rows pick the lowest variable index
-                tied = np.flatnonzero(t_arr <= tmin + PIVOT_TOL)
-                leave_pos = int(tied[np.argmin(bvs[tied])])
+                tied = (t_arr <= tmin + PIVOT_TOL).nonzero()[0]
+                leave_pos = int(tied[bvs[tied].argmin()])
                 t = tmin
             else:
                 # bound flip: q jumps to its opposite bound, no basis change
                 t = gap
                 degen_run = degen_run + 1 if t <= PIVOT_TOL else 0
-                x[q] = up[q] if sigma > 0 else lo[q]
-                stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                if m:
-                    x[bvs] = x_b - sigma * t * w
+                self._flip(q, sigma > 0, sigma * t, w)
                 continue
             degen_run = degen_run + 1 if t <= PIVOT_TOL else 0
-            to_lower = bool(delta[leave_pos] < 0)
+            to_lower = bool(sigma * w[leave_pos] > 0)
             if feasibility and (below[leave_pos] or above[leave_pos]):
                 to_lower = bool(below[leave_pos])  # back at the bound it broke
             # the ratio test only selects rows with |w_i| > PIVOT_TOL
@@ -547,54 +618,61 @@ class _Simplex:
         current inverse and again under a fresh one (``_still_infeasible``),
         'unsure' when that row can neither pivot nor prove it, and 'limit'
         when the iteration limit or the deadline leaves no pivot. The leaving
-        row has the largest bound violation and the entering column the
-        smallest |d_j / alpha_rj|; among tied columns the largest |alpha_rj|
-        wins, which keeps the primal step short and most dual-degenerate
-        re-solves to a few pivots. After a run of degenerate pivots
-        Bland's rule takes over: the lowest basic variable index leaves,
-        the lowest tied column index enters. The reduced costs ``d`` are
-        the start's; each pivot updates them from its priced pivot row
-        ``alpha``, the entering column's ``d_q / alpha_q`` times that row.
+        row has the largest bound violation (a NaN value never leaves) and
+        the entering column the smallest |d_j / alpha_rj|; among tied
+        columns the largest |alpha_rj| wins, which keeps the primal step
+        short and most dual-degenerate re-solves to a few pivots. After a
+        run of degenerate pivots Bland's rule takes over: the lowest basic
+        variable index leaves, the lowest tied column index enters. The
+        reduced costs ``d`` are the start's; each pivot updates them from
+        its priced pivot row ``alpha``, the entering column's
+        ``d_q / alpha_q`` times that row.
         """
-        lo, up, x, stat, d = self.lo, self.up, self.x, self.stat, self.d
-        fixed = (up - lo) <= 0
+        x, d, rise, fall = self.x, self.d, self.rise, self.fall
+        lo_b, up_b = self.lo_b, self.up_b
+        if not self.m:
+            return "optimal"
         degen_run = 0
         while True:
             bvs = self.basis
             x_b = x[bvs]
-            viol = np.maximum(lo[bvs] - x_b, x_b - up[bvs])
-            rows = np.flatnonzero(viol > FEAS_TOL)
-            if not rows.size:
+            viol = np.maximum(lo_b - x_b, x_b - up_b)
+            r = int(viol.argmax())
+            if viol[r] != viol[r]:  # argmax stops at the first NaN
+                viol = np.where(np.isnan(viol), -INF, viol)
+                r = int(viol.argmax())
+            if not viol[r] > FEAS_TOL:
                 return "optimal"
             if self._out_of_pivots():
                 return "limit"
-            self.iterations += 1
             if degen_run >= DEGEN_THRESHOLD:
-                r = int(rows[np.argmin(bvs[rows])])
-            else:
-                r = int(rows[np.argmax(viol[rows])])
-            to_lower = x_b[r] < lo[bvs[r]]
+                rows = (viol > FEAS_TOL).nonzero()[0]
+                r = int(rows[bvs[rows].argmin()])
+            to_lower = x_b[r] < lo_b[r]
             alpha = self._pivot_row(r)
-            # gain: how much x_B[r] moves toward its bound per unit rise of x_j
-            gain = -alpha if to_lower else alpha
-            can_rise = (stat == _AT_LOWER) | (stat == _FREE)
-            can_fall = (stat == _AT_UPPER) | (stat == _FREE)
-            eligible = ~fixed & ((can_rise & (gain > PIVOT_TOL)) | (can_fall & (gain < -PIVOT_TOL)))
-            if not eligible.any():
+            # eligible: the columns whose move within their bounds takes
+            # x_B[r] toward its bound by more than PIVOT_TOL per unit
+            if to_lower:
+                eligible = (rise & (alpha < -PIVOT_TOL)) | (fall & (alpha > PIVOT_TOL))
+            else:
+                eligible = (rise & (alpha > PIVOT_TOL)) | (fall & (alpha < -PIVOT_TOL))
+            cand = eligible.nonzero()[0]
+            if not cand.size:
+                # gain: how much x_B[r] moves toward its bound per unit rise of x_j
+                gain = -alpha if to_lower else alpha
                 if not self._row_infeasible(gain, viol[r]):
                     return "unsure"
                 return "infeasible" if self._still_infeasible(r) else "unsure"
-            cand = np.flatnonzero(eligible)
             ratio = np.abs(d[cand]) / np.abs(alpha[cand])
             tmin = float(ratio.min())
             tied = cand[ratio <= tmin + PIVOT_TOL]
             if degen_run >= DEGEN_THRESHOLD:
                 q = int(tied[0])
             else:
-                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+                q = int(tied[np.abs(alpha[tied]).argmax()])
             degen_run = degen_run + 1 if tmin <= PIVOT_TOL else 0
             w = self._ftran(q)
-            bound = lo[bvs[r]] if to_lower else up[bvs[r]]
+            bound = lo_b[r] if to_lower else up_b[r]
             self._pivot(r, q, (x_b[r] - bound) / w[r], w, to_lower)
             d -= d[q] / alpha[q] * alpha
             d[bvs] = 0.0
@@ -631,8 +709,7 @@ class _Simplex:
     def _violated(self) -> tuple[np.ndarray, np.ndarray]:
         """Which basic values lie below their bounds and which above them,
         by more than FEAS_TOL scaled by ``1 + |bound|``."""
-        bvs = self.basis
-        x, lo, up = self.x[bvs], self.lo[bvs], self.up[bvs]
+        x, lo, up = self.x[self.basis], self.lo_b, self.up_b
         return (lo - x > FEAS_TOL * (1.0 + np.abs(lo)),
                 x - up > FEAS_TOL * (1.0 + np.abs(up)))
 
@@ -689,15 +766,18 @@ class _Simplex:
                     return res
                 if res != "optimal":
                     return self._finish("iteration_limit" if res == "limit" else "infeasible")
-            pivots = self.iterations
-            res = self._solve_phase(feasibility=True)
-            if res == "infeasible":
-                return "unsure"
-            if res == "optimal":
-                if self.iterations > pivots:
+            else:
+                pivots = self.iterations
+                res = self._solve_phase(feasibility=True)
+                if res == "infeasible":
+                    return "unsure"
+                if res == "optimal" and self.iterations > pivots:
                     # without it, phase 1's drift leaves some cold 16-bus
                     # full-ROP roots on inaccurate, singular bases
                     self._refactorize()
+            # a dual optimum has every basic value within FEAS_TOL of its
+            # bounds, inside phase 1's scaled tolerance: phase 1 is moot
+            if res == "optimal":
                 res = self._solve_phase()
             if res == "limit":
                 return self._finish("iteration_limit")
@@ -713,10 +793,14 @@ class _Simplex:
             return "inaccurate"
 
     def _basis(self) -> Basis:
-        """The current basis, carrying the current inverse. Ends the solve's
-        use of the inverse."""
+        """The current basis, carrying the current inverse, and the closing
+        pricing's reduced costs when they were priced under it. Ends the
+        solve's use of the inverse."""
         basis = Basis(self.basis.astype(np.int32), self.stat.copy())
-        basis._kept[:] = self.form.nz_val, self.Binv, True
+        priced = None
+        if self.priced is not None and self.priced[0] is self.Binv:
+            priced = self.c, self.priced[1]
+        basis._kept[:] = self.form.nz_val, self.Binv, True, priced
         return basis
 
     def _finish(self, status: str) -> LpSolution:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import line_components, shortest_path
+from .graph import adjacency, line_components, shortest_path
 from .lp import (_AT_LOWER, _BASIC, _FREE, INF, Basis, LinearProgram, StandardForm,
                  standard_form)
 from .milp import MipSolution, MixedIntegerProgram
@@ -100,19 +100,25 @@ def _check_plan(network: Network, damage: DamageScenario, plan: RestorationPlan,
         raise ValueError("plan length does not match schedule length")
 
 
+def _reference_buses(network: Network) -> frozenset[int]:
+    """The lowest bus of each connected component of all the network's lines."""
+    return frozenset(c[0] for c in line_components(network, (ln.id for ln in network.lines)))
+
+
 def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
-                  switchable: dict[int, float] | None = None, weight: float = 1.0,
-                  tag: str = "") -> tuple[dict, dict]:
+                  refs: frozenset[int], switchable: dict[int, float] | None = None,
+                  weight: float = 1.0, tag: str = "") -> tuple[dict, dict]:
     """Append one period's DC dispatch model to ``lp``.
 
     The present lines are the energized ones, ``live``, and the damaged
     ones whose status a binary picks, the keys of ``switchable``, which
     maps each to the big-M of its flow rows. Variables, named with
     ``tag`` appended: generator outputs PG, line flows PL of the present
-    lines, load fractions XD in [0, 1], voltage angles TH with the lowest
-    bus of each connected component of all the network's lines pinned at
-    0 (as in the shared period LP, whatever lines are present), and one
-    status Z in [0, 1] per switchable line. A live line's flow limit is
+    lines, load fractions XD in [0, 1], voltage angles TH with the buses
+    ``refs`` pinned at 0 (the lowest bus of each connected component of
+    all the network's lines, ``_reference_buses``, as in the shared period
+    LP, whatever lines are present), and one status Z in [0, 1] per
+    switchable line. A live line's flow limit is
     the smaller of its thermal limit and ``|b| * angle_diff_max``: where
     the flow equality holds, the latter is the line's angle-difference
     limit ``|TH_f - TH_t| <= angle_diff_max``. A switchable line's flow
@@ -133,7 +139,6 @@ def _period_dcopf(lp: LinearProgram, network: Network, live: frozenset[int],
                                                        if ln.id in live else (-INF, INF)))
           for ln in lines}
     xd = {d.id: lp.add_variable(f"XD{d.id}{tag}", 0.0, 1.0) for d in network.loads}
-    refs = {c[0] for c in line_components(network, (ln.id for ln in network.lines))}
     th = {}
     for b in network.buses:
         lo, hi = (0.0, 0.0) if b.id in refs else (-INF, INF)
@@ -171,28 +176,27 @@ def build_rip(network: Network, damage: DamageScenario, plan: RestorationPlan,
     period's duration. Objective: total demand-weighted energy served.
     """
     _check_plan(network, damage, plan, schedule)
-    lp = LinearProgram()
+    lp, refs = LinearProgram(), _reference_buses(network)
     for k in range(1, schedule.n_periods + 1):
-        _period_dcopf(lp, network, energized_lines(network, damage, plan, k),
+        _period_dcopf(lp, network, energized_lines(network, damage, plan, k), refs,
                       weight=schedule.delta[k - 1], tag=f"_{k}")
     return lp
 
 
-def _big_m(network: Network, line: Line, live: frozenset[int], theta_delta: float) -> float:
+def _big_m(line: Line, adjacent: dict, theta_delta: float) -> float:
     """The big-M of a switchable line's flow rows.
 
     ``|b|`` times the shortest ``angle_diff_max`` path between the line's
-    ends through the ``live`` lines, or times ``theta_delta``, the sum of
-    the present lines' ``angle_diff_max``, when no such path is shorter.
+    ends through the live lines, joined in ``adjacent`` (``adjacency``), or
+    times ``theta_delta``, the sum of the present lines'
+    ``angle_diff_max``, when no such path is shorter.
     Both are valid: every live line keeps ``|TH_f - TH_t| <=
     angle_diff_max`` in every period, so the ends of a path of live lines
     differ by at most its length; and with each island of energized lines
     shifted to put one of its buses at angle 0, the ends of any line differ
     by at most the sum over the lines present.
     """
-    path = shortest_path(network, [lid for lid in sorted(live)
-                                   if network.lines_by_id[lid].susceptance_b != 0],
-                         lambda ln: ln.angle_diff_max, line.from_bus, line.to_bus)
+    path = shortest_path(adjacent, line.from_bus, line.to_bus)
     M = abs(line.susceptance_b) * min(path, theta_delta)
     if not 0 < M < INF:
         raise ValueError(f"degenerate big-M for line {line.id}")
@@ -228,16 +232,21 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
     present = frozenset(l.id for l in network.lines) - out
     live = present - damaged
     theta_delta = sum(l.angle_diff_max for l in network.lines if l.id in present)
+    # the live lines that carry flow, joined once for every line's search
+    adjacent = adjacency(network, [lid for lid in sorted(live)
+                                   if network.lines_by_id[lid].susceptance_b != 0],
+                         lambda ln: ln.angle_diff_max)
     # checked even when no period switches a line
-    big_m = {lid: _big_m(network, network.lines_by_id[lid], live, theta_delta)
+    big_m = {lid: _big_m(network.lines_by_id[lid], adjacent, theta_delta)
              for lid in sorted(damaged)}
+    periods = _Periods.of(network, memo)
 
     lp = LinearProgram()
     art = RopArtifacts(program=None, network=network, damage=damage, schedule=schedule, out=out)
     N = schedule.n_periods
     for k in range(1, N):
         first = len(lp.constraints)
-        _, z = _period_dcopf(lp, network, live, big_m,
+        _, z = _period_dcopf(lp, network, live, periods.refs, big_m,
                              weight=schedule.delta[k - 1], tag=f"_{k}")
         # the budget row leads its period: the row order steers the B&B search
         lp.add_constraint(f"budget_{k}", [(j, 1.0) for j in z.values()],
@@ -249,7 +258,6 @@ def build_rop(network: Network, damage: DamageScenario, schedule: PeriodSchedule
             lp.add_constraint(f"mono{lid}_{k}",
                               [(art.z[(lid, k)], 1.0), (art.z[(lid, k + 1)], -1.0)],
                               "<=", 0.0)
-    periods = _Periods.of(network, memo)
     final = periods.power(present, live, N)
     lp.objective_terms.append((lp.add_variable("final_energy", 1.0, 1.0),
                                final * schedule.delta[N - 1]))
@@ -348,7 +356,9 @@ class _Periods:
     ``buses[i]`` has its angle in column ``angle_cols[i]`` and the slack of
     its balance row in column ``bal_slacks[i]``. ``index`` maps each
     column's and row's name to its column of ``form``, the row's slack for
-    a row, and ``xd`` each load id to its load-fraction column. ``bases``
+    a row, and ``xd`` each load id to its load-fraction column. ``refs``
+    holds the reference buses (``_reference_buses``) that every period
+    model of the network pins. ``bases``
     holds the basis of every topology solved, keyed by the frozenset of its
     energized line ids (None when not optimal), and ``served`` the power
     served of every one that ended optimal.
@@ -358,8 +368,9 @@ class _Periods:
         self.network = network
         self.ids = tuple(ln.id for ln in network.lines)
         self.buses = tuple(b.id for b in network.buses)
+        self.refs = _reference_buses(network)
         self.lp = LinearProgram()
-        self.xd, _ = _period_dcopf(self.lp, network, frozenset(self.ids))
+        self.xd, _ = _period_dcopf(self.lp, network, frozenset(self.ids), self.refs)
         self.lp.validate()
         self.form = standard_form(self.lp)
         names = [v.name for v in self.lp.variables] + [c.name for c in self.lp.constraints]
@@ -498,6 +509,8 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     _check_plan(network, damage, plan, schedule)
     periods = _Periods.of(network, memo)
     undamaged = energized_lines(network, damage, plan, 0)
-    delivered = tuple(periods.power(energized_lines(network, damage, plan, k), undamaged, k)
-                      for k in range(1, schedule.n_periods + 1))
-    return PowerServedSeries(delivered, tuple(schedule.delta))
+    live, delivered = undamaged, []
+    for k, restored in enumerate(plan.periods, start=1):
+        live = live | restored  # energized_lines(network, damage, plan, k)
+        delivered.append(periods.power(live, undamaged, k))
+    return PowerServedSeries(tuple(delivered), tuple(schedule.delta))

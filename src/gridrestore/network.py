@@ -261,6 +261,14 @@ def _finite(value: float, line_no: int, field: str) -> float:
     return value
 
 
+def _bus_id(value: float, line_no: int, field: str) -> int:
+    """``value`` as a bus id, checked: a number that is not a finite
+    integer is a parse error naming its line and field."""
+    if _finite(value, line_no, field) != int(value):
+        raise CaseParseError(f"{field} is not an integer ({value})", line_no, field)
+    return int(value)
+
+
 def parse_case(text: str) -> Network:
     """Parse a MATPOWER-format case file (``.m`` subset) into a Network.
 
@@ -273,7 +281,8 @@ def parse_case(text: str) -> Network:
     to susceptance b = -1/x; rateA is converted to per-unit. A branch in
     service that joins a bus to itself is an error. Every number read
     (baseMVA, bus id, Pd, gen status, Pmax, x, rateA, branch status,
-    angmin, angmax) must be finite.
+    angmin, angmax) must be finite, and every bus id (of a bus, a
+    generator's bus, a branch's ends) an integer.
     """
     base_mva = 100.0
     tables: dict[str, list[tuple[int, list[float]]]] = {}
@@ -331,7 +340,7 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables["bus"]:
         if len(row) < 3:
             raise CaseParseError("bus row too short", line_no, "bus")
-        bid = int(_finite(row[0], line_no, "bus id"))
+        bid = _bus_id(row[0], line_no, "bus id")
         if bid in bus_ids:
             raise CaseParseError(f"duplicate bus id {bid}", line_no, "bus")
         bus_ids.add(bid)
@@ -345,7 +354,7 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables.get("gen", []):
         if len(row) < 9:
             raise CaseParseError("gen row too short", line_no, "gen")
-        gbus = int(_finite(row[0], line_no, "bus id"))
+        gbus = _bus_id(row[0], line_no, "bus id")
         if gbus not in bus_ids:
             raise CaseParseError(f"unknown bus {gbus} in gen table", line_no, "gen")
         if _finite(row[7], line_no, "status") == 0:
@@ -360,8 +369,8 @@ def parse_case(text: str) -> Network:
     for line_no, row in tables["branch"]:
         if len(row) < 4:
             raise CaseParseError("branch row too short", line_no, "branch")
-        fbus = int(_finite(row[0], line_no, "bus id"))
-        tbus = int(_finite(row[1], line_no, "bus id"))
+        fbus = _bus_id(row[0], line_no, "bus id")
+        tbus = _bus_id(row[1], line_no, "bus id")
         if fbus not in bus_ids:
             raise CaseParseError(f"unknown bus {fbus} in branch table", line_no, "branch")
         if tbus not in bus_ids:

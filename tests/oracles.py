@@ -1,5 +1,8 @@
 """Reference oracles that the tests check the solvers against."""
-from gridrestore.lp import LinearProgram, Variable, solve_lp, standard_form
+import numpy as np
+
+from gridrestore.lp import (_SLACK_BOUNDS, LinearProgram, StandardForm, Variable, solve_lp,
+                            standard_form)
 from gridrestore.milp import INT_TOL, MixedIntegerProgram, _with_fixes
 from gridrestore.models import RopArtifacts, plan_to_assignment
 from gridrestore.network import Network, RestorationPlan
@@ -57,3 +60,33 @@ def subnetwork_without(network: Network, removed) -> Network:
                    lines=tuple(l for l in network.lines if l.id not in removed),
                    generators=network.generators, loads=network.loads,
                    base_mva=network.base_mva)
+
+
+def dict_standard_form(lp: LinearProgram) -> StandardForm:
+    """Reference for ``standard_form``: the terms merged through a dict
+    keyed ``(column, row)``, each entry summed from 0.0 in term order, zero
+    sums dropped, entries ordered by column then row."""
+    n, m = len(lp.variables), len(lp.constraints)
+    b = np.zeros(m)
+    c = np.zeros(n + m)
+    lower = np.empty(n + m)
+    upper = np.empty(n + m)
+    for j, v in enumerate(lp.variables):
+        lower[j], upper[j] = v.lower, v.upper
+    entries: dict[tuple[int, int], float] = {}  # (column, row) -> coefficient
+    for i, con in enumerate(lp.constraints):
+        for idx, coef in con.terms:
+            entries[idx, i] = entries.get((idx, i), 0.0) + coef
+        entries[n + i, i] = 1.0
+        b[i] = con.rhs
+        lower[n + i], upper[n + i] = _SLACK_BOUNDS[con.relation]
+    sense = 1.0 if lp.objective_sense == "minimize" else -1.0
+    for idx, coef in lp.objective_terms:
+        c[idx] += sense * coef
+    keys = sorted(key for key, v in entries.items() if v != 0.0)
+    nz_col = np.array([col for col, _ in keys], dtype=np.intp)
+    nz_row = np.array([row for _, row in keys], dtype=np.intp)
+    nz_val = np.array([entries[key] for key in keys], dtype=float)
+    col_ptr = np.zeros(n + m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(nz_col, minlength=n + m), out=col_ptr[1:])
+    return StandardForm(b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)

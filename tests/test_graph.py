@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gridrestore.graph import line_components, shortest_path
+from gridrestore.graph import adjacency, line_components, shortest_path
 from gridrestore.network import Bus, Line, Network
 from conftest import meshed_network, random_network, tiny3_network
 
@@ -96,6 +96,7 @@ def test_shortest_path_matches_floyd_warshall(seed):
         for size in (0, len(ids) // 2, len(ids)):
             subset = rng.sample(ids, size)
             ref = floyd_warshall(net, subset, lambda ln: weight[ln.id])
+            adjacent = adjacency(net, subset, lambda ln: weight[ln.id])
             for (a, b), d in ref.items():
-                got = shortest_path(net, subset, lambda ln: weight[ln.id], a, b)
+                got = shortest_path(adjacent, a, b)
                 assert got == pytest.approx(d, rel=1e-12) if math.isfinite(d) else got == d

@@ -20,6 +20,7 @@ from gridrestore.models import build_rip, build_rop, plan_to_assignment
 from gridrestore.network import (DamageScenario, RestorationPlan,
                                  build_schedule, parse_case, random_damage)
 from conftest import meshed_network, start_inversions, tiny3_network
+import oracles
 
 
 def simple_lp(sense, obj, variables, constraints):
@@ -132,6 +133,20 @@ class TestBasics:
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(3.0)
+
+    def test_iterations_count_pivots_only(self):
+        # one pivot brings x in; the pricing that then finds no improving
+        # column is no pivot
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", 0.0, INF)],
+                       [([(0, 1.0)], "<=", 3.0)])
+        sol = solve_lp(lp)
+        assert (sol.status, sol.objective_value, sol.iterations) == ("optimal", 3.0, 1)
+        # a bound flip counts as one: x enters first and flips to 2, then y
+        # pivots in (y, unboxed, keeps the start from the dual path)
+        lp = simple_lp("maximize", [(0, 1.0), (1, 1.0)], [("x", 0.0, 2.0), ("y", 0.0, INF)],
+                       [([(0, 1.0)], "<=", 3.0), ([(1, 1.0)], "<=", 1.0)])
+        sol = solve_lp(lp)
+        assert (sol.status, sol.objective_value, sol.iterations) == ("optimal", 3.0, 2)
 
     def test_degenerate_optimum(self):
         lp = simple_lp("maximize", [(0, 1.0), (1, 1.0)],
@@ -702,7 +717,8 @@ def made_inverses(monkeypatch):
 class TestCarriedInverse:
     def test_generated_lps_carry_their_inverse(self):
         # cold optima, whose inverse is the identity updated by every pivot
-        # of both phases, and the warm optima of bound changes
+        # of both phases, and the warm optima of bound changes, of which at
+        # least 20 pivot (a solve that only prices counts no iteration)
         warm = 0
         for seed in range(40):
             lp = feasible_lp(seed)
@@ -710,7 +726,7 @@ class TestCarriedInverse:
             parent = solve_lp(lp, form=form)
             assert_carries_fresh_inverse(form, parent)
             rng = random.Random(seed)
-            for _ in range(4):
+            for _ in range(6):
                 j = rng.randrange(len(lp.variables))
                 v = parent.primal[j]
                 child = tightened(form, j, *((form.lower[j], v - 0.5) if rng.random() < 0.5
@@ -816,6 +832,116 @@ class TestCarriedInverse:
                 solve_lp(lp, form=tightened(form, j, form.lower[j], v - 0.5),
                          start=parent.basis)
         assert len(pivots) >= 50
+
+
+def kept_state_matches(simplex):
+    """The state a run keeps equals its from-scratch expressions."""
+    stat, bvs, movable = simplex.stat, simplex.basis, ~simplex.fixed
+    assert simplex.lo_b.tobytes() == simplex.lo[bvs].tobytes()
+    assert simplex.up_b.tobytes() == simplex.up[bvs].tobytes()
+    free = stat == lp_module._FREE
+    np.testing.assert_array_equal(simplex.rise, movable & ((stat == lp_module._AT_LOWER) | free))
+    np.testing.assert_array_equal(simplex.fall, movable & ((stat == lp_module._AT_UPPER) | free))
+
+
+def warm_children(seeds=range(40)):
+    """Solve each random bounded LP cold, then its bound-tightened children
+    from the parent's basis: cold primal pivots, bound flips and warm dual
+    pivots."""
+    for seed in seeds:
+        lp = feasible_lp(seed)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        for j in range(min(4, len(lp.variables))):
+            v = parent.primal[j]
+            for lower, upper in ((form.lower[j], v - 0.5), (v + 0.5, form.upper[j])):
+                solve_lp(lp, form=tightened(form, j, lower, upper), start=parent.basis)
+
+
+class TestKeptState:
+    def test_kept_state_follows_every_move(self, meshed_scenarios, monkeypatch):
+        # after every dual pivot, primal pivot and bound flip, the kept
+        # basis-ordered bounds and rise/fall masks are the ones a run would
+        # build afresh
+        real_pivot, real_flip = lp_module._Simplex._pivot, lp_module._Simplex._flip
+        real_dual = lp_module._Simplex._dual_phase
+        in_dual, moves = [False], {"dual": 0, "primal": 0, "flip": 0}
+
+        def pivot(self, *args):
+            real_pivot(self, *args)
+            kept_state_matches(self)
+            moves["dual" if in_dual[0] else "primal"] += 1
+
+        def flip(self, *args):
+            real_flip(self, *args)
+            kept_state_matches(self)
+            moves["flip"] += 1
+
+        def dual(self):
+            kept_state_matches(self)
+            in_dual[0] = True
+            try:
+                return real_dual(self)
+            finally:
+                in_dual[0] = False
+
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", pivot)
+        monkeypatch.setattr(lp_module._Simplex, "_flip", flip)
+        monkeypatch.setattr(lp_module._Simplex, "_dual_phase", dual)
+        warm_children()
+        for mip, _ in rop_forms(meshed_scenarios):
+            assert solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0)).has_incumbent
+        assert moves["dual"] >= 100 and moves["primal"] >= 100 and moves["flip"] >= 10, moves
+
+    def test_carried_pricing_is_the_fresh_one(self, meshed_scenarios, monkeypatch):
+        # a solve from a basis that carries its closing pricing takes it as
+        # its reduced costs, bit for bit those priced under the copied
+        # inverse; a basis without one, or another cost vector, prices
+        real_enter = lp_module._Simplex._enter
+        reused, priced = [], []
+
+        def enter(self, start, inverse):
+            carried = start._kept[3] if start._kept[1] is inverse else None
+            feasible = real_enter(self, start, inverse)
+            fresh = self._reduced_costs(self.c)
+            if carried is not None and carried[0] is self.c:
+                assert self.d is not carried[1]  # a copy: the dual phase updates it
+                reused.append(None)
+            else:
+                priced.append(None)
+            assert self.d.tobytes() == fresh.tobytes()
+            return feasible
+
+        monkeypatch.setattr(lp_module._Simplex, "_enter", enter)
+        warm_children()
+        for mip, _ in rop_forms(meshed_scenarios):
+            assert solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0)).has_incumbent
+        assert len(reused) >= 100 and len(priced) >= 40
+        # the optimum under one cost vector carries no pricing for another
+        lp = feasible_lp(0)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        assert parent.basis._kept[3][0] is form.c
+        del reused[:], priced[:]
+        solve_lp(lp, form=replace(form, c=-form.c), start=parent.basis)
+        assert (len(reused), len(priced)) == (0, 1)
+        solve_lp(lp, form=form, start=parent.basis)
+        assert (len(reused), len(priced)) == (1, 1)
+
+    def test_inverted_afresh_carries_no_pricing(self):
+        # an optimum that the residual check sends to a fresh inverse has no
+        # pricing made under it, and a basis made by hand carries none
+        lp = feasible_lp(1)
+        form = standard_form(lp)
+        parent = solve_lp(lp, form=form)
+        start = Basis(parent.basis.columns, parent.basis.status)
+        start.inverse(form)
+        assert start._kept[3] is None
+        simplex = lp_module._Simplex(lp, form)
+        sol = simplex.solve_from(start)
+        simplex.Binv = simplex.Binv.copy()  # as _refactorize replaces it
+        assert simplex._basis()._kept[3] is None
+        assert sol.basis._kept[3] is not None
 
 
 class TestDeadline:
@@ -1176,6 +1302,37 @@ class TestSparseKernels:
         np.testing.assert_array_equal(form.col_ptr, [0, 0, 1, 2])
         np.testing.assert_array_equal(form.nz_row, [0, 0])
         np.testing.assert_array_equal(form.nz_val, [5.0, 1.0])
+
+    def test_matches_the_dict_reference(self, meshed_scenarios):
+        # the array build sums each entry's terms in term order, one at a
+        # time, as the dict did: 1 + 1e16 - 1e16 is 0 that way, so it drops
+        # (a pairwise sum would give 1); -0.0 terms, terms cancelling to 0,
+        # empty rows and empty columns
+        lp = simple_lp("maximize", [(0, 1.0), (2, -0.0), (0, 2.0)],
+                       [("x0", 0.0, 1.0), ("x1", -INF, INF), ("x2", 0.0, INF),
+                        ("x3", -1.0, 1.0), ("x4", 0.0, 0.0)],
+                       [([(0, 1.0), (0, 1e16), (0, -1e16), (1, 2.0)], "<=", 4.0),
+                        ([], ">=", -1.0),
+                        ([(3, -0.0), (1, 0.5), (3, 0.0), (1, -0.25), (1, 1e-300)], "=", 0.0),
+                        ([(2, 1.0), (2, -1.0)], "<=", 0.0),
+                        ([(1, 1.0), (0, 1e16), (0, 1.0), (0, -1e16), (0, 1.0)], ">=", -2.0)])
+        lps = [lp, sums_and_cancels(), LinearProgram()]
+        lps += [feasible_lp(seed) for seed in range(20)] + [random_lp(seed) for seed in range(20)]
+        lps += [mip.base for mip, _ in rop_forms(meshed_scenarios)]
+        for net, dmg in meshed_scenarios:
+            order = sorted(dmg.damaged_lines)
+            lps.append(build_rip(net, dmg, RestorationPlan.from_lists([order[:1], order[1:]]),
+                                 build_schedule(len(order), 2)))
+        for prog in lps:
+            prog.validate()
+            got, want = standard_form(prog), oracles.dict_standard_form(prog)
+            for name in ("b", "c", "lower", "upper", "nz_val", "nz_row", "nz_col", "col_ptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        # x0: row 0 sums to 0, row 4 to 1 (1e16 + 1 rounds to 1e16)
+        form = standard_form(lp)
+        k = slice(form.col_ptr[0], form.col_ptr[1])
+        assert (form.nz_row[k].tolist(), form.nz_val[k].tolist()) == ([4], [1.0])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_price_and_ftran_match_dense(self, seed):

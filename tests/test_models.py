@@ -11,7 +11,7 @@ from gridrestore.lp import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, LinearProgram, 
                             _dense_columns, _times, basis_inverse, solve_lp, standard_form)
 from gridrestore.milp import SolveOptions, solve_mip
 from gridrestore.models import (PlanEvaluationError, PlanExtractionError, _period_dcopf,
-                                _Periods, build_rip, build_rop,
+                                _Periods, _reference_buses, build_rip, build_rop,
                                 energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.milp import MipSolution
@@ -62,7 +62,7 @@ def tiny3_damage12():
 def cold_period(network, live):
     """Optimum of the period LP over the lines ``live`` alone, solved cold."""
     lp = LinearProgram()
-    _period_dcopf(lp, network, live)
+    _period_dcopf(lp, network, live, _reference_buses(network))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     return sol.objective_value

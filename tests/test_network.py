@@ -121,6 +121,26 @@ class TestGoldenCases:
             parse_case("\n".join(lines))
         assert (err.value.line_no, err.value.field) == (line_no, field)
 
+    # (line of tiny3.m, index of the number on that line, value): a bus id
+    # in the bus table, a generator's bus, a branch's from and to bus
+    NON_INTEGRAL = [(10, 0, "3.7"), (15, 0, "1.5"), (20, 0, "1.25"), (21, 1, "3.5")]
+
+    @pytest.mark.parametrize("line_no, k, value", NON_INTEGRAL)
+    def test_non_integral_bus_id_rejected(self, line_no, k, value):
+        # int() truncated 3.7 to 3, so a case whose bus 3 was written 3.7,
+        # with branches 1 3.7 and 2 3.7, solved silently as bus 3
+        with open(os.path.join(CASES_DIR, "tiny3.m")) as f:
+            lines = f.read().splitlines()
+        tokens = lines[line_no - 1].split()
+        tokens[k] = value
+        lines[line_no - 1] = " ".join(tokens)
+        if line_no == 10:
+            for i in (20, 21):  # the branches name bus 3 as 3.7 too
+                lines[i] = lines[i].replace("\t3\t", f"\t{value}\t", 1)
+        with pytest.raises(CaseParseError, match="bus id is not an integer") as err:
+            parse_case("\n".join(lines))
+        assert (err.value.line_no, err.value.field) == (line_no, "bus id")
+
     def test_missing_bus_table(self):
         with pytest.raises(CaseParseError, match="bus"):
             parse_case("mpc.baseMVA = 100;\nmpc.branch = [\n];\n")
