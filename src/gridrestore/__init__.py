@@ -14,7 +14,7 @@ from .milp import (MipSolution, MixedIntegerProgram, SolveOptions, solve_externa
 from .models import (PlanExtractionError, PowerServedSeries, RopArtifacts,
                      build_rip, build_rop, evaluate_plan, extract_plan,
                      plan_to_assignment)
-from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
+from .heuristics import brute_force_optimal, rad, rrr, util_order
 from .postprocess import (RestorationReport, build_report, island_metrics,
                           monotonize, total_energy)
 
@@ -28,7 +28,6 @@ __all__ = [
     "MixedIntegerProgram", "SolveOptions", "MipSolution", "solve_mip",
     "solve_external", "PowerServedSeries",
     "RopArtifacts", "PlanExtractionError", "build_rip", "build_rop",
-    "evaluate_plan", "extract_plan", "plan_to_assignment", "AlgoBudget",
-    "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",
+    "evaluate_plan", "extract_plan", "plan_to_assignment", "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",
     "island_metrics", "total_energy", "RestorationReport", "build_report",
 ]

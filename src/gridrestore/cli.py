@@ -1,5 +1,12 @@
 """Command-line front end: single solves, algorithm comparisons, and sweeps.
 
+A run builds one schedule (``--n-periods``, by default one period per
+damaged line) and one budget (``SolveOptions``: ``--time-limit`` and
+``--rel-gap``) for every algorithm: ``rop`` and ``oracle`` order the lines
+over the schedule, and the orderings of ``util``, ``rrr`` and ``rad`` are
+bucketed by it (``PeriodSchedule.bucket``). ``compare`` and ``sweep`` map
+each run to one result row the same way.
+
 Exit codes: 0 success, 1 usage or case parse error, 2 infeasible model,
 3 solver failure (no plan). A plan evaluation LP, or the final-period LP
 of the ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
@@ -18,14 +25,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .heuristics import AlgoBudget, brute_force_optimal, rad, rrr, util_order
+from .heuristics import brute_force_optimal, rad, rrr, util_order
 from .milp import SolveOptions, solve_external, solve_mip
 from .models import (PlanEvaluationError, build_rop, evaluate_plan, extract_plan,
                      plan_to_assignment)
-from .network import (CaseParseError, DamageScenario, Network, RestorationPlan,
-                      build_schedule, parse_case, random_damage)
+from .network import (CaseParseError, DamageScenario, Network, PeriodSchedule,
+                      RestorationPlan, build_schedule, parse_case, random_damage)
 from .postprocess import RestorationReport, build_report
 
 BACKEND_ENV = "GRIDRESTORE_BACKEND_CMD"
@@ -90,7 +97,7 @@ def _make_damage(network: Network, config: RunConfig) -> DamageScenario:
     try:
         if config.damage_lines is None:
             return random_damage(network, config.damage_fraction, config.seed)
-        dmg = DamageScenario(tuple(sorted(config.damage_lines)), seed=config.seed)
+        dmg = DamageScenario(tuple(sorted(config.damage_lines)))
         dmg.validate(network)
         return dmg
     except ValueError as e:
@@ -104,39 +111,34 @@ def _mip_solver(config: RunConfig):
     return solve_mip
 
 
-def run_algorithm(network: Network, damage: DamageScenario, config: RunConfig,
-                  memo: dict | None = None) -> tuple[RestorationPlan, object, float | None]:
-    """Run the configured algorithm; returns (plan, schedule, gap or None)."""
-    n = len(damage.damaged_lines)
-    budget = AlgoBudget(time_limit=config.time_limit, rel_gap=config.rel_gap,
-                        seed=config.seed)
-    n_periods = max(n, 1) if config.n_periods is None else config.n_periods
-    schedule = build_schedule(n, n_periods)
+def run_algorithm(network: Network, damage: DamageScenario, schedule: PeriodSchedule,
+                  config: RunConfig,
+                  memo: dict | None = None) -> tuple[RestorationPlan, float | None]:
+    """Run the configured algorithm over ``schedule``; returns (plan, gap or None)."""
+    opts = SolveOptions(time_limit=config.time_limit, rel_gap=config.rel_gap)
     mip_solver = _mip_solver(config)
     rop_solver = lambda art, opts: mip_solver(art.program, opts)
 
-    if n == 0:
-        return RestorationPlan.from_lists([[]]), build_schedule(0, 1), None
-    if config.algorithm == "util":
-        plan = util_order(network, damage)
-        return plan, build_schedule(n, plan.n_periods), None
-    if config.algorithm == "rrr":
-        plan = rrr(network, damage, budget, rop_solver=rop_solver, memo=memo)
-        return plan, build_schedule(n, plan.n_periods), None
-    if config.algorithm == "rad":
-        plan = rad(network, damage, budget, rop_solver=rop_solver, memo=memo)
-        return plan, build_schedule(n, plan.n_periods), None
+    if not damage.damaged_lines:
+        return schedule.bucket(()), None
     if config.algorithm == "oracle":
         try:
             plan, _ = brute_force_optimal(network, damage, schedule, memo)
         except ValueError as e:
             raise CliError(str(e), EXIT_SOLVER)
-        return plan, schedule, None
-    # rop: warm-started ordering MILP
+        return plan, None
+    if config.algorithm != "rop":
+        if config.algorithm == "util":
+            order = util_order(network, damage)
+        elif config.algorithm == "rrr":
+            order = rrr(network, damage, opts, rop_solver=rop_solver, memo=memo)
+        else:
+            order = rad(network, damage, opts, rop_solver=rop_solver, memo=memo,
+                        seed=config.seed)
+        return schedule.bucket(order.ordered_lines()), None
+    # rop: the ordering MILP over the schedule, warm-started from util's order
     art = build_rop(network, damage, schedule, memo=memo)
-    warm = plan_to_assignment(art, util_order(network, damage))
-    opts = SolveOptions(time_limit=config.time_limit, rel_gap=config.rel_gap,
-                        warm_start=warm)
+    art.program.warm_start = plan_to_assignment(art, util_order(network, damage))
     sol = mip_solver(art.program, opts)
     if sol.status == "infeasible":
         raise CliError("restoration ordering model is infeasible", EXIT_INFEASIBLE)
@@ -147,23 +149,24 @@ def run_algorithm(network: Network, damage: DamageScenario, config: RunConfig,
     except ValueError as e:
         raise CliError(f"cannot extract plan: {e}", EXIT_SOLVER)
     # an unproven bound has an infinite gap, reported as unknown (null)
-    return plan, schedule, sol.gap if math.isfinite(sol.gap) else None
+    return plan, sol.gap if math.isfinite(sol.gap) else None
 
 
 def solve_to_report(config: RunConfig) -> tuple[RestorationReport, float | None, dict]:
     network = _load_network(config.case)
     damage = _make_damage(network, config)
+    n = len(damage.damaged_lines)
+    schedule = build_schedule(n, config.n_periods or max(n, 1))
     t0 = time.monotonic()
     memo: dict = {}  # period LPs shared by the ordering MILPs and the evaluation
     try:
-        plan, schedule, gap = run_algorithm(network, damage, config, memo)
+        plan, gap = run_algorithm(network, damage, schedule, config, memo)
         series = evaluate_plan(network, damage, plan, schedule, memo=memo)
     except PlanEvaluationError as e:
         code = EXIT_INFEASIBLE if e.status == "infeasible" else EXIT_SOLVER
         raise CliError(f"plan evaluation failed: {e}", code)
     wall = time.monotonic() - t0
     report = build_report(network, damage, plan, series)
-    report.algorithm = config.algorithm
     report.wall_time = wall if config.record_timing else None
     summary = {
         "algorithm": config.algorithm,
@@ -188,34 +191,41 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _result(config: RunConfig) -> dict:
+    """One run's energy, time, gap and status; a usage or parse error
+    (``EXIT_PARSE``) ends the command, any other error fails the run."""
+    try:
+        report, gap, _ = solve_to_report(config)
+    except CliError as e:
+        if e.code == EXIT_PARSE:
+            raise
+        return {"energy": None, "time": None, "gap": None, "status": f"failed({e.code})"}
+    return {"energy": report.total_energy, "time": report.wall_time, "gap": gap,
+            "status": "ok"}
+
+
+def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+    """``rows`` as CSV with the columns ``fieldnames``; other keys are left out."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore")
+    w.writeheader()
+    w.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
 def cmd_compare(base: RunConfig, algorithms: list[str]) -> int:
     if len(algorithms) < 2:
         raise CliError("compare needs at least 2 algorithms", EXIT_PARSE)
-    rows = []
-    for algo in algorithms:
-        cfg = RunConfig(**{**base.__dict__, "algorithm": algo})
-        try:
-            report, gap, _ = solve_to_report(cfg)
-            rows.append({"algorithm": algo, "energy": report.total_energy,
-                         "time": report.wall_time, "gap": gap, "status": "ok"})
-        except CliError as e:
-            if e.code == EXIT_PARSE:
-                raise
-            rows.append({"algorithm": algo, "energy": None, "time": None,
-                         "gap": None, "status": f"failed({e.code})"})
+    rows = [{"algorithm": algo, **_result(replace(base, algorithm=algo))}
+            for algo in algorithms]
     best = max((r["energy"] for r in rows if r["energy"] is not None), default=None)
     for r in rows:
         r["best"] = r["energy"] is not None and best is not None and r["energy"] >= best - 1e-12
         r["within_1pct"] = (r["energy"] is not None and best is not None
                             and r["energy"] >= 0.99 * best - 1e-12)
     os.makedirs(base.output_dir, exist_ok=True)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=["algorithm", "energy", "time", "gap",
-                                        "status", "best", "within_1pct"])
-    w.writeheader()
-    for r in rows:
-        w.writerow(r)
-    _atomic_write(os.path.join(base.output_dir, "compare.csv"), buf.getvalue())
+    _write_csv(os.path.join(base.output_dir, "compare.csv"),
+               ["algorithm", "energy", "time", "gap", "status", "best", "within_1pct"], rows)
     print(f"{'algorithm':<10} {'energy':>14} {'time':>8} {'flags'}")
     for r in rows:
         e = "-" if r["energy"] is None else f"{r['energy']:.6f}"
@@ -245,24 +255,14 @@ def _config_key(base: RunConfig, case_text: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _cell_name(fraction: float, seed: int, algorithm: str, key: str) -> str:
-    return f"cell_f{fraction:g}_s{seed}_{algorithm}_{key}.json"
+def _cell_name(config: RunConfig, key: str) -> str:
+    return (f"cell_f{config.damage_fraction:g}_s{config.seed}_{config.algorithm}"
+            f"_{key}.json")
 
 
-def _run_cell(args) -> dict:
-    base_dict, fraction, seed, algorithm = args
-    cfg = RunConfig(**{**base_dict, "algorithm": algorithm,
-                       "damage_fraction": fraction, "damage_lines": None,
-                       "seed": seed})
-    cell = {"case": cfg.case, "fraction": fraction, "seed": seed,
-            "algorithm": algorithm}
-    try:
-        report, gap, _ = solve_to_report(cfg)
-        cell.update(energy=report.total_energy, time=report.wall_time,
-                    gap=gap, status="ok")
-    except CliError as e:
-        cell.update(energy=None, time=None, gap=None, status=f"failed({e.code})")
-    return cell
+def _run_cell(config: RunConfig) -> dict:
+    return {"case": config.case, "fraction": config.damage_fraction, "seed": config.seed,
+            "algorithm": config.algorithm, **_result(config)}
 
 
 def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
@@ -270,15 +270,17 @@ def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
     if not fractions or not seeds or not algorithms:
         raise CliError("sweep needs nonempty fractions, seeds and algorithms",
                        EXIT_PARSE)
-    _load_network(base.case)  # fail fast on parse errors
+    # a parse error or a bad fraction ends the sweep before any cell runs
+    network = _load_network(base.case)
+    for f in fractions:
+        _make_damage(network, replace(base, damage_fraction=f))
     key = _config_key(base, _read_case(base.case))
     cell_dir = os.path.join(base.output_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
-    grid = [(f, s, a) for f in fractions for s in seeds for a in algorithms]
-    pending = []
-    for f, s, a in grid:
-        if not os.path.exists(os.path.join(cell_dir, _cell_name(f, s, a, key))):
-            pending.append((base.__dict__, f, s, a))
+    grid = [replace(base, algorithm=a, damage_fraction=f, seed=s)
+            for f in fractions for s in seeds for a in algorithms]
+    paths = [os.path.join(cell_dir, _cell_name(c, key)) for c in grid]
+    pending = [c for c, p in zip(grid, paths) if not os.path.exists(p)]
     if pending:
         workers = workers or os.cpu_count() or 1
         if workers > 1 and len(pending) > 1:
@@ -287,23 +289,16 @@ def cmd_sweep(base: RunConfig, fractions: list[float], seeds: list[int],
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_cell, pending))
         else:
-            results = [_run_cell(p) for p in pending]
-        for cell in results:
-            path = os.path.join(cell_dir, _cell_name(cell["fraction"], cell["seed"],
-                                                     cell["algorithm"], key))
-            _atomic_write(path, json.dumps(cell, sort_keys=True) + "\n")
+            results = [_run_cell(c) for c in pending]
+        for config, cell in zip(pending, results):
+            _atomic_write(os.path.join(cell_dir, _cell_name(config, key)),
+                          json.dumps(cell, sort_keys=True) + "\n")
     rows = []
-    for f, s, a in grid:
-        with open(os.path.join(cell_dir, _cell_name(f, s, a, key))) as fh:
+    for path in paths:
+        with open(path) as fh:
             rows.append(json.load(fh))
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=["case", "fraction", "seed", "algorithm",
-                                        "energy", "time", "gap"],
-                       extrasaction="ignore")
-    w.writeheader()
-    for r in rows:
-        w.writerow(r)
-    _atomic_write(os.path.join(base.output_dir, "sweep.csv"), buf.getvalue())
+    _write_csv(os.path.join(base.output_dir, "sweep.csv"),
+               ["case", "fraction", "seed", "algorithm", "energy", "time", "gap"], rows)
     print(f"sweep complete: {len(rows)} cells ({len(pending)} computed, "
           f"{len(rows) - len(pending)} cached)")
     return EXIT_OK

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import models
 from .milp import MipSolution, SolveOptions, solve_mip
@@ -19,19 +19,6 @@ from .models import PlanEvaluationError, PlanExtractionError, evaluate_plan, ext
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
 from .postprocess import monotonize, total_energy
-
-
-@dataclass
-class AlgoBudget:
-    time_limit: float = 300.0
-    rel_gap: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
-        if not 0 <= self.rel_gap < 1:
-            raise ValueError("rel_gap must be in [0, 1)")
 
 
 # rad's search settings, read at each call
@@ -59,11 +46,12 @@ def _default_rop_solver(artifacts, opts) -> MipSolution:
 
 def _sub_solve(solver, network: Network, line_ids, out: frozenset[int], memo: dict,
                n_periods: int, time_limit: float,
-               rel_gap: float) -> tuple[RestorationPlan | None, str]:
+               opts: SolveOptions) -> tuple[RestorationPlan | None, str]:
     """The step ``rrr`` and ``rad`` repeat: re-order a line set by MILP.
 
     Orders ``line_ids`` over ``n_periods`` unit periods with an even
-    repair budget and the lines ``out`` absent (``build_rop``). Returns
+    repair budget and the lines ``out`` absent (``build_rop``), within
+    ``time_limit`` seconds and the run's relative gap (``opts``). Returns
     the extracted plan (None without a usable incumbent) and the MILP
     status, ``"failure"`` when there is no time left or building or
     solving the MILP raises ``PlanExtractionError`` or
@@ -73,11 +61,10 @@ def _sub_solve(solver, network: Network, line_ids, out: frozenset[int], memo: di
         return None, "failure"
     damage = DamageScenario(tuple(sorted(line_ids)))
     schedule = build_schedule(len(line_ids), n_periods, 1.0)
-    opts = SolveOptions(time_limit=time_limit, rel_gap=rel_gap)
     try:
         # through the module, so a replaced models.build_rop sees every sub-solve
         artifacts = models.build_rop(network, damage, schedule, out, memo)
-        solution = solver(artifacts, opts)
+        solution = solver(artifacts, replace(opts, time_limit=time_limit))
     except (PlanExtractionError, PlanEvaluationError):
         return None, "failure"
     try:
@@ -91,12 +78,13 @@ def _capacity_order(network: Network, line_ids) -> list[int]:
     return util_order(network, DamageScenario(tuple(sorted(line_ids)))).ordered_lines()
 
 
-def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
+def rrr(network: Network, damage: DamageScenario, opts: SolveOptions,
         rop_solver=None, memo: dict | None = None) -> RestorationPlan:
     """Recursive bisection of the damage set via two-period ordering MILPs.
 
     Each split picks half its lines for period one and recurses on both
-    halves, with half the remaining budget as the MILP time limit. A split
+    halves, with half the time left of ``opts.time_limit`` as the MILP
+    time limit and ``opts.rel_gap`` as its gap. A split
     is solved with the lines restored after its set out: none at the top
     split, the second half's lines as well for the first half, and the
     same lines as its parent for the second half. Every line of the set
@@ -109,7 +97,7 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
     sub-problem. Output is fully ordered: one line per period.
     """
     solver = rop_solver or _default_rop_solver
-    deadline = time.monotonic() + budget.time_limit
+    deadline = time.monotonic() + opts.time_limit
     # the network's shared period LP, bases and final periods
     memo = {} if memo is None else memo
 
@@ -118,7 +106,7 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
             return list(line_ids)
         remaining = deadline - time.monotonic()
         split, _ = _sub_solve(solver, network, line_ids, later, memo, 2,
-                              remaining / 2.0, budget.rel_gap)
+                              remaining / 2.0, opts)
         if split is None:
             # MILP failure: capacity-ordered split into halves
             order = _capacity_order(network, line_ids)
@@ -135,9 +123,9 @@ def rrr(network: Network, damage: DamageScenario, budget: AlgoBudget,
     return RestorationPlan.from_lists([[lid] for lid in order])
 
 
-def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
+def rad(network: Network, damage: DamageScenario, opts: SolveOptions,
         initial: RestorationPlan | None = None, rop_solver=None,
-        memo: dict | None = None) -> RestorationPlan:
+        memo: dict | None = None, seed: int = 0) -> RestorationPlan:
     """Randomized adaptive decomposition of a fully-ordered plan.
 
     Cuts the ordering into random contiguous blocks, re-orders each by
@@ -152,8 +140,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     else the block-size cap grows; a MILP never gets more than the time
     left. A round in which no block gets a plan, with a time limit that
     already covers the time left, ends the search: later rounds could
-    only give their MILPs less. Never worse than ``initial``. The module
-    constants above set the search.
+    only give their MILPs less. Never worse than ``initial``. ``opts`` is
+    the run's budget and every MILP's gap, ``seed`` seeds the block sizes,
+    and the module constants above set the search.
     """
     solver = rop_solver or _default_rop_solver
     initial_plan = initial or util_order(network, damage)
@@ -163,9 +152,9 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
     if n <= 1:
         return initial_plan
 
-    rng = random.Random(budget.seed)
-    deadline = time.monotonic() + budget.time_limit
-    sub_time = max(INITIAL_TIME_FRACTION * budget.time_limit, 1e-3)
+    rng = random.Random(seed)
+    deadline = time.monotonic() + opts.time_limit
+    sub_time = max(INITIAL_TIME_FRACTION * opts.time_limit, 1e-3)
     s_lo, s_hi = MIN_PARTITION, MAX_PARTITION
     stall = 0
     schedule = build_schedule(n, n, 1.0)
@@ -195,7 +184,7 @@ def rad(network: Network, damage: DamageScenario, budget: AlgoBudget,
             cur_energy = energy(order, a, b)
             plan, status = _sub_solve(solver, network, block, frozenset(order[b:]), memo,
                                       len(block), min(sub_time, deadline - time.monotonic()),
-                                      budget.rel_gap)
+                                      opts)
             n_hit += status in ("feasible_time_limit", "failure")
             if plan is not None:
                 n_planned += 1
@@ -236,10 +225,10 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
                         memo: dict | None = None) -> tuple[RestorationPlan, float]:
     """Enumerate all orderings, bucket by the schedule, pick the best.
 
-    Each permutation is bucketed so that the cumulative restoration count
-    in period k equals the schedule's budget R_k, evaluated, post-processed,
-    and scored by total energy. Ties break lexicographically on the
-    post-processed plan. Guarded to at most 7 damaged lines. Every
+    Each permutation is bucketed by the schedule
+    (``PeriodSchedule.bucket``), evaluated, post-processed, and scored by
+    total energy. Ties break lexicographically on the post-processed
+    plan. Guarded to at most 7 damaged lines. Every
     evaluation reads and fills one memo (as in ``evaluate_plan``), the
     caller's ``memo`` when given.
     """
@@ -255,17 +244,10 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     seen: set = set()
     memo = {} if memo is None else memo
     for perm in itertools.permutations(sorted(damage.damaged_lines)):
-        periods = []
-        prev = 0
-        for k in range(schedule.n_periods):
-            rk = schedule.repair_budget[k]
-            periods.append(perm[prev:rk])
-            prev = rk
-        key0 = tuple(tuple(sorted(p)) for p in periods)
-        if key0 in seen:
+        plan = schedule.bucket(perm)
+        if plan in seen:
             continue  # lumped schedules map many permutations to one plan
-        seen.add(key0)
-        plan = RestorationPlan.from_lists(periods)
+        seen.add(plan)
         series = evaluate_plan(network, damage, plan, schedule, memo=memo)
         mono_series, mono_plan = monotonize(series, plan)
         energy = total_energy(mono_series)

@@ -4,10 +4,13 @@ Node selection is best bound, branching is most-fractional with lowest
 variable index as the tie-break, so the search is fully deterministic.
 The search runs in one sense: like the standard form, it minimizes
 ``sign * objective``, with ``sign = -1`` for a maximization. The MILP's
-standard form is built once; a node is its binary fixes. The root LP
-starts from the program's ``start`` basis when it has one (an ordering
-MILP carries a primal feasible basis made from a period LP's optimum),
-and cold, from the LP core's slack basis, otherwise. Every other LP is
+standard form is built once; a node is its binary fixes. A program
+holds both of its starts: ``start``, a basis for the root LP, and
+``warm_start``, a binary assignment for a first incumbent. The root LP
+starts from ``start`` when the program has one (an ordering MILP carries
+a primal feasible basis made from a period LP's optimum), and cold, from
+the LP core's slack basis, otherwise. ``SolveOptions`` is only the
+search's budget: its time limit and relative gap. Every other LP is
 warm: the warm-start incumbent LP starts from the root's optimal basis,
 and each child LP is re-solved under its fixes from its parent's optimal
 basis by the LP core's dual simplex. An optimal basis carries the
@@ -46,6 +49,8 @@ class MixedIntegerProgram:
     binary_vars: frozenset[int] = frozenset()
     # a basis of the relaxation's standard form to start the root LP from
     start: Basis | None = None
+    # a full binary assignment to try as the first incumbent
+    warm_start: dict[int, int] | None = None
 
     def __post_init__(self):
         self.binary_vars = frozenset(self.binary_vars)
@@ -57,9 +62,11 @@ class MixedIntegerProgram:
 
 @dataclass
 class SolveOptions:
+    """A solve's budget: wall-clock seconds and the relative gap at which
+    a search may stop."""
+
     time_limit: float = 60.0
     rel_gap: float = 0.01
-    warm_start: dict[int, int] | None = None  # full binary assignment
 
     def __post_init__(self):
         if not self.time_limit > 0:
@@ -99,11 +106,11 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
     The root LP starts from ``mip.start`` when the program has one. The
-    warm start, if feasible, becomes the initial incumbent. The search
-    stops when the best waiting node cannot improve the incumbent by more
-    than ``rel_gap``; that node stays in the reported bound, so the gap
-    reported is the one proven. The time
-    limit is checked between node solves and is every LP's deadline, so an
+    program's ``warm_start``, if feasible, becomes the initial incumbent.
+    The search stops when the best waiting node cannot improve the
+    incumbent by more than ``rel_gap``; that node stays in the reported
+    bound, so the gap reported is the one proven. The time limit is
+    checked between node solves and is every LP's deadline, so an
     LP that runs past it ends 'iteration_limit'. A time limit with no
     incumbent yields 'failure'. A node whose LP ends neither optimal nor
     infeasible (iteration limit, deadline, numerical failure) stays open
@@ -148,8 +155,8 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     else:
         unresolved.append(-INF)  # left open with no bound proven
 
-    if opts.warm_start is not None:
-        fixes = {j: float(v) for j, v in opts.warm_start.items() if j in mip.binary_vars}
+    if mip.warm_start is not None:
+        fixes = {j: float(v) for j, v in mip.warm_start.items() if j in mip.binary_vars}
         if len(fixes) == len(binaries):
             # from the root's basis; cold when the root LP is not optimal
             sol = solve_lp(mip.base, form=_with_fixes(form, fixes), start=root.basis,

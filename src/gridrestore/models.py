@@ -327,21 +327,15 @@ def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[i
 
     A plan of the schedule's length whose cumulative restoration counts
     stay within the repair budget is taken period by period. Any other
-    plan is bucketed by the budget: line number r (1-based, in plan
-    order) is restored in the first period k with R_k >= r.
+    plan is bucketed by the budget (``PeriodSchedule.bucket``) in plan
+    order.
     """
     schedule = artifacts.schedule
-    restore_period: dict[int, int] = {}
     counts = itertools.accumulate(len(p) for p in plan.periods)
-    if plan.n_periods == schedule.n_periods and all(
-            c <= r for c, r in zip(counts, schedule.repair_budget)):
-        for k, p in enumerate(plan.periods, start=1):
-            for lid in p:
-                restore_period[lid] = k
-    else:
-        for r, lid in enumerate(plan.ordered_lines(), start=1):
-            restore_period[lid] = next(k for k, R in enumerate(schedule.repair_budget, start=1)
-                                       if R >= r)
+    if plan.n_periods != schedule.n_periods or any(
+            c > r for c, r in zip(counts, schedule.repair_budget)):
+        plan = schedule.bucket(plan.ordered_lines())
+    restore_period = {lid: k for k, p in enumerate(plan.periods, start=1) for lid in p}
     return {artifacts.z[(lid, k)]: int(k >= restore_period[lid])
             for lid in sorted(artifacts.damage.damaged_lines)
             for k in range(1, schedule.n_periods)}

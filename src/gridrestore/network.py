@@ -38,7 +38,6 @@ class CaseParseError(ValueError):
 @dataclass(frozen=True)
 class Bus:
     id: int
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,9 @@ class Network:
 
 @dataclass(frozen=True)
 class DamageScenario:
-    """A set of damaged lines plus the metadata that generated it."""
+    """A set of damaged lines."""
 
     damaged_lines: tuple[int, ...]
-    seed: int = 0
-    fraction: float = 0.0
 
     def __post_init__(self):
         if len(set(self.damaged_lines)) != len(self.damaged_lines):
@@ -161,6 +158,17 @@ class PeriodSchedule:
             raise ValueError("period durations must be positive")
         if any(b > a for a, b in zip(self.repair_budget[1:], self.repair_budget)):
             raise ValueError("repair budget must be nondecreasing")
+
+    def bucket(self, order) -> RestorationPlan:
+        """The plan that restores the lines of ``order`` at the repair
+        budget: line number r (1-based) in the first period k with
+        R_k >= r. Raises ``ValueError`` unless R_N is the number of lines.
+        """
+        order = tuple(order)
+        if len(order) != self.repair_budget[-1]:
+            raise ValueError("final repair budget must equal the number of lines")
+        return RestorationPlan.from_lists(
+            order[lo:hi] for lo, hi in zip((0,) + self.repair_budget, self.repair_budget))
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,7 @@ def random_damage(network: Network, fraction: float, seed: int) -> DamageScenari
     rng = random.Random(seed)
     ids = sorted(l.id for l in network.lines)
     chosen = sorted(rng.sample(ids, n))
-    return DamageScenario(tuple(chosen), seed=seed, fraction=fraction)
+    return DamageScenario(tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +352,7 @@ def parse_case(text: str) -> Network:
         if bid in bus_ids:
             raise CaseParseError(f"duplicate bus id {bid}", line_no, "bus")
         bus_ids.add(bid)
-        buses.append(Bus(id=bid, name=f"bus{bid}"))
+        buses.append(Bus(id=bid))
         pd = _finite(row[2], line_no, "Pd")
         if pd > 0:
             loads.append(Load(id=len(loads) + 1, bus=bid, p_demand=pd / base_mva))

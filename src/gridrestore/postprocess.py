@@ -68,7 +68,6 @@ class RestorationReport:
     plan: RestorationPlan
     series: PowerServedSeries
     islands: list[tuple[int, int]]
-    algorithm: str = ""
     wall_time: float | None = None
 
     @property

@@ -69,7 +69,7 @@ def random_scenario(seed: int, n_damaged_range=(3, 5)):
     rng = random.Random(seed + 10_000)
     k = min(rng.randint(*n_damaged_range), len(net.lines))
     damaged = tuple(sorted(rng.sample([l.id for l in net.lines], k)))
-    return net, DamageScenario(damaged, seed=seed)
+    return net, DamageScenario(damaged)
 
 
 def meshed_network(seed: int, n_buses: int = 10) -> Network:

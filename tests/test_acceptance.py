@@ -11,7 +11,7 @@ import pytest
 
 import gridrestore.heuristics
 from gridrestore.cli import EXIT_OK, main as cli_main
-from gridrestore.heuristics import (MAX_PARTITION, AlgoBudget, brute_force_optimal,
+from gridrestore.heuristics import (MAX_PARTITION, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.lp import solve_lp
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
@@ -52,9 +52,8 @@ def test_criterion_01_exact_solver_matches_enumeration(instances):
         n = len(dmg.damaged_lines)
         sched = build_schedule(n, n)
         art = build_rop(net, dmg, sched)
-        warm = plan_to_assignment(art, util_order(net, dmg))
-        sol = solve_mip(art.program,
-                        SolveOptions(time_limit=120, rel_gap=0.0, warm_start=warm))
+        art.program.warm_start = plan_to_assignment(art, util_order(net, dmg))
+        sol = solve_mip(art.program, SolveOptions(time_limit=120, rel_gap=0.0))
         assert sol.status == "optimal_within_gap"
         rel = abs(sol.objective_value - opt) / max(abs(opt), 1e-10)
         worst = max(worst, rel)
@@ -67,7 +66,7 @@ def test_criterion_02_rrr_near_optimal(instances):
     ratios = []
     beats_util = 0
     for net, dmg, opt in instances:
-        plan = rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0))
+        plan = rrr(net, dmg, SolveOptions(time_limit=60, rel_gap=0.0))
         e_rrr = plan_energy(net, dmg, plan)
         e_util = plan_energy(net, dmg, util_order(net, dmg))
         ratios.append(e_rrr / opt if opt > 0 else 1.0)
@@ -124,7 +123,7 @@ def test_criterion_04_subproblem_scaling():
             binary_counts.append(len(art.program.binary_vars))
             return MipSolution(status="failure")
 
-        plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=probe)
+        plan = rrr(net, dmg, SolveOptions(time_limit=30), rop_solver=probe)
         plan.validate_against(dmg)
         assert max(binary_counts) <= 2 * n
         assert len(binary_counts) <= 2 * n - 1
@@ -179,7 +178,7 @@ def test_criterion_06_lp_engine_against_reference():
 def test_criterion_07_fallback_paths():
     for seed in range(5):
         net, dmg = random_scenario(seed + 60)
-        starved = rrr(net, dmg, AlgoBudget(time_limit=1e-9))
+        starved = rrr(net, dmg, SolveOptions(time_limit=1e-9))
         assert starved == util_order(net, dmg)
 
     def delaying(art, opts):
@@ -194,7 +193,7 @@ def test_criterion_07_fallback_paths():
         calls.append(args)
         return delaying(*args)
 
-    plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=counted)
+    plan = rrr(net, dmg, SolveOptions(time_limit=5), rop_solver=counted)
     assert len(calls) == 1  # the empty first half ends the recursion
     assert plan == util_order(net, dmg)
     print("\ncriterion 7 (starved solver reproduces capacity order; empty "
@@ -208,7 +207,7 @@ def test_criterion_08_rad_behavior(monkeypatch):
         net, dmg = random_scenario(seed % 10)
         initial = util_order(net, dmg)
         before = plan_energy(net, dmg, initial)
-        plan = rad(net, dmg, AlgoBudget(time_limit=1.0, seed=seed), initial=initial)
+        plan = rad(net, dmg, SolveOptions(time_limit=1.0), initial=initial, seed=seed)
         plan.validate_against(dmg)
         if plan_energy(net, dmg, plan) < before - 1e-9:
             degraded += 1
@@ -230,7 +229,7 @@ def test_criterion_08_rad_behavior(monkeypatch):
 
     net, dmg = random_scenario(2)
     monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 3)
-    rad(net, dmg, AlgoBudget(time_limit=5), rop_solver=failing)
+    rad(net, dmg, SolveOptions(time_limit=5), rop_solver=failing)
     assert max(time_limits[1:]) >= 2 * time_limits[0]
     # 12 lines: the block-size cap can grow past 5, up to n // 2 = 6
     net = random_network(7, n_buses=8, n_lines=12)
@@ -238,7 +237,7 @@ def test_criterion_08_rad_behavior(monkeypatch):
     initial = RestorationPlan.from_lists(
         [[lid] for lid in sorted(dmg.damaged_lines)])
     monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", 6)
-    rad(net, dmg, AlgoBudget(time_limit=60), initial=initial, rop_solver=identity)
+    rad(net, dmg, SolveOptions(time_limit=60), initial=initial, rop_solver=identity)
     assert max(block_sizes) > MAX_PARTITION
     print("\ncriterion 8 (randomized decomposition: 0/50 runs degraded; both "
           "adaptation rules observed): PASS")

@@ -22,6 +22,7 @@ from gridrestore.models import PlanEvaluationError, build_rop, extract_plan
 from conftest import CASES_DIR, energizes_every_line
 
 TINY3 = os.path.join(CASES_DIR, "tiny3.m")
+MESH12 = os.path.join(CASES_DIR, "mesh12.m")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -230,6 +231,17 @@ class TestSolve:
         assert starts and None not in starts
         assert colds == []
 
+    @pytest.mark.parametrize("algo", ["util", "rrr", "rad"])
+    def test_orderings_are_bucketed_by_the_periods(self, tmp_path, algo):
+        # --n-periods governs every algorithm: three lines over two periods
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", algo,
+                   "--n-periods", "2", "--time-limit", "30", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        plan = read_summary(tmp_path)["plan"]
+        assert [len(p) for p in plan] == [2, 1]
+        assert sorted(sum(plan, [])) == [1, 2, 3]
+        assert len(read_csv(os.path.join(tmp_path, "report.csv"))) == 2
+
     def test_rop_one_period_has_no_free_binary(self, tmp_path, monkeypatch):
         real_solve_mip = gridrestore.cli.solve_mip
         binaries = []
@@ -390,6 +402,16 @@ class TestCompare:
         assert rows[0]["energy"] == rows[1]["energy"]
         assert rows[0]["best"] == rows[1]["best"]
 
+    def test_rop_best_over_the_same_periods(self, tmp_path):
+        # every algorithm is scored over the same two periods, so the
+        # exact ordering MILP is at least as good as util
+        rc = main(["compare", "--case", MESH12, "--damage-fraction", "0.25", "--seed", "1",
+                   "--n-periods", "2", "--algos", "util", "rop", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        by_algo = {r["algorithm"]: r for r in read_csv(os.path.join(tmp_path, "compare.csv"))}
+        assert by_algo["rop"]["best"] == "True"
+        assert float(by_algo["rop"]["energy"]) >= float(by_algo["util"]["energy"])
+
     def test_requires_two_algorithms(self, tmp_path):
         rc = main(["compare", "--case", TINY3, "--damage-lines", "1",
                    "--algos", "util", "--out", str(tmp_path)])
@@ -429,6 +451,15 @@ class TestSweep:
         assert len(os.listdir(os.path.join(tmp_path, "cells"))) == 2
         assert main(base + ["--n-periods", "2"]) == EXIT_OK
         assert "(0 computed, 1 cached)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fractions", [["1.5"], ["1.0", "0"]])
+    def test_bad_fraction_is_one_error_line(self, tmp_path, capsys, fractions):
+        rc = main(["sweep", "--case", TINY3, "--fractions", *fractions, "--seeds", "0",
+                   "--algos", "util", "--out", str(tmp_path), "--workers", "1"])
+        assert rc == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert err == "error: fraction must be in (0, 1]\n"
+        assert out == "" and os.listdir(tmp_path) == []
 
     def test_long_form_columns(self, tmp_path):
         main(["sweep", "--case", TINY3, "--fractions", "1.0", "--seeds", "0",

@@ -7,7 +7,7 @@ import pytest
 import gridrestore.heuristics
 import gridrestore.lp
 import gridrestore.models
-from gridrestore.heuristics import (MAX_PARTITION, AlgoBudget, brute_force_optimal,
+from gridrestore.heuristics import (MAX_PARTITION, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
 from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
@@ -93,25 +93,25 @@ class TestUtil:
 
 class TestRrr:
     def test_single_line_base_case(self, tiny3):
-        plan = rrr(tiny3, DamageScenario((3,)), AlgoBudget(time_limit=5))
+        plan = rrr(tiny3, DamageScenario((3,)), SolveOptions(time_limit=5))
         assert plan.periods == (frozenset({3}),)
 
     def test_finds_better_order_than_capacity(self, tiny3):
         dmg = DamageScenario((1, 2))
-        plan = rrr(tiny3, dmg, AlgoBudget(time_limit=20, rel_gap=0.0))
+        plan = rrr(tiny3, dmg, SolveOptions(time_limit=20, rel_gap=0.0))
         assert plan.ordered_lines() == [1, 2]  # enumeration optimum
 
     def test_zero_budget_equals_util(self):
         for seed in range(5):
             net, dmg = random_scenario(seed)
-            plan = rrr(net, dmg, AlgoBudget(time_limit=1e-9))
+            plan = rrr(net, dmg, SolveOptions(time_limit=1e-9))
             assert plan == util_order(net, dmg)
 
     def test_failing_solver_still_partitions(self):
         for seed in range(5):
             net, dmg = random_scenario(seed)
             seam, calls = recorded(failing_solver)
-            plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+            plan = rrr(net, dmg, SolveOptions(time_limit=5), rop_solver=seam)
             plan.validate_against(dmg)
             # every split falls back to halving its capacity order: n - 1
             # splits, whose halves recurse to the capacity order itself
@@ -121,7 +121,7 @@ class TestRrr:
     def test_empty_first_split_returns_capacity_order(self):
         net, dmg = random_scenario(3)
         seam, calls = recorded(delaying_solver)
-        plan = rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+        plan = rrr(net, dmg, SolveOptions(time_limit=5), rop_solver=seam)
         assert len(calls) == 1  # no recursion below an empty first half
         assert plan == util_order(net, dmg)
 
@@ -130,7 +130,7 @@ class TestRrr:
             net, dmg = random_scenario(seed)
             n = len(dmg.damaged_lines)
             seam, calls = recorded(real_solver)
-            rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), rop_solver=seam)
+            rrr(net, dmg, SolveOptions(time_limit=30, rel_gap=0.0), rop_solver=seam)
             assert 1 <= len(calls) <= 2 * n - 1
             assert max(len(art.program.binary_vars) for art, _, _ in calls) <= 2 * n
             # a split's second period has no binaries: one per line of the split
@@ -148,20 +148,20 @@ class TestRrr:
         # every split has an incumbent with a nonempty first half
         net, dmg = random_scenario(6)
         seam, calls = recorded(real_solver)
-        rrr(net, dmg, AlgoBudget(time_limit=30, rel_gap=0.0), rop_solver=seam)
+        rrr(net, dmg, SolveOptions(time_limit=30, rel_gap=0.0), rop_solver=seam)
         assert len(calls) == 2
         assert all(extract_plan(art, sol).periods[0] for art, sol, _ in calls)
         assert util_calls == []
         # one empty first half at the top
         seam, calls = recorded(delaying_solver)
-        rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+        rrr(net, dmg, SolveOptions(time_limit=5), rop_solver=seam)
         assert len(util_calls) == len(calls) == 1
         # one fallback per split
         for seed in range(5):
             net, dmg = random_scenario(seed)
             util_calls.clear()
             seam, calls = recorded(failing_solver)
-            rrr(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+            rrr(net, dmg, SolveOptions(time_limit=5), rop_solver=seam)
             assert len(util_calls) == len(calls) == len(dmg.damaged_lines) - 1
 
 
@@ -180,7 +180,7 @@ class TestRrr:
                                assignment=plan_to_assignment(art, plan))
 
         seam, calls = recorded(halving)
-        plan = rrr(net, dmg, AlgoBudget(time_limit=30), rop_solver=seam)
+        plan = rrr(net, dmg, SolveOptions(time_limit=30), rop_solver=seam)
         assert plan == sorted_plan(dmg)
         seen = {frozenset(art.damage.damaged_lines): art.out for art, _, _ in calls}
         a, b, c, d, e, f, g, h = sorted(dmg.damaged_lines)
@@ -203,7 +203,7 @@ class TestRrr:
             net = meshed_network(seed, 12)
             dmg = random_damage(net, 0.5, seed)
             seam, calls = recorded(real_solver)
-            rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
+            rrr(net, dmg, SolveOptions(time_limit=60, rel_gap=0.0), rop_solver=seam)
             # the top split has no line out
             assert calls[0][0].out == frozenset()
             outs = {frozenset(art.damage.damaged_lines): art.out for art, _, _ in calls}
@@ -242,7 +242,7 @@ class TestRrr:
             lps.clear()
             forms.clear()
             seam, calls = recorded(real_solver)
-            rrr(net, dmg, AlgoBudget(time_limit=60, rel_gap=0.0), rop_solver=seam)
+            rrr(net, dmg, SolveOptions(time_limit=60, rel_gap=0.0), rop_solver=seam)
             assert len(forms) == 1 and calls
             assert {id(lp) for lp, _, _ in lps} == {id(forms[0])}
             # at most a base per split and a final period per set of lines
@@ -257,16 +257,22 @@ def stall_limit(monkeypatch, rounds):
     monkeypatch.setattr(gridrestore.heuristics, "STALL_LIMIT", rounds)
 
 
-class TestAlgoBudget:
+class TestBudget:
+    """``rrr`` and ``rad`` take their budget as a ``SolveOptions``."""
+
     @pytest.mark.parametrize("field, value", [
         ("time_limit", 0.0), ("time_limit", -1.0), ("time_limit", float("nan")),
         ("rel_gap", 1.0), ("rel_gap", 1.5), ("rel_gap", -0.5), ("rel_gap", float("nan"))])
     def test_rejects_bad_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
-            AlgoBudget(**{field: value})
+            SolveOptions(**{field: value})
 
-    def test_accepts_the_range_ends(self):
-        AlgoBudget(time_limit=float("inf"), rel_gap=0.0)
+    def test_accepts_the_range_ends(self, tiny3, monkeypatch):
+        opts = SolveOptions(time_limit=float("inf"), rel_gap=0.0)
+        dmg = DamageScenario((1, 2))
+        assert rrr(tiny3, dmg, opts).ordered_lines() == [1, 2]  # enumeration optimum
+        stall_limit(monkeypatch, 2)
+        rad(tiny3, dmg, opts).validate_against(dmg)
 
 
 class TestRad:
@@ -274,13 +280,13 @@ class TestRad:
         dmg = DamageScenario((1, 2, 3))
         initial = util_order(tiny3, dmg)
         stall_limit(monkeypatch, 0)
-        plan = rad(tiny3, dmg, AlgoBudget(time_limit=5), initial=initial)
+        plan = rad(tiny3, dmg, SolveOptions(time_limit=5), initial=initial)
         assert plan == initial
 
     def test_two_lines_matches_top_split_objective(self, tiny3, monkeypatch):
         dmg = DamageScenario((1, 2))
         stall_limit(monkeypatch, 2)
-        plan = rad(tiny3, dmg, AlgoBudget(time_limit=20, rel_gap=0.0))
+        plan = rad(tiny3, dmg, SolveOptions(time_limit=20, rel_gap=0.0))
         art = build_rop(tiny3, dmg, build_schedule(2, 2))
         sol = solve_mip(art.program, SolveOptions(time_limit=20, rel_gap=0.0))
         assert plan_energy(tiny3, dmg, plan) == pytest.approx(
@@ -292,7 +298,7 @@ class TestRad:
             net, dmg = random_scenario(seed)
             initial = util_order(net, dmg)
             before = plan_energy(net, dmg, initial)
-            plan = rad(net, dmg, AlgoBudget(time_limit=2, seed=seed), initial=initial)
+            plan = rad(net, dmg, SolveOptions(time_limit=2), initial=initial, seed=seed)
             plan.validate_against(dmg)
             assert plan_energy(net, dmg, plan) >= before - 1e-9
 
@@ -319,7 +325,7 @@ class TestRad:
             calls.clear()
             forms.clear()
             mips.clear()
-            return rad(net, dmg, AlgoBudget(time_limit=300, seed=3))
+            return rad(net, dmg, SolveOptions(time_limit=300), seed=3)
 
         topologies = set()
 
@@ -360,7 +366,7 @@ class TestRad:
         net, dmg = random_scenario(2)
         seam, calls = recorded(failing_solver)
         stall_limit(monkeypatch, 3)
-        rad(net, dmg, AlgoBudget(time_limit=5), rop_solver=seam)
+        rad(net, dmg, SolveOptions(time_limit=5), rop_solver=seam)
         limits = [opts.time_limit for _, _, opts in calls]
         assert max(limits[1:]) >= 2 * limits[0]
 
@@ -383,7 +389,7 @@ class TestRad:
             seen.append((opts.time_limit, reads[-1]))
             return failing_solver(art, opts)
 
-        rad(net, dmg, AlgoBudget(time_limit=2), rop_solver=seam)
+        rad(net, dmg, SolveOptions(time_limit=2), rop_solver=seam)
         deadline = reads[1] + 2  # rad's first read plus its budget
         assert len(seen) > 10
         assert max(limit for limit, _ in seen) > 0.1  # the limit has doubled
@@ -397,7 +403,7 @@ class TestRad:
         dmg = DamageScenario(tuple(l.id for l in net.lines))
         stall_limit(monkeypatch, 6)
         seam, calls = recorded(identity_solver)
-        rad(net, dmg, AlgoBudget(time_limit=60), initial=sorted_plan(dmg), rop_solver=seam)
+        rad(net, dmg, SolveOptions(time_limit=60), initial=sorted_plan(dmg), rop_solver=seam)
         sizes = [len(art.damage.damaged_lines) for art, _, _ in calls]
         assert max(sizes) > MAX_PARTITION
 
@@ -409,7 +415,7 @@ class TestRad:
         initial = sorted_plan(dmg)
         seam, calls = recorded(identity_solver)
         stall_limit(monkeypatch, 6)
-        rad(net, dmg, AlgoBudget(time_limit=60), initial=initial, rop_solver=seam)
+        rad(net, dmg, SolveOptions(time_limit=60), initial=initial, rop_solver=seam)
         # each round's first block holds the first line, and every round
         # adapts: the identity answer never improves a block
         first = initial.ordered_lines()[0]

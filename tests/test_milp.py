@@ -133,9 +133,11 @@ class TestBranchAndBound:
             warm = solve_mip(mip, SolveOptions(rel_gap=0.0)).assignment or None
         twin = minimizing(mip)
         assert (mip.base.objective_sense, twin.base.objective_sense) == ("maximize", "minimize")
-        for opts in (SolveOptions(rel_gap=0.0), SolveOptions(),
-                     SolveOptions(rel_gap=0.0, warm_start=warm)):
-            sol, mirrored = solve_mip(mip, opts), solve_mip(twin, opts)
+        warmed = replace(mip, warm_start=warm), replace(twin, warm_start=warm)
+        for (program, mirror), opts in (((mip, twin), SolveOptions(rel_gap=0.0)),
+                                        ((mip, twin), SolveOptions()),
+                                        (warmed, SolveOptions(rel_gap=0.0))):
+            sol, mirrored = solve_mip(program, opts), solve_mip(mirror, opts)
             assert (mirrored.status, mirrored.nodes, mirrored.assignment) == \
                 (sol.status, sol.nodes, sol.assignment)
             np.testing.assert_array_equal(mirrored.objective_value, -sol.objective_value)
@@ -194,8 +196,7 @@ class TestBranchAndBound:
 
     def test_warm_start_feasible(self):
         mip, best, assign = self._feasible_seed(4)
-        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0,
-                                          warm_start=assign))
+        sol = solve_mip(replace(mip, warm_start=assign), SolveOptions(time_limit=30, rel_gap=0.0))
         assert sol.status == "optimal_within_gap"
         assert sol.objective_value == pytest.approx(best, abs=1e-6, rel=1e-6)
 
@@ -205,9 +206,9 @@ class TestBranchAndBound:
         lp.add_variable("z1", 0.0, 1.0)
         lp.add_constraint("c", [(0, 1.0), (1, 1.0)], "=", 1.0)
         lp.set_objective("maximize", [(0, 2.0), (1, 1.0)])
-        mip = MixedIntegerProgram(base=lp, binary_vars=frozenset({0, 1}))
-        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0,
-                                          warm_start={0: 1, 1: 1}))
+        mip = MixedIntegerProgram(base=lp, binary_vars=frozenset({0, 1}),
+                                  warm_start={0: 1, 1: 1})
+        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0))
         assert sol.status == "optimal_within_gap"
         assert sol.objective_value == pytest.approx(2.0)
         assert sol.assignment == {0: 1, 1: 0}
@@ -273,8 +274,8 @@ class TestBranchAndBound:
             return solve_lp(lp, *args, **kwargs)
 
         monkeypatch.setattr(gridrestore.milp, "solve_lp", root_fails)
-        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0,
-                                          warm_start={0: 0, 1: 0, 2: 1}))
+        sol = solve_mip(replace(mip, warm_start={0: 0, 1: 0, 2: 1}),
+                        SolveOptions(time_limit=10, rel_gap=0.0))
         # with no root basis the warm-start LP is solved cold, and nothing else
         assert calls == [None, None]
         assert sol.nodes == 2
@@ -302,7 +303,8 @@ class TestBranchAndBound:
 
         made = start_inversions(monkeypatch)
         monkeypatch.setattr(gridrestore.milp, "solve_lp", recording)
-        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign))
+        mip = replace(mip, warm_start=assign)
+        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0))
         assert sol.nodes == len(calls)
         assert all(lp is mip.base for lp, _, _ in calls)
         # the root is cold; the warm-start LP and every child start warm
@@ -335,7 +337,8 @@ class TestBranchAndBound:
         # once, however many branchings follow
         mip, _, assign = self._feasible_seed(20 + 10 * seed)
         inverses = start_inversions(monkeypatch)
-        opts = SolveOptions(time_limit=30, rel_gap=0.0, warm_start=assign)
+        mip = replace(mip, warm_start=assign)
+        opts = SolveOptions(time_limit=30, rel_gap=0.0)
         sol = solve_mip(mip, opts)
         # the root, the warm-start LP, then two children per branching
         branchings = (sol.nodes - 2) // 2
@@ -415,8 +418,8 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(gridrestore.milp, "solve_lp", long_children)
         began = time.monotonic()
-        sol = solve_mip(mip, SolveOptions(time_limit=30, rel_gap=0.0,
-                                          warm_start={0: 1, 1: 0, 2: 0}))
+        sol = solve_mip(replace(mip, warm_start={0: 1, 1: 0, 2: 0}),
+                        SolveOptions(time_limit=30, rel_gap=0.0))
         ended = time.monotonic()
         assert ended - began < 30
         # every LP's deadline is the MILP's start plus its time limit
@@ -500,9 +503,9 @@ class TestBranchAndBound:
         dmg = random_damage(net, 0.25, 5)
         n = len(dmg.damaged_lines)
         art = build_rop(net, dmg, build_schedule(n, n))
-        warm = plan_to_assignment(art, util_order(net, dmg))
-        exact = solve_mip(art.program, SolveOptions(rel_gap=0.0, warm_start=warm))
-        sol = solve_mip(art.program, SolveOptions(rel_gap=0.01, warm_start=warm))
+        art.program.warm_start = plan_to_assignment(art, util_order(net, dmg))
+        exact = solve_mip(art.program, SolveOptions(rel_gap=0.0))
+        sol = solve_mip(art.program, SolveOptions(rel_gap=0.01))
         assert exact.status == sol.status == "optimal_within_gap"
         assert sol.objective_value < exact.objective_value
         assert sol.best_bound >= exact.objective_value - 1e-9

@@ -755,9 +755,8 @@ class TestPlanExtraction:
             assert extract_plan(art, sol).periods == bucketed(order, sched).periods
         # the warm start is kept: the first incumbent is the bucketed plan
         art = build_rop(net, dmg, lumped_schedule(4))
-        warm = plan_to_assignment(art, ordered)
-        sol = solve_mip(art.program, SolveOptions(time_limit=30, rel_gap=0.99,
-                                                  warm_start=warm))
+        warm = art.program.warm_start = plan_to_assignment(art, ordered)
+        sol = solve_mip(art.program, SolveOptions(time_limit=30, rel_gap=0.99))
         assert sol.has_incumbent and sol.assignment == warm
 
     @pytest.mark.parametrize("seed", range(10))

@@ -191,6 +191,37 @@ class TestSchedule:
         with pytest.raises(ValueError, match="nondecreasing"):
             PeriodSchedule(2, (1.0, 1.0), (2, 1))
 
+    @given(st.integers(0, 12), st.integers(1, 12), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_bucket_restores_each_line_at_its_budget(self, n, periods, even, rng):
+        if even:
+            sched = build_schedule(n, periods)
+        else:  # a nondecreasing budget that may leave periods empty
+            budget = sorted(rng.randint(0, n) for _ in range(periods - 1)) + [n]
+            sched = PeriodSchedule(periods, (1.0,) * periods, tuple(budget))
+        order = rng.sample(range(1, 100), n)
+        plan = sched.bucket(order)
+        # line number r is restored in the first period k with R_k >= r
+        first = {lid: next(k for k, R in enumerate(sched.repair_budget) if R >= r)
+                 for r, lid in enumerate(order, start=1)}
+        assert plan.periods == tuple(frozenset(lid for lid in order if first[lid] == k)
+                                     for k in range(periods))
+        # the plan of each stretch of the order between two budgets
+        slices, prev = [], 0
+        for rk in sched.repair_budget:
+            slices.append(order[prev:rk])
+            prev = rk
+        assert plan == RestorationPlan.from_lists(slices)
+        assert plan.ordered_lines() == [lid for p in slices for lid in sorted(p)]
+        if n == periods and even:
+            assert plan == RestorationPlan.from_lists([[lid] for lid in order])
+
+    def test_bucket_needs_every_line_in_the_budget(self):
+        with pytest.raises(ValueError, match="number of lines"):
+            build_schedule(3, 2).bucket([1, 2])
+        with pytest.raises(ValueError, match="number of lines"):
+            build_schedule(3, 2).bucket([1, 2, 3, 4])
+
 
 class TestRandomDamage:
     def test_full_fraction_damages_all(self, tiny3):
