@@ -12,8 +12,7 @@ from .lp import Constraint, LinearProgram, LpSolution, Variable, solve_lp, write
 from .milp import (MipSolution, MixedIntegerProgram, SolveOptions, solve_external,
                    solve_mip)
 from .models import (PlanExtractionError, PowerServedSeries, RopArtifacts,
-                     build_rip, build_rop, evaluate_plan, extract_plan,
-                     plan_to_assignment)
+                     build_rop, evaluate_plan, extract_plan, plan_to_assignment)
 from .heuristics import brute_force_optimal, rad, rrr, util_order
 from .postprocess import (RestorationReport, build_report, island_metrics,
                           monotonize, total_energy)
@@ -27,7 +26,7 @@ __all__ = [
     "LinearProgram", "LpSolution", "solve_lp", "write_mps",
     "MixedIntegerProgram", "SolveOptions", "MipSolution", "solve_mip",
     "solve_external", "PowerServedSeries",
-    "RopArtifacts", "PlanExtractionError", "build_rip", "build_rop",
+    "RopArtifacts", "PlanExtractionError", "build_rop",
     "evaluate_plan", "extract_plan", "plan_to_assignment", "util_order", "rrr", "rad", "brute_force_optimal", "monotonize",
     "island_metrics", "total_energy", "RestorationReport", "build_report",
 ]

@@ -45,9 +45,15 @@ EXIT_SOLVER = 3
 
 
 class CliError(Exception):
+    """An error that ends a command with exit code ``code``; ``str(e)`` is the
+    message. Both survive pickling, as a sweep worker's error must."""
+
     def __init__(self, message: str, code: int):
-        super().__init__(message)
+        super().__init__(message, code)
         self.code = code
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass
@@ -75,6 +81,8 @@ class RunConfig:
             raise ValueError("relative gap must be in [0, 1)")
         if self.n_periods is not None and self.n_periods < 1:
             raise ValueError("number of periods must be at least 1")
+        # the one place an empty --backend-cmd falls back to the environment
+        self.backend_cmd = self.backend_cmd or os.environ.get(BACKEND_ENV)
 
 
 def _read_case(path: str) -> str:
@@ -105,9 +113,8 @@ def _make_damage(network: Network, config: RunConfig) -> DamageScenario:
 
 
 def _mip_solver(config: RunConfig):
-    cmd = config.backend_cmd or os.environ.get(BACKEND_ENV)
-    if cmd:
-        return lambda prog, opts: solve_external(prog, opts, cmd)
+    if config.backend_cmd:
+        return lambda prog, opts: solve_external(prog, opts, config.backend_cmd)
     return solve_mip
 
 
@@ -250,7 +257,6 @@ def _config_key(base: RunConfig, case_text: str) -> str:
     import hashlib  # loads OpenSSL: ~3.5 MB of RSS that solve never needs
 
     shared = {k: v for k, v in base.__dict__.items() if k not in _PER_CELL_FIELDS}
-    shared["backend_cmd"] = base.backend_cmd or os.environ.get(BACKEND_ENV)
     blob = json.dumps([case_text, shared], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

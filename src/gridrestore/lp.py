@@ -172,7 +172,8 @@ class StandardForm:
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
-    """Build the standard form of a validated LP.
+    """Build the standard form of an LP, checked first by
+    ``LinearProgram.validate``, whose ``ValueError`` it raises.
 
     The one place an LP's terms become a matrix: the terms of one column
     in one row are summed in term order and a zero sum is dropped. The
@@ -181,6 +182,7 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     their order, and each run of equal keys is summed from its first
     term on, one term at a time.
     """
+    lp.validate()
     n, m = len(lp.variables), len(lp.constraints)
     cons = lp.constraints
     b = np.array([con.rhs for con in cons], dtype=float)
@@ -838,7 +840,6 @@ def solve_lp(lp: LinearProgram, *, form: StandardForm | None = None,
     with, so a solve from it inverts nothing.
     """
     if form is None:
-        lp.validate()
         form = standard_form(lp)
     if (form.lower > form.upper).any():
         return LpSolution("infeasible", float("nan"), np.zeros(len(lp.variables)))
@@ -883,7 +884,6 @@ def write_mps(prog) -> str:
     if hasattr(prog, "base"):
         lp = prog.base
         binary = set(prog.binary_vars)
-    lp.validate()
     form = standard_form(lp)
 
     out = []

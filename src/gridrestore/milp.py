@@ -118,7 +118,6 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     proves nothing and ends 'feasible_time_limit', or 'failure' with no
     incumbent.
     """
-    mip.base.validate()
     form = standard_form(mip.base)
     deadline = time.monotonic() + opts.time_limit
     # the search minimizes key = sign * objective, as the standard form does

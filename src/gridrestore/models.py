@@ -365,7 +365,6 @@ class _Periods:
         self.refs = _reference_buses(network)
         self.lp = LinearProgram()
         self.xd, _ = _period_dcopf(self.lp, network, frozenset(self.ids), self.refs)
-        self.lp.validate()
         self.form = standard_form(self.lp)
         names = [v.name for v in self.lp.variables] + [c.name for c in self.lp.constraints]
         self.index = {name: j for j, name in enumerate(names)}

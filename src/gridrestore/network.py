@@ -297,46 +297,25 @@ def parse_case(text: str) -> Network:
     current: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if current is not None:
-            if line.startswith("]"):
-                current = None
+        if current is None:
+            m = _ASSIGN_SCALAR.match(line)
+            if m and m.group(1) == "baseMVA":
+                value = _parse_row(m.group(2), line_no, "baseMVA")[0]
+                base_mva = _finite(value, line_no, "baseMVA")
+                if base_mva <= 0:
+                    raise CaseParseError("baseMVA must be positive", line_no, "baseMVA")
                 continue
-            row = line
-            closed = False
-            if "]" in row:
-                row = row.split("]")[0]
-                closed = True
-            if row.strip():
-                tables[current].append((line_no, _parse_row(row, line_no, current)))
-            if closed:
-                current = None
-            continue
-        m = _ASSIGN_SCALAR.match(line)
-        if m and m.group(1) == "baseMVA":
-            value = _parse_row(m.group(2), line_no, "baseMVA")[0]
-            base_mva = _finite(value, line_no, "baseMVA")
-            if base_mva <= 0:
-                raise CaseParseError("baseMVA must be positive", line_no, "baseMVA")
-            continue
-        m = _ASSIGN_MATRIX.match(line)
-        if m:
-            name = m.group(1)
-            if name in ("bus", "gen", "branch"):
-                current = name
-                tables.setdefault(name, [])
-                rest = line[m.end():]
-                if rest.strip() and not rest.strip().startswith("]"):
-                    row = rest.split("]")[0]
-                    if row.strip():
-                        tables[name].append((line_no, _parse_row(row, line_no, name)))
-                    if "]" not in rest:
-                        continue
-                    current = None
-                elif "]" in rest:
-                    current = None
-            continue
+            m = _ASSIGN_MATRIX.match(line)
+            if not m or m.group(1) not in ("bus", "gen", "branch"):
+                continue
+            current = m.group(1)
+            tables.setdefault(current, [])
+            line = line[m.end():]  # the opener's rest is read as a table line
+        row, closed, _ = line.partition("]")
+        if row.strip():
+            tables[current].append((line_no, _parse_row(row, line_no, current)))
+        if closed:
+            current = None
     if "bus" not in tables or not tables["bus"]:
         raise CaseParseError("missing or empty bus table", field="bus")
     if "branch" not in tables:

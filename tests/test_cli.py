@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ import gridrestore.cli
 import gridrestore.lp
 import gridrestore.milp
 import gridrestore.models
-from gridrestore.cli import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, RunConfig, cmd_compare,
-                             cmd_solve, cmd_sweep, main)
+from gridrestore.cli import (BACKEND_ENV, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, CliError,
+                             RunConfig, _config_key, cmd_compare, cmd_solve, cmd_sweep,
+                             main)
 from gridrestore.heuristics import brute_force_optimal
 from gridrestore.network import (DamageScenario, build_schedule, parse_case,
                                  random_damage)
@@ -418,6 +420,15 @@ class TestCompare:
         assert rc == EXIT_PARSE
 
 
+def raise_parse_error(config):
+    raise CliError("case file vanished", EXIT_PARSE)
+
+
+def test_cli_error_survives_pickling():
+    e = pickle.loads(pickle.dumps(CliError("case file vanished", EXIT_PARSE)))
+    assert (str(e), e.code) == ("case file vanished", EXIT_PARSE)
+
+
 class TestSweep:
     def test_single_cell(self, tmp_path):
         rc = main(["sweep", "--case", TINY3, "--fractions", "1.0",
@@ -461,6 +472,15 @@ class TestSweep:
         assert err == "error: fraction must be in (0, 1]\n"
         assert out == "" and os.listdir(tmp_path) == []
 
+    def test_worker_usage_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a usage error raised in a worker process crosses back to the parent
+        # whole, so the sweep ends in one error line, not a broken pool
+        monkeypatch.setattr(gridrestore.cli, "solve_to_report", raise_parse_error)
+        rc = main(["sweep", "--case", TINY3, "--fractions", "0.5", "1.0", "--seeds", "0",
+                   "--algos", "util", "--out", str(tmp_path), "--workers", "2"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == "error: case file vanished\n"
+
     def test_long_form_columns(self, tmp_path):
         main(["sweep", "--case", TINY3, "--fractions", "1.0", "--seeds", "0",
               "--algos", "util", "rrr", "--out", str(tmp_path), "--workers", "1"])
@@ -489,6 +509,25 @@ class TestRunConfig:
     def test_rejects_bad_solver_settings(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(case=TINY3, algorithm="util", damage_fraction=0.5, **{field: value})
+
+    @pytest.mark.parametrize("flag, want", [(None, "env {mps}"), ("", "env {mps}"),
+                                            ("flag {mps}", "flag {mps}")])
+    def test_backend_cmd_falls_back_to_environment(self, monkeypatch, flag, want):
+        monkeypatch.setenv(BACKEND_ENV, "env {mps}")
+        config = RunConfig(case=TINY3, algorithm="util", damage_fraction=0.5,
+                           backend_cmd=flag)
+        assert config.backend_cmd == want
+
+    def test_environment_backend_keys_the_sweep(self, monkeypatch):
+        keys = set()
+        for cmd in ("solver-a {mps}", "solver-b {mps}", None):
+            if cmd is None:
+                monkeypatch.delenv(BACKEND_ENV, raising=False)
+            else:
+                monkeypatch.setenv(BACKEND_ENV, cmd)
+            keys.add(_config_key(RunConfig(case=TINY3, algorithm="util",
+                                           damage_fraction=0.5), "case text"))
+        assert len(keys) == 3
 
 
 # each subcommand, with the arguments it needs besides the option under test

@@ -249,6 +249,29 @@ class TestBasics:
         with pytest.raises(ValueError, match="unique"):
             solve_lp(lp)
 
+    @pytest.mark.parametrize("variables, constraints, objective", [
+        ([("x", math.nan, 1.0)], [], [(0, 1.0)]),
+        ([("x", 0.0, math.nan)], [], [(0, 1.0)]),
+        ([("x", 0.0, 1.0)], [([(0, 1.0)], "<", 1.0)], [(0, 1.0)]),
+        ([("x", 0.0, 1.0)], [([(0, 1.0)], "<=", math.nan)], [(0, 1.0)]),
+        ([("x", 0.0, 1.0)], [([(0, math.nan)], "<=", 1.0)], [(0, 1.0)]),
+        ([("x", 0.0, 1.0)], [([(1, 1.0)], "<=", 1.0)], [(0, 1.0)]),
+        ([("x", 0.0, 1.0)], [], [(1, 1.0)]),
+        ([("x", 0.0, 1.0)], [], [(-1, 1.0)]),
+        ([("x", 0.0, 1.0)], [], [(0, math.nan)]),
+        ([("x", 0.0, 1.0), ("x", 0.0, 1.0)], [], []),
+    ], ids=["nan-lower", "nan-upper", "bad-relation", "nan-rhs", "nan-coefficient",
+            "row-term-out-of-range", "objective-out-of-range", "objective-negative-index",
+            "nan-objective", "duplicate-names"])
+    def test_standard_form_checks_the_lp(self, variables, constraints, objective):
+        # every check of validate runs inside standard_form, with its message
+        lp = simple_lp("maximize", objective, variables, constraints)
+        with pytest.raises(ValueError) as want:
+            lp.validate()
+        with pytest.raises(ValueError) as got:
+            standard_form(lp)
+        assert str(got.value) == str(want.value)
+
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(100))
@@ -1324,7 +1347,6 @@ class TestSparseKernels:
             lps.append(build_rip(net, dmg, RestorationPlan.from_lists([order[:1], order[1:]]),
                                  build_schedule(len(order), 2)))
         for prog in lps:
-            prog.validate()
             got, want = standard_form(prog), oracles.dict_standard_form(prog)
             for name in ("b", "c", "lower", "upper", "nz_val", "nz_row", "nz_col", "col_ptr"):
                 a, b = getattr(got, name), getattr(want, name)

@@ -146,6 +146,76 @@ class TestGoldenCases:
             parse_case("mpc.baseMVA = 100;\nmpc.branch = [\n];\n")
 
 
+TINY3_TABLES = {
+    "bus": ["1 3 0 0 0 0 1 1 0 230 1 1.1 0.9",
+            "2 1 80 0 0 0 1 1 0 230 1 1.1 0.9",
+            "3 1 60 0 0 0 1 1 0 230 1 1.1 0.9"],
+    "gen": ["1 0 0 100 -100 1 100 1 200 0"],
+    "branch": ["1 2 0 0.1 0 150 0 0 0 0 1 -30 30",
+               "1 3 0 0.2 0 100 0 0 0 0 1 -30 30",
+               "2 3 0 0.125 0 120 0 0 0 0 1 -30 30"],
+}
+
+
+def opener_alone(name, rows):
+    return [f"mpc.{name} = ["] + [f"  {r};" for r in rows] + ["];"]
+
+
+def row_on_opener(name, rows):
+    return [f"mpc.{name} = [{rows[0]};"] + [f"  {r};" for r in rows[1:]] + ["];"]
+
+
+def closer_on_last_row(name, rows):
+    return [f"mpc.{name} = ["] + [f"  {r};" for r in rows[:-1]] + [f"  {rows[-1]}];"]
+
+
+def one_line(name, rows):
+    # a line is one row, so only a one-row table fits on one line
+    assert len(rows) == 1
+    return [f"mpc.{name} = [{rows[0]};];"]
+
+
+def commented_rows(name, rows):
+    return [f"mpc.{name} = ["] + [f"  {r}; % row {i} ]" for i, r in enumerate(rows)] + ["];"]
+
+
+def tiny3_text(layout=opener_alone, before=(), after=(), **layouts):
+    """tiny3.m's tables, each in ``layouts[name]`` or else ``layout``."""
+    lines = ["function mpc = tiny3", "mpc.baseMVA = 100;", *before]
+    for name, rows in TINY3_TABLES.items():
+        lines += layouts.get(name, layout)(name, rows)
+    return "\n".join(lines + list(after)) + "\n"
+
+
+GENCOST = ["mpc.gencost = [2 0 0 3 0.11 5 0;", "  2 0 0 3 0.085 1.2 0;", "];"]
+
+
+class TestTableLayouts:
+    @pytest.mark.parametrize("text", [
+        tiny3_text(opener_alone),
+        tiny3_text(row_on_opener),
+        tiny3_text(closer_on_last_row),
+        tiny3_text(gen=one_line),
+        tiny3_text(before=["mpc.gen = [];"]),  # an empty table adds no row
+        tiny3_text(before=["mpc.gen = [ ];", "mpc.branch = [", "];"]),
+        tiny3_text(before=GENCOST),  # a matrix that is not read
+        tiny3_text(after=GENCOST),
+        tiny3_text(commented_rows),  # a ']' in a comment closes nothing
+    ], ids=["opener-alone", "row-on-opener", "closer-on-last-row", "one-line",
+            "empty-table", "empty-tables-spaced", "gencost-first", "gencost-last",
+            "comment-after-row"])
+    def test_layout_parses_to_tiny3(self, text):
+        assert parse_case(text) == read_case("tiny3.m")
+
+    def test_malformed_value_on_opener_line(self):
+        lines = tiny3_text(row_on_opener).splitlines()
+        at = lines.index("mpc.bus = [" + TINY3_TABLES["bus"][0] + ";")
+        lines[at] = lines[at].replace(" 230 ", " 2x0 ")
+        with pytest.raises(CaseParseError, match="'2x0' in bus table") as e:
+            parse_case("\n".join(lines))
+        assert e.value.line_no == at + 1 and e.value.field == "bus"
+
+
 class TestNetworkValidation:
     def test_duplicate_bus(self):
         with pytest.raises(ValueError, match="duplicate bus"):
