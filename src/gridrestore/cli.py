@@ -75,10 +75,7 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if (self.damage_fraction is None) == (self.damage_lines is None):
             raise ValueError("exactly one of damage_fraction or damage_lines required")
-        if not self.time_limit > 0:
-            raise ValueError("time limit must be positive")
-        if not 0 <= self.rel_gap < 1:
-            raise ValueError("relative gap must be in [0, 1)")
+        SolveOptions(self.time_limit, self.rel_gap)  # checks the budget
         if self.n_periods is not None and self.n_periods < 1:
             raise ValueError("number of periods must be at least 1")
         # the one place an empty --backend-cmd falls back to the environment
@@ -126,8 +123,6 @@ def run_algorithm(network: Network, damage: DamageScenario, schedule: PeriodSche
     mip_solver = _mip_solver(config)
     rop_solver = lambda art, opts: mip_solver(art.program, opts)
 
-    if not damage.damaged_lines:
-        return schedule.bucket(()), None
     if config.algorithm == "oracle":
         try:
             plan, _ = brute_force_optimal(network, damage, schedule, memo)
@@ -339,14 +334,10 @@ def _add_damage(p: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args, algorithm: str) -> RunConfig:
-    # sweep has no per-run damage flags; cells fill in their own fractions
     try:
         return RunConfig(
-            case=args.case, algorithm=algorithm,
-            damage_fraction=getattr(args, "damage_fraction", None)
-            if hasattr(args, "damage_fraction") else 1.0,
-            damage_lines=tuple(args.damage_lines) if getattr(args, "damage_lines", None)
-            else None,
+            case=args.case, algorithm=algorithm, damage_fraction=args.damage_fraction,
+            damage_lines=tuple(args.damage_lines) if args.damage_lines else None,
             seed=args.seed, time_limit=args.time_limit, rel_gap=args.rel_gap,
             n_periods=args.n_periods, output_dir=args.out,
             backend_cmd=args.backend_cmd, record_timing=args.record_timing)
@@ -383,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, type=int, nargs="+")
     p.add_argument("--algos", required=True, nargs="+", choices=ALGORITHMS)
     p.add_argument("--workers", type=int, default=None)
+    # sweep has no per-run damage flags; cells fill in their own fractions
+    p.set_defaults(damage_fraction=1.0, damage_lines=None)
     return parser
 
 

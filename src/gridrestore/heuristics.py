@@ -18,7 +18,7 @@ from .milp import MipSolution, SolveOptions, solve_mip
 from .models import PlanEvaluationError, PlanExtractionError, evaluate_plan, extract_plan
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
-from .postprocess import monotonize, total_energy
+from .postprocess import DIP_TOL, monotonize, total_energy
 
 
 # rad's search settings, read at each call
@@ -209,11 +209,10 @@ def rad(network: Network, damage: DamageScenario, opts: SolveOptions,
     try:
         init_series = evaluate_plan(network, damage, initial_plan,
                                     build_schedule(n, initial_plan.n_periods, 1.0), memo=memo)
-        fin_series = evaluate_plan(network, damage, final,
-                                   build_schedule(n, final.n_periods, 1.0), memo=memo)
+        fin_series = evaluate_plan(network, damage, final, schedule, memo=memo)
         init_e = total_energy(monotonize(init_series, initial_plan)[0])
         fin_e = total_energy(monotonize(fin_series, final)[0])
-        if fin_e < init_e - 1e-9:
+        if fin_e < init_e - DIP_TOL:
             return initial_plan
     except RuntimeError:
         pass
@@ -228,15 +227,14 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     Each permutation is bucketed by the schedule
     (``PeriodSchedule.bucket``), evaluated, post-processed, and scored by
     total energy. Ties break lexicographically on the post-processed
-    plan. Guarded to at most 7 damaged lines. Every
-    evaluation reads and fills one memo (as in ``evaluate_plan``), the
-    caller's ``memo`` when given.
+    plan; energies within ``DIP_TOL`` tie. Guarded to at most 7 damaged
+    lines; a schedule whose final budget is not the damage count raises
+    ``ValueError`` (``PeriodSchedule.bucket``). Every evaluation reads
+    and fills one memo (as in ``evaluate_plan``), the caller's ``memo``
+    when given.
     """
-    n = len(damage.damaged_lines)
-    if n > 7:
+    if len(damage.damaged_lines) > 7:
         raise ValueError("brute force limited to 7 damaged lines")
-    if schedule.repair_budget[-1] != n:
-        raise ValueError("schedule final repair budget must equal the damage count")
 
     best_energy = None
     best_plan = None
@@ -252,8 +250,8 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
         mono_series, mono_plan = monotonize(series, plan)
         energy = total_energy(mono_series)
         key = tuple(tuple(sorted(p)) for p in mono_plan.periods)
-        if best_energy is None or energy > best_energy + 1e-9 or (
-                abs(energy - best_energy) <= 1e-9 and key < best_key):
+        if best_energy is None or energy > best_energy + DIP_TOL or (
+                abs(energy - best_energy) <= DIP_TOL and key < best_key):
             best_energy = energy
             best_plan = mono_plan
             best_key = key

@@ -481,21 +481,15 @@ class _Simplex:
     def _update_inverse(self, pos: int, w: np.ndarray) -> None:
         """Column ``w = Binv a_q`` replaced the basic column of row ``pos``.
 
-        Only the rows where ``w`` is nonzero change. Updating just those
-        rows gathers and scatters them, which costs more than the dense
-        update unless they are few and the inverse is large; both give
-        the same values.
+        Row ``pos`` is divided by the pivot ``w[pos]``, and every other row
+        i loses ``w[i]`` times it, by one rank-1 product (``_outer``) over
+        the whole inverse; a row where ``w`` is zero loses exact zeros.
         """
         Binv = self.Binv
         Binv[pos, :] /= w[pos]
-        if 2 * np.count_nonzero(w) + 64 < self.m:
-            rows = np.flatnonzero(w)
-            rows = rows[rows != pos]
-            Binv[rows] -= _outer(w[rows], Binv[pos, :])
-        else:
-            wq = w.copy()
-            wq[pos] = 0.0
-            Binv -= _outer(wq, Binv[pos, :])
+        wq = w.copy()
+        wq[pos] = 0.0
+        Binv -= _outer(wq, Binv[pos, :])
 
     def _pivot(self, pos: int, q: int, step: float, w: np.ndarray, to_lower: bool) -> None:
         """Column q enters the basis at row ``pos`` after a step of ``step``

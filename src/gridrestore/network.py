@@ -214,9 +214,9 @@ def build_schedule(n_damaged: int, n_periods: int, hours_per_period: float = 1.0
 
     R_k = round-half-up(k * n_damaged / n_periods), so R_k = k when
     n_damaged == n_periods and restorations are fully ordered.
+    Raises ``ValueError`` when ``n_periods`` < 1 (``PeriodSchedule``) or
+    ``n_damaged`` < 0.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
     if n_damaged < 0:
         raise ValueError("n_damaged must be >= 0")
     budget = tuple(round_half_up(k * n_damaged / n_periods) for k in range(1, n_periods + 1))
@@ -253,7 +253,7 @@ def _strip_comment(line: str) -> str:
 
 def _parse_row(text: str, line_no: int, table: str) -> list[float]:
     vals = []
-    for tok in text.replace(";", " ").split():
+    for tok in text.split():
         try:
             vals.append(float(tok))
         except ValueError:
@@ -290,7 +290,9 @@ def parse_case(text: str) -> Network:
     service that joins a bus to itself is an error. Every number read
     (baseMVA, bus id, Pd, gen status, Pmax, x, rateA, branch status,
     angmin, angmax) must be finite, and every bus id (of a bus, a
-    generator's bus, a branch's ends) an integer.
+    generator's bus, a branch's ends) an integer. A row ends at a ``;``
+    or at the end of its line, so rows may share a line; each keeps that
+    line's number.
     """
     base_mva = 100.0
     tables: dict[str, list[tuple[int, list[float]]]] = {}
@@ -311,9 +313,10 @@ def parse_case(text: str) -> Network:
             current = m.group(1)
             tables.setdefault(current, [])
             line = line[m.end():]  # the opener's rest is read as a table line
-        row, closed, _ = line.partition("]")
-        if row.strip():
-            tables[current].append((line_no, _parse_row(row, line_no, current)))
+        rows, closed, _ = line.partition("]")
+        for row in rows.split(";"):
+            if row.strip():
+                tables[current].append((line_no, _parse_row(row, line_no, current)))
         if closed:
             current = None
     if "bus" not in tables or not tables["bus"]:

@@ -58,6 +58,25 @@ class TestSolve:
         assert summary["plan"] == [sorted(p) for p in plan.periods]
         assert summary["total_energy_pu"] == pytest.approx(energy)
 
+    @pytest.mark.parametrize("n_periods", [[], ["--n-periods", "2"]],
+                             ids=["default-periods", "two-periods"])
+    def test_zero_damage_runs_every_algorithm(self, tmp_path, n_periods):
+        # 1% of tiny3's three lines rounds to none: every algorithm plans
+        # empty periods, and rop's MILP proves its gap
+        for algo in ("util", "rrr", "rad", "rop", "oracle"):
+            out = tmp_path / algo
+            rc = main(["solve", "--case", TINY3, "--damage-fraction", "0.01", "--algo", algo,
+                       "--out", str(out)] + n_periods)
+            assert rc == EXIT_OK
+            summary = read_summary(out)
+            assert summary["damaged_lines"] == []
+            assert summary["plan"] == [[]] * (2 if n_periods else 1)
+            assert summary["gap"] == (0.0 if algo == "rop" else None)
+            assert summary["total_energy_pu"] == pytest.approx(1.4 * len(summary["plan"]))
+            if algo != "util":
+                assert (out / "report.csv").read_bytes() == \
+                    (tmp_path / "util" / "report.csv").read_bytes()
+
     def test_rop_reports_gap(self, tmp_path):
         rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2",
                    "--algo", "rop", "--time-limit", "30", "--out", str(tmp_path)])
@@ -503,8 +522,10 @@ class TestRunConfig:
             RunConfig(case=TINY3, algorithm="magic", damage_fraction=0.5)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("time_limit", 0.0, "time limit"), ("time_limit", float("nan"), "time limit"),
-        ("rel_gap", 1.5, "relative gap"), ("rel_gap", -0.1, "relative gap"),
+        ("time_limit", 0.0, "time_limit must be positive"),
+        ("time_limit", float("nan"), "time_limit must be positive"),
+        ("rel_gap", 1.5, "rel_gap must be in"),
+        ("rel_gap", -0.1, "rel_gap must be in"),
         ("n_periods", 0, "number of periods"), ("n_periods", -1, "number of periods")])
     def test_rejects_bad_solver_settings(self, field, value, message):
         with pytest.raises(ValueError, match=message):

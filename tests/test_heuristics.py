@@ -438,6 +438,10 @@ class TestBruteForce:
                                            build_schedule(0, 1))
         assert energy == pytest.approx(1.4)
 
+    def test_schedule_must_restore_every_line(self, tiny3):
+        with pytest.raises(ValueError, match="final repair budget"):
+            brute_force_optimal(tiny3, DamageScenario((1, 2)), build_schedule(3, 3))
+
     def test_size_guard(self, tiny3):
         big = DamageScenario(tuple(range(1, 9)))
         with pytest.raises(ValueError, match="limited to 7"):

@@ -462,6 +462,34 @@ class TestWarmStart:
         assert_same_result(sol, solve_lp(lp))
         assert sol.objective_value == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("misfit", ["short columns", "long columns", "repeated column",
+                                        "short status"])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])  # two rows or more
+    def test_start_that_does_not_fit_runs_cold(self, warm_paths, seed, misfit):
+        # a start of another form's shape, or one that names a column twice,
+        # is given up before any pivot: the solve is the cold one
+        lp = feasible_lp(seed, max_vars=8)
+        form = standard_form(lp)
+        cold = solve_lp(lp, form=form)
+        start = slack_basis(form)
+        columns, status = start.columns, start.status
+        if misfit == "short columns":
+            columns = columns[:-1]
+        elif misfit == "long columns":
+            columns = np.append(columns, 0)
+        elif misfit == "repeated column":
+            columns = columns.copy()
+            columns[1] = columns[0]
+        else:
+            status = status[:-1]
+        paths, colds = warm_paths
+        del paths[:], colds[:]
+        sol = solve_lp(lp, form=form, start=Basis(columns, status))
+        assert paths == [None] and len(colds) == 1
+        assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+        assert sol.objective_value == cold.objective_value
+        np.testing.assert_array_equal(sol.primal, cold.primal)
+
     def test_artificial_basis_maps_to_slacks(self):
         # the >= and = rows break their slacks' bounds at the slack basis, so
         # the cold solve starts in phase 1; its optimal basis is a basis of
@@ -1171,8 +1199,8 @@ class TestInverseUpdate:
     @pytest.mark.parametrize("seed", range(20))
     def test_sparse_update_matches_dense(self, seed):
         # a block-diagonal basis and a column inside one block: w = Binv a is
-        # zero on every row of the other block. Large inverses with a small
-        # block take the row-wise update, the others the dense one.
+        # zero on every row of the other block, which the update leaves as
+        # they were, small and large inverses alike
         rng = np.random.default_rng(seed)
         if seed % 2:
             k, m = int(rng.integers(1, 6)), int(rng.integers(7, 14))

@@ -12,9 +12,13 @@ from gridrestore.network import (Bus, CaseParseError, DamageScenario, Generator,
 from conftest import CASES_DIR, random_network, tiny3_network
 
 
-def read_case(name):
+def read_text(name):
     with open(os.path.join(CASES_DIR, name)) as f:
-        return parse_case(f.read())
+        return f.read()
+
+
+def read_case(name):
+    return parse_case(read_text(name))
 
 
 class TestRounding:
@@ -170,9 +174,8 @@ def closer_on_last_row(name, rows):
 
 
 def one_line(name, rows):
-    # a line is one row, so only a one-row table fits on one line
-    assert len(rows) == 1
-    return [f"mpc.{name} = [{rows[0]};];"]
+    # each ';' ends a row, so a whole table fits on one line
+    return [f"mpc.{name} = [{'; '.join(rows)};];"]
 
 
 def commented_rows(name, rows):
@@ -201,11 +204,30 @@ class TestTableLayouts:
         tiny3_text(before=GENCOST),  # a matrix that is not read
         tiny3_text(after=GENCOST),
         tiny3_text(commented_rows),  # a ']' in a comment closes nothing
+        tiny3_text(bus=one_line),
+        tiny3_text(branch=one_line),
+        tiny3_text(one_line),
+        read_text("tiny3_packed.m"),  # rows sharing lines, a generator out of service
     ], ids=["opener-alone", "row-on-opener", "closer-on-last-row", "one-line",
             "empty-table", "empty-tables-spaced", "gencost-first", "gencost-last",
-            "comment-after-row"])
+            "comment-after-row", "bus-on-one-line", "branch-on-one-line",
+            "all-on-one-line", "packed-case-file"])
     def test_layout_parses_to_tiny3(self, text):
         assert parse_case(text) == read_case("tiny3.m")
+
+    def test_rows_sharing_a_line_keep_its_number(self):
+        # the second of two generators on one line was read as more fields
+        # of the first
+        two_gens = lambda name, rows: [
+            "mpc.gen = [1 0 0 100 -100 1 100 1 200 0; 2 0 0 100 -100 1 100 1 50 0];"]
+        net = parse_case(tiny3_text(gen=two_gens))
+        assert [(g.id, g.bus, g.p_max) for g in net.generators] == [(1, 1, 2.0), (2, 2, 0.5)]
+        lines = tiny3_text(bus=one_line).splitlines()
+        at = lines.index("mpc.bus = [" + "; ".join(TINY3_TABLES["bus"]) + ";];")
+        lines[at] = lines[at].replace("3 1 60", "3 1 6x0")
+        with pytest.raises(CaseParseError, match="'6x0' in bus table") as e:
+            parse_case("\n".join(lines))
+        assert e.value.line_no == at + 1
 
     def test_malformed_value_on_opener_line(self):
         lines = tiny3_text(row_on_opener).splitlines()
@@ -214,6 +236,35 @@ class TestTableLayouts:
         with pytest.raises(CaseParseError, match="'2x0' in bus table") as e:
             parse_case("\n".join(lines))
         assert e.value.line_no == at + 1 and e.value.field == "bus"
+
+
+def rows_of(table_rows):
+    """A layout that writes ``table_rows`` in place of the table's rows."""
+    return lambda name, rows: opener_alone(name, table_rows)
+
+
+class TestCaseRejected:
+    @pytest.mark.parametrize("text, message, field", [
+        (tiny3_text().replace("baseMVA = 100", "baseMVA = 0"), "baseMVA must be positive",
+         "baseMVA"),
+        (tiny3_text().replace("baseMVA = 100", "baseMVA = -100"), "baseMVA must be positive",
+         "baseMVA"),
+        (tiny3_text(branch=lambda name, rows: []), "missing branch table", "branch"),
+        (tiny3_text(bus=rows_of(TINY3_TABLES["bus"] + ["4 1"])), "bus row too short", "bus"),
+        (tiny3_text(gen=rows_of(["1 0 0 100 -100 1 100 1"])), "gen row too short", "gen"),
+        (tiny3_text(branch=rows_of(["1 2 0"])), "branch row too short", "branch"),
+        (tiny3_text(bus=rows_of(TINY3_TABLES["bus"] + TINY3_TABLES["bus"][1:2])),
+         "duplicate bus id 2", "bus"),
+        (tiny3_text(gen=rows_of(["9 0 0 100 -100 1 100 1 200 0"])),
+         "unknown bus 9 in gen table", "gen"),
+        (tiny3_text(branch=rows_of(["9 2 0 0.1 0 150 0 0 0 0 1 -30 30"])),
+         "unknown bus 9 in branch table", "branch"),
+    ], ids=["zero-base", "negative-base", "no-branch-table", "short-bus", "short-gen",
+            "short-branch", "duplicate-bus", "gen-bus", "branch-from-bus"])
+    def test_bad_case_rejected(self, text, message, field):
+        with pytest.raises(CaseParseError, match=message) as err:
+            parse_case(text)
+        assert err.value.field == field
 
 
 class TestNetworkValidation:
@@ -230,6 +281,28 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="unknown bus"):
             Network(buses=(Bus(1),), lines=(Line(1, 1, 2, -1.0, 1.0),),
                     generators=(), loads=())
+
+    @pytest.mark.parametrize("parts, message", [
+        ({"buses": ()}, "at least one bus"),
+        ({"lines": (Line(1, 1, 2, -1.0, 1.0), Line(1, 2, 1, -1.0, 1.0))}, "duplicate line ids"),
+        ({"lines": (Line(1, 1, 2, -1.0, -0.5),)}, "thermal_limit < 0"),
+        ({"lines": (Line(1, 1, 2, -1.0, 1.0, 0.0),)}, "angle_diff_max must be > 0"),
+        ({"lines": (Line(1, 1, 2, -1.0, 1.0, -0.1),)}, "angle_diff_max must be > 0"),
+        ({"generators": (Generator(1, 3, 1.0),)}, "generator 1: unknown bus"),
+        ({"loads": (Load(1, 3, 1.0),)}, "load 1: unknown bus"),
+        ({"generators": (Generator(1, 1, -1.0),)}, "generator 1: p_max < 0"),
+        ({"loads": (Load(1, 2, -0.5),)}, "load 1: p_demand < 0"),
+    ], ids=["no-buses", "duplicate-line", "negative-limit", "zero-angle", "negative-angle",
+            "generator-bus", "load-bus", "negative-pmax", "negative-pd"])
+    def test_rejects_bad_part(self, parts, message):
+        two_buses = {"buses": (Bus(1), Bus(2)), "lines": (Line(1, 1, 2, -1.0, 1.0),),
+                     "generators": (Generator(1, 1, 1.0),), "loads": (Load(1, 2, 0.5),)}
+        with pytest.raises(ValueError, match=message):
+            Network(**{**two_buses, **parts})
+
+    def test_damage_names_an_unknown_line(self):
+        with pytest.raises(ValueError, match="damaged line 9 not in network"):
+            DamageScenario((1, 9)).validate(tiny3_network())
 
     def test_incidence_indices(self):
         net = tiny3_network()
@@ -256,6 +329,25 @@ class TestSchedule:
         assert all(a <= b for a, b in
                    zip(sched.repair_budget, sched.repair_budget[1:]))
         assert sched.delta == (hours,) * periods
+
+    @pytest.mark.parametrize("n_periods, delta, budget, message", [
+        (0, (), (), "n_periods must be >= 1"),
+        (2, (1.0,), (1, 2), "lengths must equal n_periods"),
+        (2, (1.0, 1.0), (2,), "lengths must equal n_periods"),
+        (2, (1.0, 0.0), (1, 2), "durations must be positive"),
+        (2, (-1.0, 1.0), (1, 2), "durations must be positive"),
+    ], ids=["no-periods", "short-delta", "short-budget", "zero-duration",
+            "negative-duration"])
+    def test_bad_schedule_rejected(self, n_periods, delta, budget, message):
+        with pytest.raises(ValueError, match=message):
+            PeriodSchedule(n_periods, delta, budget)
+
+    @pytest.mark.parametrize("n_damaged, n_periods, message", [
+        (-1, 2, "n_damaged must be >= 0"), (3, 0, "n_periods must be >= 1"),
+        (3, -2, "n_periods must be >= 1")])
+    def test_bad_build_schedule_rejected(self, n_damaged, n_periods, message):
+        with pytest.raises(ValueError, match=message):
+            build_schedule(n_damaged, n_periods)
 
     def test_nonincreasing_budget_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):
