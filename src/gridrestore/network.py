@@ -242,13 +242,11 @@ def random_damage(network: Network, fraction: float, seed: int) -> DamageScenari
 # MATPOWER-subset case parsing
 # ---------------------------------------------------------------------------
 
-_ASSIGN_SCALAR = re.compile(r"mpc\.(\w+)\s*=\s*([^;\[\]'\s]+)\s*;")
-_ASSIGN_MATRIX = re.compile(r"mpc\.(\w+)\s*=\s*\[")
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
+# ``mpc.<name> = ...``: a matrix to its ``]`` (an empty ``closer`` if the next
+# statement or the text's end comes first), any other value to ``;``, its
+# line's end or the next statement
+_STATEMENT = re.compile(r"\bmpc\.(\w+)\s*=[ \t]*(?:\s*\[(?P<body>[^\]m]*(?:m(?!pc\.\w+\s*=)[^\]m]*)*)"
+                        r"(?P<closer>\]?)|(?P<value>[^;\n]*?)(?=[;\n]|\bmpc\.\w+\s*=|\Z))")
 
 
 def _parse_row(text: str, line_no: int, table: str) -> list[float]:
@@ -290,36 +288,37 @@ def parse_case(text: str) -> Network:
     service that joins a bus to itself is an error. Every number read
     (baseMVA, bus id, Pd, gen status, Pmax, x, rateA, branch status,
     angmin, angmax) must be finite, and every bus id (of a bus, a
-    generator's bus, a branch's ends) an integer. A row ends at a ``;``
-    or at the end of its line, so rows may share a line; each keeps that
-    line's number.
+    generator's bus, a branch's ends) an integer. Statements may share a
+    line: a scalar ends at a ``;``, at the end of its line or at the next
+    statement, a matrix at its ``]`` (an error if the next statement or
+    the end of the text comes first), a row at a ``;`` or at the end of
+    its line, whose number it keeps.
     """
     base_mva = 100.0
     tables: dict[str, list[tuple[int, list[float]]]] = {}
-    current: str | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if current is None:
-            m = _ASSIGN_SCALAR.match(line)
-            if m and m.group(1) == "baseMVA":
-                value = _parse_row(m.group(2), line_no, "baseMVA")[0]
-                base_mva = _finite(value, line_no, "baseMVA")
+    text = "\n".join(line.partition("%")[0] for line in text.splitlines())
+    for m in _STATEMENT.finditer(text):
+        name, body = m[1], m["body"]
+        line_no = text.count("\n", 0, m.start()) + 1
+        if body is None:
+            if name == "baseMVA":
+                values = _parse_row(m["value"], line_no, "baseMVA")
+                if len(values) != 1:
+                    raise CaseParseError("baseMVA is not one number", line_no, "baseMVA")
+                base_mva = _finite(values[0], line_no, "baseMVA")
                 if base_mva <= 0:
                     raise CaseParseError("baseMVA must be positive", line_no, "baseMVA")
-                continue
-            m = _ASSIGN_MATRIX.match(line)
-            if not m or m.group(1) not in ("bus", "gen", "branch"):
-                continue
-            current = m.group(1)
-            tables.setdefault(current, [])
-            line = line[m.end():]  # the opener's rest is read as a table line
-        rows, closed, _ = line.partition("]")
-        for row in rows.split(";"):
-            if row.strip():
-                tables[current].append((line_no, _parse_row(row, line_no, current)))
-        if closed:
-            current = None
-    if "bus" not in tables or not tables["bus"]:
+            continue
+        if not m["closer"]:
+            raise CaseParseError(f"mpc.{name} matrix has no closing ']'", line_no, name)
+        if name not in ("bus", "gen", "branch"):
+            continue
+        first = text.count("\n", 0, m.start("body")) + 1
+        tables.setdefault(name, []).extend(
+            (row_line_no, _parse_row(row, row_line_no, name))
+            for row_line_no, line in enumerate(body.split("\n"), start=first)
+            for row in line.split(";") if row.strip())
+    if not tables.get("bus"):
         raise CaseParseError("missing or empty bus table", field="bus")
     if "branch" not in tables:
         raise CaseParseError("missing branch table", field="branch")

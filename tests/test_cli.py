@@ -433,6 +433,20 @@ class TestCompare:
         assert by_algo["rop"]["best"] == "True"
         assert float(by_algo["rop"]["energy"]) >= float(by_algo["util"]["energy"])
 
+    def test_failed_run_is_a_status(self, tmp_path, capsys):
+        # the oracle enumerates at most 7 damaged lines: with 8 its run
+        # fails with the solver's exit code, and util alone is scored
+        rc = main(["compare", "--case", MESH12, "--damage-lines", *map(str, range(1, 9)),
+                   "--algos", "util", "oracle", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        by_algo = {r["algorithm"]: r for r in read_csv(os.path.join(tmp_path, "compare.csv"))}
+        assert by_algo["oracle"] == {"algorithm": "oracle", "energy": "", "time": "", "gap": "",
+                                     "status": f"failed({EXIT_SOLVER})", "best": "False",
+                                     "within_1pct": "False"}
+        assert (by_algo["util"]["status"], by_algo["util"]["best"]) == ("ok", "True")
+        table = capsys.readouterr().out.splitlines()
+        assert table[-1].split() == ["oracle", "-", "-", f"failed({EXIT_SOLVER})"]
+
     def test_requires_two_algorithms(self, tmp_path):
         rc = main(["compare", "--case", TINY3, "--damage-lines", "1",
                    "--algos", "util", "--out", str(tmp_path)])

@@ -10,8 +10,9 @@ import gridrestore.models
 from gridrestore.heuristics import (MAX_PARTITION, brute_force_optimal,
                                     rad, rrr, util_order)
 from gridrestore.milp import MipSolution, SolveOptions, solve_mip
-from gridrestore.models import (build_rop, energized_lines, evaluate_plan,
-                                extract_plan, plan_to_assignment)
+from gridrestore.models import (PlanEvaluationError, PowerServedSeries, build_rop,
+                                energized_lines, evaluate_plan, extract_plan,
+                                plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule, parse_case,
                                  random_damage)
@@ -44,6 +45,15 @@ def delaying_solver(art, opts):
 def identity_solver(art, opts):
     """Optimal-status answer that orders the lines by id."""
     plan = RestorationPlan.from_lists([[lid] for lid in sorted(art.damage.damaged_lines)])
+    return MipSolution(status="optimal_within_gap", objective_value=0.0,
+                       assignment=plan_to_assignment(art, plan))
+
+
+def swapping_solver(art, opts):
+    """Optimal-status answer that orders the lines by id, the first two swapped."""
+    order = sorted(art.damage.damaged_lines)
+    order[:2] = order[1::-1]
+    plan = RestorationPlan.from_lists([[lid] for lid in order])
     return MipSolution(status="optimal_within_gap", objective_value=0.0,
                        assignment=plan_to_assignment(art, plan))
 
@@ -301,6 +311,49 @@ class TestRad:
             plan = rad(net, dmg, SolveOptions(time_limit=2), initial=initial, seed=seed)
             plan.validate_against(dmg)
             assert plan_energy(net, dmg, plan) >= before - 1e-9
+
+    # raw power served by each ordering of tiny3's lines, one per period
+    RAW = {(1, 2, 3): (4.0, 0.0, 5.0), (2, 1, 3): (1.0, 4.0, 5.0)}
+
+    def fake_evaluations(self, monkeypatch, fail_periods=None):
+        """Replace rad's evaluation by ``RAW``; a plan of ``fail_periods``
+        periods raises. Returns the orderings evaluated."""
+        seen = []
+
+        def evaluate(network, damage, plan, schedule, memo=None):
+            seen.append(tuple(plan.ordered_lines()))
+            if plan.n_periods == fail_periods:
+                raise PlanEvaluationError(1, "numerical_failure")
+            return PowerServedSeries(self.RAW[seen[-1]], tuple(schedule.delta))
+
+        monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", evaluate)
+        return seen
+
+    def test_safeguard_returns_the_initial_plan(self, tiny3, monkeypatch):
+        # swapping lines 1 and 2 raises the first block's raw energy (4 -> 5
+        # over two periods, or 9 -> 10 over three), so the search takes the
+        # swap, but the monotonized total falls from 4 + 4 + 5 = 13 to
+        # 1 + 4 + 5 = 10
+        dmg = DamageScenario((1, 2, 3))
+        seen = self.fake_evaluations(monkeypatch)
+        stall_limit(monkeypatch, 2)
+        initial = sorted_plan(dmg)
+        plan = rad(tiny3, dmg, SolveOptions(time_limit=60), initial=initial,
+                   rop_solver=swapping_solver)
+        assert seen[-2:] == [(1, 2, 3), (2, 1, 3)]  # the initial plan, the search's
+        assert plan == initial
+
+    def test_safeguard_that_cannot_evaluate_keeps_the_search_result(self, tiny3,
+                                                                    monkeypatch):
+        # the initial plan's two periods cannot be evaluated, so the
+        # comparison is skipped and the search's ordering stands
+        dmg = DamageScenario((1, 2, 3))
+        self.fake_evaluations(monkeypatch, fail_periods=2)
+        stall_limit(monkeypatch, 2)
+        plan = rad(tiny3, dmg, SolveOptions(time_limit=60),
+                   initial=RestorationPlan.from_lists([[1, 2], [3]]),
+                   rop_solver=swapping_solver)
+        assert plan == RestorationPlan.from_lists([[2], [1], [3]])
 
     def test_one_memo_per_call(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[3]

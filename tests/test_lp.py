@@ -249,6 +249,10 @@ class TestBasics:
         with pytest.raises(ValueError, match="unique"):
             solve_lp(lp)
 
+    def test_unknown_objective_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown objective sense 'max'"):
+            LinearProgram().set_objective("max", [(0, 1.0)])
+
     @pytest.mark.parametrize("variables, constraints, objective", [
         ([("x", math.nan, 1.0)], [], [(0, 1.0)]),
         ([("x", 0.0, math.nan)], [], [(0, 1.0)]),
@@ -1534,6 +1538,19 @@ class TestMps:
         mip = MixedIntegerProgram(base=lp, binary_vars=frozenset({0}))
         text = write_mps(mip)
         assert "'INTORG'" in text and "'INTEND'" in text
+
+    def test_bounded_above_only(self):
+        # x in (-inf, 2]: MPS's default lower bound is 0, so an MI bound
+        # lowers it before the UP bound; the maximum is x = 2, read back
+        # as the minimum of -x
+        lp = simple_lp("maximize", [(0, 1.0)], [("x", -INF, 2.0)], [])
+        text = write_mps(lp)
+        bounds = text[text.index("BOUNDS\n"):text.index("ENDATA\n")].splitlines()[1:]
+        assert [line.split() for line in bounds] == [
+            ["MI", "BND", mps_column_name(0)], ["UP", "BND", mps_column_name(0), "2"]]
+        back = read_mps(text)
+        assert (back.variables[0].lower, back.variables[0].upper) == (-INF, 2.0)
+        assert solve_lp(back).objective_value == pytest.approx(-2.0)
 
     def test_byte_identical(self):
         lp = random_lp(9)

@@ -193,6 +193,64 @@ def tiny3_text(layout=opener_alone, before=(), after=(), **layouts):
 GENCOST = ["mpc.gencost = [2 0 0 3 0.11 5 0;", "  2 0 0 3 0.085 1.2 0;", "];"]
 
 
+def unclosed(name, rows):
+    return opener_alone(name, rows)[:-1]
+
+
+def joined(*statements):
+    """``statements``' lines as one text, a statement's first line joined
+    to the line before it."""
+    lines = list(statements[0])
+    for more in statements[1:]:
+        lines[-1] += " " + more[0]
+        lines += more[1:]
+    return lines
+
+
+def closer_then_gen(name, rows):
+    # the gen table follows the bus table's '];' on the same line
+    return joined(opener_alone(name, rows), one_line("gen", TINY3_TABLES["gen"]))
+
+
+# 2 buses, 1 generator and 1 line, a table after the bus table's '];' on
+# its line, and the bus table after the baseMVA on its line
+TWO_BUSES = ["1 3 0 0 0 0 1 1 0 230 1 1.1 0.9", "2 1 80 0 0 0 1 1 0 230 1 1.1 0.9"]
+SHARED_LINES = [
+    "mpc.bus = [" + "; ".join(TWO_BUSES) + "]; mpc.gen = [1 0 0 100 -100 1 100 1 200 0];\n"
+    "mpc.branch = [\n 1 2 0 0.1 0 150 0 0 0 0 1 -30 30;\n];\n",
+    "mpc.baseMVA = 100; mpc.bus = [" + "; ".join(TWO_BUSES) + "];\n"
+    "mpc.gen = [1 0 0 100 -100 1 100 1 200 0];\nmpc.branch = [1 2 0 0.1 0 150 0 0 0 0 1 -30 30];\n",
+]
+
+
+# a row ends at a ';' or a newline; a comment runs to its line's end
+ROW_ENDS = [";", "; ", "\n", ";\n", " ;\n\t", "; % row ] ; [\n", "\n% mpc.gen = [1 2 3];\n"]
+# what may follow a statement; a scalar with no ';' takes a space at least
+JOINERS = ["", " ", "\t", "\n", "\n\n", " % mpc.bus = [\n"]
+
+
+@st.composite
+def tiny3_statement_layouts(draw):
+    """tiny3.m's statements, a skipped matrix among them, in any order,
+    on shared or separate lines, their rows split by ';' or newlines."""
+    statements = [("version", "'2'"), ("baseMVA", "100"), *TINY3_TABLES.items()]
+    if draw(st.booleans()):
+        statements.append(("gencost", ["2 0 0 3 0.11 5 0", "2 0 0 3 0.085 1.2 0"]))
+    text = "function mpc = tiny3\n"
+    for name, value in draw(st.permutations(statements)):
+        if isinstance(value, str):
+            end = draw(st.sampled_from([";", " ;", ""]))
+            text += f"mpc.{name} = {value}{end}"
+        else:
+            ends = [draw(st.sampled_from(ROW_ENDS)) for _ in value[:-1]]
+            ends.append(draw(st.sampled_from(ROW_ENDS + [""])))
+            end = draw(st.sampled_from(["]", "];"]))
+            text += (f"mpc.{name} = " + draw(st.sampled_from(["[", "[\n", "[ "]))
+                     + "".join(row + e for row, e in zip(value, ends)) + end)
+        text += draw(st.sampled_from([j for j in JOINERS if end or j]))
+    return text
+
+
 class TestTableLayouts:
     @pytest.mark.parametrize("text", [
         tiny3_text(opener_alone),
@@ -208,12 +266,42 @@ class TestTableLayouts:
         tiny3_text(branch=one_line),
         tiny3_text(one_line),
         read_text("tiny3_packed.m"),  # rows sharing lines, a generator out of service
+        tiny3_text(bus=closer_then_gen, gen=lambda name, rows: []),
+        tiny3_text(before=joined(GENCOST, one_line("gen", TINY3_TABLES["gen"])),
+                   gen=lambda name, rows: []),
+        "\n".join(joined(*(one_line(name, rows) for name, rows in TINY3_TABLES.items()),
+                          ["mpc.baseMVA = 100;"])),
+        read_text("tiny3_statements.m"),  # statements sharing lines
     ], ids=["opener-alone", "row-on-opener", "closer-on-last-row", "one-line",
             "empty-table", "empty-tables-spaced", "gencost-first", "gencost-last",
             "comment-after-row", "bus-on-one-line", "branch-on-one-line",
-            "all-on-one-line", "packed-case-file"])
+            "all-on-one-line", "packed-case-file", "gen-after-bus-closer",
+            "gen-after-gencost-closer", "all-statements-on-one-line", "statements-case-file"])
     def test_layout_parses_to_tiny3(self, text):
         assert parse_case(text) == read_case("tiny3.m")
+
+    @pytest.mark.parametrize("text", SHARED_LINES, ids=["gen-after-bus", "bus-after-base"])
+    def test_statements_sharing_a_line(self, text):
+        net = parse_case(text)
+        assert (len(net.buses), len(net.generators), len(net.lines)) == (2, 1, 1)
+
+    @pytest.mark.parametrize("statement", [
+        "mpc.version = '2'; mpc.baseMVA = 50;",  # after another statement
+        "mpc.baseMVA = 50",  # no ';': the end of the line ends it
+        "mpc.baseMVA = 50 % MVA",
+        "mpc.version = '2' mpc.baseMVA = 50;",  # the next statement ends a scalar
+        "mpc.version =\nmpc.baseMVA = 50;",  # and so does its line's end
+    ], ids=["after-version", "no-semicolon", "comment-no-semicolon", "after-open-version",
+            "after-empty-version"])
+    def test_base_mva_statement(self, statement):
+        text = tiny3_text().replace("mpc.baseMVA = 100;", statement)
+        net = parse_case(text)
+        assert net.base_mva == 50.0
+        assert [d.p_demand for d in net.loads] == [1.6, 1.2]
+
+    @given(st.data())
+    def test_any_statement_layout_parses_to_tiny3(self, data):
+        assert parse_case(data.draw(tiny3_statement_layouts())) == read_case("tiny3.m")
 
     def test_rows_sharing_a_line_keep_its_number(self):
         # the second of two generators on one line was read as more fields
@@ -244,27 +332,45 @@ def rows_of(table_rows):
 
 
 class TestCaseRejected:
-    @pytest.mark.parametrize("text, message, field", [
+    # tiny3_text() puts the baseMVA on line 2, the bus opener on line 3,
+    # the gen opener on line 8 and the branch opener on line 11
+    @pytest.mark.parametrize("text, message, field, line_no", [
         (tiny3_text().replace("baseMVA = 100", "baseMVA = 0"), "baseMVA must be positive",
-         "baseMVA"),
+         "baseMVA", 2),
         (tiny3_text().replace("baseMVA = 100", "baseMVA = -100"), "baseMVA must be positive",
-         "baseMVA"),
-        (tiny3_text(branch=lambda name, rows: []), "missing branch table", "branch"),
-        (tiny3_text(bus=rows_of(TINY3_TABLES["bus"] + ["4 1"])), "bus row too short", "bus"),
-        (tiny3_text(gen=rows_of(["1 0 0 100 -100 1 100 1"])), "gen row too short", "gen"),
-        (tiny3_text(branch=rows_of(["1 2 0"])), "branch row too short", "branch"),
+         "baseMVA", 2),
+        (tiny3_text(branch=lambda name, rows: []), "missing branch table", "branch", None),
+        (tiny3_text(bus=rows_of(TINY3_TABLES["bus"] + ["4 1"])), "bus row too short", "bus", 7),
+        (tiny3_text(gen=rows_of(["1 0 0 100 -100 1 100 1"])), "gen row too short", "gen", 9),
+        (tiny3_text(branch=rows_of(["1 2 0"])), "branch row too short", "branch", 12),
         (tiny3_text(bus=rows_of(TINY3_TABLES["bus"] + TINY3_TABLES["bus"][1:2])),
-         "duplicate bus id 2", "bus"),
+         "duplicate bus id 2", "bus", 7),
         (tiny3_text(gen=rows_of(["9 0 0 100 -100 1 100 1 200 0"])),
-         "unknown bus 9 in gen table", "gen"),
+         "unknown bus 9 in gen table", "gen", 9),
         (tiny3_text(branch=rows_of(["9 2 0 0.1 0 150 0 0 0 0 1 -30 30"])),
-         "unknown bus 9 in branch table", "branch"),
+         "unknown bus 9 in branch table", "branch", 12),
+        # a matrix runs to its ']', never into the next statement or past the text
+        (tiny3_text(bus=unclosed), r"mpc\.bus matrix has no closing '\]'", "bus", 3),
+        (tiny3_text(branch=unclosed), r"mpc\.branch matrix has no closing '\]'", "branch", 11),
+        (tiny3_text(before=GENCOST[:-1]), r"mpc\.gencost matrix has no closing '\]'",
+         "gencost", 3),
+        (tiny3_text(after=GENCOST[:-1]), r"mpc\.gencost matrix has no closing '\]'",
+         "gencost", 16),
+        (tiny3_text().replace("baseMVA = 100;", "baseMVA = 1 00;"),
+         "baseMVA is not one number", "baseMVA", 2),
+        (tiny3_text().replace("baseMVA = 100;", "baseMVA = ;"),
+         "baseMVA is not one number", "baseMVA", 2),
+        (tiny3_text().replace("baseMVA = 100;", "baseMVA =\n100;"),
+         "baseMVA is not one number", "baseMVA", 2),
     ], ids=["zero-base", "negative-base", "no-branch-table", "short-bus", "short-gen",
-            "short-branch", "duplicate-bus", "gen-bus", "branch-from-bus"])
-    def test_bad_case_rejected(self, text, message, field):
+            "short-branch", "duplicate-bus", "gen-bus", "branch-from-bus",
+            "unclosed-bus", "unclosed-branch-at-end", "unclosed-gencost",
+            "unclosed-gencost-at-end", "base-of-two-numbers", "empty-base",
+            "base-on-next-line"])
+    def test_bad_case_rejected(self, text, message, field, line_no):
         with pytest.raises(CaseParseError, match=message) as err:
             parse_case(text)
-        assert err.value.field == field
+        assert (err.value.field, err.value.line_no) == (field, line_no)
 
 
 class TestNetworkValidation:
