@@ -4,27 +4,52 @@ from __future__ import annotations
 import heapq
 
 
+class Islands:
+    """The components of a network's buses under lines added batch by batch:
+    one union-find whose roots are each component's least bus id, with
+    the number of components, ``count``, and the size of the largest,
+    ``largest``, kept as lines join them."""
+
+    def __init__(self, network):
+        self.network = network
+        self.root = {b.id: b.id for b in network.buses}
+        self.size = dict.fromkeys(self.root, 1)
+        self.count, self.largest = len(self.root), min(len(self.root), 1)
+
+    def find(self, x):
+        root = self.root
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    def add(self, line_ids) -> Islands:
+        """Join the ends of each line of ``line_ids``; returns self."""
+        lines, root, size = self.network.lines_by_id, self.root, self.size
+        for lid in line_ids:
+            a, b = self.find(lines[lid].from_bus), self.find(lines[lid].to_bus)
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                root[b] = a
+                size[a] += size.pop(b)
+                self.count -= 1
+                self.largest = max(self.largest, size[a])
+        return self
+
+    def components(self) -> list[list[int]]:
+        """Sorted lists of bus ids, ordered by their smallest bus id."""
+        groups: dict[int, list[int]] = {}
+        for bus in sorted(self.root):
+            groups.setdefault(self.find(bus), []).append(bus)
+        return list(groups.values())
+
+
 def line_components(network, line_ids) -> list[list[int]]:
     """Components of all the network's buses joined by the lines ``line_ids``.
 
     Returned as sorted lists of bus ids, ordered by their smallest bus id.
     Isolated buses form singleton components.
     """
-    root = {b.id: b.id for b in network.buses}  # union-find, roots the least ids
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    for lid in line_ids:
-        a = find(network.lines_by_id[lid].from_bus)
-        b = find(network.lines_by_id[lid].to_bus)
-        root[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for bus in sorted(root):
-        groups.setdefault(find(bus), []).append(bus)
-    return list(groups.values())
+    return Islands(network).add(line_ids).components()
 
 
 def adjacency(network, line_ids, weight) -> dict[int, list[tuple[int, float]]]:

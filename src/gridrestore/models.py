@@ -10,17 +10,18 @@ period, so the ROP carries that period's energy as a constant.
 
 Both read a period's topology from one shared period LP per network,
 built over every line: a topology is a change of bounds that takes the
-lines that are out away, and each one is re-solved from the optimal
-basis of a base topology, the undamaged lines alone, whose inverse, the
-one its solve ended with, is copied by every such solve. ``evaluate_plan``
-solves each period of a plan that way, and ``build_rop`` its final
-period. One object per network, ``_Periods``, owns that LP and the basis
-and power served of each topology solved; a caller's memo holds it, so
-the memo serves both. A base not yet solved is solved from the basis that
-holds its zero dispatch (``_Periods.crash``), which every topology has,
-so no period LP is solved cold and a base's power served does not depend
-on what the memo holds; its basis may, as a topology first solved as a
-period is later read back as a base.
+lines that are out away. ``evaluate_plan`` solves each period of a plan
+from the optimal basis of the period before it, copying the inverse that
+solve ended with, and its first period from the base topology, the
+undamaged lines alone; ``build_rop`` solves its final period from the
+base. A topology is solved once, from the optimal basis of the period
+before it in the first plan that reaches it: its power served may differ
+in the last bits from a solve that starts elsewhere, and repeated runs
+stay byte-identical. One object per network, ``_Periods``, owns that LP
+and the basis and power served of each topology solved; a caller's memo
+holds it, so the memo serves both. A base not yet solved is solved from
+the basis that holds its zero dispatch (``_Periods.crash``), which every
+topology has, so no period LP is solved cold.
 
 A ROP period is written over the shared period LP's columns and rows,
 with the same reference angles, so the base's optimal basis extends to
@@ -355,7 +356,11 @@ class _Periods:
     model of the network pins. ``bases``
     holds the basis of every topology solved, keyed by the frozenset of its
     energized line ids (None when not optimal), and ``served`` the power
-    served of every one that ended optimal.
+    served of every one that ended optimal. A topology is solved once,
+    from the optimal basis of the period before it in the first plan that
+    reaches it (``power``): its power served may differ in the last bits
+    from a solve that starts elsewhere, and repeated runs stay
+    byte-identical.
     """
 
     def __init__(self, network: Network):
@@ -452,26 +457,28 @@ class _Periods:
                                     * d.p_demand for d in self.network.loads)
         return sol
 
-    def base(self, undamaged: frozenset[int]) -> Basis | None:
-        """The optimal basis of the base topology ``undamaged``, None when
-        its LP is not optimal: kept, or solved from its zero-dispatch
-        basis (``crash``)."""
-        if undamaged not in self.bases:
-            self._solve(undamaged, self.crash(undamaged))
-        return self.bases[undamaged]
+    def base(self, live: frozenset[int]) -> Basis | None:
+        """The optimal basis of the topology ``live``, None when its LP is
+        not optimal: kept, or solved from its zero-dispatch basis
+        (``crash``)."""
+        if live not in self.bases:
+            self._solve(live, self.crash(live))
+        return self.bases[live]
 
-    def power(self, live: frozenset[int], undamaged: frozenset[int], k: int) -> float:
+    def power(self, live: frozenset[int], prev: frozenset[int], k: int) -> float:
         """Power served under the topology ``live``, kept or solved.
 
         A topology not yet solved is solved from the optimal basis of the
-        base topology ``undamaged`` (``base``), copying the inverse that
-        basis carries from its solve; when the base is not optimal the
-        topologies solve cold. Raises ``PlanEvaluationError`` for period
-        ``k`` when the topology's LP does not end optimal.
+        topology ``prev`` (``base``), the period before it or the base
+        topology, copying the inverse that basis carries from its solve;
+        when ``prev``'s LP is not optimal the topology solves cold. So the
+        power served of a topology depends, in its last bits, on the
+        ``prev`` it is first reached from. Raises ``PlanEvaluationError``
+        for period ``k`` when the topology's LP does not end optimal.
         """
         if live not in self.served:
-            start = self.base(undamaged)
-            # the base solve is this topology's when live is the base topology
+            start = self.base(prev)
+            # the base solve is this topology's when live is prev
             if live not in self.served:
                 sol = self._solve(live, start)
                 if sol.status != "optimal":
@@ -486,12 +493,14 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     Periods are independent, so each one is solved as its own
     single-period LP. All of them are one shared LP over every line of
     the network, the period's topology a change of its bounds. Each
-    topology is re-solved from the optimal basis of the base topology,
-    the undamaged lines alone, which is solved first (``_Periods.base``) and
-    carries its solve's inverse. Restoring lines only unfixes flow columns and
-    fixes row slacks, so that basis stays dual feasible, and as the start
-    is the same for every period, a result does not depend on the order of
-    the periods.
+    period is solved from the optimal basis of the period before it,
+    which carries its solve's inverse, and the first from the base
+    topology, the undamaged lines alone (``_Periods.base``). Restoring
+    lines only unfixes flow columns and fixes row slacks, so that basis
+    stays dual feasible. A topology is solved once, from the optimal
+    basis of the period before it in the first plan that reaches it: its
+    power served may differ in the last bits from a solve that starts
+    elsewhere, and repeated runs stay byte-identical.
 
     ``memo``, if given, holds that state across calls on one network:
     one ``_Periods`` object, the shared LP and the basis and power served
@@ -501,9 +510,8 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     """
     _check_plan(network, damage, plan, schedule)
     periods = _Periods.of(network, memo)
-    undamaged = energized_lines(network, damage, plan, 0)
-    live, delivered = undamaged, []
+    live, delivered = energized_lines(network, damage, plan, 0), []
     for k, restored in enumerate(plan.periods, start=1):
-        live = live | restored  # energized_lines(network, damage, plan, k)
-        delivered.append(periods.power(live, undamaged, k))
+        prev, live = live, live | restored  # energized_lines(network, damage, plan, k)
+        delivered.append(periods.power(live, prev, k))
     return PowerServedSeries(tuple(delivered), tuple(schedule.delta))

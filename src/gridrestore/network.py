@@ -292,7 +292,8 @@ def parse_case(text: str) -> Network:
     line: a scalar ends at a ``;``, at the end of its line or at the next
     statement, a matrix at its ``]`` (an error if the next statement or
     the end of the text comes first), a row at a ``;`` or at the end of
-    its line, whose number it keeps.
+    its line, whose number it keeps. A matrix assigned again replaces the
+    rows of the one before, as in MATLAB.
     """
     base_mva = 100.0
     tables: dict[str, list[tuple[int, list[float]]]] = {}
@@ -314,10 +315,10 @@ def parse_case(text: str) -> Network:
         if name not in ("bus", "gen", "branch"):
             continue
         first = text.count("\n", 0, m.start("body")) + 1
-        tables.setdefault(name, []).extend(
+        tables[name] = [
             (row_line_no, _parse_row(row, row_line_no, name))
             for row_line_no, line in enumerate(body.split("\n"), start=first)
-            for row in line.split(";") if row.strip())
+            for row in line.split(";") if row.strip()]
     if not tables.get("bus"):
         raise CaseParseError("missing or empty bus table", field="bus")
     if "branch" not in tables:

@@ -6,7 +6,7 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .graph import line_components
+from .graph import Islands
 from .models import PowerServedSeries, energized_lines
 from .network import DamageScenario, Network, RestorationPlan
 
@@ -53,11 +53,14 @@ def total_energy(series: PowerServedSeries) -> float:
 
 def island_metrics(network: Network, damage: DamageScenario,
                    plan: RestorationPlan) -> list[tuple[int, int]]:
-    """Per-period (island count, largest island size) of the energized graph."""
+    """Per-period (island count, largest island size) of the energized
+    graph: one union-find (``Islands``) over the undamaged lines, extended
+    by each period's restored lines."""
+    islands = Islands(network).add(energized_lines(network, damage, plan, 0))
     out = []
-    for k in range(1, plan.n_periods + 1):
-        comps = line_components(network, energized_lines(network, damage, plan, k))
-        out.append((len(comps), max(len(c) for c in comps)))
+    for restored in plan.periods:
+        islands.add(restored)
+        out.append((islands.count, islands.largest))
     return out
 
 

@@ -167,7 +167,11 @@ class TestRip:
         memo: dict = {}
         for plan in plans:
             with_memo = evaluate_plan(net, dmg, plan, sched, memo=memo)
-            assert with_memo == evaluate_plan(net, dmg, plan, sched)
+            fresh = evaluate_plan(net, dmg, plan, sched)
+            # a memoized topology was solved from the period before it in
+            # the first plan that reached it: equal up to the last bits
+            assert with_memo.delivered == pytest.approx(fresh.delivered, rel=1e-12, abs=1e-12)
+            assert with_memo.durations == fresh.durations
         topologies = {energized_lines(net, dmg, p, k) for p in plans
                       for k in range(1, n + 1)}
         # the base topology, the undamaged lines alone, is no period here
@@ -177,6 +181,12 @@ class TestRip:
         # one LP per topology and one for the base; each call without a memo
         # solves its n periods and a base of its own
         assert len(lps) == len(topologies) + 1 + (n + 1) * len(plans)
+        # the same plans into another fresh memo: the same bits
+        again: dict = {}
+        for plan in plans:
+            assert (evaluate_plan(net, dmg, plan, sched, memo=again)
+                    == evaluate_plan(net, dmg, plan, sched, memo=memo))
+        assert again["periods"].served == memo["periods"].served
 
     def test_non_optimal_period_names_period(self, monkeypatch):
         net, dmg = tiny3_damage12()
@@ -214,7 +224,7 @@ class TestRip:
                     assert delivered == pytest.approx(cold_period(net, live),
                                                       rel=1e-9, abs=1e-9)
 
-    def test_every_miss_starts_from_the_base(self, meshed_scenarios, monkeypatch):
+    def test_each_miss_starts_from_the_period_before(self, meshed_scenarios, monkeypatch):
         net, dmg = meshed_scenarios[1]
         calls, inverses = [], []
         real_inverse = gridrestore.lp.basis_inverse
@@ -231,10 +241,26 @@ class TestRip:
         monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
         monkeypatch.setattr(gridrestore.lp, "basis_inverse", counting)
         memo: dict = {}
+        solved = {}  # topology -> (start, solution) of its one solve
+        firsts = laters = 0
         for plan, sched in order_plans(dmg):
+            done = len(calls)
             evaluate_plan(net, dmg, plan, sched, memo=memo)
-        (base_start, base), misses = calls[0], calls[1:]
+            # the base, then each period, in order; a topology solved once
+            chain = [energized_lines(net, dmg, plan, k) for k in range(plan.n_periods + 1)]
+            new = [live for live in dict.fromkeys(chain) if live not in solved]
+            assert len(calls) - done == len(new)
+            solved.update(zip(new, calls[done:]))
+            for k, (prev, live) in enumerate(zip(chain, chain[1:]), start=1):
+                if live in new:
+                    # a miss copies the optimal basis of the period before,
+                    # the base's for period 1, with the inverse it carries
+                    assert solved[live][0] is solved[prev][1].basis
+                    firsts, laters = firsts + (k == 1), laters + (k > 1)
+        assert firsts == 2 and laters == 2 * len(dmg.damaged_lines) - 3
         undamaged = frozenset(ln.id for ln in net.lines) - set(dmg.damaged_lines)
+        base_start, base = solved.pop(undamaged)
+        assert calls[0][0] is base_start and calls[0][1] is base
         # the base solves from its crash basis, which inverts itself once
         crash = memo["periods"].crash(undamaged)
         np.testing.assert_array_equal(base_start.columns, crash.columns)
@@ -242,13 +268,12 @@ class TestRip:
         assert base.status == "optimal"
         assert len(inverses) == 1
         np.testing.assert_array_equal(inverses[0], crash.columns)
-        assert len(misses) == 2 * len(dmg.damaged_lines) - 1
-        # one start, the base's basis, which carries the inverse of the
-        # base's solve for the shared matrix: no miss inverts a basis
-        start = misses[0][0]
-        assert all(s is start for s, _ in misses)
-        assert start is base.basis
-        start.inverse(memo["periods"].form)
+        assert len(solved) == 2 * len(dmg.damaged_lines) - 1
+        # every start carries the inverse of the solve that ended at it for
+        # the shared matrix: no miss inverts a basis
+        for start, sol in solved.values():
+            assert sol.status == "optimal"
+            start.inverse(memo["periods"].form)
         assert len(inverses) == 1
         # the base solve is memoized as the base topology's result
         assert memo["periods"].served[undamaged] == pytest.approx(base.objective_value, rel=1e-12)

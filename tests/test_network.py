@@ -317,6 +317,10 @@ class TestTableLayouts:
             parse_case("\n".join(lines))
         assert e.value.line_no == at + 1
 
+    def test_last_assignment_of_a_table_wins(self):
+        net = parse_case(read_text("tiny3.m") + "mpc.gen = [2 0 0 100 -100 1 100 1 50 0];\n")
+        assert [(g.bus, g.p_max) for g in net.generators] == [(2, 0.5)]
+
     def test_malformed_value_on_opener_line(self):
         lines = tiny3_text(row_on_opener).splitlines()
         at = lines.index("mpc.bus = [" + TINY3_TABLES["bus"][0] + ";")

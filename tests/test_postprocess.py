@@ -3,12 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gridrestore.models import PowerServedSeries, evaluate_plan
+from gridrestore.graph import line_components
+from gridrestore.models import PowerServedSeries, energized_lines, evaluate_plan
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule)
 from gridrestore.postprocess import (build_report, island_metrics, monotonize,
                                      total_energy)
-from conftest import random_scenario, tiny3_network
+from conftest import meshed_network, random_scenario, tiny3_network
 
 
 def series_of(values, dt=1.0):
@@ -93,6 +94,28 @@ class TestIslandMetrics:
         plan = RestorationPlan.from_lists([[1], [], [2, 3]])
         m = island_metrics(tiny3, dmg, plan)
         assert m[0] == m[1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_period_components(self, seed):
+        # a tree grid with parallel duplicates and a meshed grid; one line
+        # per period in order and reversed, all at once after an empty
+        # period, and monotonized with every other period a dip, whose
+        # restorations are deferred and leave it empty
+        meshed = meshed_network(seed, 8 + seed)
+        for net, dmg in (random_scenario(seed),
+                         (meshed, DamageScenario(tuple(ln.id for ln in meshed.lines[::3])))):
+            order = list(dmg.damaged_lines)
+            n = len(order)
+            one_each = RestorationPlan.from_lists([[lid] for lid in order])
+            _, deferred = monotonize(series_of([1 - k % 2 for k in range(n)]), one_each)
+            assert frozenset() in deferred.periods
+            for plan in (one_each, RestorationPlan.from_lists([[lid] for lid in reversed(order)]),
+                         RestorationPlan.from_lists([[], order]), deferred):
+                expected = []
+                for k in range(1, plan.n_periods + 1):
+                    comps = line_components(net, energized_lines(net, dmg, plan, k))
+                    expected.append((len(comps), max(len(c) for c in comps)))
+                assert island_metrics(net, dmg, plan) == expected
 
 
 class TestTotalEnergy:
