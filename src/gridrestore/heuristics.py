@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import replace
@@ -225,27 +226,40 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     """Enumerate all orderings, bucket by the schedule, pick the best.
 
     Each permutation is bucketed by the schedule
-    (``PeriodSchedule.bucket``), evaluated, post-processed, and scored by
-    total energy. Ties break lexicographically on the post-processed
-    plan; energies within ``DIP_TOL`` tie. Guarded to at most 7 damaged
-    lines; a schedule whose final budget is not the damage count raises
-    ``ValueError`` (``PeriodSchedule.bucket``). Every evaluation reads
-    and fills one memo (as in ``evaluate_plan``), the caller's ``memo``
-    when given.
+    (``PeriodSchedule.bucket``). The distinct plans, in permutation order,
+    are walked through one memo by ``evaluate_plan``'s rule, so each
+    restored-line set is solved once, in enumeration order, from the
+    optimal basis of the period before it in the first plan that reaches
+    it. That fills a table of power served, plans by periods, from which
+    each plan is scored: its running maximum times the durations, summed
+    in period order, which is ``total_energy`` of the ``monotonize``d
+    plan. Only a plan that scores within ``DIP_TOL`` of the best so far,
+    or above it, can win: each such plan, in order, is evaluated,
+    post-processed and scored by total energy, and ties break
+    lexicographically on the post-processed plan, energies within
+    ``DIP_TOL`` tying. For n damaged lines this costs about 2^n period
+    LPs plus n! table rows. Guarded to at most 7 damaged lines; a
+    schedule whose final budget is not the damage count raises
+    ``ValueError`` (``PeriodSchedule.bucket``). The memo is the caller's
+    ``memo`` when given (as in ``evaluate_plan``).
     """
     if len(damage.damaged_lines) > 7:
         raise ValueError("brute force limited to 7 damaged lines")
+    # lumped schedules map many permutations to one plan
+    plans = list(dict.fromkeys(schedule.bucket(perm) for perm in
+                               itertools.permutations(sorted(damage.damaged_lines))))
+    damage.validate(network)
+    memo = {} if memo is None else memo
+    table = models._power_table(network, damage, (plan.periods for plan in plans), memo)
 
     best_energy = None
     best_plan = None
     best_key = None
-    seen: set = set()
-    memo = {} if memo is None else memo
-    for perm in itertools.permutations(sorted(damage.damaged_lines)):
-        plan = schedule.bucket(perm)
-        if plan in seen:
-            continue  # lumped schedules map many permutations to one plan
-        seen.add(plan)
+    for plan, delivered in zip(plans, table):
+        # monotonize reports the running maximum, so this is its total_energy
+        score = sum(map(operator.mul, itertools.accumulate(delivered, max), schedule.delta))
+        if best_energy is not None and score < best_energy - DIP_TOL:
+            continue  # neither beats nor ties the best so far
         series = evaluate_plan(network, damage, plan, schedule, memo=memo)
         mono_series, mono_plan = monotonize(series, plan)
         energy = total_energy(mono_series)

@@ -116,7 +116,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     infeasible (iteration limit, deadline, numerical failure) stays open
     at its parent's bound, a root at an infinite one; the search then
     proves nothing and ends 'feasible_time_limit', or 'failure' with no
-    incumbent.
+    incumbent. Both report the bound proven so far as ``best_bound``.
     """
     form = standard_form(mip.base)
     deadline = time.monotonic() + opts.time_limit
@@ -206,12 +206,16 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
 
 
 def _solution(mip: MixedIntegerProgram, nodes: int, proven: bool,
-              incumbent: LpSolution | None = None, bound: float = INF) -> MipSolution:
+              incumbent: LpSolution | None = None,
+              bound: float = float("nan")) -> MipSolution:
     """A result of ``nodes`` LP solves: ``incumbent``, the best solution
-    found, if any, and ``bound`` on the optimum; ``proven`` when nothing
-    better than ``incumbent`` (or no solution at all) remains."""
+    found, if any, and ``bound`` on the optimum (nan when unknown);
+    ``proven`` when nothing better than ``incumbent`` (or no solution at
+    all) remains. An infeasible result has no bound."""
     if incumbent is None:
-        return MipSolution("infeasible" if proven else "failure", nodes=nodes)
+        if proven:
+            return MipSolution("infeasible", nodes=nodes)
+        return MipSolution("failure", best_bound=bound, nodes=nodes)
     x, obj = incumbent.primal, incumbent.objective_value
     return MipSolution("optimal_within_gap" if proven else "feasible_time_limit",
                        objective_value=obj, best_bound=bound,

@@ -1,11 +1,14 @@
 """Reference oracles that the tests check the solvers against."""
+import itertools
+
 import numpy as np
 
 from gridrestore.lp import (_SLACK_BOUNDS, LinearProgram, StandardForm, Variable, solve_lp,
                             standard_form)
 from gridrestore.milp import INT_TOL, MixedIntegerProgram, _with_fixes
-from gridrestore.models import RopArtifacts, plan_to_assignment
-from gridrestore.network import Network, RestorationPlan
+from gridrestore.models import RopArtifacts, evaluate_plan, plan_to_assignment
+from gridrestore.network import DamageScenario, Network, PeriodSchedule, RestorationPlan
+from gridrestore.postprocess import DIP_TOL, monotonize, total_energy
 
 
 def enumerate_binaries(mip: MixedIntegerProgram):
@@ -90,3 +93,29 @@ def dict_standard_form(lp: LinearProgram) -> StandardForm:
     col_ptr = np.zeros(n + m + 1, dtype=np.intp)
     np.cumsum(np.bincount(nz_col, minlength=n + m), out=col_ptr[1:])
     return StandardForm(b, c, lower, upper, nz_val, nz_row, nz_col, col_ptr)
+
+
+def brute_force_reference(network: Network, damage: DamageScenario,
+                          schedule: PeriodSchedule) -> tuple[RestorationPlan, float]:
+    """Reference for ``brute_force_optimal``: every distinct plan, in
+    permutation order, evaluated through one memo of its own
+    (``evaluate_plan``), post-processed and scored by total energy; ties
+    within ``DIP_TOL`` break on the post-processed plan."""
+    if len(damage.damaged_lines) > 7:
+        raise ValueError("brute force limited to 7 damaged lines")
+    best_energy = best_plan = best_key = None
+    seen: set = set()
+    memo: dict = {}
+    for perm in itertools.permutations(sorted(damage.damaged_lines)):
+        plan = schedule.bucket(perm)
+        if plan in seen:
+            continue
+        seen.add(plan)
+        series = evaluate_plan(network, damage, plan, schedule, memo=memo)
+        mono_series, mono_plan = monotonize(series, plan)
+        energy = total_energy(mono_series)
+        key = tuple(tuple(sorted(p)) for p in mono_plan.periods)
+        if best_energy is None or energy > best_energy + DIP_TOL or (
+                abs(energy - best_energy) <= DIP_TOL and key < best_key):
+            best_energy, best_plan, best_key = energy, mono_plan, key
+    return best_plan, best_energy

@@ -447,6 +447,18 @@ class TestCompare:
         table = capsys.readouterr().out.splitlines()
         assert table[-1].split() == ["oracle", "-", "-", f"failed({EXIT_SOLVER})"]
 
+    def test_best_is_relative_to_the_energy(self, tmp_path, monkeypatch):
+        # 4e-12 is under two ulps at 7000 pu.h: both runs are best; 1e-5 is not
+        energies = {"util": 7000.0, "rrr": 7000.0 + 4e-12, "rad": 7000.0 - 1e-5}
+        monkeypatch.setattr(gridrestore.cli, "_result", lambda config: {
+            "energy": energies[config.algorithm], "time": 0.0, "gap": None, "status": "ok"})
+        base = RunConfig(case=TINY3, algorithm="util", damage_lines=(1,),
+                         output_dir=str(tmp_path))
+        assert cmd_compare(base, list(energies)) == EXIT_OK
+        rows = read_csv(os.path.join(tmp_path, "compare.csv"))
+        assert [(r["best"], r["within_1pct"]) for r in rows] == \
+            [("True", "True"), ("True", "True"), ("False", "True")]
+
     def test_requires_two_algorithms(self, tmp_path):
         rc = main(["compare", "--case", TINY3, "--damage-lines", "1",
                    "--algos", "util", "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule, parse_case,
                                  random_damage)
 from gridrestore.postprocess import monotonize, total_energy
+import oracles
 from conftest import (CASES_DIR, meshed_network, random_network, random_scenario,
                       tiny3_network)
 
@@ -537,12 +539,44 @@ class TestBruteForce:
         def no_memo(*args, memo=None):
             return evaluate_plan(*args)
 
-        monkeypatch.setattr(gridrestore.heuristics, "evaluate_plan", no_memo)
+        # the oracle walks its plans through the memo itself: the reference
+        # enumeration, memo-less, evaluates every plan from the base
+        monkeypatch.setattr(oracles, "evaluate_plan", no_memo)
         calls.clear()
-        ref_plan, ref_energy = brute_force_optimal(net, dmg, sched)
+        ref_plan, ref_energy = oracles.brute_force_reference(net, dmg, sched)
         assert len(calls) > len(topologies)
         assert plan.periods == ref_plan.periods
         assert energy == ref_energy
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_reference_enumeration(self, monkeypatch, seed):
+        # meshed grids of 10-20 buses with 0-7 damaged lines, under the full
+        # schedule, one period, and a random schedule, which may lump lines
+        # or leave periods empty
+        rng = random.Random(seed)
+        net = meshed_network(seed, rng.randint(10, 20))
+        n = seed % 8
+        dmg = DamageScenario(tuple(sorted(rng.sample([l.id for l in net.lines], n))))
+        real_solve = gridrestore.lp.solve_lp
+        for n_periods in sorted({max(n, 1), 1, rng.randint(1, n + 2)}):
+            sched = build_schedule(n, n_periods)
+            runs = []
+            for oracle in (brute_force_optimal, oracles.brute_force_reference):
+                calls = []
+
+                def recording(lp, *args, form, start, **kwargs):
+                    sol = real_solve(lp, *args, form=form, start=start, **kwargs)
+                    calls.append((form.lower.tobytes(), form.upper.tobytes(),
+                                  None if start is None else start.status.tobytes(),
+                                  sol.objective_value))
+                    return sol
+
+                monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
+                runs.append((*oracle(net, dmg, sched), calls))
+            (plan, energy, calls), (ref_plan, ref_energy, ref_calls) = runs
+            assert plan.periods == ref_plan.periods
+            assert energy == ref_energy
+            assert calls == ref_calls
 
     def test_symmetric_parallel_lines(self):
         net = Network(buses=(Bus(1), Bus(2)),

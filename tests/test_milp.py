@@ -256,9 +256,11 @@ class TestBranchAndBound:
         monkeypatch.setattr(gridrestore.milp, "solve_lp", flaky)
         sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0))
         assert sol.status == status
+        assert sol.best_bound == pytest.approx(3.0)  # the root's bound
         if status == "feasible_time_limit":
-            assert sol.best_bound == pytest.approx(3.0)  # the root's bound
             assert sol.objective_value <= sol.best_bound
+        else:
+            assert np.isnan(sol.gap)
 
     @pytest.mark.parametrize("sense", ["maximize", "minimize"])
     def test_failed_root_leaves_the_bound_unknown(self, monkeypatch, sense):
@@ -283,6 +285,11 @@ class TestBranchAndBound:
         assert sol.objective_value == pytest.approx(sign * 1.5)
         assert sol.best_bound == sign * INF
         assert sol.gap == INF
+        # without the warm start nothing is found, and the bound stays infinite
+        calls.clear()
+        sol = solve_mip(mip, SolveOptions(time_limit=10, rel_gap=0.0))
+        assert (sol.status, sol.nodes, sol.best_bound) == ("failure", 1, sign * INF)
+        assert np.isnan(sol.gap)
 
     # instances whose root branches under their optimal warm start
     BRANCHING_STARTS = (100, 180, 40, 50, 60, 70)
