@@ -187,9 +187,9 @@ def cmd_solve(config: RunConfig) -> int:
     report, _, summary = solve_to_report(config)
     os.makedirs(config.output_dir, exist_ok=True)
     _atomic_write(os.path.join(config.output_dir, "report.csv"), report.to_csv())
-    _atomic_write(os.path.join(config.output_dir, "summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    _atomic_write(os.path.join(config.output_dir, "summary.json"), text + "\n")
+    print(text)
     return EXIT_OK
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 import time
 from dataclasses import replace
+
+import numpy as np
 
 from . import models
 from .milp import MipSolution, SolveOptions, solve_mip
@@ -225,48 +226,73 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
                         memo: dict | None = None) -> tuple[RestorationPlan, float]:
     """Enumerate all orderings, bucket by the schedule, pick the best.
 
-    Each permutation is bucketed by the schedule
-    (``PeriodSchedule.bucket``). The distinct plans, in permutation order,
-    are walked through one memo by ``evaluate_plan``'s rule, so each
-    restored-line set is solved once, in enumeration order, from the
-    optimal basis of the period before it in the first plan that reaches
-    it. That fills a table of power served, plans by periods, from which
-    each plan is scored: its running maximum times the durations, summed
-    in period order, which is ``total_energy`` of the ``monotonize``d
-    plan. Only a plan that scores within ``DIP_TOL`` of the best so far,
-    or above it, can win: each such plan, in order, is evaluated,
-    post-processed and scored by total energy, and ties break
-    lexicographically on the post-processed plan, energies within
-    ``DIP_TOL`` tying. For n damaged lines this costs about 2^n period
-    LPs plus n! table rows. Guarded to at most 7 damaged lines; a
-    schedule whose final budget is not the damage count raises
-    ``ValueError`` (``PeriodSchedule.bucket``). The memo is the caller's
-    ``memo`` when given (as in ``evaluate_plan``).
+    Line ``lines[i]`` of the sorted damage set is bit i. Each distinct
+    plan is a row of cumulative restored-line bitmasks, cut at the repair
+    budget (``PeriodSchedule.bucket``), from the first permutation that
+    gives it: the one that lists each period's lines in order. Each mask
+    is solved once through one memo by ``evaluate_plan``'s rule, where a
+    plan-by-plan walk first reaches it and from the mask before it there.
+    One array pass scores every plan: its running maximum times the
+    durations, summed left to right, is ``total_energy`` of the
+    ``monotonize``d plan. In plan order, a plan is skipped when it scores
+    below the best so far by more than ``DIP_TOL``, or ties it but sorts
+    after it on period 1, which post-processing never defers. Every other
+    plan is evaluated from the memo, post-processed and scored, ties
+    within ``DIP_TOL`` breaking lexicographically on the post-processed
+    plan. For n damaged lines and N periods this costs about 2^n period
+    LPs, n!·N array work and one loop over n! scores. Guarded to at most 7
+    damaged lines; a schedule whose final budget is not the damage count
+    raises ``ValueError``. The memo is the caller's ``memo`` when given.
     """
-    if len(damage.damaged_lines) > 7:
+    lines = sorted(damage.damaged_lines)
+    n = len(lines)
+    if n > 7:
         raise ValueError("brute force limited to 7 damaged lines")
-    # lumped schedules map many permutations to one plan
-    plans = list(dict.fromkeys(schedule.bucket(perm) for perm in
-                               itertools.permutations(sorted(damage.damaged_lines))))
+    schedule.bucket(lines)  # checks the final budget
     damage.validate(network)
-    memo = {} if memo is None else memo
-    table = models._power_table(network, damage, (plan.periods for plan in plans), memo)
+    count = math.factorial(n)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int64, count=count * n).reshape(count, n)
+    # lumped schedules map many permutations to one plan, whose first
+    # permutation lists each period's lines in order
+    cut = np.array([r in schedule.repair_budget for r in range(1, n)], dtype=bool)
+    perms = perms[np.all((perms[:, 1:] > perms[:, :-1]) | cut, axis=1)]
+    # restored-line bitmask of each plan after its first r lines, r = 0..n
+    restored = np.zeros((len(perms), n + 1), dtype=np.int64)
+    np.cumsum(1 << perms, axis=1, out=restored[:, 1:])
+    masks = restored[:, schedule.repair_budget]
 
-    best_energy = None
-    best_plan = None
-    best_key = None
-    for plan, delivered in zip(plans, table):
-        # monotonize reports the running maximum, so this is its total_energy
-        score = sum(map(operator.mul, itertools.accumulate(delivered, max), schedule.delta))
-        if best_energy is not None and score < best_energy - DIP_TOL:
-            continue  # neither beats nor ties the best so far
+    sets = [frozenset()]  # sets[m]: the lines of the bits of m
+    for line in lines:
+        sets += [s | {line} for s in sets]
+    memo = {} if memo is None else memo
+    periods = models._Periods.of(network, memo)
+    base = models.energized_lines(network, damage, RestorationPlan(()), 0)
+    power = np.empty(1 << n)
+    # walk order: plan by plan, period by period; solve each mask where first reached
+    _, reached = np.unique(masks, return_index=True)  # of the flattened table
+    walk, N = masks.ravel().tolist(), schedule.n_periods
+    for pos in np.sort(reached).tolist():
+        mask, prev = walk[pos], 0 if pos % N == 0 else walk[pos - 1]
+        power[mask] = periods.power(base | sets[mask], base | sets[prev], pos % N + 1)
+    table = power[masks]
+    # left to right, as total_energy adds the monotonized series
+    scores = np.cumsum(np.maximum.accumulate(table, axis=1) * schedule.delta, axis=1)[:, -1]
+
+    best_energy = best_plan = best_key = None
+    for i, score in enumerate(scores.tolist()):
+        row = masks[i].tolist()
+        if best_energy is not None and (score < best_energy - DIP_TOL or (
+                score <= best_energy + DIP_TOL and tuple(sorted(sets[row[0]])) > best_key[0])):
+            # below the best, or tied with it and behind it on period 1, which
+            # post-processing never defers (a plan's energy is its score)
+            continue
+        plan = RestorationPlan(tuple(sets[m ^ prev] for m, prev in zip(row, [0] + row)))
         series = evaluate_plan(network, damage, plan, schedule, memo=memo)
         mono_series, mono_plan = monotonize(series, plan)
         energy = total_energy(mono_series)
         key = tuple(tuple(sorted(p)) for p in mono_plan.periods)
         if best_energy is None or energy > best_energy + DIP_TOL or (
                 abs(energy - best_energy) <= DIP_TOL and key < best_key):
-            best_energy = energy
-            best_plan = mono_plan
-            best_key = key
+            best_energy, best_plan, best_key = energy, mono_plan, key
     return best_plan, best_energy

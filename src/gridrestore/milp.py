@@ -117,6 +117,11 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     at its parent's bound, a root at an infinite one; the search then
     proves nothing and ends 'feasible_time_limit', or 'failure' with no
     incumbent. Both report the bound proven so far as ``best_bound``.
+    Without a warm start ``rel_gap`` never binds: an integral node becomes
+    the incumbent only when it is popped, when no waiting node bounds
+    better, so a search that leaves no node unresolved ends there
+    'optimal_within_gap' with a gap of exactly 0.0. The sub-MILPs of
+    ``rrr`` and ``rad`` have no warm start.
     """
     form = standard_form(mip.base)
     deadline = time.monotonic() + opts.time_limit

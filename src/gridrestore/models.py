@@ -509,29 +509,9 @@ def evaluate_plan(network: Network, damage: DamageScenario, plan: RestorationPla
     another network's.
     """
     _check_plan(network, damage, plan, schedule)
-    delivered = _power_table(network, damage, [plan.periods], memo)[0]
-    return PowerServedSeries(tuple(delivered), tuple(schedule.delta))
-
-
-def _power_table(network: Network, damage: DamageScenario, plans,
-                 memo: dict | None) -> list[list[float]]:
-    """Power served in each period of each of ``plans``, one row per plan.
-
-    A plan is the sequence of line sets it restores, period by period; it
-    is not checked. The plans are walked in order through one memo
-    (``_Periods.of``): a topology not yet solved is solved from the
-    optimal basis of the period before it, the first period's from the
-    base topology, the undamaged lines alone (``_Periods.power``).
-    ``evaluate_plan`` walks one plan, ``brute_force_optimal`` every plan
-    it enumerates.
-    """
     periods = _Periods.of(network, memo)
-    base = energized_lines(network, damage, RestorationPlan(()), 0)
-    table = []
-    for plan in plans:
-        live, delivered = base, []
-        for k, restored in enumerate(plan, start=1):
-            prev, live = live, live | restored  # energized_lines(network, damage, plan, k)
-            delivered.append(periods.power(live, prev, k))
-        table.append(delivered)
-    return table
+    live, delivered = energized_lines(network, damage, plan, 0), []
+    for k, restored in enumerate(plan.periods, start=1):
+        prev, live = live, live | restored  # energized_lines(network, damage, plan, k)
+        delivered.append(periods.power(live, prev, k))
+    return PowerServedSeries(tuple(delivered), tuple(schedule.delta))

@@ -15,8 +15,8 @@ from gridrestore.models import (PlanEvaluationError, PowerServedSeries, build_ro
                                 energized_lines, evaluate_plan, extract_plan,
                                 plan_to_assignment)
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
-                                 Network, RestorationPlan, build_schedule, parse_case,
-                                 random_damage)
+                                 Network, PeriodSchedule, RestorationPlan, build_schedule,
+                                 parse_case, random_damage)
 from gridrestore.postprocess import monotonize, total_energy
 import oracles
 from conftest import (CASES_DIR, meshed_network, random_network, random_scenario,
@@ -548,6 +548,31 @@ class TestBruteForce:
         assert plan.periods == ref_plan.periods
         assert energy == ref_energy
 
+    @staticmethod
+    def _assert_matches_reference(monkeypatch, net, dmg, sched):
+        """The oracle and ``oracles.brute_force_reference`` pick the same
+        plan with the same energy (``==``) through the same sequence of
+        period LP solves: bounds, start and objective. Returns the plan."""
+        real_solve = gridrestore.lp.solve_lp
+        runs = []
+        for oracle in (brute_force_optimal, oracles.brute_force_reference):
+            calls = []
+
+            def recording(lp, *args, form, start, **kwargs):
+                sol = real_solve(lp, *args, form=form, start=start, **kwargs)
+                calls.append((form.lower.tobytes(), form.upper.tobytes(),
+                              None if start is None else start.status.tobytes(),
+                              sol.objective_value))
+                return sol
+
+            monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
+            runs.append((*oracle(net, dmg, sched), calls))
+        (plan, energy, calls), (ref_plan, ref_energy, ref_calls) = runs
+        assert plan.periods == ref_plan.periods
+        assert energy == ref_energy
+        assert calls == ref_calls
+        return plan
+
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_reference_enumeration(self, monkeypatch, seed):
         # meshed grids of 10-20 buses with 0-7 damaged lines, under the full
@@ -557,26 +582,57 @@ class TestBruteForce:
         net = meshed_network(seed, rng.randint(10, 20))
         n = seed % 8
         dmg = DamageScenario(tuple(sorted(rng.sample([l.id for l in net.lines], n))))
-        real_solve = gridrestore.lp.solve_lp
         for n_periods in sorted({max(n, 1), 1, rng.randint(1, n + 2)}):
-            sched = build_schedule(n, n_periods)
-            runs = []
-            for oracle in (brute_force_optimal, oracles.brute_force_reference):
-                calls = []
+            self._assert_matches_reference(monkeypatch, net, dmg,
+                                           build_schedule(n, n_periods))
 
-                def recording(lp, *args, form, start, **kwargs):
-                    sol = real_solve(lp, *args, form=form, start=start, **kwargs)
-                    calls.append((form.lower.tobytes(), form.upper.tobytes(),
-                                  None if start is None else start.status.tobytes(),
-                                  sol.objective_value))
-                    return sol
+    @pytest.mark.parametrize("n_periods", [7, 3, 1])
+    def test_matches_reference_at_the_cap(self, monkeypatch, n_periods):
+        # 40% of mesh12.m's lines is 7, the most the oracle enumerates
+        with open(os.path.join(CASES_DIR, "mesh12.m")) as f:
+            net = parse_case(f.read())
+        dmg = random_damage(net, 0.4, 1)
+        assert len(dmg.damaged_lines) == 7
+        plan = self._assert_matches_reference(monkeypatch, net, dmg,
+                                              build_schedule(7, n_periods))
+        assert plan.n_periods == n_periods
 
-                monkeypatch.setattr(gridrestore.lp, "solve_lp", recording)
-                runs.append((*oracle(net, dmg, sched), calls))
-            (plan, energy, calls), (ref_plan, ref_energy, ref_calls) = runs
-            assert plan.periods == ref_plan.periods
-            assert energy == ref_energy
-            assert calls == ref_calls
+    @pytest.mark.parametrize("n_periods", [1, 3])
+    def test_matches_reference_without_damage(self, monkeypatch, n_periods):
+        # every period is the base topology
+        plan = self._assert_matches_reference(monkeypatch, meshed_network(1, 12),
+                                              DamageScenario(()),
+                                              build_schedule(0, n_periods))
+        assert plan.periods == (frozenset(),) * n_periods
+
+    def test_matches_reference_with_empty_periods(self, monkeypatch):
+        # periods 1 and 3 restore nothing, the first leaving the base
+        # topology in place, and the periods last unequal times
+        net = meshed_network(3, 12)
+        dmg = random_damage(net, 0.25, 3)
+        assert len(dmg.damaged_lines) == 4
+        sched = PeriodSchedule(5, (0.5, 1.0, 2.0, 1.5, 1.0), (0, 2, 2, 3, 4))
+        self._assert_matches_reference(monkeypatch, net, dmg, sched)
+
+    def test_matches_reference_when_every_plan_ties(self, monkeypatch):
+        # line 1 alone feeds the load in full. Lines 3 and 5 are each a dead
+        # end alone, but together they close a stiff loop on which the tight
+        # line 5 caps the flow, with line 4 in or out. Every plan serves the
+        # full load in its first period, so the post-processed energies all
+        # tie; a plan that restores 3 and 5 before 4 dips and defers its
+        # later lines, and the key picks the second ordering, 3-5-4, over
+        # the first, 3-4-5
+        net = Network(buses=(Bus(1), Bus(2), Bus(3)),
+                      lines=(Line(1, 1, 2, -10.0, 2.0), Line(3, 1, 3, -100.0, 2.0),
+                             Line(4, 1, 2, -10.0, 2.0), Line(5, 3, 2, -100.0, 0.05)),
+                      generators=(Generator(1, 1, 2.0),), loads=(Load(1, 2, 1.0),))
+        dmg = DamageScenario((3, 4, 5))
+        sched = build_schedule(3, 3)
+        energies = {plan_energy(net, dmg, RestorationPlan.from_lists([[a], [b], [c]]))
+                    for a, b, c in itertools.permutations((3, 4, 5))}
+        assert max(energies) - min(energies) <= 1e-9
+        plan = self._assert_matches_reference(monkeypatch, net, dmg, sched)
+        assert plan.periods == (frozenset({3}), frozenset(), frozenset({4, 5}))
 
     def test_symmetric_parallel_lines(self):
         net = Network(buses=(Bus(1), Bus(2)),

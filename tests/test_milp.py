@@ -13,7 +13,7 @@ import gridrestore.lp
 import gridrestore.milp
 from gridrestore.lp import (INF, Basis, LinearProgram, LpSolution, mps_column_name, solve_lp,
                             standard_form)
-from gridrestore.milp import (MixedIntegerProgram, SolveOptions, parse_solution_file,
+from gridrestore.milp import (INT_TOL, MixedIntegerProgram, SolveOptions, parse_solution_file,
                               solve_external, solve_mip)
 from gridrestore.heuristics import util_order
 from gridrestore.models import build_rop, plan_to_assignment
@@ -519,6 +519,28 @@ class TestBranchAndBound:
         assert sol.gap == pytest.approx(
             (sol.best_bound - sol.objective_value) / sol.objective_value, rel=1e-12)
         assert 0 < sol.gap <= 0.01
+
+    def test_gap_never_binds_without_a_warm_start(self):
+        # rrr's split: a two-period ordering MILP with no warm start, whose
+        # fractional root bounds the optimum within 4%. Best-bound takes an
+        # integral node as incumbent only when it pops it, when no waiting
+        # node bounds better, so the search ends there with a gap of 0
+        net = meshed_network(6, 12)
+        dmg = random_damage(net, 0.25, 6)
+        mip = build_rop(net, dmg, build_schedule(len(dmg.damaged_lines), 2)).program
+        root = solve_lp(mip.base, start=mip.start)
+        assert any(INT_TOL < root.primal[j] < 1 - INT_TOL for j in mip.binary_vars)
+        exact = solve_mip(mip, SolveOptions(rel_gap=0.0))
+        assert root.objective_value < 1.04 * exact.objective_value
+        sol = solve_mip(mip, SolveOptions(rel_gap=0.05))
+        assert sol.status == "optimal_within_gap"
+        assert sol.gap == 0.0
+        assert sol.best_bound == sol.objective_value == exact.objective_value
+        # warm-started from that optimum, the same gap stops the search at the root
+        warm = solve_mip(replace(mip, warm_start=exact.assignment),
+                         SolveOptions(rel_gap=0.05))
+        assert warm.status == "optimal_within_gap"
+        assert 0 < warm.gap <= 0.05
 
     def test_determinism(self):
         mip, _, _ = self._feasible_seed(11)
