@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 usage or case parse error, 2 infeasible model,
 of the ``rop`` ordering MILP, that ends ``infeasible`` exits 2; one that ends
 otherwise not optimal (iteration limit, numerical failure) exits 3. One
 memo per solve serves the ordering MILPs of ``rop``, ``rrr`` and ``rad``,
-the enumeration of ``oracle`` and the evaluation, so the final evaluation
-re-solves no topology the algorithm solved.
+the scoring of ``rop``'s warm start, the enumeration of ``oracle`` and the
+evaluation, so the final evaluation re-solves no topology the algorithm
+solved.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 from .heuristics import brute_force_optimal, rad, rrr, util_order
 from .milp import SolveOptions, solve_external, solve_mip
 from .models import (PlanEvaluationError, build_rop, evaluate_plan, extract_plan,
-                     plan_to_assignment)
+                     scored_warm_start)
 from .network import (CaseParseError, DamageScenario, Network, PeriodSchedule,
                       RestorationPlan, build_schedule, parse_case, random_damage)
 from .postprocess import DIP_TOL, RestorationReport, build_report
@@ -138,9 +139,14 @@ def run_algorithm(network: Network, damage: DamageScenario, schedule: PeriodSche
             order = rad(network, damage, opts, rop_solver=rop_solver, memo=memo,
                         seed=config.seed)
         return schedule.bucket(order.ordered_lines()), None
-    # rop: the ordering MILP over the schedule, warm-started from util's order
+    # rop: the ordering MILP over the schedule, warm-started from util's order,
+    # scored from its period LPs on the memo; the external backend takes no
+    # warm start
     art = build_rop(network, damage, schedule, memo=memo)
-    art.program.warm_start = plan_to_assignment(art, util_order(network, damage))
+    start = None if config.backend_cmd else scored_warm_start(
+        art, util_order(network, damage), memo)
+    if start is not None:
+        art.program.warm_start, art.program.warm_start_objective = start
     sol = mip_solver(art.program, opts)
     if sol.status == "infeasible":
         raise CliError("restoration ordering model is infeasible", EXIT_INFEASIBLE)

@@ -103,25 +103,32 @@ def rrr(network: Network, damage: DamageScenario, opts: SolveOptions,
     # the network's shared period LP, bases and final periods
     memo = {} if memo is None else memo
 
-    def recurse(line_ids: tuple[int, ...], later: frozenset[int]) -> list[int]:
+    # the line sets still to split, each with the lines restored after it,
+    # taken depth first, a first half before its second; a stack, not a
+    # nested function that calls itself, which would keep the memo alive in
+    # a reference cycle after the call
+    order: list[int] = []
+    todo = [(tuple(sorted(damage.damaged_lines)), frozenset())]
+    while todo:
+        line_ids, later = todo.pop()
         if len(line_ids) <= 1:
-            return list(line_ids)
+            order += line_ids
+            continue
         remaining = deadline - time.monotonic()
         split, _ = _sub_solve(solver, network, line_ids, later, memo, 2,
                               remaining / 2.0, opts)
         if split is None:
             # MILP failure: capacity-ordered split into halves
-            order = _capacity_order(network, line_ids)
-            half = math.ceil(len(order) / 2)
-            first, second = order[:half], order[half:]
+            capacity = _capacity_order(network, line_ids)
+            half = math.ceil(len(capacity) / 2)
+            first, second = capacity[:half], capacity[half:]
         else:
             first, second = sorted(split.periods[0]), sorted(split.periods[1])
             if not first:
                 # nothing is urgent; any order works, use capacity order
-                return _capacity_order(network, line_ids)
-        return recurse(tuple(first), later | frozenset(second)) + recurse(tuple(second), later)
-
-    order = recurse(tuple(sorted(damage.damaged_lines)), frozenset())
+                order += _capacity_order(network, line_ids)
+                continue
+        todo += [(tuple(second), later), (tuple(first), later | frozenset(second))]
     return RestorationPlan.from_lists([[lid] for lid in order])
 
 

@@ -8,11 +8,11 @@ array operations: pricing (the reduced costs and the dual simplex's
 pivot row) and every product ``A x`` sum over its nonzeros, the entering
 column's image under the inverse reads only the inverse's columns on
 that column's rows, an inversion scatters just the basic columns into a
-dense block, and a pivot updates the inverse by one BLAS rank-1 product.
-A run keeps its working state from pivot to pivot: the bounds of the
-basic columns in basis order, and which nonbasic columns may rise and
-which may fall, built once and updated for the columns each pivot or
-bound flip moves.
+dense block, and a pivot updates the inverse by one BLAS rank-1 product
+into buffers the run keeps. A run keeps its working state from pivot to
+pivot: the bounds of the basic columns in basis order, and which
+nonbasic columns may rise and which may fall, built once and updated for
+the columns each pivot or bound flip moves.
 
 Every solve is a run from a basis of the standard form. A dual feasible
 start, such as the optimal basis of an earlier solve under other bounds,
@@ -271,21 +271,6 @@ def basis_inverse(form: StandardForm, columns: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.outer(u, v)`` as one BLAS product ``[u 0] @ [v; 0]``.
-
-    The zero column and row add exact zeros, so every value is the product
-    ``np.outer`` forms (a zero may differ in sign). At a few hundred rows
-    it is about 3x faster than ``np.outer``, and faster still than a
-    matmul with an inner dimension of 1.
-    """
-    U = np.zeros((u.size, 2))
-    U[:, 0] = u
-    V = np.zeros((2, v.size))
-    V[0] = v
-    return U @ V
-
-
 @dataclass(frozen=True)
 class Basis:
     """A basis of a standard form, to warm-start a later solve from.
@@ -365,6 +350,10 @@ class _Simplex:
         self.fixed = (self.up - self.lo) <= 0  # cannot move; never eligible to enter
         # the inverse the last closing pricing ran under, and its reduced costs
         self.priced: tuple[np.ndarray, np.ndarray] | None = None
+
+    # the rank-1 update's factors [w 0] and [row; 0] and their product,
+    # made on a run's first pivot (``_update_inverse``) and reused
+    _factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def slack_basis(self) -> Basis:
         """Every slack basic and every structural column at its lower bound,
@@ -482,14 +471,26 @@ class _Simplex:
         """Column ``w = Binv a_q`` replaced the basic column of row ``pos``.
 
         Row ``pos`` is divided by the pivot ``w[pos]``, and every other row
-        i loses ``w[i]`` times it, by one rank-1 product (``_outer``) over
-        the whole inverse; a row where ``w`` is zero loses exact zeros.
+        i loses ``w[i]`` times it, by one rank-1 product over the whole
+        inverse; a row where ``w`` is zero loses exact zeros. The product is
+        one BLAS product ``[w 0] @ [row; 0]`` into a kept buffer: the zero
+        column and row add exact zeros, so every value is the one
+        ``np.outer`` forms (a zero may differ in sign), and no pivot
+        allocates. At a few hundred rows that is several times faster than
+        ``np.outer``, or a matmul with an inner dimension of 1, into a new
+        array.
         """
+        if self._factors is None:
+            m = self.m
+            self._factors = np.zeros((m, 2)), np.zeros((2, m)), np.empty((m, m))
+        U, V, product = self._factors
         Binv = self.Binv
         Binv[pos, :] /= w[pos]
-        wq = w.copy()
-        wq[pos] = 0.0
-        Binv -= _outer(wq, Binv[pos, :])
+        U[:, 0] = w
+        U[pos, 0] = 0.0
+        V[0] = Binv[pos, :]
+        np.matmul(U, V, out=product)
+        Binv -= product
 
     def _pivot(self, pos: int, q: int, step: float, w: np.ndarray, to_lower: bool) -> None:
         """Column q enters the basis at row ``pos`` after a step of ``step``

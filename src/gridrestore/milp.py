@@ -6,23 +6,26 @@ The search runs in one sense: like the standard form, it minimizes
 ``sign * objective``, with ``sign = -1`` for a maximization. The MILP's
 standard form is built once; a node is its binary fixes. A program
 holds both of its starts: ``start``, a basis for the root LP, and
-``warm_start``, a binary assignment for a first incumbent. The root LP
-starts from ``start`` when the program has one (an ordering MILP carries
-a primal feasible basis made from a period LP's optimum), and cold, from
-the LP core's slack basis, otherwise. ``SolveOptions`` is only the
-search's budget: its time limit and relative gap. Every other LP is
-warm: the warm-start incumbent LP starts from the root's optimal basis,
-and each child LP is re-solved under its fixes from its parent's optimal
-basis by the LP core's dual simplex. An optimal basis carries the
-inverse its solve ended with, and every solve from it copies that
-inverse: a branching's two children share their parent's, and the
-warm-start incumbent LP and the root's children share the root's. So
-the search inverts no start basis, except the program's ``start``, which
-is built by hand and inverts itself once for the root, and the bases of
-nodes that wait on the heap beyond its budget of inverses
-(``HEAP_INVERSE_BYTES``): such a node waits with its basis alone, and
-its branching inverts it once. (An LP may still invert its own basis
-afresh to check a result.)
+``warm_start``, a binary assignment for a first incumbent, with its
+objective when the caller has scored it (``warm_start_objective``). The
+root LP starts from ``start`` when the program has one (an ordering MILP
+carries a primal feasible basis made from a period LP's optimum), and
+cold, from the LP core's slack basis, otherwise. ``SolveOptions`` is
+only the search's budget: its time limit and relative gap. A scored
+warm start becomes the incumbent as it is, with no LP (an ordering
+MILP's is scored from its plan's period LPs, ``models.scored_warm_start``);
+an unscored one is checked by an LP with its binaries fixed, from the
+root's optimal basis. Every other LP is warm: each child LP is re-solved
+under its fixes from its parent's optimal basis by the LP core's dual
+simplex. An optimal basis carries the inverse its solve ended with, and
+every solve from it copies that inverse: a branching's two children
+share their parent's, and an unscored warm start's LP and the root's
+children share the root's. So the search inverts no start basis, except
+the program's ``start``, which is built by hand and inverts itself once
+for the root, and the bases of nodes that wait on the heap beyond its
+budget of inverses (``HEAP_INVERSE_BYTES``): such a node waits with its
+basis alone, and its branching inverts it once. (An LP may still invert
+its own basis afresh to check a result.)
 ``solve_external`` drives a command-line solver instead, through MPS and
 a simple solution-file format.
 """
@@ -51,6 +54,9 @@ class MixedIntegerProgram:
     start: Basis | None = None
     # a full binary assignment to try as the first incumbent
     warm_start: dict[int, int] | None = None
+    # the program's optimum with the binaries fixed at warm_start, when the
+    # caller knows it; None has solve_mip solve that LP
+    warm_start_objective: float | None = None
 
     def __post_init__(self):
         self.binary_vars = frozenset(self.binary_vars)
@@ -82,8 +88,8 @@ class MipSolution:
     best_bound: float = float("nan")
     gap: float = float("nan")
     assignment: dict[int, int] = field(default_factory=dict)
-    primal: np.ndarray | None = None
-    nodes: int = 0
+    primal: np.ndarray | None = None  # None when the incumbent is a scored warm start
+    nodes: int = 0  # LPs solved
 
     @property
     def has_incumbent(self) -> bool:
@@ -106,7 +112,10 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     """Best-bound branch and bound with LP relaxations per node.
 
     The root LP starts from ``mip.start`` when the program has one. The
-    program's ``warm_start``, if feasible, becomes the initial incumbent.
+    program's ``warm_start``, if feasible, becomes the initial incumbent:
+    at ``warm_start_objective`` when the program carries one, with no LP
+    solved, else at the optimum of the LP with its binaries fixed, solved
+    from the root's optimal basis. ``nodes`` counts the LPs solved.
     The search stops when the best waiting node cannot improve the
     incumbent by more than ``rel_gap``; that node stays in the reported
     bound, so the gap reported is the one proven. The time limit is
@@ -138,12 +147,12 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     heap: list = []
     max_held = HEAP_INVERSE_BYTES // (8 * form.b.size ** 2 or 1)
     unresolved: list[float] = []  # keys of the nodes left unsolved
-    incumbent = None  # the LP solution of the best integral node
+    incumbent = None  # (objective, assignment, primal) of the best integral point
 
     def bound_key() -> float:
         keys = [h[0] for h in heap] + unresolved
         if incumbent is not None:
-            keys.append(sign * incumbent.objective_value)
+            keys.append(sign * incumbent[0])
         return min(keys, default=INF)
 
     def result(proven: bool) -> MipSolution:
@@ -161,13 +170,18 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
 
     if mip.warm_start is not None:
         fixes = {j: float(v) for j, v in mip.warm_start.items() if j in mip.binary_vars}
-        if len(fixes) == len(binaries):
+        complete = len(fixes) == len(binaries)
+        if complete and mip.warm_start_objective is not None:
+            # scored by the caller: taken as it is, with no LP and no node
+            incumbent = (mip.warm_start_objective,
+                         {j: int(fixes[j]) for j in binaries}, None)
+        elif complete:
             # from the root's basis; cold when the root LP is not optimal
             sol = solve_lp(mip.base, form=_with_fixes(form, fixes), start=root.basis,
                            deadline=deadline)
             nodes += 1
             if sol.status == "optimal":
-                incumbent = sol
+                incumbent = _point(mip, sol)
         # an infeasible or partial warm start is silently discarded
     del root  # the root's inverse goes with its node once that is branched
 
@@ -175,7 +189,7 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
         if time.monotonic() > deadline:
             return result(False)
         if incumbent is not None:
-            best = sign * incumbent.objective_value
+            best = sign * incumbent[0]
             if heap[0][0] >= best - max(opts.rel_gap * abs(best), 1e-9):
                 # no waiting node can improve enough; the best one stays in the bound
                 return result(True)
@@ -191,8 +205,8 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
                 frac_j = j
         if frac_j < 0:
             # integral: candidate incumbent
-            if incumbent is None or key < sign * incumbent.objective_value:
-                incumbent = relax
+            if incumbent is None or key < sign * incumbent[0]:
+                incumbent = _point(mip, relax)
             continue
         for branch_val in (0.0, 1.0):
             child_fixes = {**fixes, frac_j: branch_val}
@@ -210,22 +224,29 @@ def solve_mip(mip: MixedIntegerProgram, opts: SolveOptions) -> MipSolution:
     return result(True)
 
 
+def _point(mip: MixedIntegerProgram, sol: LpSolution) -> tuple:
+    """An integral LP solution as an incumbent: (objective, binary
+    assignment, primal)."""
+    x = sol.primal
+    return sol.objective_value, {j: int(round(x[j])) for j in sorted(mip.binary_vars)}, x
+
+
 def _solution(mip: MixedIntegerProgram, nodes: int, proven: bool,
-              incumbent: LpSolution | None = None,
+              incumbent: tuple | None = None,
               bound: float = float("nan")) -> MipSolution:
-    """A result of ``nodes`` LP solves: ``incumbent``, the best solution
-    found, if any, and ``bound`` on the optimum (nan when unknown);
-    ``proven`` when nothing better than ``incumbent`` (or no solution at
-    all) remains. An infeasible result has no bound."""
+    """A result of ``nodes`` LP solves: ``incumbent``, the best integral
+    point found, if any, as (objective, assignment, primal or None), and
+    ``bound`` on the optimum (nan when unknown); ``proven`` when nothing
+    better than ``incumbent`` (or no solution at all) remains. An
+    infeasible result has no bound."""
     if incumbent is None:
         if proven:
             return MipSolution("infeasible", nodes=nodes)
         return MipSolution("failure", best_bound=bound, nodes=nodes)
-    x, obj = incumbent.primal, incumbent.objective_value
+    obj, assignment, x = incumbent
     return MipSolution("optimal_within_gap" if proven else "feasible_time_limit",
                        objective_value=obj, best_bound=bound,
-                       gap=_relative_gap(obj, bound),
-                       assignment={j: int(round(x[j])) for j in sorted(mip.binary_vars)},
+                       gap=_relative_gap(obj, bound), assignment=assignment,
                        primal=x, nodes=nodes)
 
 
@@ -296,4 +317,4 @@ def solve_external(mip: MixedIntegerProgram, opts: SolveOptions,
             any(abs(x[j] - round(x[j])) > INT_TOL for j in mip.binary_vars):
         return failure
     obj = mip.base.objective_value(x)
-    return _solution(mip, 0, True, LpSolution("optimal", obj, x), obj)
+    return _solution(mip, 0, True, _point(mip, LpSolution("optimal", obj, x)), obj)

@@ -28,7 +28,10 @@ with the same reference angles, so the base's optimal basis extends to
 it column for column: that extension is a primal feasible start for the
 ordering MILP's root LP. Each switchable line's big-M is ``|b|`` times
 the shortest ``angle_diff_max`` path between its ends through the lines
-that are always in, which keeps the root relaxation tight.
+that are always in, which keeps the root relaxation tight. With its
+binaries fixed at a plan, the ordering MILP splits into that plan's
+period LPs, so its warm start is scored by the plan's evaluation on the
+memo (``scored_warm_start``), not by an LP over the whole MILP.
 """
 from __future__ import annotations
 
@@ -323,6 +326,17 @@ def extract_plan(artifacts: RopArtifacts, solution: MipSolution) -> RestorationP
     return RestorationPlan.from_lists(periods)
 
 
+def _schedule_plan(schedule: PeriodSchedule, plan: RestorationPlan) -> RestorationPlan:
+    """``plan`` over ``schedule``: as it is when it has the schedule's length
+    and its cumulative restoration counts stay within the repair budget,
+    else bucketed by the budget (``PeriodSchedule.bucket``) in plan order."""
+    counts = itertools.accumulate(len(p) for p in plan.periods)
+    if plan.n_periods != schedule.n_periods or any(
+            c > r for c, r in zip(counts, schedule.repair_budget)):
+        return schedule.bucket(plan.ordered_lines())
+    return plan
+
+
 def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[int, int]:
     """Binary warm-start assignment corresponding to a restoration plan.
 
@@ -331,15 +345,36 @@ def plan_to_assignment(artifacts: RopArtifacts, plan: RestorationPlan) -> dict[i
     plan is bucketed by the budget (``PeriodSchedule.bucket``) in plan
     order.
     """
-    schedule = artifacts.schedule
-    counts = itertools.accumulate(len(p) for p in plan.periods)
-    if plan.n_periods != schedule.n_periods or any(
-            c > r for c, r in zip(counts, schedule.repair_budget)):
-        plan = schedule.bucket(plan.ordered_lines())
+    plan = _schedule_plan(artifacts.schedule, plan)
     restore_period = {lid: k for k, p in enumerate(plan.periods, start=1) for lid in p}
     return {artifacts.z[(lid, k)]: int(k >= restore_period[lid])
             for lid in sorted(artifacts.damage.damaged_lines)
-            for k in range(1, schedule.n_periods)}
+            for k in range(1, artifacts.schedule.n_periods)}
+
+
+def scored_warm_start(artifacts: RopArtifacts, plan: RestorationPlan,
+                      memo: dict | None = None) -> tuple[dict[int, int], float] | None:
+    """The ordering MILP's warm start for ``plan`` and its objective.
+
+    The assignment is ``plan_to_assignment``'s. With every binary fixed,
+    the MILP splits into the periods of that plan over the schedule, so
+    its objective is the plan's energy, the sum of each period's duration
+    times its power served, from ``evaluate_plan`` on ``memo`` (which
+    ``build_rop`` took): no LP over the whole MILP is solved. None when an
+    evaluation LP does not end optimal (``PlanEvaluationError``), as a
+    warm start whose fixed LP is not optimal is dropped. The MILP must
+    have no line out.
+    """
+    if artifacts.out:
+        raise ValueError("a warm start is scored only with no line out")
+    plan = _schedule_plan(artifacts.schedule, plan)
+    try:
+        series = evaluate_plan(artifacts.network, artifacts.damage, plan,
+                               artifacts.schedule, memo)
+    except PlanEvaluationError:
+        return None
+    energy = sum(d * p for d, p in zip(series.durations, series.delivered))
+    return plan_to_assignment(artifacts, plan), energy
 
 
 class _Periods:

@@ -100,8 +100,34 @@ class TestSolve:
         rc = main(["solve", "--case", TINY3, "--damage-lines", "1", "2",
                    "--algo", "rop", "--time-limit", "30", "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        assert len(calls) == 2  # the failed root and the cold warm-start LP
+        # the failed root alone: the warm start is scored from its period LPs
+        assert len(calls) == 1
         assert read_summary(tmp_path)["gap"] is None
+
+    def test_rop_drops_a_warm_start_whose_evaluation_fails(self, tmp_path, monkeypatch):
+        # util's plan scores the warm start; when one of its period LPs
+        # fails, the search runs with no warm start to the same optimum
+        real_solve_mip = gridrestore.cli.solve_mip
+        starts = []
+
+        def recording(mip, opts):
+            starts.append((mip.warm_start, mip.warm_start_objective))
+            return real_solve_mip(mip, opts)
+
+        def failing(*args, **kwargs):
+            raise PlanEvaluationError(1, "numerical_failure")
+
+        monkeypatch.setattr(gridrestore.cli, "solve_mip", recording)
+        args = ["solve", "--case", MESH12, "--damage-fraction", "0.25", "--seed", "1",
+                "--algo", "rop", "--rel-gap", "0"]
+        assert main(args + ["--out", str(tmp_path / "warm")]) == EXIT_OK
+        monkeypatch.setattr(gridrestore.models, "evaluate_plan", failing)
+        assert main(args + ["--out", str(tmp_path / "cold")]) == EXIT_OK
+        assert starts[0][0] and starts[0][1] > 0
+        assert starts[1] == (None, None)
+        warm, cold = read_summary(tmp_path / "warm"), read_summary(tmp_path / "cold")
+        assert cold["gap"] == 0.0
+        assert cold["total_energy_pu"] == pytest.approx(warm["total_energy_pu"], rel=1e-9)
 
     def test_summary_energy_matches_csv(self, tmp_path):
         main(["solve", "--case", TINY3, "--damage-fraction", "1.0",
@@ -378,6 +404,21 @@ class TestExternalBackend:
                    "--out", str(tmp_path)])
         assert rc == EXIT_OK
         assert len(calls) == rounds
+
+    def test_rop_scores_no_warm_start_for_the_backend(self, tmp_path, monkeypatch):
+        # the backend takes no warm start, so none is scored for it
+        monkeypatch.delenv(gridrestore.cli.BACKEND_ENV, raising=False)
+        programs = []
+
+        def recording(mip, opts, command):
+            programs.append(mip)
+            return gridrestore.milp.MipSolution("failure")
+
+        monkeypatch.setattr(gridrestore.cli, "solve_external", recording)
+        rc = main(["solve", "--case", TINY3, "--damage-fraction", "1.0", "--algo", "rop",
+                   "--backend-cmd", FAILING_BACKEND, "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        assert [(p.warm_start, p.warm_start_objective) for p in programs] == [(None, None)]
 
     def test_environment_variable_without_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv(gridrestore.cli.BACKEND_ENV, FAILING_BACKEND)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import os
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -263,6 +265,22 @@ class TestRrr:
             assert len(lps) <= len(calls) + len(finals)
             assert len({bounds for _, _, bounds in lps}) == len(lps)
             assert all(start is not None for _, start, _ in lps)
+
+    @pytest.mark.parametrize("algo", [rrr, rad])
+    def test_memo_is_freed_without_a_cycle_collection(self, meshed_scenarios, algo):
+        # the memo holds every topology's basis and inverse: once the caller
+        # drops it, reference counting alone must free it
+        net, dmg = meshed_scenarios[1]
+        memo = {}
+        gc.collect()
+        gc.disable()
+        try:
+            algo(net, dmg, SolveOptions(time_limit=60, rel_gap=0.0), memo=memo)
+            periods = weakref.ref(memo["periods"])
+            del memo
+            assert periods() is None
+        finally:
+            gc.enable()
 
 
 def stall_limit(monkeypatch, rounds):

@@ -1230,16 +1230,28 @@ class TestInverseUpdate:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_outer_is_np_outer(self, seed):
-        # zeros of both signs, both signs, and magnitudes from subnormal
-        # products to overflow; a zero may come out with the other sign
+        # the product the update subtracts is np.outer(w, row), with w's
+        # pivot entry zeroed: zeros of both signs, both signs, and
+        # magnitudes from subnormal products to overflow; a zero may come
+        # out with the other sign. A pivot of 1 and an inverse that is zero
+        # off the pivot row leave the negated product on the other rows.
         rng = np.random.default_rng(seed)
         u = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-160, 160, 40)
-        v = rng.choice([-1.0, 1.0], 30) * 10.0 ** rng.uniform(-160, 160, 30)
+        v = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-160, 160, 40)
         u[::7], v[::5] = 0.0, -0.0
         u[1::7] = -0.0
         u[2:4], v[2:4] = (1e-160, 1e160), (-1e-160, 1e160)  # subnormal, inf
+        pos = 4
+        u[pos] = 1.0
+        simplex = lp_module._Simplex.__new__(lp_module._Simplex)
+        simplex.m = u.size
+        simplex.Binv = np.zeros((u.size, u.size))
+        simplex.Binv[pos] = v
         with np.errstate(over="ignore"):
-            expected, got = np.outer(u, v), lp_module._outer(u, v)
+            expected = np.outer(u, v)
+            simplex._update_inverse(pos, u)
+        expected[pos] = -v  # row pos is the pivot row divided by 1
+        got = -simplex.Binv
         assert np.isinf(expected).any() and (expected == 0.0).any()
         assert ((expected != 0.0) & (np.abs(expected) < np.finfo(float).tiny)).any()
         nonzero = expected != 0.0

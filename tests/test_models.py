@@ -9,11 +9,12 @@ import gridrestore.lp
 import gridrestore.models
 from gridrestore.lp import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, LinearProgram, LpSolution,
                             _dense_columns, _times, basis_inverse, solve_lp, standard_form)
-from gridrestore.milp import SolveOptions, solve_mip
+from gridrestore.heuristics import util_order
+from gridrestore.milp import SolveOptions, _with_fixes, solve_mip
 from gridrestore.models import (PlanEvaluationError, PlanExtractionError, _period_dcopf,
                                 _Periods, _reference_buses, build_rip, build_rop,
                                 energized_lines, evaluate_plan, extract_plan,
-                                plan_to_assignment)
+                                plan_to_assignment, scored_warm_start)
 from gridrestore.milp import MipSolution
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, PeriodSchedule, RestorationPlan, build_schedule,
@@ -724,6 +725,81 @@ class TestRop:
         net, dmg = tiny3_damage12()
         with pytest.raises(ValueError, match="final repair budget"):
             build_rop(net, dmg, build_schedule(3, 2))
+
+
+def scored_cases():
+    """(network, damage, schedule, plan) on meshed grids: util's plan and two
+    random orderings, over one period per line, the lumped schedule and two
+    periods."""
+    for seed in range(1, 7):
+        net = meshed_network(seed, 10 + 2 * (seed % 2))
+        dmg = random_damage(net, 0.3, seed)
+        n = len(dmg.damaged_lines)
+        rng = random.Random(seed)
+        plans = [util_order(net, dmg)]
+        for _ in range(2):
+            order = list(dmg.damaged_lines)
+            rng.shuffle(order)
+            plans.append(RestorationPlan.from_lists([[lid] for lid in order]))
+        for sched in (build_schedule(n, n), lumped_schedule(n), build_schedule(n, 2)):
+            for plan in plans:
+                yield net, dmg, sched, plan
+
+
+class TestScoredWarmStart:
+    def test_objective_is_the_fixed_binary_lp(self):
+        # with every binary fixed the ordering MILP splits into the plan's
+        # period LPs: their energy is the LP's optimum
+        cases = 0
+        for net, dmg, sched, plan in scored_cases():
+            memo = {}
+            art = build_rop(net, dmg, sched, memo=memo)
+            assign, objective = scored_warm_start(art, plan, memo)
+            assert assign == plan_to_assignment(art, plan)
+            lp = art.program.base
+            fixed = _with_fixes(standard_form(lp), {j: float(v) for j, v in assign.items()})
+            sol = solve_lp(lp, form=fixed, start=art.program.start)
+            assert sol.status == "optimal"
+            assert objective == pytest.approx(sol.objective_value, rel=1e-9, abs=0)
+            cases += 1
+        assert cases == 54
+
+    @pytest.mark.parametrize("rel_gap", [0.0, 0.01])
+    def test_search_from_the_scored_start_saves_one_lp(self, rel_gap):
+        # the same search as from the unscored start, less its warm-start LP
+        opts = SolveOptions(time_limit=60, rel_gap=rel_gap)
+        for net, dmg, sched, plan in scored_cases():
+            memo = {}
+            art = build_rop(net, dmg, sched, memo=memo)
+            assign, objective = scored_warm_start(art, plan, memo)
+            mip = art.program
+            unscored = solve_mip(dataclasses.replace(mip, warm_start=assign), opts)
+            scored = solve_mip(dataclasses.replace(mip, warm_start=assign,
+                                                   warm_start_objective=objective), opts)
+            assert scored.status == unscored.status == "optimal_within_gap"
+            assert scored.assignment == unscored.assignment
+            assert scored.best_bound == pytest.approx(unscored.best_bound, rel=1e-9, abs=0)
+            assert scored.objective_value == pytest.approx(unscored.objective_value,
+                                                           rel=1e-9, abs=0)
+            assert scored.nodes == unscored.nodes - 1
+
+    def test_failed_evaluation_drops_the_start(self, monkeypatch):
+        net, dmg, sched, plan = next(scored_cases())
+
+        def failing(*args, **kwargs):
+            raise PlanEvaluationError(1, "numerical_failure")
+
+        art = build_rop(net, dmg, sched)
+        monkeypatch.setattr(gridrestore.models, "evaluate_plan", failing)
+        assert scored_warm_start(art, plan) is None
+
+    def test_no_line_may_be_out(self):
+        net, dmg, sched, plan = next(scored_cases())
+        kept = DamageScenario(dmg.damaged_lines[1:])
+        art = build_rop(net, kept, build_schedule(len(kept.damaged_lines), 2),
+                        out=frozenset(dmg.damaged_lines[:1]))
+        with pytest.raises(ValueError, match="out"):
+            scored_warm_start(art, RestorationPlan.from_lists([kept.damaged_lines]))
 
 
 class TestPlanExtraction:
