@@ -265,7 +265,8 @@ def _config_key(base: RunConfig, case_text: str) -> str:
 
 
 def _cell_name(config: RunConfig, key: str) -> str:
-    return (f"cell_f{config.damage_fraction:g}_s{config.seed}_{config.algorithm}"
+    # repr: the shortest text that reads back as the same float
+    return (f"cell_f{config.damage_fraction!r}_s{config.seed}_{config.algorithm}"
             f"_{key}.json")
 
 

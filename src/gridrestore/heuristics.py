@@ -20,7 +20,7 @@ from .milp import MipSolution, SolveOptions, solve_mip
 from .models import PlanEvaluationError, PlanExtractionError, evaluate_plan, extract_plan
 from .network import (DamageScenario, Network, PeriodSchedule, RestorationPlan,
                       build_schedule)
-from .postprocess import DIP_TOL, monotonize, total_energy
+from .postprocess import DIP_TOL, monotonize, served_energy
 
 
 # rad's search settings, read at each call
@@ -199,7 +199,7 @@ def rad(network: Network, damage: DamageScenario, opts: SolveOptions,
                 n_planned += 1
                 new_order = plan.ordered_lines()
                 new_energy = energy(order[:a] + new_order + order[b:], a, b)
-                if new_energy > cur_energy + 1e-9 * max(1.0, abs(cur_energy)):
+                if new_energy > cur_energy + DIP_TOL * max(1.0, abs(cur_energy)):
                     order[a:b] = new_order
                     continue
             n_fail += 1
@@ -214,13 +214,11 @@ def rad(network: Network, damage: DamageScenario, opts: SolveOptions,
                 s_hi = max(s_hi, min(math.ceil(GROWTH_FACTOR * s_hi), n // 2))
 
     final = RestorationPlan.from_lists([[lid] for lid in order])
-    # safeguard: never return a plan worse (post-processed) than the initial
+    # safeguard: the initial plan comes back if its ordering serves more
     try:
-        init_series = evaluate_plan(network, damage, initial_plan,
-                                    build_schedule(n, initial_plan.n_periods, 1.0), memo=memo)
-        fin_series = evaluate_plan(network, damage, final, schedule, memo=memo)
-        init_e = total_energy(monotonize(init_series, initial_plan)[0])
-        fin_e = total_energy(monotonize(fin_series, final)[0])
+        init_e, fin_e = served_energy(
+            [evaluate_plan(network, damage, plan, schedule, memo=memo).delivered
+             for plan in (schedule.bucket(initial_plan.ordered_lines()), final)], schedule.delta)
         if fin_e < init_e - DIP_TOL:
             return initial_plan
     except RuntimeError:
@@ -239,17 +237,17 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     gives it: the one that lists each period's lines in order. Each mask
     is solved once through one memo by ``evaluate_plan``'s rule, where a
     plan-by-plan walk first reaches it and from the mask before it there.
-    One array pass scores every plan: its running maximum times the
-    durations, summed left to right, is ``total_energy`` of the
-    ``monotonize``d plan. In plan order, a plan is skipped when it scores
-    below the best so far by more than ``DIP_TOL``, or ties it but sorts
-    after it on period 1, which post-processing never defers. Every other
-    plan is evaluated from the memo, post-processed and scored, ties
-    within ``DIP_TOL`` breaking lexicographically on the post-processed
-    plan. For n damaged lines and N periods this costs about 2^n period
-    LPs, n!·N array work and one loop over n! scores. Guarded to at most 7
-    damaged lines; a schedule whose final budget is not the damage count
-    raises ``ValueError``. The memo is the caller's ``memo`` when given.
+    One ``served_energy`` call scores every plan from the table of its
+    periods' powers; a plan's score is its energy. In plan order, a plan
+    is skipped when it scores below the best so far by more than
+    ``DIP_TOL``, or ties it but sorts after it on period 1, which
+    post-processing never defers. Every other plan is evaluated from the
+    memo and post-processed, ties within ``DIP_TOL`` breaking
+    lexicographically on the post-processed plan. For n damaged lines and
+    N periods this costs about 2^n period LPs, n!·N array work and one
+    loop over n! scores. Guarded to at most 7 damaged lines; a schedule
+    whose final budget is not the damage count raises ``ValueError``. The
+    memo is the caller's ``memo`` when given.
     """
     lines = sorted(damage.damaged_lines)
     n = len(lines)
@@ -282,24 +280,21 @@ def brute_force_optimal(network: Network, damage: DamageScenario,
     for pos in np.sort(reached).tolist():
         mask, prev = walk[pos], 0 if pos % N == 0 else walk[pos - 1]
         power[mask] = periods.power(base | sets[mask], base | sets[prev], pos % N + 1)
-    table = power[masks]
-    # left to right, as total_energy adds the monotonized series
-    scores = np.cumsum(np.maximum.accumulate(table, axis=1) * schedule.delta, axis=1)[:, -1]
+    scores = served_energy(power[masks], schedule.delta)
 
     best_energy = best_plan = best_key = None
-    for i, score in enumerate(scores.tolist()):
+    for i, score in enumerate(scores):
         row = masks[i].tolist()
         if best_energy is not None and (score < best_energy - DIP_TOL or (
                 score <= best_energy + DIP_TOL and tuple(sorted(sets[row[0]])) > best_key[0])):
             # below the best, or tied with it and behind it on period 1, which
-            # post-processing never defers (a plan's energy is its score)
+            # post-processing never defers
             continue
         plan = RestorationPlan(tuple(sets[m ^ prev] for m, prev in zip(row, [0] + row)))
-        series = evaluate_plan(network, damage, plan, schedule, memo=memo)
-        mono_series, mono_plan = monotonize(series, plan)
-        energy = total_energy(mono_series)
+        mono_plan = monotonize(evaluate_plan(network, damage, plan, schedule, memo=memo),
+                               plan)[1]
         key = tuple(tuple(sorted(p)) for p in mono_plan.periods)
-        if best_energy is None or energy > best_energy + DIP_TOL or (
-                abs(energy - best_energy) <= DIP_TOL and key < best_key):
-            best_energy, best_plan, best_key = energy, mono_plan, key
+        if best_energy is None or score > best_energy + DIP_TOL or (
+                abs(score - best_energy) <= DIP_TOL and key < best_key):
+            best_energy, best_plan, best_key = score, mono_plan, key
     return best_plan, best_energy

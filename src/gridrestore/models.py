@@ -87,6 +87,11 @@ class PowerServedSeries:
         return len(self.delivered)
 
 
+def total_energy(series: PowerServedSeries) -> float:
+    """Each period's power times its duration, summed left to right."""
+    return float(np.cumsum(np.r_[0.0, np.multiply(series.delivered, series.durations)])[-1])
+
+
 def energized_lines(network: Network, damage: DamageScenario, plan: RestorationPlan,
                     k: int) -> frozenset[int]:
     """Line ids energized in period k (1-based): non-damaged plus restored in 1..k."""
@@ -358,12 +363,11 @@ def scored_warm_start(artifacts: RopArtifacts, plan: RestorationPlan,
 
     The assignment is ``plan_to_assignment``'s. With every binary fixed,
     the MILP splits into the periods of that plan over the schedule, so
-    its objective is the plan's energy, the sum of each period's duration
-    times its power served, from ``evaluate_plan`` on ``memo`` (which
-    ``build_rop`` took): no LP over the whole MILP is solved. None when an
-    evaluation LP does not end optimal (``PlanEvaluationError``), as a
-    warm start whose fixed LP is not optimal is dropped. The MILP must
-    have no line out.
+    its objective is the plan's raw ``total_energy``, from ``evaluate_plan``
+    on ``memo`` (which ``build_rop`` took): no LP over the whole MILP is
+    solved. None when an evaluation LP does not end optimal
+    (``PlanEvaluationError``), as a warm start whose fixed LP is not
+    optimal is dropped. The MILP must have no line out.
     """
     if artifacts.out:
         raise ValueError("a warm start is scored only with no line out")
@@ -373,8 +377,7 @@ def scored_warm_start(artifacts: RopArtifacts, plan: RestorationPlan,
                                artifacts.schedule, memo)
     except PlanEvaluationError:
         return None
-    energy = sum(d * p for d, p in zip(series.durations, series.delivered))
-    return plan_to_assignment(artifacts, plan), energy
+    return plan_to_assignment(artifacts, plan), total_energy(series)
 
 
 class _Periods:

@@ -2,12 +2,15 @@
 energy scoring and CSV report emission."""
 from __future__ import annotations
 
-import io
 import csv
+import io
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Islands
-from .models import PowerServedSeries, energized_lines
+from .models import PowerServedSeries, energized_lines, total_energy
 from .network import DamageScenario, Network, RestorationPlan
 
 DIP_TOL = 1e-9
@@ -17,38 +20,35 @@ def monotonize(series: PowerServedSeries,
                plan: RestorationPlan) -> tuple[PowerServedSeries, RestorationPlan]:
     """Make delivered power nondecreasing and re-bucket dip restorations.
 
-    Delivered power in each period becomes the running maximum. Any run
-    of periods whose raw value falls below that maximum is a dip: the
-    restorations scheduled in those periods are deferred to the first
-    following non-dip period, leaving the dip periods empty. A trailing
-    dip run folds into the final period.
+    Delivered power in each period becomes the running maximum. A period
+    whose raw value falls more than ``DIP_TOL`` below the maximum before
+    it is a dip: the restorations scheduled in a run of dips are deferred
+    to the first following non-dip period, leaving the dip periods empty.
+    A trailing dip run folds into the final period.
     """
     if series.n_periods != plan.n_periods:
         raise ValueError("series and plan must have equal length")
-    n = series.n_periods
-    best = float("-inf")
-    delivered = []
+    delivered = tuple(itertools.accumulate(series.delivered, max))
     new_periods: list[set[int]] = []
     carry: set[int] = set()
-    for k in range(n):
-        raw = series.delivered[k]
-        if k == 0 or raw >= best - DIP_TOL:
-            best = max(best, raw)
-            new_periods.append(set(plan.periods[k]) | carry)
+    for k, restored in enumerate(plan.periods):
+        carry |= restored
+        if k in (0, plan.n_periods - 1) or series.delivered[k] >= delivered[k - 1] - DIP_TOL:
+            new_periods.append(carry)
             carry = set()
         else:
-            # dip: defer this period's restorations
-            carry |= set(plan.periods[k])
-            new_periods.append(set())
-        delivered.append(best)
-    if carry:
-        new_periods[-1] |= carry
-    out_series = PowerServedSeries(tuple(delivered), series.durations)
-    return out_series, RestorationPlan.from_lists(new_periods)
+            new_periods.append(set())  # dip: defer this period's restorations
+    return (PowerServedSeries(delivered, series.durations),
+            RestorationPlan.from_lists(new_periods))
 
 
-def total_energy(series: PowerServedSeries) -> float:
-    return sum(d * dt for d, dt in zip(series.delivered, series.durations))
+def served_energy(delivered, durations):
+    """Reported energy of raw power: the running maximum times the durations,
+    summed left to right along the last axis, which is ``total_energy`` of
+    the ``monotonize``d series bit for bit. Takes one series (gives a float)
+    or a table of them, one per row (gives a list)."""
+    held = np.maximum.accumulate(delivered, axis=-1) * durations
+    return np.cumsum(held, axis=-1)[..., -1].tolist()
 
 
 def island_metrics(network: Network, damage: DamageScenario,

@@ -549,6 +549,24 @@ class TestSweep:
         assert main(base + ["--n-periods", "2"]) == EXIT_OK
         assert "(0 computed, 1 cached)" in capsys.readouterr().out
 
+    def test_fractions_alike_to_six_digits_get_their_own_cells(self, tmp_path, capsys):
+        # the two fractions print alike with 6 significant digits, but of
+        # mesh12.m's 17 lines the first damages 2 (2.4999979 rounded) and the
+        # second 3 (2.5000013): each row must be its own fraction's run
+        fractions = ["0.1470587", "0.1470589"]
+        assert main(["sweep", "--case", MESH12, "--fractions", *fractions, "--seeds", "1",
+                     "--algos", "util", "--out", str(tmp_path), "--workers", "1"]) == EXIT_OK
+        assert "(2 computed, 0 cached)" in capsys.readouterr().out
+        assert len(os.listdir(os.path.join(tmp_path, "cells"))) == 2
+        rows = read_csv(os.path.join(tmp_path, "sweep.csv"))
+        assert [r["fraction"] for r in rows] == fractions
+        for row, fraction in zip(rows, fractions):
+            outdir = os.path.join(tmp_path, "solve_" + fraction)
+            main(["solve", "--case", MESH12, "--damage-fraction", fraction, "--seed", "1",
+                  "--algo", "util", "--out", outdir])
+            assert float(row["energy"]) == read_summary(outdir)["total_energy_pu"]
+        assert rows[0]["energy"] != rows[1]["energy"]
+
     @pytest.mark.parametrize("fractions", [["1.5"], ["1.0", "0"]])
     def test_bad_fraction_is_one_error_line(self, tmp_path, capsys, fractions):
         rc = main(["sweep", "--case", TINY3, "--fractions", *fractions, "--seeds", "0",
@@ -711,3 +729,33 @@ def test_solve_loads_no_sweep_or_backend_module(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# each directory of tests/golden: the solve that wrote it, run from the
+# repository root, as the numpy-only CI job runs it
+GOLDEN = {
+    **{f"{algo}_mesh14_s6": ["mesh14_s6.m", "0.25", "6", algo]
+       for algo in ("util", "rrr", "rad", "rop", "oracle")},
+    **{f"{algo}_mesh12_25": ["mesh12.m", "0.25", "1", algo] for algo in ("util", "rrr", "rad")},
+    "rop_mesh12_25": ["mesh12.m", "0.25", "1", "rop"],
+    "rop_mesh12_40": ["mesh12.m", "0.4", "1", "rop"],
+    "oracle_cap": ["mesh12.m", "0.4", "1", "oracle"],
+    "oracle_cap_3p": ["mesh12.m", "0.4", "1", "oracle", "--n-periods", "3"],
+}
+
+
+def test_every_golden_directory_is_pinned():
+    assert sorted(os.listdir(os.path.join(os.path.dirname(SRC), "tests", "golden"))) == \
+        sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_the_goldens_byte_for_byte(tmp_path, monkeypatch, capsys, name):
+    case, fraction, seed, algo, *extra = GOLDEN[name]
+    monkeypatch.chdir(os.path.dirname(SRC))
+    assert main(["solve", "--case", f"tests/cases/{case}", "--damage-fraction", fraction,
+                 "--seed", seed, "--algo", algo, *extra, "--out", str(tmp_path)]) == EXIT_OK
+    for file in ("report.csv", "summary.json"):
+        with open(os.path.join("tests", "golden", name, file), "rb") as want, \
+                open(tmp_path / file, "rb") as got:
+            assert got.read() == want.read(), file

@@ -335,14 +335,15 @@ class TestRad:
     # raw power served by each ordering of tiny3's lines, one per period
     RAW = {(1, 2, 3): (4.0, 0.0, 5.0), (2, 1, 3): (1.0, 4.0, 5.0)}
 
-    def fake_evaluations(self, monkeypatch, fail_periods=None):
-        """Replace rad's evaluation by ``RAW``; a plan of ``fail_periods``
-        periods raises. Returns the orderings evaluated."""
+    def fake_evaluations(self, monkeypatch, fail=lambda seen: False):
+        """Replace rad's evaluation by ``RAW``; an evaluation raises when
+        ``fail`` holds for the orderings evaluated so far, this one last.
+        Returns the orderings evaluated."""
         seen = []
 
         def evaluate(network, damage, plan, schedule, memo=None):
             seen.append(tuple(plan.ordered_lines()))
-            if plan.n_periods == fail_periods:
+            if fail(seen):
                 raise PlanEvaluationError(1, "numerical_failure")
             return PowerServedSeries(self.RAW[seen[-1]], tuple(schedule.delta))
 
@@ -363,12 +364,26 @@ class TestRad:
         assert seen[-2:] == [(1, 2, 3), (2, 1, 3)]  # the initial plan, the search's
         assert plan == initial
 
+    def test_safeguard_scores_a_lumped_initial_by_its_ordering(self, tiny3, monkeypatch):
+        # the lumped initial plan is scored as its ordering over the
+        # search's one-line periods: 4 + 4 + 5 = 13 beats the search's 10
+        dmg = DamageScenario((1, 2, 3))
+        seen = self.fake_evaluations(monkeypatch)
+        stall_limit(monkeypatch, 2)
+        initial = RestorationPlan.from_lists([[1, 2], [3]])
+        plan = rad(tiny3, dmg, SolveOptions(time_limit=60), initial=initial,
+                   rop_solver=swapping_solver)
+        assert seen[-2:] == [(1, 2, 3), (2, 1, 3)]
+        assert plan == initial
+
     def test_safeguard_that_cannot_evaluate_keeps_the_search_result(self, tiny3,
                                                                     monkeypatch):
-        # the initial plan's two periods cannot be evaluated, so the
-        # comparison is skipped and the search's ordering stands
+        # the search evaluates the initial ordering (1, 2, 3) once, before it
+        # takes the swap; the safeguard's second evaluation of it raises, so
+        # the comparison, which the initial plan would win, is skipped and
+        # the search's ordering stands
         dmg = DamageScenario((1, 2, 3))
-        self.fake_evaluations(monkeypatch, fail_periods=2)
+        self.fake_evaluations(monkeypatch, fail=lambda seen: seen.count((1, 2, 3)) == 2)
         stall_limit(monkeypatch, 2)
         plan = rad(tiny3, dmg, SolveOptions(time_limit=60),
                    initial=RestorationPlan.from_lists([[1, 2], [3]]),

@@ -7,8 +7,8 @@ from gridrestore.graph import line_components
 from gridrestore.models import PowerServedSeries, energized_lines, evaluate_plan
 from gridrestore.network import (Bus, DamageScenario, Generator, Line, Load,
                                  Network, RestorationPlan, build_schedule)
-from gridrestore.postprocess import (build_report, island_metrics, monotonize,
-                                     total_energy)
+from gridrestore.postprocess import (DIP_TOL, build_report, island_metrics, monotonize,
+                                     served_energy, total_energy)
 from conftest import meshed_network, random_scenario, tiny3_network
 
 
@@ -126,6 +126,49 @@ class TestTotalEnergy:
         assert total_energy(series_of([1, 2], dt=0.5)) == pytest.approx(1.5)
         base = total_energy(series_of([3, 1, 4]))
         assert total_energy(series_of([3, 1, 4], dt=2.0)) == pytest.approx(2 * base)
+
+
+@st.composite
+def raw_powers(draw, n):
+    """n raw powers that often equal the running maximum before them or
+    sit at most 2 * DIP_TOL below it, so dips and ties within DIP_TOL
+    both occur."""
+    values = [draw(st.floats(0, 100))]
+    for _ in range(n - 1):
+        top = max(values)
+        values.append(draw(st.one_of(st.floats(0, 100), st.just(top),
+                                     st.floats(0, 2 * DIP_TOL).map(lambda d: top - d))))
+    return tuple(values)
+
+
+def durations_of(n):
+    return st.lists(st.floats(0.01, 10), min_size=n, max_size=n).map(tuple)
+
+
+class TestServedEnergy:
+    """``served_energy`` is the reported energy, ``total_energy`` of the
+    ``monotonize``d series, bit for bit: compared with ``==``."""
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(raw_powers(n), durations_of(n))))
+    def test_equals_the_monotonized_total(self, drawn):
+        s = PowerServedSeries(*drawn)
+        mono, _ = monotonize(s, plan_of(s.n_periods))
+        left_to_right = 0.0
+        for power, hours in zip(mono.delivered, mono.durations):
+            left_to_right += power * hours
+        assert served_energy(s.delivered, s.durations) == total_energy(mono) == left_to_right
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(raw_powers(n), min_size=1, max_size=6), durations_of(n))))
+    def test_each_row_of_a_table_scores_as_one_series(self, drawn):
+        rows, durations = drawn
+        scores = served_energy(rows, durations)
+        assert scores == [served_energy(row, durations) for row in rows]
+        assert scores == [total_energy(monotonize(PowerServedSeries(row, durations),
+                                                  plan_of(len(row)))[0]) for row in rows]
+
+    def test_a_trailing_dip_is_reported_at_the_running_maximum(self):
+        assert served_energy((5.0, 3.0, 2.0), (1.0, 0.5, 2.0)) == 5.0 + 2.5 + 10.0
 
 
 class TestReport:
